@@ -24,7 +24,7 @@ from .dipole import (SphericalPosition, HyperfineModel, dipolar_strength,
                      ResidualMap, dft_residual_map, MIN_RADIUS)
 from .dynamics import (LOW_FIELD, GENERAL_FIELD, EnhancementTensor,
                        enhancement, enhancement_factor, precession_frequency,
-                       OdmrLinePair, hamiltonian, transition_frequencies,
+                       xi_kernel, OdmrLinePair, hamiltonian, transition_frequencies,
                        odmr_lines)
 from .signal import TimeTrace, FrequencyEstimate, synth_trace, estimate_frequencies
 from .extract import (EXACT, APPROXIMATE, CouplingInputs, CouplingEstimate,

@@ -31,12 +31,13 @@ from .dynamics import precession_frequency
 from .errors import ParseError, SpinlocError
 from .extract import (CouplingInputs, extract_couplings, nominal_tau,
                       propagate_coupling_sigma, rabi_frequency)
-from .fileio import (ANGSTROM, KHZ, MT, US, NucleusMeasurements, atomic_write_text,
-                     load_dft_table, load_measurements, load_odmr, load_truth,
-                     save_cost_curve, save_histogram, save_measurements,
-                     save_residual_map, save_scatter, write_json)
+from .fileio import (ANGSTROM, DEG, DISPLAY_UNITS, KHZ, MT, NucleusMeasurements,
+                     atomic_write_text, load_dft_table, load_measurements,
+                     load_odmr, load_truth, save_cost_curve, save_histogram,
+                     save_measurements, save_residual_map, save_scatter,
+                     write_json)
 from .localize import (A_ISO_FIX_RADIUS, MeasurementRecord, assemble_position,
-                       cost_curve, fit_azimuth)
+                       cost_curve)
 from .montecarlo import McConfig, histogram, propagate
 from .signal import estimate_frequencies, synth_trace
 
@@ -47,10 +48,6 @@ _SIGMA_F_FLOOR = 1e-6   # Hz
 _SIGMA_B_FLOOR = 1e-12  # T
 
 _HISTOGRAM_BINS = 48
-_HISTOGRAM_UNITS = {"phi": (math.pi / 180.0, "deg"),
-                    "a_iso": (KHZ, "kHz"),
-                    "r": (ANGSTROM, "A"),
-                    "theta": (math.pi / 180.0, "deg")}
 
 
 def _sha256(path) -> str:
@@ -72,10 +69,6 @@ def _load_environment(args):
         prov = {"config": "defaults"}
     prov["package_version"] = __version__
     return constants, registry, prov
-
-
-def _deg(x: float) -> float:
-    return math.degrees(x)
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +175,20 @@ def _resolve_fix_a_iso(policy, a_par: float, a_perp: float, constants):
     return None, "free", f"auto: r at zero contact = {r0 / ANGSTROM:.2f} A"
 
 
+def _display(**values) -> dict:
+    """Monte Carlo parameters in SI -> {"<name>_<unit>": display value}."""
+    out = {}
+    for name, value in values.items():
+        scale, unit = DISPLAY_UNITS[name]
+        out[f"{name}_{unit}"] = value / scale
+    return out
+
+
 def _ci_json(ci: dict) -> dict:
     """rad/Hz/m intervals -> display units, levels as percent-string keys."""
-    scale = {"phi": (math.pi / 180.0, "deg"), "a_iso": (KHZ, "kHz"),
-             "r": (ANGSTROM, "A"), "theta": (math.pi / 180.0, "deg")}
     out = {}
     for name, levels in ci.items():
-        s, unit = scale[name]
+        s, unit = DISPLAY_UNITS[name]
         out[f"{name}_{unit}"] = {f"{100.0 * level:g}": [lo / s, hi / s]
                                  for level, (lo, hi) in levels.items()}
     return out
@@ -243,43 +243,37 @@ def _localize_one(label: str, nm: NucleusMeasurements, args, mc: McConfig,
     fix, mode, why = _resolve_fix_a_iso(fix_policy, est.a_par, est.a_perp,
                                         constants)
 
-    fit = fit_azimuth(nm.records, est, fix_a_iso=fix, constants=constants)
     result = propagate(nm.records, est, mc, fix_a_iso=fix, constants=constants)
+    fit = result.fit
     pos = assemble_position(est, fit, constants=constants)
 
     curve = cost_curve(nm.records, est, a_iso=fit.a_iso, constants=constants)
     save_cost_curve(os.path.join(args.out, f"cost_curve_{label}.tsv"), curve)
     save_scatter(os.path.join(args.out, f"scatter_{label}.tsv"), result.scatter)
-    for name, (scale, unit) in _HISTOGRAM_UNITS.items():
+    for name, (scale, unit) in DISPLAY_UNITS.items():
         hist = histogram(result.scatter, name, _HISTOGRAM_BINS)
         save_histogram(os.path.join(args.out, f"histogram_{name}_{label}.tsv"),
                        hist, scale=scale, unit=unit)
 
-    p = result.point
+    point = _display(**result.point._asdict())
     entry = {
         "a_par_kHz": est.a_par / KHZ,
         "a_perp_kHz": est.a_perp / KHZ,
         "a_iso_mode": mode,
         "a_iso_note": why,
         "fit": {
-            "phi_deg": _deg(fit.phi),
-            "a_iso_kHz": fit.a_iso / KHZ,
+            **_display(phi=fit.phi, a_iso=fit.a_iso),
             "residual_Hz": fit.residual,
-            "degenerate_minima_deg": [_deg(v) for v in fit.degenerate_minima],
+            "degenerate_minima_deg": [v / DEG for v in fit.degenerate_minima],
         },
-        "point": {"phi_deg": _deg(p.phi), "a_iso_kHz": p.a_iso / KHZ,
-                  "r_A": p.r / ANGSTROM, "theta_deg": _deg(p.theta)},
+        "point": point,
         "ci": _ci_json(result.ci),
-        "scatter_mode": {"phi_deg": _deg(result.scatter_mode.phi),
-                         "a_iso_kHz": result.scatter_mode.a_iso / KHZ,
-                         "r_A": result.scatter_mode.r / ANGSTROM,
-                         "theta_deg": _deg(result.scatter_mode.theta)},
+        "scatter_mode": _display(**result.scatter_mode._asdict()),
         "n_samples": result.n_samples,
         "n_failed": result.n_failed,
         "position": {
-            "r_A": pos.position.r / ANGSTROM,
-            "theta_deg": _deg(pos.position.theta),
-            "phi_deg": _deg(pos.position.phi),
+            **_display(r=pos.position.r, theta=pos.position.theta,
+                       phi=pos.position.phi),
             "cartesian_A": [c / ANGSTROM for c in pos.cartesian],
             "cartesian_offset_A": [c / ANGSTROM for c in pos.cartesian_offset],
             "z_offset_A": pos.z_offset / ANGSTROM,
@@ -290,8 +284,9 @@ def _localize_one(label: str, nm: NucleusMeasurements, args, mc: McConfig,
         entry["sigma_a_perp_kHz"] = est.sigma_a_perp / KHZ
     print(f"{label}: a_par = {est.a_par / KHZ:.3f} kHz, "
           f"a_perp = {est.a_perp / KHZ:.3f} kHz, "
-          f"r = {p.r / ANGSTROM:.3f} A, theta = {_deg(p.theta):.2f} deg, "
-          f"phi = {_deg(p.phi):.2f} deg, a_iso = {p.a_iso / KHZ:.2f} kHz "
+          f"r = {point['r_A']:.3f} A, theta = {point['theta_deg']:.2f} deg, "
+          f"phi = {point['phi_deg']:.2f} deg, "
+          f"a_iso = {point['a_iso_kHz']:.2f} kHz "
           f"({mode}), {result.n_failed}/{result.n_samples} samples failed")
     return entry
 

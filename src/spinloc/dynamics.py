@@ -1,5 +1,9 @@
 """Forward spin physics: nuclear precession frequencies and ODMR lines.
 
+``precession_frequency`` is the scalar model; ``xi_kernel`` evaluates the
+same model lane-wise over many trial sites and fields at once, for the
+azimuth fit and the Monte Carlo.
+
 The electronic spin is S = 1 with zero-field splitting D along its own z
 axis; nuclear precession is modeled at the vector level with the hyperfine
 secular column and the transverse-field enhancement matrix. Everything in
@@ -56,6 +60,21 @@ class EnhancementTensor:
         object.__setattr__(self, "matrix", M)
 
 
+def _prefactor(m_S: int, B0z, variant: str, constants: PhysicalConstants):
+    """k(m_S) of ``enhancement_factor`` for a float or an array of axial
+    fields; NaN where the general form is resonant (gamma_e*B0z = D)."""
+    ge, gn, D = constants.gamma_e, constants.gamma_n, constants.D
+    pre = 3 * abs(m_S) - 2
+    if variant == LOW_FIELD:
+        return pre * ge / (gn * D)
+    denom = D * D - (ge * B0z) ** 2
+    if isinstance(denom, np.ndarray):
+        denom = np.where(np.abs(denom) < 1e-9 * D * D, np.nan, denom)
+    elif abs(denom) < 1e-9 * D * D:  # one field for all lanes: skip np.where
+        return math.nan
+    return (pre * D + m_S * ge * B0z) / denom * ge / gn
+
+
 def enhancement_factor(m_S: int, B0z: float = 0.0, variant: str = GENERAL_FIELD,
                        constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Scalar prefactor k(m_S) of the enhancement matrix, in 1/Hz.
@@ -67,15 +86,11 @@ def enhancement_factor(m_S: int, B0z: float = 0.0, variant: str = GENERAL_FIELD,
     _check_variant(variant)
     if m_S not in (-1, 0, 1):
         raise DomainError(f"m_S must be -1, 0 or +1, got {m_S!r}")
-    ge, gn, D = constants.gamma_e, constants.gamma_n, constants.D
-    pre = 3 * abs(m_S) - 2
-    if variant == LOW_FIELD:
-        return pre * ge / (gn * D)
-    denom = D * D - (ge * B0z) ** 2
-    if abs(denom) < 1e-9 * D * D:
+    k = _prefactor(m_S, float(B0z), variant, constants)
+    if math.isnan(k):
         raise DomainError(
             f"general-field enhancement diverges at gamma_e*B0z = D (B0z={B0z:g} T)")
-    return (pre * D + m_S * ge * B0z) / denom * ge / gn
+    return k
 
 
 def enhancement(hf: HyperfineModel, m_S: int, B0z: float = 0.0,
@@ -113,6 +128,55 @@ def precession_frequency(B0: Vector3, dB: Vector3, hf: HyperfineModel, m_S: int,
     if f <= 0.0:
         raise DomainError("precession frequency vanished; fields and couplings all zero")
     return f
+
+
+def xi_kernel(records, variant: str = GENERAL_FIELD,
+              constants: PhysicalConstants = DEFAULT_CONSTANTS):
+    """Lane-wise signed xi of a record set, as a function of the nuclear site.
+
+    ``records`` holds per record (measured fp_m1 - fp0, B0, dB) in Hz and
+    tesla: sensor-frame field components shaped (3,) for one field set shared
+    by every lane, or (3, m) for one per lane, with the splitting a scalar or
+    (m,). The enhancement prefactors are computed here, once per record set.
+    Returns a function of broadcasting (r, theta, phi, a_iso) lane arrays
+    giving the list of each record's xi, measured minus predicted coil-on
+    splitting, with the model of ``precession_frequency``. Lanes with NaN r
+    (couplings that do not invert) or at the level crossing come out NaN.
+    """
+    _check_variant(variant)
+    prepared = []
+    for meas, B0, dB in records:
+        prepared.append((meas, B0, dB, _prefactor(0, B0[2], variant, constants),
+                         _prefactor(-1, B0[2], variant, constants)))
+    C = constants.dipolar_coefficient
+    gn = constants.gamma_n
+
+    def xi(r, theta, phi, a_iso):
+        b = C / r ** 3
+        st, ct = np.sin(theta), np.cos(theta)
+        nx = st * np.cos(phi)
+        ny = st * np.sin(phi)
+        nz = ct
+        Axx = b * (3.0 * nx * nx - 1.0) + a_iso
+        Axy = 3.0 * b * nx * ny
+        Axz = 3.0 * b * nx * nz
+        Ayy = b * (3.0 * ny * ny - 1.0) + a_iso
+        Ayz = 3.0 * b * ny * nz
+        Azz = b * (3.0 * nz * nz - 1.0) + a_iso
+        out = []
+        for meas, B0, dB, k0, k_m1 in prepared:
+            f_th = []
+            for m_S, k in ((0, k0), (-1, k_m1)):
+                ex = k * (Axx * dB[0] + Axy * dB[1] + Axz * dB[2])
+                ey = k * (Axy * dB[0] + Ayy * dB[1] + Ayz * dB[2])
+                vx = -gn * (B0[0] + dB[0] + ex) + m_S * Axz
+                vy = -gn * (B0[1] + dB[1] + ey) + m_S * Ayz
+                vz = -gn * (B0[2] + dB[2]) + m_S * Azz
+                f_th.append(np.sqrt(vx * vx + vy * vy + vz * vz))
+            out.append(meas - (f_th[1] - f_th[0]))
+        return out
+
+    return xi
 
 
 @dataclass(frozen=True)

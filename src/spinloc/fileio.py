@@ -25,7 +25,7 @@ from .dynamics import OdmrLinePair
 from .errors import ParseError
 from .extract import CouplingInputs
 from .localize import MeasurementRecord
-from .montecarlo import Histogram
+from .montecarlo import PARAMETERS, Histogram
 from .signal import TimeTrace
 
 FORMAT_VERSION = 1
@@ -34,6 +34,11 @@ KHZ = 1e3
 MT = 1e-3
 US = 1e-6
 ANGSTROM = 1e-10
+DEG = math.pi / 180.0
+
+# display unit of each Monte Carlo parameter: (SI value of one unit, name)
+DISPLAY_UNITS = dict(zip(PARAMETERS, ((DEG, "deg"), (KHZ, "kHz"),
+                                      (ANGSTROM, "A"), (DEG, "deg"))))
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +571,13 @@ def save_trace(path, trace: TimeTrace):
 
 
 def save_scatter(path, scatter: np.ndarray):
-    """Columns phi_deg, a_iso_kHz, r_A, theta_deg; one row per sample."""
-    lines = ["# phi_deg  a_iso_kHz  r_A  theta_deg"]
-    for row in np.asarray(scatter, dtype=float):
-        lines.append(f"{_fmt(math.degrees(row[0]))} {_fmt(row[1] / KHZ)} "
-                     f"{_fmt(row[2] / ANGSTROM)} {_fmt(math.degrees(row[3]))}")
+    """Columns PARAMETERS in DISPLAY_UNITS (phi_deg, a_iso_kHz, r_A,
+    theta_deg); one row per sample."""
+    lines = ["# " + "  ".join(f"{name}_{unit}"
+                              for name, (_, unit) in DISPLAY_UNITS.items())]
+    scale = [s for s, _ in DISPLAY_UNITS.values()]
+    for row in (np.asarray(scatter, dtype=float) / scale).tolist():
+        lines.append(" ".join(map(_fmt, row)))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -17,7 +17,8 @@ from scipy.optimize import minimize, minimize_scalar
 
 from .core import DEFAULT_CONSTANTS, PhysicalConstants, Vector3
 from .dipole import SphericalPosition, dipole_tensor, invert_dipole, invert_many
-from .dynamics import GENERAL_FIELD, enhancement_factor, precession_frequency
+from .dynamics import (GENERAL_FIELD, enhancement_factor, precession_frequency,
+                       xi_kernel)
 from .errors import FrameError, IdentifiabilityError
 from .extract import CouplingEstimate
 
@@ -40,6 +41,12 @@ DEFAULT_PHI_STEP_DEG = 0.5
 # count as degenerate.
 DEGENERACY_FACTOR = 2.0
 DEGENERACY_EPSILON = 0.1  # Hz, squared before use
+
+# local polish of each grid minimum: the bounded line search (fixed a_iso)
+# stops at _XATOL_DEG; Nelder-Mead in (deg, kHz) (free a_iso) at all three
+_XATOL_DEG = 1e-9
+_FATOL = 1e-18  # Hz^2
+_MAXITER = 4000
 
 
 def _as_sigma3(value, name: str) -> np.ndarray:
@@ -140,51 +147,22 @@ def xi(record: MeasurementRecord, coupling: CouplingEstimate, phi: float,
     return record.measured_difference - (th_m1 - th0)
 
 
-def _xi_arrays(records, coupling, phi, a_iso, variant, constants):
-    """Vectorized xi for every record over broadcast (phi, a_iso) grids.
-
-    Returns a list of arrays, one per record, each of the broadcast shape.
-    Uses the closed-form dipole inversion; agrees with the scalar xi path to
-    machine precision (tested). Non-invertible a_iso values yield NaN.
-    """
-    phi_a = np.asarray(phi, dtype=float)
-    iso_a = np.asarray(a_iso, dtype=float)
-    phi_a, iso_a = np.broadcast_arrays(phi_a, iso_a)
+def _xi_parts(records, coupling, phi, a_iso, variant, constants):
+    """Each record's xi over broadcast (phi, a_iso) grids, from the dynamics
+    kernel; a_iso values whose couplings do not invert yield NaN."""
+    phi_a, iso_a = np.broadcast_arrays(np.asarray(phi, dtype=float),
+                                       np.asarray(a_iso, dtype=float))
     r, theta = invert_many(coupling.a_par, coupling.a_perp, iso_a, constants)
-    b = constants.dipolar_coefficient / r ** 3
-    st, ct = np.sin(theta), np.cos(theta)
-    nx = st * np.cos(phi_a)
-    ny = st * np.sin(phi_a)
-    nz = ct
-    Axx = b * (3.0 * nx * nx - 1.0) + iso_a
-    Axy = 3.0 * b * nx * ny
-    Axz = 3.0 * b * nx * nz
-    Ayy = b * (3.0 * ny * ny - 1.0) + iso_a
-    Ayz = 3.0 * b * ny * nz
-    Azz = b * (3.0 * nz * nz - 1.0) + iso_a
-    gn = constants.gamma_n
-
-    out = []
-    for rec in records:
-        B0c = rec.B0.components
-        dBc = rec.dB.components
-        f_th = []
-        for m_S in (0, -1):
-            k = enhancement_factor(m_S, float(B0c[2]), variant, constants)
-            ex = k * (Axx * dBc[0] + Axy * dBc[1] + Axz * dBc[2])
-            ey = k * (Axy * dBc[0] + Ayy * dBc[1] + Ayz * dBc[2])
-            vx = -gn * (B0c[0] + dBc[0] + ex) + m_S * Axz
-            vy = -gn * (B0c[1] + dBc[1] + ey) + m_S * Ayz
-            vz = -gn * (B0c[2] + dBc[2]) + m_S * Azz
-            f_th.append(np.sqrt(vx * vx + vy * vy + vz * vz))
-        out.append(rec.measured_difference - (f_th[1] - f_th[0]))
-    return out
+    kernel = xi_kernel([(rec.measured_difference, rec.B0.components,
+                         rec.dB.components) for rec in records],
+                       variant, constants)
+    return kernel(r, theta, phi_a, iso_a)
 
 
 def sum_sq_xi(records, coupling, phi, a_iso, variant: str = GENERAL_FIELD,
               constants: PhysicalConstants = DEFAULT_CONSTANTS):
     """Summed squared cost over records, broadcast over (phi, a_iso)."""
-    parts = _xi_arrays(records, coupling, phi, a_iso, variant, constants)
+    parts = _xi_parts(records, coupling, phi, a_iso, variant, constants)
     return sum(p * p for p in parts)
 
 
@@ -201,7 +179,7 @@ def cost_curve(records, coupling, a_iso: float = 0.0,
                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> CostCurve:
     """Dense |xi|(phi) sweep for plotting, at fixed a_iso."""
     phi = np.deg2rad(np.arange(0.0, 360.0, phi_step_deg))
-    parts = _xi_arrays(records, coupling, phi, a_iso, variant, constants)
+    parts = _xi_parts(records, coupling, phi, a_iso, variant, constants)
     per_record = np.abs(np.stack(parts))
     return CostCurve(phi=phi, per_record=per_record,
                      total=np.sum(np.stack(parts) ** 2, axis=0))
@@ -222,14 +200,20 @@ def _check_identifiable(records, min_transverse: float):
             f"(max {max(t):g} T); the cost is flat in phi")
 
 
+def _check_off_crossing(records, variant, constants):
+    """DomainError for a static field at the electronic level crossing, where
+    the model, and with it every grid point, is undefined."""
+    for rec in records:
+        for m_S in (0, -1):
+            enhancement_factor(m_S, float(rec.B0.components[2]), variant, constants)
+
+
 def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = None,
                 *, phi_step_deg: float = DEFAULT_PHI_STEP_DEG,
                 a_iso_range: tuple = DEFAULT_A_ISO_RANGE,
                 a_iso_step: float = DEFAULT_A_ISO_STEP,
                 degeneracy_factor: float = DEGENERACY_FACTOR,
                 min_transverse_db: float = 1e-6,
-                refine: bool = True,
-                refine_options: dict | None = None,
                 variant: str = GENERAL_FIELD,
                 constants: PhysicalConstants = DEFAULT_CONSTANTS) -> AzimuthFit:
     """Global fit of phi (and a_iso unless fixed) to the record set.
@@ -246,36 +230,27 @@ def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = N
     if not records:
         raise ValueError("need at least one measurement record")
     _check_identifiable(records, min_transverse_db)
+    _check_off_crossing(records, variant, constants)
 
     phi_grid = np.deg2rad(np.arange(0.0, 360.0, phi_step_deg))
-    opts = dict(refine_options or {})
-    xatol_deg = opts.pop("xatol_deg", 1e-9)
-    fatol = opts.pop("fatol", 1e-18)
-    maxiter = opts.pop("maxiter", 4000)
-    if opts:
-        raise ValueError(f"unknown refine options: {sorted(opts)}")
-
+    candidates = []
     if fix_a_iso is not None:
         cost_1d = sum_sq_xi(records, coupling, phi_grid, float(fix_a_iso),
                             variant, constants)
         cost_1d = np.where(np.isfinite(cost_1d), cost_1d, np.inf)
-        candidates = []
+        step = math.radians(phi_step_deg)
+
+        def f1(p):
+            return float(sum_sq_xi(records, coupling, p % _TWO_PI,
+                                   float(fix_a_iso), variant, constants))
+
         for i in _grid_local_minima(cost_1d):
             phi0 = float(phi_grid[i])
-            if refine:
-                step = math.radians(phi_step_deg)
-
-                def f1(p):
-                    return float(sum_sq_xi(records, coupling, p % _TWO_PI,
-                                           float(fix_a_iso), variant, constants))
-
-                res = minimize_scalar(f1, bounds=(phi0 - step, phi0 + step),
-                                      method="bounded",
-                                      options={"xatol": math.radians(xatol_deg)})
-                candidates.append((float(res.fun), float(res.x) % _TWO_PI,
-                                   float(fix_a_iso)))
-            else:
-                candidates.append((float(cost_1d[i]), phi0, float(fix_a_iso)))
+            res = minimize_scalar(f1, bounds=(phi0 - step, phi0 + step),
+                                  method="bounded",
+                                  options={"xatol": math.radians(_XATOL_DEG)})
+            candidates.append((float(res.fun), float(res.x) % _TWO_PI,
+                               float(fix_a_iso)))
     else:
         lo, hi = a_iso_range
         iso_grid = np.arange(lo, hi + 0.5 * a_iso_step, a_iso_step)
@@ -283,28 +258,25 @@ def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = N
                          variant, constants)
         surf = np.where(np.isfinite(surf), surf, np.inf)
         profile = surf.min(axis=1)
-        candidates = []
+
+        # degrees/kHz variables keep the two curvatures comparable
+        def f2(x):
+            return float(sum_sq_xi(records, coupling,
+                                   math.radians(x[0]) % _TWO_PI,
+                                   x[1] * 1e3, variant, constants))
+
         for i in _grid_local_minima(profile):
             j = int(np.argmin(surf[i]))
-            phi0, iso0 = float(phi_grid[i]), float(iso_grid[j])
-            if refine:
-                # degrees/kHz variables keep the two curvatures comparable
-                def f2(x):
-                    return float(sum_sq_xi(records, coupling,
-                                           math.radians(x[0]) % _TWO_PI,
-                                           x[1] * 1e3, variant, constants))
-
-                x0 = np.array([math.degrees(phi0), iso0 / 1e3])
-                simplex = np.array([x0, x0 + [0.5 * phi_step_deg, 0.0],
-                                    x0 + [0.0, 0.5 * a_iso_step / 1e3]])
-                res = minimize(f2, x0, method="Nelder-Mead",
-                               options={"initial_simplex": simplex, "xatol": xatol_deg,
-                                        "fatol": fatol, "maxiter": maxiter})
-                candidates.append((float(res.fun),
-                                   math.radians(res.x[0]) % _TWO_PI,
-                                   float(res.x[1]) * 1e3))
-            else:
-                candidates.append((float(surf[i, j]), phi0, iso0))
+            x0 = np.array([math.degrees(phi_grid[i]), iso_grid[j] / 1e3])
+            simplex = np.array([x0, x0 + [0.5 * phi_step_deg, 0.0],
+                                x0 + [0.0, 0.5 * a_iso_step / 1e3]])
+            res = minimize(f2, x0, method="Nelder-Mead",
+                           options={"initial_simplex": simplex,
+                                    "xatol": _XATOL_DEG, "fatol": _FATOL,
+                                    "maxiter": _MAXITER})
+            candidates.append((float(res.fun),
+                               math.radians(res.x[0]) % _TWO_PI,
+                               float(res.x[1]) * 1e3))
 
     # merge refinements that converged to the same point, keeping the best
     merged: list[tuple] = []
@@ -328,7 +300,7 @@ def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = N
     minima = tuple(Minimum(phi=m[1], a_iso=m[2], residual=math.sqrt(m[0]))
                    for m in keep)
 
-    per_xi = tuple(float(v) for v in _xi_arrays(
+    per_xi = tuple(float(v) for v in _xi_parts(
         records, coupling, best_phi, best_iso, variant, constants))
     return AzimuthFit(phi=best_phi, a_iso=best_iso,
                       residual=math.sqrt(best_cost),

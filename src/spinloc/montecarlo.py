@@ -9,10 +9,12 @@ workers.
 
 The per-sample fit is a bounded local search warm-started at the
 unperturbed optimum (golden-section line minimizations, alternated over phi
-and a_iso when the contact term is free). It tracks the scipy refinement
-used for the point fit to ~1e-6 deg in phi, at a small fixed cost per
-sample; basin hops to mirror minima are deliberately not sampled, since
-degenerate minima are reported separately by the fit itself.
+and a_iso when the contact term is free) on the same lane-wise xi kernel
+(``dynamics.xi_kernel``) as the point fit, with every sample's perturbed
+fields as its own lanes. It tracks the scipy refinement used for the point
+fit to ~1e-6 deg in phi, at a small fixed cost per sample; basin hops to
+mirror minima are deliberately not sampled, since degenerate minima are
+reported separately by the fit itself.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ import numpy as np
 
 from .core import DEFAULT_CONSTANTS, PhysicalConstants
 from .dipole import invert_dipole, invert_many
-from .dynamics import GENERAL_FIELD, LOW_FIELD
+from .dynamics import GENERAL_FIELD, xi_kernel
 from .errors import ConvergenceError
-from .extract import APPROXIMATE, EXACT, _exact_arrays
-from .localize import fit_azimuth
+from .extract import APPROXIMATE, _exact_arrays
+from .localize import AzimuthFit, fit_azimuth
 
 _TWO_PI = 2.0 * math.pi
 
@@ -68,8 +70,9 @@ class McConfig:
 class EstimateResult:
     """Point estimates, confidence intervals and the scatter behind them.
 
-    ``point`` is the fit on unperturbed inputs (primary); ``scatter_mode`` is
-    the per-parameter histogram mode of the scatter (secondary, coarse).
+    ``point`` is the fit on unperturbed inputs (primary), and ``fit`` the
+    azimuth fit behind it (None when built by hand); ``scatter_mode`` is the
+    per-parameter histogram mode of the scatter (secondary, coarse).
     ``ci`` maps parameter name -> confidence level -> (low, high). For phi
     the interval brackets the circular spread around the circular mean and
     its endpoints may fall outside [0, 2pi) so that low < high always holds.
@@ -81,6 +84,7 @@ class EstimateResult:
     scatter: np.ndarray  # (n_ok, 4) columns phi, a_iso, r, theta
     n_samples: int
     n_failed: int
+    fit: AzimuthFit | None = None
 
     def __post_init__(self):
         s = np.asarray(self.scatter, dtype=float)
@@ -149,61 +153,13 @@ def _golden(fn, lo: np.ndarray, hi: np.ndarray, iters: int):
     return 0.5 * (a + b)
 
 
-def _chunk_cost(recs_data, a_par, a_perp, variant, constants):
-    """Summed squared xi as a lane-wise function of (phi, a_iso) arrays.
-
-    ``recs_data`` holds per record (measured fp_m1 - fp0 (m,), B0 (3, m),
-    dB (3, m)); lanes whose couplings do not invert evaluate to NaN. Mirrors
-    the scalar model in localize to machine precision.
-    """
-    C = constants.dipolar_coefficient
-    gn = constants.gamma_n
-    ge = constants.gamma_e
-    D = constants.D
-
-    def cost(phi, iso):
-        r, theta = invert_many(a_par, a_perp, iso, constants)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            b = C / r ** 3
-            st = np.sin(theta)
-            ct = np.cos(theta)
-            nx = st * np.cos(phi)
-            ny = st * np.sin(phi)
-            nz = ct
-            Axx = b * (3.0 * nx * nx - 1.0) + iso
-            Axy = 3.0 * b * nx * ny
-            Axz = 3.0 * b * nx * nz
-            Ayy = b * (3.0 * ny * ny - 1.0) + iso
-            Ayz = 3.0 * b * ny * nz
-            Azz = b * (3.0 * nz * nz - 1.0) + iso
-            total = 0.0
-            for meas, B0, dB in recs_data:
-                f_th = []
-                for m_S in (0, -1):
-                    if variant == LOW_FIELD:
-                        k = (3.0 * abs(m_S) - 2.0) * ge / (gn * D)
-                    else:
-                        denom = D * D - (ge * B0[2]) ** 2
-                        k = (((3.0 * abs(m_S) - 2.0) * D + m_S * ge * B0[2])
-                             / denom) * (ge / gn)
-                        k = np.where(np.abs(denom) < 1e-9 * D * D, np.nan, k)
-                    ex = k * (Axx * dB[0] + Axy * dB[1] + Axz * dB[2])
-                    ey = k * (Axy * dB[0] + Ayy * dB[1] + Ayz * dB[2])
-                    vx = -gn * (B0[0] + dB[0] + ex) + m_S * Axz
-                    vy = -gn * (B0[1] + dB[1] + ey) + m_S * Ayz
-                    vz = -gn * (B0[2] + dB[2]) + m_S * Azz
-                    f_th.append(np.sqrt(vx * vx + vy * vy + vz * vz))
-                xi = meas - (f_th[1] - f_th[0])
-                total = total + xi * xi
-        return total
-
-    return cost
-
-
 def _chunk_estimates(idx: np.ndarray, seed: int, coupling, records,
                      fix_a_iso, point, variant, constants) -> np.ndarray:
     """(len(idx), 4) scatter rows for one contiguous sample range.
 
+    Each sample is one lane of the xi kernel, with its own perturbed fields
+    and splittings. The couplings are inverted once per line search over phi
+    (the a_iso lanes stay put there), so once per chunk when a_iso is fixed.
     Failed lanes (couplings that do not extract or invert, or a resonant
     enhancement denominator) come back as all-NaN rows.
     """
@@ -241,27 +197,29 @@ def _chunk_estimates(idx: np.ndarray, seed: int, coupling, records,
         dB = rec.dB.components[:, None] + rec.sigma_dB[:, None] * draws[:, k + 5:k + 8].T
         recs_data.append((fp_m1 - fp0, B0, dB))
         k += 8
+    xi = xi_kernel(recs_data, variant, constants)
 
-    cost = _chunk_cost(recs_data, a_par, a_perp, variant, constants)
+    def phi_cost(iso):
+        """Summed squared xi as a lane-wise function of phi at fixed iso."""
+        r, theta = invert_many(a_par, a_perp, iso, constants)
+        return lambda phi: sum(x * x for x in xi(r, theta, phi, iso))
+
     phi = np.full(m, point.phi)
     if fix_a_iso is not None:
         iso = np.full(m, float(fix_a_iso))
-        phi = _golden(lambda x: cost(x, iso), phi - _PHI_WINDOW,
-                      phi + _PHI_WINDOW, 48)
+        phi = _golden(phi_cost(iso), phi - _PHI_WINDOW, phi + _PHI_WINDOW, 48)
     else:
         iso = np.full(m, point.a_iso)
-        phi = _golden(lambda x: cost(x, iso), phi - _PHI_WINDOW,
-                      phi + _PHI_WINDOW, 32)
-        iso = _golden(lambda y: cost(phi, y), iso - _ISO_WINDOW,
+        phi = _golden(phi_cost(iso), phi - _PHI_WINDOW, phi + _PHI_WINDOW, 32)
+        iso = _golden(lambda y: phi_cost(y)(phi), iso - _ISO_WINDOW,
                       iso + _ISO_WINDOW, 32)
         for _ in range(_REFINE_CYCLES):
-            phi = _golden(lambda x: cost(x, iso), phi - _PHI_REFINE,
-                          phi + _PHI_REFINE, 26)
-            iso = _golden(lambda y: cost(phi, y), iso - _ISO_REFINE,
+            phi = _golden(phi_cost(iso), phi - _PHI_REFINE, phi + _PHI_REFINE, 26)
+            iso = _golden(lambda y: phi_cost(y)(phi), iso - _ISO_REFINE,
                           iso + _ISO_REFINE, 26)
 
     r, theta = invert_many(a_par, a_perp, iso, constants)
-    ok = valid & np.isfinite(cost(phi, iso)) & np.isfinite(r)
+    ok = valid & np.isfinite(phi_cost(iso)(phi)) & np.isfinite(r)
     out = np.column_stack([phi % _TWO_PI, iso, r, theta])
     out[~ok] = np.nan
     return out
@@ -269,8 +227,7 @@ def _chunk_estimates(idx: np.ndarray, seed: int, coupling, records,
 
 def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
               variant: str = GENERAL_FIELD,
-              constants: PhysicalConstants = DEFAULT_CONSTANTS,
-              fit_options: dict | None = None) -> EstimateResult:
+              constants: PhysicalConstants = DEFAULT_CONSTANTS) -> EstimateResult:
     """Full uncertainty propagation for one nucleus.
 
     Per-sample draw order is fixed and documented: first the coupling inputs
@@ -279,8 +236,9 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
     B0z, dBx, dBy, dBz. Each sample uses its own generator keyed by
     (seed, sample index), so any worker partition produces the same scatter.
     Samples that fail extraction or inversion are dropped and counted; more
-    than ``mc.max_failure_fraction`` of them aborts. ``fit_options`` is
-    forwarded to the point fit only; the per-sample search is fixed.
+    than ``mc.max_failure_fraction`` of them aborts. The point fit on the
+    unperturbed inputs warm-starts every sample and is returned as
+    ``result.fit``, so callers need not fit again.
     """
     records = list(records)
     if not records:
@@ -291,7 +249,7 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
     seed = int(mc.seed) % (1 << 64)
 
     point_fit = fit_azimuth(records, coupling, fix_a_iso, variant=variant,
-                            constants=constants, **(fit_options or {}))
+                            constants=constants)
     point_pos = invert_dipole(coupling.a_par, coupling.a_perp, point_fit.a_iso,
                               constants)
     point = PointEstimate(point_fit.phi, point_fit.a_iso, point_pos.r,
@@ -336,7 +294,7 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
         r=_hist_mode(scatter[:, 2]),
         theta=_hist_mode(scatter[:, 3]))
     return EstimateResult(point=point, scatter_mode=mode, ci=ci, scatter=scatter,
-                          n_samples=n, n_failed=n_failed)
+                          n_samples=n, n_failed=n_failed, fit=point_fit)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from spinloc import (
     odmr_lines,
     save_odmr,
 )
+from spinloc import localize
 from spinloc.calibrate import COIL_FIELD
 from spinloc.cli import main
 
@@ -129,6 +132,41 @@ def test_localize_fix_a_iso_flag(tmp_path):
 
     assert main(["localize", str(meas), "--samples", "400",
                  "--fix-a-iso", "soon", "--out", str(tmp_path / "x")]) == 2
+
+
+def test_localize_fits_each_nucleus_once(tmp_path, monkeypatch):
+    # the Monte Carlo returns its point fit; the command must not fit again
+    meas = _run_simulate(tmp_path)
+    original = localize.fit_azimuth
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("spinloc")
+                and getattr(mod, "fit_azimuth", None) is original):
+            monkeypatch.setattr(mod, "fit_azimuth", counting)
+    rc = main(["localize", str(meas), "--samples", "200",
+               "--out", str(tmp_path / "loc")])
+    assert rc == 0
+    assert len(calls) == 1
+
+
+def test_localize_level_crossing_field_is_a_failure(tmp_path, capsys):
+    meas = _run_simulate(tmp_path)
+    crossing_mT = DEFAULT_CONSTANTS.D / DEFAULT_CONSTANTS.gamma_e / 1e-3
+    text = re.sub(r"B0_mT = [^\n]*", f"B0_mT = 0 0 {crossing_mT!r}",
+                  meas.read_text(), count=1)
+    meas.write_text(text)
+    out = tmp_path / "loc"
+    rc = main(["localize", str(meas), "--samples", "200", "--out", str(out)])
+    assert rc == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["nuclei"] == {}
+    assert "diverges" in report["failures"]["C1"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_localize_text_format(tmp_path):

@@ -2,24 +2,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinloc import (
     DEFAULT_CONSTANTS,
     DEFAULT_REGISTRY,
+    EXACT,
     GENERAL_FIELD,
     LOW_FIELD,
+    CouplingEstimate,
     DomainError,
     FrameError,
     HyperfineModel,
+    MeasurementRecord,
     SphericalPosition,
+    SpinlocError,
     Vector3,
     dipole_tensor,
     enhancement,
     enhancement_factor,
     hamiltonian,
+    invert_dipole,
     odmr_lines,
     precession_frequency,
+    secular_couplings,
     transition_frequencies,
+    xi,
+    xi_kernel,
 )
 
 GE = 28e9
@@ -118,6 +128,121 @@ def test_variants_agree_at_ten_millitesla():
         f_gen = precession_frequency(B0, dB, hf, m_S, GENERAL_FIELD)
         f_low = precession_frequency(B0, dB, hf, m_S, LOW_FIELD)
         assert abs(f_gen - f_low) < 100.0
+
+
+# ---------------------------------------------------------------------------
+# the lane-wise xi kernel against the scalar reference
+
+_MAGIC = math.acos(1.0 / math.sqrt(3.0))
+# theta = 0 puts the site on the axis (a_perp = 0) and _MAGIC makes
+# a_par - a_iso vanish; other angles keep the margin of the inversion round
+# trip in test_dipole, since a_perp far below a_par - a_iso (theta under
+# about 1e-12 or within that of pi/2) defeats the scalar inversion itself
+_sites = st.tuples(st.floats(4 * ANGSTROM, 20 * ANGSTROM),
+                   st.one_of(st.sampled_from((0.0, _MAGIC)),
+                             st.floats(0.02, math.pi / 2 - 0.02)),
+                   st.floats(-5e4, 5e4))
+_b0 = st.tuples(st.floats(-1e-4, 1e-4), st.floats(-1e-4, 1e-4),
+                st.floats(2e-3, 5e-2))
+_db = st.tuples(*[st.floats(-3e-3, 3e-3)] * 3)
+_splitting = st.floats(-5e4, 5e4)
+_variant = st.sampled_from((LOW_FIELD, GENERAL_FIELD))
+
+
+def _coupling(site):
+    r, theta, a_iso = site
+    a_par, a_perp = secular_couplings(r, theta, a_iso)
+    return CouplingEstimate(a_par=a_par, a_perp=a_perp, method=EXACT)
+
+
+def _record(b0, db, splitting):
+    return MeasurementRecord(
+        label="p", f0=1e5, sigma_f0=1.0, f_m1=1e5, sigma_f_m1=1.0,
+        fp0=1e5, sigma_fp0=1.0, fp_m1=1e5 + splitting, sigma_fp_m1=1.0,
+        B0=Vector3(np.asarray(b0), "nv0"), sigma_B0=1e-6,
+        dB=Vector3(np.asarray(db), "nv0"), sigma_dB=1e-6)
+
+
+def _invert(coupling, a_iso):
+    """(r, theta) of the scalar inversion that localize.xi uses; NaN where
+    the couplings do not invert, as invert_many reports it."""
+    try:
+        pos = invert_dipole(coupling.a_par, coupling.a_perp, float(a_iso))
+    except SpinlocError:
+        return math.nan, math.nan
+    return pos.r, pos.theta
+
+
+def _scalar_xi(rec, coupling, phi, a_iso, variant):
+    """localize.xi, NaN where the couplings do not invert."""
+    try:
+        return xi(rec, coupling, float(phi), float(a_iso), variant)
+    except SpinlocError:
+        return math.nan
+
+
+@settings(max_examples=60, deadline=None)
+@given(site=_sites, b0=_b0, dbs=st.lists(_db, min_size=1, max_size=3),
+       splitting=_splitting, variant=_variant)
+def test_xi_kernel_matches_scalar_xi_over_a_grid(site, b0, dbs, splitting,
+                                                 variant):
+    # one field set shared by a (phi, a_iso) grid, as in the point fit; the
+    # last two a_iso columns put r below the floor
+    coupling = _coupling(site)
+    recs = [_record(b0, db, splitting) for db in dbs]
+    a_par = coupling.a_par
+    iso = np.array([site[2], site[2] - 2e4, site[2] + 2e4, a_par,
+                    a_par - 1e9, a_par + 1e9])
+    r, theta = np.array([_invert(coupling, a) for a in iso]).T
+    assert np.isnan(r[-2:]).all()
+    phi = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)[:, None]
+    kernel = xi_kernel([(rec.measured_difference, rec.B0.components,
+                         rec.dB.components) for rec in recs], variant)
+    got = kernel(r, theta, phi, iso)
+    assert len(got) == len(recs)
+    for rec, lanes in zip(recs, got):
+        assert lanes.shape == (len(phi), len(iso))
+        ref = [[_scalar_xi(rec, coupling, p, a, variant) for a in iso]
+               for p in phi[:, 0]]
+        np.testing.assert_allclose(lanes, ref, rtol=0.0, atol=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lanes=st.lists(st.tuples(_sites, _b0, _db, _splitting,
+                                st.floats(0.0, 2.0 * math.pi),
+                                st.floats(-3e4, 3e4)),
+                      min_size=1, max_size=6),
+       variant=_variant)
+def test_xi_kernel_matches_scalar_xi_per_lane(lanes, variant):
+    # fields, splitting and couplings of their own in every lane, as in the
+    # Monte Carlo
+    couplings = [_coupling(site) for site, *_ in lanes]
+    recs = [_record(b0, db, s) for _, b0, db, s, _, _ in lanes]
+    phi = np.array([lane[4] for lane in lanes])
+    iso = np.array([lane[5] for lane in lanes])
+    r, theta = np.array([_invert(c, a) for c, a in zip(couplings, iso)]).T
+    kernel = xi_kernel([(
+        np.array([rec.measured_difference for rec in recs]),
+        np.stack([rec.B0.components for rec in recs], axis=1),
+        np.stack([rec.dB.components for rec in recs], axis=1))], variant)
+    (got,) = kernel(r, theta, phi, iso)
+    ref = [_scalar_xi(rec, c, p, a, variant)
+           for rec, c, p, a in zip(recs, couplings, phi, iso)]
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-6)
+
+
+def test_xi_kernel_resonant_lane_is_nan():
+    crossing = DEFAULT_CONSTANTS.D / DEFAULT_CONSTANTS.gamma_e
+    B0 = np.array([[0.0, 0.0], [0.0, 0.0], [9.502e-3, crossing]])
+    dB = np.array([[1e-3, 1e-3], [0.0, 0.0], [0.0, 0.0]])
+    site = (8 * ANGSTROM, 1.0, 2.0, 3e3)
+    r, theta, phi, a_iso = (np.full(2, v) for v in site)
+    (gen,) = xi_kernel([(np.zeros(2), B0, dB)], GENERAL_FIELD)(r, theta, phi, a_iso)
+    (low,) = xi_kernel([(np.zeros(2), B0, dB)], LOW_FIELD)(r, theta, phi, a_iso)
+    assert np.isfinite(gen[0]) and np.isnan(gen[1])
+    assert np.isfinite(low).all()
+    with pytest.raises(DomainError):
+        enhancement_factor(0, crossing)
 
 
 def test_hamiltonian_structure():

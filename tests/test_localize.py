@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from spinloc import (
+    DEFAULT_CONSTANTS,
     EXACT,
     CouplingEstimate,
+    DomainError,
     FrameError,
     IdentifiabilityError,
     MeasurementRecord,
@@ -145,11 +148,16 @@ def test_no_records_rejected():
         fit_azimuth([], _coupling(_TRUTH, _A_ISO))
 
 
-def test_unknown_refine_option_rejected():
+def test_level_crossing_field_raises_domain_error():
+    # at gamma_e*B0z = D the general-field model is undefined on every grid
+    # point; the fit must say so instead of scanning an all-inf grid
+    crossing = DEFAULT_CONSTANTS.D / DEFAULT_CONSTANTS.gamma_e
     recs = _records(_TRUTH, _A_ISO, _COILS)
-    with pytest.raises(ValueError):
-        fit_azimuth(recs, _coupling(_TRUTH, _A_ISO), fix_a_iso=_A_ISO,
-                    refine_options={"xtol": 1e-3})
+    recs[1] = dataclasses.replace(
+        recs[1], B0=Vector3(np.array([0.0, 0.0, crossing]), "nv0"))
+    for fix in (_A_ISO, None):
+        with pytest.raises(DomainError):
+            fit_azimuth(recs, _coupling(_TRUTH, _A_ISO), fix_a_iso=fix)
 
 
 def test_cost_curve_structure():

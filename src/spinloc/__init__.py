@@ -34,8 +34,8 @@ from .localize import (MeasurementRecord, Minimum, AzimuthFit, xi, sum_sq_xi,
                        CostCurve, cost_curve, fit_azimuth, LocalizedPosition,
                        assemble_position, SPIN_DENSITY_CENTER_OFFSET,
                        A_ISO_FIX_RADIUS)
-from .montecarlo import (McConfig, PointEstimate, EstimateResult, propagate,
-                         Histogram, histogram, circular_mean)
+from .montecarlo import (McConfig, PointEstimate, SolverStats, EstimateResult,
+                         propagate, Histogram, histogram, circular_mean)
 from .calibrate import (COIL_FIELD, BIAS_FIELD, OdmrEntry, OdmrDataset,
                         FieldSolution, solve_field, AlignmentReport,
                         alignment_report)

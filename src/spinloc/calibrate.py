@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core import (DEFAULT_CONSTANTS, DEFAULT_REGISTRY, Frame, FrameRegistry,
                    LAB_FRAME_NAME, PhysicalConstants, Vector3)
@@ -134,6 +133,8 @@ def solve_field(dataset: OdmrDataset, initial_guess: Vector3 | None = None,
     per-orientation axial projections, which is what makes the global basin
     reachable for strongly tilted fields.
     """
+    from scipy.optimize import least_squares  # deferred: slow to import
+
     frames = _resolve_frames(dataset, registry)
     distinct = sorted(set(dataset.frames()))
     if len(distinct) < 2:

@@ -271,6 +271,7 @@ def _localize_one(label: str, nm: NucleusMeasurements, args, mc: McConfig,
         "scatter_mode": _display(**result.scatter_mode._asdict()),
         "n_samples": result.n_samples,
         "n_failed": result.n_failed,
+        "solver": result.solver._asdict(),
         "position": {
             **_display(r=pos.position.r, theta=pos.position.theta,
                        phi=pos.position.phi),
@@ -306,6 +307,7 @@ def _localization_text(report: dict) -> str:
             f"  a_iso_kHz    {p['a_iso_kHz']:+.4f} ({e['a_iso_mode']})",
             f"  residual_Hz  {e['fit']['residual_Hz']:.4f}",
             f"  mc_failed    {e['n_failed']}/{e['n_samples']}",
+            "  solver       " + " ".join(f"{k}={v}" for k, v in e["solver"].items()),
         ]
         for name, levels in sorted(e["ci"].items()):
             for lvl, (lo, hi) in sorted(levels.items(), key=lambda kv: float(kv[0])):

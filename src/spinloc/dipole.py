@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import DomainError, InconsistentInputError
@@ -143,8 +142,9 @@ def _theta_closed_form(p: float, q: float) -> float:
     """Root of 3 p sin t cos t = q (3 cos^2 t - 1) on [0, pi/2].
 
     Substituting u = tan t turns it into q u^2 + 3 p u - 2 q = 0, whose
-    positive root is unique for q > 0. Edge cases q = 0: site on the axis
-    (p > 0) or in the transverse plane (p < 0).
+    positive root is unique for q > 0; for p > 0 it is taken in the form
+    4q / (3p + sqrt(9p^2 + 8q^2)), which does not cancel at q << p. Edge
+    cases q = 0: site on the axis (p > 0) or in the transverse plane (p < 0).
     """
     if q == 0.0:
         if p > 0.0:
@@ -153,22 +153,31 @@ def _theta_closed_form(p: float, q: float) -> float:
             return math.pi / 2.0
         raise InconsistentInputError(
             "a_par - a_iso and a_perp both vanish; position is unconstrained")
-    u = (-3.0 * p + math.sqrt(9.0 * p * p + 8.0 * q * q)) / (2.0 * q)
-    return math.atan(u)
+    root = math.sqrt(9.0 * p * p + 8.0 * q * q)
+    if p > 0.0:
+        return math.atan(4.0 * q / (3.0 * p + root))
+    return math.atan((root - 3.0 * p) / (2.0 * q))
 
 
 def _theta_bracketed(p: float, q: float) -> float:
     """Same root via bracketed scalar root finding.
 
     g(t) = 3 p sin t cos t - q (3 cos^2 t - 1) has g(0) = -2q < 0 and
-    g(pi/2) = +q > 0 for q > 0, so the bracket always holds; g is a single
-    sinusoid in 2t plus a constant, hence the root is unique.
+    g(pi/2) = +q > 0 for q > 0, so the bracket holds; g is a single
+    sinusoid in 2t plus a constant, hence the root is unique. In floating
+    point, cos(pi/2) is not zero, and at q far below -p the computed g(pi/2)
+    turns negative; the root then lies within rounding of pi/2 and comes from
+    the closed form.
     """
     if q == 0.0:
         return _theta_closed_form(p, q)
 
     def g(t: float) -> float:
         return 3.0 * p * math.sin(t) * math.cos(t) - q * (3.0 * math.cos(t) ** 2 - 1.0)
+
+    if g(math.pi / 2.0) <= 0.0:
+        return _theta_closed_form(p, q)
+    from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
 
     return brentq(g, 0.0, math.pi / 2.0, xtol=_THETA_XTOL)
 
@@ -220,7 +229,9 @@ def invert_many(a_par, a_perp, a_iso=0.0,
     q = np.asarray(a_perp, dtype=float)
     p, q = np.broadcast_arrays(p, q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = (-3.0 * p + np.sqrt(9.0 * p * p + 8.0 * q * q)) / (2.0 * q)
+        root = np.sqrt(9.0 * p * p + 8.0 * q * q)
+        u = np.where(p > 0.0, 4.0 * q / (3.0 * p + root),
+                     (root - 3.0 * p) / (2.0 * q))
         theta = np.arctan(u)
         theta = np.where(q == 0.0,
                          np.where(p > 0.0, 0.0,

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .core import DEFAULT_CONSTANTS, PhysicalConstants, Vector3
 from .dipole import SphericalPosition, dipole_tensor, invert_dipole, invert_many
@@ -42,11 +42,23 @@ DEFAULT_PHI_STEP_DEG = 0.5
 DEGENERACY_FACTOR = 2.0
 DEGENERACY_EPSILON = 0.1  # Hz, squared before use
 
-# local polish of each grid minimum: the bounded line search (fixed a_iso)
-# stops at _XATOL_DEG; Nelder-Mead in (deg, kHz) (free a_iso) at all three
-_XATOL_DEG = 1e-9
-_FATOL = 1e-18  # Hz^2
-_MAXITER = 4000
+# Levenberg-Marquardt on the per-record xi (More, LNM 630, 1978). Jacobian
+# steps: central in phi, because a forward difference biases phi by up to
+# 1e-7 rad where the residuals are large; forward in a_iso, where each probe
+# costs an inversion. The damping starts at _LM_LAMBDA0 and follows the gain
+# ratio: halved (down to _LM_LAMBDA_MIN) after a step that did what the model
+# predicted, raised after a poor one. A lane stops when a step moves phi and
+# a_iso by under _LM_XTOL_*, when an accepted step lowers the cost by under
+# _LM_FTOL relative (a few rounding units: the cost has stopped falling), or
+# after _LM_MAX_ITER iterations.
+_LM_STEP_PHI = 1e-6    # rad
+_LM_STEP_ISO = 0.1     # Hz
+_LM_LAMBDA0 = 1e-3
+_LM_LAMBDA_MIN = 1e-6
+_LM_FTOL = 1e-15
+_LM_XTOL_PHI = 1e-9    # rad
+_LM_XTOL_ISO = 1e-4    # Hz
+_LM_MAX_ITER = 50
 
 
 def _as_sigma3(value, name: str) -> np.ndarray:
@@ -185,6 +197,136 @@ def cost_curve(records, coupling, a_iso: float = 0.0,
                      total=np.sum(np.stack(parts) ** 2, axis=0))
 
 
+class _LaneFit(NamedTuple):
+    phi: np.ndarray         # rad
+    a_iso: np.ndarray       # Hz
+    cost: np.ndarray        # Hz^2, summed squared xi
+    iterations: np.ndarray  # Jacobian evaluations
+    converged: np.ndarray   # False where the iteration cap stopped the lane
+    at_bound: np.ndarray    # True where phi or a free a_iso ends on the box
+
+
+def _dot(u, v):
+    """Per-lane sum over records of u * v, for (n_records, lanes) arrays."""
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _levenberg_marquardt(lanes, phi, a_iso, phi_box, iso_box,
+                         free_iso: bool) -> _LaneFit:
+    """Box-bounded Levenberg-Marquardt fit of (phi, a_iso) on every lane.
+
+    ``lanes(idx)`` returns, for the lane indices idx, the site function
+    a_iso -> (r, theta) and the xi function of ``dynamics.xi_kernel``.
+    a_iso stays at its start unless ``free_iso``. Steps solve the damped
+    normal equations of a finite-difference Jacobian (backward in a_iso where
+    the forward probe does not invert) and are clipped to the (lo, hi)
+    boxes; a coordinate on its bound whose descent points out stays there.
+    Each lane keeps its own damping and stops on its own test, and stopped
+    lanes leave the batch, whose kernel is rebuilt on the lanes left. The
+    arithmetic is per lane, so no lane's result depends on its batch. Lanes
+    with no finite cost at the start come back unchanged.
+    """
+    phi = np.array(phi, dtype=float)
+    iso = np.array(a_iso, dtype=float)
+    m = phi.size
+    box = [np.broadcast_to(b, (m,)) for b in (*phi_box, *iso_box)]
+    fit = _LaneFit(phi.copy(), iso.copy(), np.full(m, np.nan),
+                   np.zeros(m, dtype=int), np.ones(m, dtype=bool),
+                   np.zeros(m, dtype=bool))
+    edges = box
+
+    idx = np.arange(m)
+    site, xi = lanes(idx)
+    r, theta = site(iso)
+    res = np.stack(xi(r, theta, phi, iso))
+    cost = _dot(res, res)
+    lam = np.full(m, _LM_LAMBDA0)
+    done = ~np.isfinite(cost)
+    for it in range(_LM_MAX_ITER + 1):
+        if done.any():
+            fin, keep = idx[done], ~done
+            fit.phi[fin], fit.a_iso[fin], fit.cost[fin] = (
+                phi[done], iso[done], cost[done])
+            idx = idx[keep]
+            phi, iso, r, theta, res, cost, lam = (
+                v[..., keep] for v in (phi, iso, r, theta, res, cost, lam))
+            box = [b[keep] for b in box]
+            if not idx.size:
+                break
+            site, xi = lanes(idx)
+        if it == _LM_MAX_ITER:  # capped lanes keep their best point
+            fit.phi[idx], fit.a_iso[idx], fit.cost[idx] = phi, iso, cost
+            fit.converged[idx] = False
+            break
+        fit.iterations[idx] += 1
+
+        j_phi = (np.stack(xi(r, theta, phi + _LM_STEP_PHI, iso))
+                 - np.stack(xi(r, theta, phi - _LM_STEP_PHI, iso))
+                 ) / (2.0 * _LM_STEP_PHI)
+        j_iso = np.zeros_like(res)
+        if free_iso:
+            up = iso + _LM_STEP_ISO
+            res_up = np.stack(xi(*site(up), phi, up))
+            j_iso = (res_up - res) / _LM_STEP_ISO
+            back = ~np.isfinite(res_up).all(axis=0)
+            if back.any():
+                down = iso - _LM_STEP_ISO
+                res_down = np.stack(xi(*site(down), phi, down))
+                j_iso = np.where(back, (res - res_down) / _LM_STEP_ISO, j_iso)
+        a, b, g, h = (_dot(j_phi, j_phi), _dot(j_phi, j_iso), _dot(j_phi, res),
+                      _dot(j_iso, res))
+        c = _dot(j_iso, j_iso) if free_iso else 1.0
+        d1 = a * (1.0 + lam)
+        d1 = np.where(d1 > 0.0, d1, np.inf)
+        d2 = c * (1.0 + lam)
+        d2 = np.where(d2 > 0.0, d2, np.inf)
+        det = d1 * d2 - b * b
+        det = np.where(det > 0.0, det, np.inf)
+        pin_phi = np.where(g > 0.0, phi <= box[0], phi >= box[1])
+        pin_iso = np.where(h > 0.0, iso <= box[2], iso >= box[3])
+        step_phi = np.where(pin_phi, 0.0, np.where(
+            pin_iso, -g / d1, (b * h - d2 * g) / det))
+        step_iso = np.where(pin_iso, 0.0, np.where(
+            pin_phi, -h / d2, (b * g - d1 * h) / det))
+        phi_t = np.clip(phi + step_phi, box[0], box[1])
+        iso_t = np.clip(iso + step_iso, box[2], box[3])
+        r_t, theta_t = site(iso_t) if free_iso else (r, theta)
+        res_t = np.stack(xi(r_t, theta_t, phi_t, iso_t))
+        cost_t = _dot(res_t, res_t)
+
+        step_phi, step_iso = phi_t - phi, iso_t - iso
+        accept = cost_t < cost
+        done = (((np.abs(step_phi) <= _LM_XTOL_PHI)
+                 & (np.abs(step_iso) <= _LM_XTOL_ISO))
+                | (accept & (cost - cost_t <= _LM_FTOL * cost)))
+        # damping from the gain ratio of actual to predicted decrease; a poor
+        # step shortens the next one to the minimum of the parabola through
+        # the cost and slope at the start and the cost at the trial point
+        slope = 2.0 * (g * step_phi + h * step_iso)
+        pred = -slope - (a * step_phi ** 2 + 2.0 * b * step_phi * step_iso
+                         + c * step_iso ** 2)
+        ratio = np.divide(cost - cost_t, pred, out=np.zeros_like(pred),
+                          where=pred > 0.0)
+        curv = cost_t - cost - slope
+        shrink = np.full_like(pred, 0.1)
+        np.divide(-0.5 * slope, curv, out=shrink, where=curv > 0.0)
+        lam = np.where(ratio > 0.75, np.maximum(0.5 * lam, _LM_LAMBDA_MIN),
+                       np.where(ratio >= 0.25, lam,
+                                (1.0 + lam) / np.clip(shrink, 0.1, 0.5) - 1.0))
+
+        phi, iso, r, theta, cost = (
+            np.where(accept, new, old) for new, old in
+            ((phi_t, phi), (iso_t, iso), (r_t, r), (theta_t, theta),
+             (cost_t, cost)))
+        res = np.where(accept, res_t, res)
+
+    on_edge = (fit.phi == edges[0]) | (fit.phi == edges[1])
+    if free_iso:
+        on_edge |= (fit.a_iso == edges[2]) | (fit.a_iso == edges[3])
+    fit.at_bound[:] = on_edge & np.isfinite(fit.cost)
+    return fit
+
+
 def _grid_local_minima(profile: np.ndarray) -> list[int]:
     """Indices of circular local minima (left edge on plateaus)."""
     left = np.roll(profile, 1)
@@ -232,51 +374,41 @@ def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = N
     _check_identifiable(records, min_transverse_db)
     _check_off_crossing(records, variant, constants)
 
+    # every grid minimum is one lane of one polish. With a_iso fixed, phi
+    # stays within a grid step of its grid minimum. In the joint fit the
+    # coarse a_iso grid can misplace a diagonal valley's phi by more than a
+    # step, so there phi (periodic) is left free and a_iso held to its range.
     phi_grid = np.deg2rad(np.arange(0.0, 360.0, phi_step_deg))
-    candidates = []
     if fix_a_iso is not None:
         cost_1d = sum_sq_xi(records, coupling, phi_grid, float(fix_a_iso),
                             variant, constants)
         cost_1d = np.where(np.isfinite(cost_1d), cost_1d, np.inf)
+        phi0 = phi_grid[_grid_local_minima(cost_1d)]
+        iso0 = np.full(phi0.size, float(fix_a_iso))
         step = math.radians(phi_step_deg)
-
-        def f1(p):
-            return float(sum_sq_xi(records, coupling, p % _TWO_PI,
-                                   float(fix_a_iso), variant, constants))
-
-        for i in _grid_local_minima(cost_1d):
-            phi0 = float(phi_grid[i])
-            res = minimize_scalar(f1, bounds=(phi0 - step, phi0 + step),
-                                  method="bounded",
-                                  options={"xatol": math.radians(_XATOL_DEG)})
-            candidates.append((float(res.fun), float(res.x) % _TWO_PI,
-                               float(fix_a_iso)))
+        phi_box, iso_box = (phi0 - step, phi0 + step), (iso0, iso0)
     else:
         lo, hi = a_iso_range
         iso_grid = np.arange(lo, hi + 0.5 * a_iso_step, a_iso_step)
         surf = sum_sq_xi(records, coupling, phi_grid[:, None], iso_grid[None, :],
                          variant, constants)
         surf = np.where(np.isfinite(surf), surf, np.inf)
-        profile = surf.min(axis=1)
+        i = _grid_local_minima(surf.min(axis=1))
+        phi0 = phi_grid[i]
+        iso0 = iso_grid[np.argmin(surf[i], axis=1)]
+        phi_box, iso_box = (-np.inf, np.inf), (lo, hi)
 
-        # degrees/kHz variables keep the two curvatures comparable
-        def f2(x):
-            return float(sum_sq_xi(records, coupling,
-                                   math.radians(x[0]) % _TWO_PI,
-                                   x[1] * 1e3, variant, constants))
+    kernel = xi_kernel([(rec.measured_difference, rec.B0.components,
+                         rec.dB.components) for rec in records],
+                       variant, constants)
 
-        for i in _grid_local_minima(profile):
-            j = int(np.argmin(surf[i]))
-            x0 = np.array([math.degrees(phi_grid[i]), iso_grid[j] / 1e3])
-            simplex = np.array([x0, x0 + [0.5 * phi_step_deg, 0.0],
-                                x0 + [0.0, 0.5 * a_iso_step / 1e3]])
-            res = minimize(f2, x0, method="Nelder-Mead",
-                           options={"initial_simplex": simplex,
-                                    "xatol": _XATOL_DEG, "fatol": _FATOL,
-                                    "maxiter": _MAXITER})
-            candidates.append((float(res.fun),
-                               math.radians(res.x[0]) % _TWO_PI,
-                               float(res.x[1]) * 1e3))
+    def site(iso):
+        return invert_many(coupling.a_par, coupling.a_perp, iso, constants)
+
+    lm = _levenberg_marquardt(lambda idx: (site, kernel), phi0, iso0, phi_box,
+                              iso_box, free_iso=fix_a_iso is None)
+    candidates = [(float(c), float(p) % _TWO_PI, float(a))
+                  for c, p, a in zip(lm.cost, lm.phi, lm.a_iso)]
 
     # merge refinements that converged to the same point, keeping the best
     merged: list[tuple] = []

@@ -7,14 +7,14 @@ generator and the numerics below are strictly elementwise per sample, so the
 result is bit-identical no matter how the samples are partitioned across
 workers.
 
-The per-sample fit is a bounded local search warm-started at the
-unperturbed optimum (golden-section line minimizations, alternated over phi
-and a_iso when the contact term is free) on the same lane-wise xi kernel
-(``dynamics.xi_kernel``) as the point fit, with every sample's perturbed
-fields as its own lanes. It tracks the scipy refinement used for the point
-fit to ~1e-6 deg in phi, at a small fixed cost per sample; basin hops to
-mirror minima are deliberately not sampled, since degenerate minima are
-reported separately by the fit itself.
+The per-sample fit is the point fit's box-bounded Levenberg-Marquardt solver
+(``localize._levenberg_marquardt``), warm-started at the unperturbed optimum
+on the same lane-wise xi kernel (``dynamics.xi_kernel``), with every
+sample's perturbed fields as its own lanes, in blocks of _LANE_BLOCK
+samples. Basin hops to mirror minima are deliberately not sampled, since
+degenerate minima are reported separately by the fit itself: the box keeps
+each sample near the point fit, and samples that end on its edge are
+counted in ``SolverStats.at_bound``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .dipole import invert_dipole, invert_many
 from .dynamics import GENERAL_FIELD, xi_kernel
 from .errors import ConvergenceError
 from .extract import APPROXIMATE, _exact_arrays
-from .localize import AzimuthFit, fit_azimuth
+from .localize import AzimuthFit, _levenberg_marquardt, fit_azimuth
 
 _TWO_PI = 2.0 * math.pi
 
@@ -44,6 +44,14 @@ class PointEstimate(NamedTuple):
     a_iso: float  # Hz
     r: float      # m
     theta: float  # rad
+
+
+class SolverStats(NamedTuple):
+    """Per-sample solver outcome over the samples that did not fail."""
+
+    max_iterations: int  # most Levenberg-Marquardt iterations of any sample
+    unconverged: int     # samples stopped by the iteration cap at their best point
+    at_bound: int        # samples that end on the edge of the search box
 
 
 @dataclass(frozen=True)
@@ -70,8 +78,9 @@ class McConfig:
 class EstimateResult:
     """Point estimates, confidence intervals and the scatter behind them.
 
-    ``point`` is the fit on unperturbed inputs (primary), and ``fit`` the
-    azimuth fit behind it (None when built by hand); ``scatter_mode`` is the
+    ``point`` is the fit on unperturbed inputs (primary), ``fit`` the
+    azimuth fit behind it and ``solver`` the samples' solver outcome (both
+    None when built by hand); ``scatter_mode`` is the
     per-parameter histogram mode of the scatter (secondary, coarse).
     ``ci`` maps parameter name -> confidence level -> (low, high). For phi
     the interval brackets the circular spread around the circular mean and
@@ -85,6 +94,7 @@ class EstimateResult:
     n_samples: int
     n_failed: int
     fit: AzimuthFit | None = None
+    solver: SolverStats | None = None
 
     def __post_init__(self):
         s = np.asarray(self.scatter, dtype=float)
@@ -120,57 +130,44 @@ def _hist_mode(values: np.ndarray, bins: int = 64) -> float:
     return 0.5 * (edges[k] + edges[k + 1])
 
 
-# warm-start search geometry: generous first brackets around the point fit,
-# then re-centered narrow line searches to beat the phi/a_iso coupling
-_PHI_WINDOW = math.pi / 6.0
-_ISO_WINDOW = 60e3      # Hz
-_PHI_REFINE = 0.05      # rad
-_ISO_REFINE = 10e3      # Hz
-_REFINE_CYCLES = 8
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = 1.0 - _INVPHI
+# Sample search box around the point fit: phi +-_PHI_BOX (+-_PHI_BOX_FREE
+# when a_iso is free) and a_iso +-_ISO_BOX. Samples whose minimum lies
+# outside stay on its edge, counted as at_bound, rather than hop to a
+# farther basin.
+_PHI_BOX = math.pi / 6.0
+_PHI_BOX_FREE = math.pi / 6.0 + 0.4  # rad
+_ISO_BOX = 140e3                     # Hz
+# samples solved together; bounds the size of the per-lane arrays
+_LANE_BLOCK = 8192
 
 
-def _finite_or_inf(c: np.ndarray) -> np.ndarray:
-    return np.where(np.isfinite(c), c, np.inf)
-
-
-def _golden(fn, lo: np.ndarray, hi: np.ndarray, iters: int):
-    """Lane-wise golden-section minimization of fn over [lo, hi].
-
-    Non-finite objective values count as +inf, so lanes probing outside the
-    model's domain retreat to their best finite point instead of derailing.
-    """
-    a = lo.copy()
-    b = hi.copy()
-    for _ in range(iters):
-        h = b - a
-        c = a + _INVPHI2 * h
-        d = a + _INVPHI * h
-        left = _finite_or_inf(fn(c)) < _finite_or_inf(fn(d))
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-    return 0.5 * (a + b)
+def _draws(idx: np.ndarray, seed: int, n_draws: int) -> np.ndarray:
+    """(len(idx), n_draws) normals, row j those of Philox(key=[seed, idx[j]]),
+    from one generator re-keyed per sample."""
+    bg = np.random.Philox(key=[seed, 0])
+    rng = np.random.Generator(bg)
+    zeros = np.zeros(4, dtype=np.uint64)
+    out = np.empty((len(idx), n_draws))
+    for j, i in enumerate(idx):
+        bg.state = {"bit_generator": "Philox", "buffer": zeros, "buffer_pos": 4,
+                    "state": {"counter": zeros, "key": np.array([seed, i], np.uint64)},
+                    "has_uint32": 0, "uinteger": 0}
+        out[j] = rng.standard_normal(n_draws)
+    return out
 
 
 def _chunk_estimates(idx: np.ndarray, seed: int, coupling, records,
                      fix_a_iso, point, variant, constants) -> np.ndarray:
-    """(len(idx), 4) scatter rows for one contiguous sample range.
+    """(len(idx), 7) rows for one block of samples: the scatter columns phi,
+    a_iso, r, theta, then the solver's iterations, unconverged and at_bound.
 
     Each sample is one lane of the xi kernel, with its own perturbed fields
-    and splittings. The couplings are inverted once per line search over phi
-    (the a_iso lanes stay put there), so once per chunk when a_iso is fixed.
-    Failed lanes (couplings that do not extract or invert, or a resonant
-    enhancement denominator) come back as all-NaN rows.
+    and splittings. Failed lanes (couplings that do not extract or invert,
+    or a resonant enhancement denominator) get NaN scatter columns.
     """
-    m = len(idx)
     inputs = coupling.inputs
     n_input_draws = 3 if inputs is not None else 2
-    n_draws = n_input_draws + 8 * len(records)
-    draws = np.empty((m, n_draws))
-    for j, i in enumerate(idx):
-        rng = np.random.Generator(np.random.Philox(key=[seed, int(i)]))
-        draws[j] = rng.standard_normal(n_draws)
+    draws = _draws(idx, seed, n_input_draws + 8 * len(records))
 
     if inputs is not None:
         f0 = inputs.f0 + inputs.sigma_f0 * draws[:, 0]
@@ -197,32 +194,34 @@ def _chunk_estimates(idx: np.ndarray, seed: int, coupling, records,
         dB = rec.dB.components[:, None] + rec.sigma_dB[:, None] * draws[:, k + 5:k + 8].T
         recs_data.append((fp_m1 - fp0, B0, dB))
         k += 8
-    xi = xi_kernel(recs_data, variant, constants)
+    del draws
 
-    def phi_cost(iso):
-        """Summed squared xi as a lane-wise function of phi at fixed iso."""
-        r, theta = invert_many(a_par, a_perp, iso, constants)
-        return lambda phi: sum(x * x for x in xi(r, theta, phi, iso))
+    def lanes(sel):
+        """Site and xi functions of the lanes sel, with fields sliced to them."""
+        a_par_s, a_perp_s = a_par[sel], a_perp[sel]
 
-    phi = np.full(m, point.phi)
-    if fix_a_iso is not None:
-        iso = np.full(m, float(fix_a_iso))
-        phi = _golden(phi_cost(iso), phi - _PHI_WINDOW, phi + _PHI_WINDOW, 48)
-    else:
-        iso = np.full(m, point.a_iso)
-        phi = _golden(phi_cost(iso), phi - _PHI_WINDOW, phi + _PHI_WINDOW, 32)
-        iso = _golden(lambda y: phi_cost(y)(phi), iso - _ISO_WINDOW,
-                      iso + _ISO_WINDOW, 32)
-        for _ in range(_REFINE_CYCLES):
-            phi = _golden(phi_cost(iso), phi - _PHI_REFINE, phi + _PHI_REFINE, 26)
-            iso = _golden(lambda y: phi_cost(y)(phi), iso - _ISO_REFINE,
-                          iso + _ISO_REFINE, 26)
+        def site(iso):
+            return invert_many(a_par_s, a_perp_s, iso, constants)
 
-    r, theta = invert_many(a_par, a_perp, iso, constants)
-    ok = valid & np.isfinite(phi_cost(iso)(phi)) & np.isfinite(r)
-    out = np.column_stack([phi % _TWO_PI, iso, r, theta])
-    out[~ok] = np.nan
-    return out
+        kernel = xi_kernel([(meas[sel], B0[:, sel], dB[:, sel])
+                            for meas, B0, dB in recs_data], variant, constants)
+        return site, kernel
+
+    m = len(idx)
+    free = fix_a_iso is None
+    iso0 = np.full(m, point.a_iso if free else float(fix_a_iso))
+    phi_box = _PHI_BOX_FREE if free else _PHI_BOX
+    fit = _levenberg_marquardt(
+        lanes, np.full(m, point.phi), iso0,
+        (point.phi - phi_box, point.phi + phi_box),
+        (point.a_iso - _ISO_BOX, point.a_iso + _ISO_BOX), free_iso=free)
+
+    r, theta = invert_many(a_par, a_perp, fit.a_iso, constants)
+    ok = valid & np.isfinite(fit.cost) & np.isfinite(r)
+    rows = np.column_stack([fit.phi % _TWO_PI, fit.a_iso, r, theta,
+                            fit.iterations, ~fit.converged, fit.at_bound])
+    rows[~ok, :4] = np.nan
+    return rows
 
 
 def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
@@ -259,8 +258,10 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
     chunks = np.array_split(np.arange(n), mc.parallel_chunks)
 
     def run_chunk(idx):
-        return _chunk_estimates(idx, seed, coupling, records, fix_a_iso,
-                                point, variant, constants)
+        return np.concatenate([np.empty((0, 7))] + [
+            _chunk_estimates(idx[k:k + _LANE_BLOCK], seed, coupling, records,
+                             fix_a_iso, point, variant, constants)
+            for k in range(0, len(idx), _LANE_BLOCK)])
 
     if mc.parallel_chunks == 1:
         rows = run_chunk(chunks[0])
@@ -276,7 +277,7 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
             "uncertainties are too large for a meaningful propagation")
     if n_failed == n:
         raise ConvergenceError("all Monte Carlo samples failed")
-    scatter = rows[good]
+    scatter = rows[good, :4]
 
     phi_col = scatter[:, 0]
     mu = circular_mean(phi_col)
@@ -293,8 +294,13 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
         a_iso=_hist_mode(scatter[:, 1]),
         r=_hist_mode(scatter[:, 2]),
         theta=_hist_mode(scatter[:, 3]))
+    iterations, unconverged, at_bound = rows[good, 4:].T
+    solver = SolverStats(max_iterations=int(iterations.max()),
+                         unconverged=int(unconverged.sum()),
+                         at_bound=int(at_bound.sum()))
     return EstimateResult(point=point, scatter_mode=mode, ci=ci, scatter=scatter,
-                          n_samples=n, n_failed=n_failed, fit=point_fit)
+                          n_samples=n, n_failed=n_failed, fit=point_fit,
+                          solver=solver)
 
 
 @dataclass(frozen=True)

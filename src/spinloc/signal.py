@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConvergenceError, DomainError, InconsistentInputError
 
@@ -192,6 +191,8 @@ def estimate_frequencies(trace: TimeTrace, n_components: int,
         for f, a, b in zip(freqs, alphas, betas):
             yhat = yhat + a * np.cos(two_pi_t * f) + b * np.sin(two_pi_t * f)
         return yhat - trace.y
+
+    from scipy.optimize import least_squares  # deferred: slow to import
 
     x0 = np.concatenate([f_seed, ab])
     res = least_squares(residual, x0, method="lm", max_nfev=max_nfev,

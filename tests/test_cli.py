@@ -154,6 +154,22 @@ def test_localize_fits_each_nucleus_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_localize_reports_solver_outcome(tmp_path):
+    meas = _run_simulate(tmp_path)
+    out = tmp_path / "loc"
+    assert main(["localize", str(meas), "--samples", "300", "--seed", "2",
+                 "--out", str(out)]) == 0
+    solver = json.loads((out / "report.json").read_text())["nuclei"]["C1"]["solver"]
+    assert set(solver) == {"max_iterations", "unconverged", "at_bound"}
+    assert solver["max_iterations"] >= 1
+    assert solver["unconverged"] == solver["at_bound"] == 0
+    assert main(["localize", str(meas), "--samples", "300", "--seed", "2",
+                 "--format", "text", "--out", str(out)]) == 0
+    text = (out / "report.txt").read_text()
+    assert (f"solver       max_iterations={solver['max_iterations']} "
+            "unconverged=0 at_bound=0") in text
+
+
 def test_localize_level_crossing_field_is_a_failure(tmp_path, capsys):
     meas = _run_simulate(tmp_path)
     crossing_mT = DEFAULT_CONSTANTS.D / DEFAULT_CONSTANTS.gamma_e / 1e-3

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinloc import (
@@ -191,3 +191,69 @@ def test_residual_map_round_trip_rows_and_failures():
     # bins cover the reference radii with 2 A slices from zero
     assert all(b.n_sites >= 1 for b in rmap.bins)
     assert sum(b.n_sites for b in rmap.bins) == 4
+
+
+# invert_many (closed form, lane-wise) against invert_dipole (bracketed) at
+# the edges of the inversion: q = a_perp = 0, the magic angle, q far below
+# |a_par - a_iso| and couplings that do not invert.
+
+def _assert_inversions_agree(a_par, a_perp, a_iso):
+    r, theta = invert_many(np.array([a_par]), np.array([a_perp]), a_iso)
+    try:
+        ref = invert_dipole(a_par, a_perp, a_iso)
+    except (DomainError, InconsistentInputError):
+        assert np.isnan(r[0]) and np.isnan(theta[0])
+        return
+    assert r[0] == pytest.approx(ref.r, rel=1e-9)
+    assert theta[0] == pytest.approx(ref.theta, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats(-1e6, 1e6).filter(lambda v: abs(v) > 1e-3),
+       a_iso=st.floats(-2e4, 2e4))
+def test_invert_many_matches_scalar_with_zero_transverse_coupling(p, a_iso):
+    _assert_inversions_agree(p + a_iso, 0.0, a_iso)
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.floats(3.0, 25.0), a_iso=st.floats(-2e4, 2e4))
+def test_invert_many_matches_scalar_at_magic_angle(r, a_iso):
+    theta_m = math.acos(1.0 / math.sqrt(3.0))
+    _assert_inversions_agree(*secular_couplings(r * ANGSTROM, theta_m, a_iso),
+                             a_iso)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(3.0, 25.0), log_tilt=st.floats(-40.0, -3.0),
+       in_plane=st.booleans(), offset=st.floats(-2e4, 2e4))
+@example(r=10.0, log_tilt=-20.0, in_plane=False, offset=0.0)
+def test_invert_many_matches_scalar_at_tiny_transverse_coupling(
+        r, log_tilt, in_plane, offset):
+    # sites within 10^log_tilt rad of the axis or of the transverse plane,
+    # inverted at a contact term off by ``offset`` from the true one
+    tilt = 10.0 ** log_tilt
+    theta = math.pi / 2.0 - tilt if in_plane else tilt
+    a_par, a_perp = secular_couplings(r * ANGSTROM, theta, 5384.0)
+    _assert_inversions_agree(a_par, a_perp, 5384.0 + offset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a_par=st.floats(-1e6, 1e6),
+       a_perp=st.one_of(st.just(0.0), st.floats(1e-3, 1e6)),
+       a_iso=st.floats(-1e6, 1e6))
+@example(a_par=3e3, a_perp=0.0, a_iso=3e3)
+def test_invert_many_fails_exactly_where_scalar_raises(a_par, a_perp, a_iso):
+    # couplings between 1 mHz and 1 MHz (or exactly zero) keep every site
+    # between the radius floor and a micrometre
+    p = a_par - a_iso
+    assume(p == 0.0 or abs(p) >= 1e-3)
+    _assert_inversions_agree(a_par, a_perp, a_iso)
+
+
+def test_bracketed_theta_survives_rounded_bracket():
+    # a_perp far below a_par - a_iso < 0: cos(pi/2) rounding flips the sign of
+    # the bracket's upper end; the root is pi/2 to rounding, not an error
+    a_par, a_perp = secular_couplings(1e-9, 1e-40, 5384.0)
+    pos = invert_dipole(a_par, a_perp, a_par + 1.0)
+    assert pos.theta == pytest.approx(math.pi / 2.0, abs=1e-12)
+    _assert_inversions_agree(a_par, a_perp, a_par + 1.0)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinloc import (
     DEFAULT_CONSTANTS,
@@ -24,6 +26,9 @@ from spinloc import (
     sum_sq_xi,
     xi,
 )
+from spinloc.dipole import invert_many
+from spinloc.dynamics import xi_kernel
+from spinloc.localize import _levenberg_marquardt
 
 ANGSTROM = 1e-10
 
@@ -187,3 +192,51 @@ def test_assemble_position_applies_axial_offset():
         loc.cartesian_offset - loc.cartesian,
         [0.0, 0.0, SPIN_DENSITY_CENTER_OFFSET], atol=1e-18)
     np.testing.assert_allclose(loc.cartesian, _TRUTH.cartesian(), atol=1e-16)
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.floats(6.0, 15.0), theta=st.floats(0.1, 1.4),
+       phi=st.floats(0.0, 2.0 * math.pi), a_iso=st.floats(-2e4, 2e4),
+       noise=st.tuples(*[st.floats(-300.0, 300.0)] * 3), free=st.booleans())
+def test_levenberg_marquardt_lanes_end_at_box_minima(r, theta, phi, a_iso,
+                                                     noise, free):
+    # noisy splittings so the minima carry a residual; lanes start on and off
+    # the truth, some with the minimum outside their box
+    pos = SphericalPosition(r * ANGSTROM, theta, phi)
+    recs = [dataclasses.replace(rec, fp_m1=rec.fp_m1 + dn) for rec, dn in
+            zip(_records(pos, a_iso, _COILS), noise)]
+    coupling = _coupling(pos, a_iso)
+    kernel = xi_kernel([(rec.measured_difference, rec.B0.components,
+                         rec.dB.components) for rec in recs])
+
+    def site(iso):
+        return invert_many(coupling.a_par, coupling.a_perp, iso)
+
+    offsets = np.array([-0.3, -0.05, 0.0, 0.05, 0.3])
+    phi0 = phi + offsets
+    iso0 = a_iso + 2e4 * offsets
+    phi_box = (phi0 - 0.1, phi0 + 0.1)
+    iso_box = (iso0 - 5e3, iso0 + 5e3) if free else (iso0, iso0)
+    fit = _levenberg_marquardt(lambda idx: (site, kernel), phi0, iso0,
+                               phi_box, iso_box, free_iso=free)
+
+    assert fit.converged.all()
+    assert np.all((fit.phi >= phi_box[0]) & (fit.phi <= phi_box[1]))
+    assert np.all((fit.a_iso >= iso_box[0]) & (fit.a_iso <= iso_box[1]))
+    np.testing.assert_allclose(fit.cost, sum_sq_xi(recs, coupling, fit.phi,
+                                                   fit.a_iso), rtol=1e-12)
+    edge = (fit.phi == phi_box[0]) | (fit.phi == phi_box[1])
+    if free:
+        edge |= (fit.a_iso == iso_box[0]) | (fit.a_iso == iso_box[1])
+    else:
+        np.testing.assert_array_equal(fit.a_iso, iso0)
+    np.testing.assert_array_equal(fit.at_bound, edge)
+    probes = [(1e-4, 0.0), (-1e-4, 0.0)]
+    if free:
+        probes += [(0.0, 10.0), (0.0, -10.0)]
+    for d_phi, d_iso in probes:
+        p, a = fit.phi + d_phi, fit.a_iso + d_iso
+        inside = ((p >= phi_box[0]) & (p <= phi_box[1])
+                  & (a >= iso_box[0]) & (a <= iso_box[1]))
+        probe_cost = sum_sq_xi(recs, coupling, p, a)
+        assert np.all(fit.cost[inside] <= probe_cost[inside]), (d_phi, d_iso)

@@ -26,6 +26,7 @@ from spinloc import (
     rabi_frequency,
     secular_couplings,
 )
+from spinloc import localize, montecarlo
 
 ANGSTROM = 1e-10
 
@@ -117,6 +118,38 @@ def test_seed_determinism_and_chunk_invariance():
     assert r1.ci == r2.ci
     r3 = propagate(records, coupling, McConfig(n_samples=400, seed=12))
     assert not np.array_equal(r1.scatter, r3.scatter)
+
+
+def test_lane_blocks_do_not_change_the_scatter(monkeypatch):
+    records, coupling = _build()
+    base = propagate(records, coupling, McConfig(n_samples=400, seed=11))
+    monkeypatch.setattr(montecarlo, "_LANE_BLOCK", 64)
+    for chunks in (1, 4):
+        blocked = propagate(records, coupling, McConfig(
+            n_samples=400, seed=11, parallel_chunks=chunks))
+        np.testing.assert_array_equal(blocked.scatter, base.scatter)
+        assert blocked.solver == base.solver
+        assert blocked.ci == base.ci
+
+
+def test_draws_match_fresh_keyed_generators():
+    idx = np.array([0, 1, 57, 4099])
+    draws = montecarlo._draws(idx, 21, 27)
+    for row, i in zip(draws, idx):
+        ref = np.random.Generator(
+            np.random.Philox(key=[21, int(i)])).standard_normal(27)
+        np.testing.assert_array_equal(row, ref)
+
+
+def test_solver_stats_count_the_samples():
+    records, coupling = _build()
+    result = propagate(records, coupling, McConfig(n_samples=300, seed=3))
+    stats = result.solver
+    assert all(type(v) is int for v in stats)
+    assert 1 <= stats.max_iterations <= localize._LM_MAX_ITER
+    # the published noise keeps every sample inside its box and converged
+    assert stats.unconverged == 0
+    assert stats.at_bound == 0
 
 
 def test_scatter_matches_per_sample_reference_fits():

@@ -154,10 +154,13 @@ def _parse_fix_a_iso(policy: str):
     if text == "auto":
         return "auto"
     try:
-        return float(text) * KHZ
+        value = float(text)
     except ValueError:
-        raise ValueError(f"--fix-a-iso must be 'auto', 'free' or a number "
-                         f"in kHz, got {policy!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"--fix-a-iso must be 'auto', 'free' or a finite "
+                         f"number in kHz, got {policy!r}")
+    return value * KHZ
 
 
 def _resolve_fix_a_iso(policy, a_par: float, a_perp: float, constants):

@@ -18,7 +18,6 @@ from .errors import DomainError, InconsistentInputError
 
 MIN_RADIUS = 1e-10  # m; the point-dipole form is meaningless below ~1 Angstrom
 
-_THETA_XTOL = 1e-12
 _TWO_PI = 2.0 * math.pi
 
 
@@ -138,96 +137,20 @@ def secular_couplings(r: float, theta: float, a_iso: float = 0.0,
     return b * (3.0 * ct * ct - 1.0) + a_iso, abs(3.0 * b * st * ct)
 
 
-def _theta_closed_form(p: float, q: float) -> float:
-    """Root of 3 p sin t cos t = q (3 cos^2 t - 1) on [0, pi/2].
+def _invert(p, q, constants: PhysicalConstants):
+    """(r, theta, b) for couplings p = a_par - a_iso and q = a_perp,
+    lane-wise over broadcast arrays, with b the dipolar strength.
 
+    theta is the root on [0, pi/2] of 3 p sin t cos t = q (3 cos^2 t - 1).
     Substituting u = tan t turns it into q u^2 + 3 p u - 2 q = 0, whose
     positive root is unique for q > 0; for p > 0 it is taken in the form
-    4q / (3p + sqrt(9p^2 + 8q^2)), which does not cancel at q << p. Edge
-    cases q = 0: site on the axis (p > 0) or in the transverse plane (p < 0).
+    4q / (3p + sqrt(9p^2 + 8q^2)), which does not cancel at q << p. At q = 0
+    the site is on the axis (p > 0) or in the transverse plane (p < 0); at
+    p = q = 0 theta and b are NaN. b comes from the axial equation away from
+    the magic angle, where it is the stabler one, and from the transverse
+    one near it; b <= 0 means the couplings do not invert, and r is then
+    NaN or infinite.
     """
-    if q == 0.0:
-        if p > 0.0:
-            return 0.0
-        if p < 0.0:
-            return math.pi / 2.0
-        raise InconsistentInputError(
-            "a_par - a_iso and a_perp both vanish; position is unconstrained")
-    root = math.sqrt(9.0 * p * p + 8.0 * q * q)
-    if p > 0.0:
-        return math.atan(4.0 * q / (3.0 * p + root))
-    return math.atan((root - 3.0 * p) / (2.0 * q))
-
-
-def _theta_bracketed(p: float, q: float) -> float:
-    """Same root via bracketed scalar root finding.
-
-    g(t) = 3 p sin t cos t - q (3 cos^2 t - 1) has g(0) = -2q < 0 and
-    g(pi/2) = +q > 0 for q > 0, so the bracket holds; g is a single
-    sinusoid in 2t plus a constant, hence the root is unique. In floating
-    point, cos(pi/2) is not zero, and at q far below -p the computed g(pi/2)
-    turns negative; the root then lies within rounding of pi/2 and comes from
-    the closed form.
-    """
-    if q == 0.0:
-        return _theta_closed_form(p, q)
-
-    def g(t: float) -> float:
-        return 3.0 * p * math.sin(t) * math.cos(t) - q * (3.0 * math.cos(t) ** 2 - 1.0)
-
-    if g(math.pi / 2.0) <= 0.0:
-        return _theta_closed_form(p, q)
-    from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
-
-    return brentq(g, 0.0, math.pi / 2.0, xtol=_THETA_XTOL)
-
-
-def invert_dipole(a_par: float, a_perp: float, a_iso: float = 0.0,
-                  constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                  method: str = "bracketed") -> SphericalPosition:
-    """Recover (r, theta) from the secular couplings; phi stays undetermined.
-
-    ``method`` selects the theta solver: "bracketed" (default) or the
-    algebraically identical "closed-form" used by vectorized callers.
-    """
-    if a_perp < 0.0:
-        raise ValueError(f"a_perp must be non-negative, got {a_perp!r}")
-    p = a_par - a_iso
-    q = a_perp
-    if method == "bracketed":
-        theta = _theta_bracketed(p, q)
-    elif method == "closed-form":
-        theta = _theta_closed_form(p, q)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    ct, st = math.cos(theta), math.sin(theta)
-    denom = 3.0 * ct * ct - 1.0
-    if abs(denom) > 0.5:  # away from the magic angle the axial equation is stabler
-        b = p / denom
-    else:
-        b = q / (3.0 * st * ct)
-    if b <= 0.0:
-        raise InconsistentInputError(
-            f"inferred dipolar strength b={b:g} Hz is not positive; "
-            "couplings are inconsistent with a point dipole at this a_iso")
-    r = (constants.dipolar_coefficient / b) ** (1.0 / 3.0)
-    if r < MIN_RADIUS:
-        raise DomainError(f"inversion gives r={r:g} m, below the {MIN_RADIUS:g} m floor")
-    return SphericalPosition(r=r, theta=theta)
-
-
-def invert_many(a_par, a_perp, a_iso=0.0,
-                constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Vectorized closed-form inversion.
-
-    Returns broadcast (r, theta) arrays; entries that do not invert (b <= 0,
-    r under the floor) come back NaN instead of raising, so sampling callers
-    can count failures.
-    """
-    p = np.asarray(a_par, dtype=float) - a_iso
-    q = np.asarray(a_perp, dtype=float)
-    p, q = np.broadcast_arrays(p, q)
     with np.errstate(divide="ignore", invalid="ignore"):
         root = np.sqrt(9.0 * p * p + 8.0 * q * q)
         u = np.where(p > 0.0, 4.0 * q / (3.0 * p + root),
@@ -241,11 +164,49 @@ def invert_many(a_par, a_perp, a_iso=0.0,
         st = np.sin(theta)
         denom = 3.0 * ct * ct - 1.0
         b = np.where(np.abs(denom) > 0.5, p / denom, q / (3.0 * st * ct))
-        b = np.where(b > 0.0, b, np.nan)
         r = (constants.dipolar_coefficient / b) ** (1.0 / 3.0)
-    r = np.where(r >= MIN_RADIUS, r, np.nan)
-    theta = np.where(np.isfinite(r), theta, np.nan)
-    return r, theta
+    return r, theta, b
+
+
+def invert_dipole(a_par: float, a_perp: float, a_iso: float = 0.0,
+                  constants: PhysicalConstants = DEFAULT_CONSTANTS
+                  ) -> SphericalPosition:
+    """Recover (r, theta) from the secular couplings; phi stays undetermined.
+
+    The scalar face of ``invert_many``: the same arithmetic, raising where a
+    lane of ``invert_many`` comes back NaN.
+    """
+    if a_perp < 0.0:
+        raise ValueError(f"a_perp must be non-negative, got {a_perp!r}")
+    p = a_par - a_iso
+    if p == 0.0 and a_perp == 0.0:
+        raise InconsistentInputError(
+            "a_par - a_iso and a_perp both vanish; position is unconstrained")
+    # one-lane arrays, so that numpy takes the same array loops as for lanes
+    r, theta, b = (float(v[0]) for v in _invert(
+        np.array([p], dtype=float), np.array([a_perp], dtype=float), constants))
+    if not b > 0.0:
+        raise InconsistentInputError(
+            f"inferred dipolar strength b={b:g} Hz is not positive; "
+            "couplings are inconsistent with a point dipole at this a_iso")
+    if r < MIN_RADIUS:
+        raise DomainError(f"inversion gives r={r:g} m, below the {MIN_RADIUS:g} m floor")
+    return SphericalPosition(r=r, theta=theta)
+
+
+def invert_many(a_par, a_perp, a_iso=0.0,
+                constants: PhysicalConstants = DEFAULT_CONSTANTS):
+    """Vectorized inversion.
+
+    Returns broadcast (r, theta) arrays; entries that do not invert (b <= 0,
+    r under the floor) come back NaN instead of raising, so sampling callers
+    can count failures.
+    """
+    p = np.asarray(a_par, dtype=float) - a_iso
+    q = np.asarray(a_perp, dtype=float)
+    r, theta, b = _invert(*np.broadcast_arrays(p, q), constants)
+    ok = (b > 0.0) & (r >= MIN_RADIUS)
+    return np.where(ok, r, np.nan), np.where(ok, theta, np.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .core import DEFAULT_CONSTANTS, PhysicalConstants, Vector3
 from .dipole import SphericalPosition, dipole_tensor, invert_dipole, invert_many
 from .dynamics import (GENERAL_FIELD, enhancement_factor, precession_frequency,
                        xi_kernel)
-from .errors import FrameError, IdentifiabilityError
+from .errors import FrameError, IdentifiabilityError, InconsistentInputError
 from .extract import CouplingEstimate
 
 _TWO_PI = 2.0 * math.pi
@@ -35,6 +35,9 @@ A_ISO_FIX_RADIUS = 1.0e-9  # m
 DEFAULT_A_ISO_RANGE = (-1.0e5, 1.0e5)  # Hz
 DEFAULT_A_ISO_STEP = 2.5e3             # Hz
 DEFAULT_PHI_STEP_DEG = 0.5
+
+# Below this transverse coil field in every record the cost is flat in phi.
+MIN_TRANSVERSE_DB = 1e-6  # T
 
 # Minima whose cost is within DEGENERACY_FACTOR of the global one (plus an
 # absolute epsilon so an exactly-zero global cost still admits its mirror)
@@ -159,7 +162,7 @@ def xi(record: MeasurementRecord, coupling: CouplingEstimate, phi: float,
     return record.measured_difference - (th_m1 - th0)
 
 
-def _xi_parts(records, coupling, phi, a_iso, variant, constants):
+def _xi_parts(records, coupling, phi, a_iso, constants):
     """Each record's xi over broadcast (phi, a_iso) grids, from the dynamics
     kernel; a_iso values whose couplings do not invert yield NaN."""
     phi_a, iso_a = np.broadcast_arrays(np.asarray(phi, dtype=float),
@@ -167,14 +170,14 @@ def _xi_parts(records, coupling, phi, a_iso, variant, constants):
     r, theta = invert_many(coupling.a_par, coupling.a_perp, iso_a, constants)
     kernel = xi_kernel([(rec.measured_difference, rec.B0.components,
                          rec.dB.components) for rec in records],
-                       variant, constants)
+                       GENERAL_FIELD, constants)
     return kernel(r, theta, phi_a, iso_a)
 
 
-def sum_sq_xi(records, coupling, phi, a_iso, variant: str = GENERAL_FIELD,
+def sum_sq_xi(records, coupling, phi, a_iso,
               constants: PhysicalConstants = DEFAULT_CONSTANTS):
     """Summed squared cost over records, broadcast over (phi, a_iso)."""
-    parts = _xi_parts(records, coupling, phi, a_iso, variant, constants)
+    parts = _xi_parts(records, coupling, phi, a_iso, constants)
     return sum(p * p for p in parts)
 
 
@@ -187,11 +190,10 @@ class CostCurve:
 
 def cost_curve(records, coupling, a_iso: float = 0.0,
                phi_step_deg: float = DEFAULT_PHI_STEP_DEG,
-               variant: str = GENERAL_FIELD,
                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> CostCurve:
     """Dense |xi|(phi) sweep for plotting, at fixed a_iso."""
     phi = np.deg2rad(np.arange(0.0, 360.0, phi_step_deg))
-    parts = _xi_parts(records, coupling, phi, a_iso, variant, constants)
+    parts = _xi_parts(records, coupling, phi, a_iso, constants)
     per_record = np.abs(np.stack(parts))
     return CostCurve(phi=phi, per_record=per_record,
                      total=np.sum(np.stack(parts) ** 2, axis=0))
@@ -334,29 +336,26 @@ def _grid_local_minima(profile: np.ndarray) -> list[int]:
     return [int(i) for i in np.nonzero((profile < left) & (profile <= right))[0]]
 
 
-def _check_identifiable(records, min_transverse: float):
+def _check_identifiable(records):
     t = [float(np.hypot(r.dB.components[0], r.dB.components[1])) for r in records]
-    if max(t) < min_transverse:
+    if max(t) < MIN_TRANSVERSE_DB:
         raise IdentifiabilityError(
-            f"all records have transverse dB below {min_transverse:g} T "
+            f"all records have transverse dB below {MIN_TRANSVERSE_DB:g} T "
             f"(max {max(t):g} T); the cost is flat in phi")
 
 
-def _check_off_crossing(records, variant, constants):
+def _check_off_crossing(records, constants):
     """DomainError for a static field at the electronic level crossing, where
     the model, and with it every grid point, is undefined."""
     for rec in records:
         for m_S in (0, -1):
-            enhancement_factor(m_S, float(rec.B0.components[2]), variant, constants)
+            enhancement_factor(m_S, float(rec.B0.components[2]), GENERAL_FIELD,
+                               constants)
 
 
 def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = None,
                 *, phi_step_deg: float = DEFAULT_PHI_STEP_DEG,
-                a_iso_range: tuple = DEFAULT_A_ISO_RANGE,
                 a_iso_step: float = DEFAULT_A_ISO_STEP,
-                degeneracy_factor: float = DEGENERACY_FACTOR,
-                min_transverse_db: float = 1e-6,
-                variant: str = GENERAL_FIELD,
                 constants: PhysicalConstants = DEFAULT_CONSTANTS) -> AzimuthFit:
     """Global fit of phi (and a_iso unless fixed) to the record set.
 
@@ -364,15 +363,15 @@ def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = N
     near-degenerate minima per configuration, so a local solver alone is not
     trustworthy. Every grid-level local minimum of the phi profile (after
     minimizing over the a_iso axis in the joint case) is polished locally;
-    minima within ``degeneracy_factor`` of the global cost are reported.
+    minima within DEGENERACY_FACTOR of the global cost are reported.
     Ties on cost (within 1e-9 relative) resolve to the smallest phi so the
     result does not depend on evaluation order.
     """
     records = list(records)
     if not records:
         raise ValueError("need at least one measurement record")
-    _check_identifiable(records, min_transverse_db)
-    _check_off_crossing(records, variant, constants)
+    _check_identifiable(records)
+    _check_off_crossing(records, constants)
 
     # every grid minimum is one lane of one polish. With a_iso fixed, phi
     # stays within a grid step of its grid minimum. In the joint fit the
@@ -380,27 +379,33 @@ def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = N
     # step, so there phi (periodic) is left free and a_iso held to its range.
     phi_grid = np.deg2rad(np.arange(0.0, 360.0, phi_step_deg))
     if fix_a_iso is not None:
-        cost_1d = sum_sq_xi(records, coupling, phi_grid, float(fix_a_iso),
-                            variant, constants)
-        cost_1d = np.where(np.isfinite(cost_1d), cost_1d, np.inf)
-        phi0 = phi_grid[_grid_local_minima(cost_1d)]
+        profile = sum_sq_xi(records, coupling, phi_grid, float(fix_a_iso),
+                            constants)
+        profile = np.where(np.isfinite(profile), profile, np.inf)
+        phi0 = phi_grid[_grid_local_minima(profile)]
         iso0 = np.full(phi0.size, float(fix_a_iso))
         step = math.radians(phi_step_deg)
         phi_box, iso_box = (phi0 - step, phi0 + step), (iso0, iso0)
     else:
-        lo, hi = a_iso_range
+        lo, hi = DEFAULT_A_ISO_RANGE
         iso_grid = np.arange(lo, hi + 0.5 * a_iso_step, a_iso_step)
         surf = sum_sq_xi(records, coupling, phi_grid[:, None], iso_grid[None, :],
-                         variant, constants)
+                         constants)
         surf = np.where(np.isfinite(surf), surf, np.inf)
-        i = _grid_local_minima(surf.min(axis=1))
+        profile = surf.min(axis=1)
+        i = _grid_local_minima(profile)
         phi0 = phi_grid[i]
         iso0 = iso_grid[np.argmin(surf[i], axis=1)]
         phi_box, iso_box = (-np.inf, np.inf), (lo, hi)
+    if not np.isfinite(profile).any():
+        raise InconsistentInputError(
+            f"couplings (a_par, a_perp) = ({coupling.a_par:g}, "
+            f"{coupling.a_perp:g}) Hz invert to a point dipole at no contact "
+            "term of the fit")
 
     kernel = xi_kernel([(rec.measured_difference, rec.B0.components,
                          rec.dB.components) for rec in records],
-                       variant, constants)
+                       GENERAL_FIELD, constants)
 
     def site(iso):
         return invert_many(coupling.a_par, coupling.a_perp, iso, constants)
@@ -427,13 +432,13 @@ def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = N
     best_cost, best_phi, best_iso = min(near, key=lambda m: m[1])
 
     eps2 = DEGENERACY_EPSILON ** 2
-    keep = [m for m in merged if m[0] <= degeneracy_factor * best_cost + eps2]
+    keep = [m for m in merged if m[0] <= DEGENERACY_FACTOR * best_cost + eps2]
     keep.sort(key=lambda m: m[1])
     minima = tuple(Minimum(phi=m[1], a_iso=m[2], residual=math.sqrt(m[0]))
                    for m in keep)
 
     per_xi = tuple(float(v) for v in _xi_parts(
-        records, coupling, best_phi, best_iso, variant, constants))
+        records, coupling, best_phi, best_iso, constants))
     return AzimuthFit(phi=best_phi, a_iso=best_iso,
                       residual=math.sqrt(best_cost),
                       per_record_xi=per_xi,

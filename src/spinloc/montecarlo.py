@@ -38,6 +38,9 @@ _TWO_PI = 2.0 * math.pi
 PARAMETERS = ("phi", "a_iso", "r", "theta")
 _COLUMN = {name: k for k, name in enumerate(PARAMETERS)}
 
+# more failed samples than this fraction abort the propagation
+MAX_FAILURE_FRACTION = 0.05
+
 
 class PointEstimate(NamedTuple):
     phi: float    # rad
@@ -60,11 +63,12 @@ class McConfig:
     seed: int = 0
     confidence_levels: tuple = (0.6827, 0.95)
     parallel_chunks: int = 1
-    max_failure_fraction: float = 0.05
 
     def __post_init__(self):
         if self.n_samples < 100:
             raise ValueError(f"n_samples must be at least 100, got {self.n_samples!r}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if not self.confidence_levels:
             raise ValueError("need at least one confidence level")
         for lv in self.confidence_levels:
@@ -157,7 +161,7 @@ def _draws(idx: np.ndarray, seed: int, n_draws: int) -> np.ndarray:
 
 
 def _chunk_estimates(idx: np.ndarray, seed: int, coupling, records,
-                     fix_a_iso, point, variant, constants) -> np.ndarray:
+                     fix_a_iso, point, constants) -> np.ndarray:
     """(len(idx), 7) rows for one block of samples: the scatter columns phi,
     a_iso, r, theta, then the solver's iterations, unconverged and at_bound.
 
@@ -204,7 +208,8 @@ def _chunk_estimates(idx: np.ndarray, seed: int, coupling, records,
             return invert_many(a_par_s, a_perp_s, iso, constants)
 
         kernel = xi_kernel([(meas[sel], B0[:, sel], dB[:, sel])
-                            for meas, B0, dB in recs_data], variant, constants)
+                            for meas, B0, dB in recs_data], GENERAL_FIELD,
+                           constants)
         return site, kernel
 
     m = len(idx)
@@ -225,7 +230,6 @@ def _chunk_estimates(idx: np.ndarray, seed: int, coupling, records,
 
 
 def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
-              variant: str = GENERAL_FIELD,
               constants: PhysicalConstants = DEFAULT_CONSTANTS) -> EstimateResult:
     """Full uncertainty propagation for one nucleus.
 
@@ -235,7 +239,7 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
     B0z, dBx, dBy, dBz. Each sample uses its own generator keyed by
     (seed, sample index), so any worker partition produces the same scatter.
     Samples that fail extraction or inversion are dropped and counted; more
-    than ``mc.max_failure_fraction`` of them aborts. The point fit on the
+    than MAX_FAILURE_FRACTION of them aborts. The point fit on the
     unperturbed inputs warm-starts every sample and is returned as
     ``result.fit``, so callers need not fit again.
     """
@@ -245,10 +249,7 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
     if coupling.inputs is None and (coupling.sigma_a_par is None
                                     or coupling.sigma_a_perp is None):
         raise ValueError("coupling must carry raw inputs or both sigmas to propagate")
-    seed = int(mc.seed) % (1 << 64)
-
-    point_fit = fit_azimuth(records, coupling, fix_a_iso, variant=variant,
-                            constants=constants)
+    point_fit = fit_azimuth(records, coupling, fix_a_iso, constants=constants)
     point_pos = invert_dipole(coupling.a_par, coupling.a_perp, point_fit.a_iso,
                               constants)
     point = PointEstimate(point_fit.phi, point_fit.a_iso, point_pos.r,
@@ -259,8 +260,8 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
 
     def run_chunk(idx):
         return np.concatenate([np.empty((0, 7))] + [
-            _chunk_estimates(idx[k:k + _LANE_BLOCK], seed, coupling, records,
-                             fix_a_iso, point, variant, constants)
+            _chunk_estimates(idx[k:k + _LANE_BLOCK], mc.seed, coupling, records,
+                             fix_a_iso, point, constants)
             for k in range(0, len(idx), _LANE_BLOCK)])
 
     if mc.parallel_chunks == 1:
@@ -271,7 +272,7 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
 
     good = ~np.isnan(rows[:, 0])
     n_failed = int(n - good.sum())
-    if n_failed > mc.max_failure_fraction * n:
+    if n_failed > MAX_FAILURE_FRACTION * n:
         raise ConvergenceError(
             f"{n_failed}/{n} Monte Carlo samples failed the pipeline; "
             "uncertainties are too large for a meaningful propagation")

@@ -188,7 +188,7 @@ def test_criterion_5_zero_noise_round_trip():
         records = [_model_record(f"coil{k}", hf, dB)
                    for k, dB in enumerate(COILS)]
         est = CouplingEstimate(hf.a_par, hf.a_perp, EXACT)
-        # coarse scan is enough: the simplex refinement does the precision
+        # coarse scan is enough: the Levenberg-Marquardt polish refines it
         fit = fit_azimuth(records, est, phi_step_deg=1.0, a_iso_step=5e3)
         pos = invert_dipole(hf.a_par, hf.a_perp, fit.a_iso)
         dphi = abs((fit.phi - truth.phi + math.pi) % (2.0 * math.pi) - math.pi)

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,8 +133,49 @@ def test_localize_fix_a_iso_flag(tmp_path):
     assert entry["point"]["a_iso_kHz"] == 9.0
     assert entry["point"]["phi_deg"] == pytest.approx(238.0, abs=0.05)
 
-    assert main(["localize", str(meas), "--samples", "400",
-                 "--fix-a-iso", "soon", "--out", str(tmp_path / "x")]) == 2
+    for bad in ("soon", "nan", "inf"):
+        assert main(["localize", str(meas), "--samples", "400",
+                     "--fix-a-iso", bad, "--out", str(tmp_path / "x")]) == 2
+
+
+def test_localize_uninvertible_fixed_contact_is_a_failure(tmp_path, capsys):
+    # at a_iso = 1 GHz no grid point inverts; the nucleus fails, not the run
+    meas = _run_simulate(tmp_path)
+    out = tmp_path / "loc"
+    rc = main(["localize", str(meas), "--samples", "200", "--fix-a-iso", "1e6",
+               "--out", str(out)])
+    assert rc == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["nuclei"] == {}
+    assert "C1" in report["failures"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_localize_negative_seed_exits_2(tmp_path, capsys):
+    meas = _run_simulate(tmp_path)
+    assert main(["localize", str(meas), "--samples", "200", "--seed", "-1",
+                 "--out", str(tmp_path / "loc")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_localize_imports_no_scipy(tmp_path):
+    # scipy serves calibrate and trace-based simulate only; localize must run
+    # without importing any of it
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "from spinloc.cli import main\n"
+            "rc = main(['localize', *sys.argv[1:]])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(rc)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    child = subprocess.run(
+        [sys.executable, "-c", code, str(root / "data" / "measurements_example.txt"),
+         "--samples", "200", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "[]"
 
 
 def test_localize_fits_each_nucleus_once(tmp_path, monkeypatch):

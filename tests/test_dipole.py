@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from spinloc import (
     DEFAULT_CONSTANTS,
@@ -104,16 +105,6 @@ def test_inversion_round_trip(r, theta, a_iso):
     assert pos.phi is None
 
 
-def test_solver_methods_agree():
-    a_par, a_perp = secular_couplings(8.58 * ANGSTROM, math.radians(52.8))
-    p1 = invert_dipole(a_par, a_perp, method="bracketed")
-    p2 = invert_dipole(a_par, a_perp, method="closed-form")
-    assert p1.theta == pytest.approx(p2.theta, abs=1e-10)
-    assert p1.r == pytest.approx(p2.r, rel=1e-12)
-    with pytest.raises(ValueError):
-        invert_dipole(a_par, a_perp, method="newton")
-
-
 def test_mirror_site_resolves_to_upper_hemisphere():
     theta = math.radians(70.0)
     up = secular_couplings(9 * ANGSTROM, theta)
@@ -154,7 +145,7 @@ def test_invert_many_matches_scalar_and_flags_failures():
     a_par = np.array([3.1e3, 2.0e3, 1e9, 0.0])
     a_perp = np.array([44.5e3, 0.0, 0.0, 0.0])
     r, theta = invert_many(a_par, a_perp)
-    ref = invert_dipole(3.1e3, 44.5e3, method="closed-form")
+    ref = invert_dipole(3.1e3, 44.5e3)
     assert r[0] == pytest.approx(ref.r, rel=1e-14)
     assert theta[0] == pytest.approx(ref.theta, abs=1e-14)
     assert theta[1] == 0.0
@@ -193,19 +184,61 @@ def test_residual_map_round_trip_rows_and_failures():
     assert sum(b.n_sites for b in rmap.bins) == 4
 
 
-# invert_many (closed form, lane-wise) against invert_dipole (bracketed) at
-# the edges of the inversion: q = a_perp = 0, the magic angle, q far below
+# invert_many and invert_dipole against an independent reference, which finds
+# theta by bracketed scalar root finding instead of the closed form, at the
+# edges of the inversion: q = a_perp = 0, the magic angle, q far below
 # |a_par - a_iso| and couplings that do not invert.
+
+def _reference_theta(p, q):
+    """Root of g(t) = 3 p sin t cos t - q (3 cos^2 t - 1) on [0, pi/2].
+
+    g(0) = -2q < 0 and g(pi/2) = +q > 0 for q > 0, so the bracket holds; g is
+    a single sinusoid in 2t plus a constant, hence the root is unique. In
+    floating point, cos(pi/2) is not zero, and at q far below -p the computed
+    g(pi/2) turns negative; the root then lies within rounding of pi/2.
+    """
+    if q == 0.0:
+        if p == 0.0:
+            raise InconsistentInputError("unconstrained")
+        return 0.0 if p > 0.0 else math.pi / 2.0
+
+    def g(t):
+        return 3.0 * p * math.sin(t) * math.cos(t) - q * (3.0 * math.cos(t) ** 2 - 1.0)
+
+    if g(math.pi / 2.0) <= 0.0:
+        return math.pi / 2.0
+    return brentq(g, 0.0, math.pi / 2.0, xtol=1e-12)
+
+
+def _reference_inversion(a_par, a_perp, a_iso):
+    """(r, theta), raising InconsistentInputError or DomainError where the
+    couplings do not invert."""
+    p = a_par - a_iso
+    theta = _reference_theta(p, a_perp)
+    ct, st = math.cos(theta), math.sin(theta)
+    denom = 3.0 * ct * ct - 1.0
+    b = p / denom if abs(denom) > 0.5 else a_perp / (3.0 * st * ct)
+    if b <= 0.0:
+        raise InconsistentInputError("b <= 0")
+    r = (DEFAULT_CONSTANTS.dipolar_coefficient / b) ** (1.0 / 3.0)
+    if r < MIN_RADIUS:
+        raise DomainError("below the floor")
+    return r, theta
+
 
 def _assert_inversions_agree(a_par, a_perp, a_iso):
     r, theta = invert_many(np.array([a_par]), np.array([a_perp]), a_iso)
     try:
-        ref = invert_dipole(a_par, a_perp, a_iso)
-    except (DomainError, InconsistentInputError):
+        ref = _reference_inversion(a_par, a_perp, a_iso)
+    except (DomainError, InconsistentInputError) as exc:
         assert np.isnan(r[0]) and np.isnan(theta[0])
+        with pytest.raises(type(exc)):
+            invert_dipole(a_par, a_perp, a_iso)
         return
-    assert r[0] == pytest.approx(ref.r, rel=1e-9)
-    assert theta[0] == pytest.approx(ref.theta, abs=1e-9)
+    pos = invert_dipole(a_par, a_perp, a_iso)
+    for r_k, theta_k in ((r[0], theta[0]), (pos.r, pos.theta)):
+        assert r_k == pytest.approx(ref[0], rel=1e-9)
+        assert theta_k == pytest.approx(ref[1], abs=1e-9)
 
 
 @settings(max_examples=200, deadline=None)
@@ -252,7 +285,8 @@ def test_invert_many_fails_exactly_where_scalar_raises(a_par, a_perp, a_iso):
 
 def test_bracketed_theta_survives_rounded_bracket():
     # a_perp far below a_par - a_iso < 0: cos(pi/2) rounding flips the sign of
-    # the bracket's upper end; the root is pi/2 to rounding, not an error
+    # the reference's bracket at its upper end; the root is pi/2 to rounding,
+    # not an error
     a_par, a_perp = secular_couplings(1e-9, 1e-40, 5384.0)
     pos = invert_dipole(a_par, a_perp, a_par + 1.0)
     assert pos.theta == pytest.approx(math.pi / 2.0, abs=1e-12)

@@ -13,6 +13,7 @@ from spinloc import (
     DomainError,
     FrameError,
     IdentifiabilityError,
+    InconsistentInputError,
     MeasurementRecord,
     SPIN_DENSITY_CENTER_OFFSET,
     SphericalPosition,
@@ -146,6 +147,16 @@ def test_axial_coil_is_unidentifiable():
     recs = _records(_TRUTH, _A_ISO, ((0.0, 0.0, 2.0e-3),))
     with pytest.raises(IdentifiabilityError):
         fit_azimuth(recs, _coupling(_TRUTH, _A_ISO), fix_a_iso=_A_ISO)
+
+
+def test_uninvertible_grid_raises_inconsistent_input():
+    # no grid point inverts: at a fixed a_iso of 1 GHz, and over the whole
+    # a_iso range for an a_par of 1 GHz (both put r below the floor)
+    recs = _records(_TRUTH, _A_ISO, _COILS)
+    with pytest.raises(InconsistentInputError):
+        fit_azimuth(recs, _coupling(_TRUTH, _A_ISO), fix_a_iso=1e9)
+    with pytest.raises(InconsistentInputError):
+        fit_azimuth(recs, CouplingEstimate(a_par=1e9, a_perp=1e3, method=EXACT))
 
 
 def test_no_records_rejected():

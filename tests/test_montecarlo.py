@@ -77,6 +77,9 @@ def test_config_validation():
         McConfig(parallel_chunks=0)
     with pytest.raises(ValueError):
         McConfig(confidence_levels=())
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError):
+            McConfig(seed=seed)
 
 
 def test_result_scatter_shape_validation():

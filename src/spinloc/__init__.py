@@ -28,8 +28,7 @@ from .dynamics import (LOW_FIELD, GENERAL_FIELD, EnhancementTensor,
                        odmr_lines)
 from .signal import TimeTrace, FrequencyEstimate, synth_trace, estimate_frequencies
 from .extract import (EXACT, APPROXIMATE, CouplingInputs, CouplingEstimate,
-                      nominal_tau, extract_couplings, rabi_frequency,
-                      propagate_coupling_sigma)
+                      nominal_tau, extract_couplings, rabi_frequency)
 from .localize import (MeasurementRecord, Minimum, AzimuthFit, xi, sum_sq_xi,
                        CostCurve, cost_curve, fit_azimuth, LocalizedPosition,
                        assemble_position, SPIN_DENSITY_CENTER_OFFSET,

@@ -29,8 +29,7 @@ from .core import (DEFAULT_CONSTANTS, DEFAULT_REGISTRY, SENSOR_FRAME_NAME,
 from .dipole import SphericalPosition, dft_residual_map, dipole_tensor, invert_dipole
 from .dynamics import precession_frequency
 from .errors import ParseError, SpinlocError
-from .extract import (CouplingInputs, extract_couplings, nominal_tau,
-                      propagate_coupling_sigma, rabi_frequency)
+from .extract import CouplingInputs, extract_couplings, nominal_tau, rabi_frequency
 from .fileio import (ANGSTROM, DEG, DISPLAY_UNITS, KHZ, MT, NucleusMeasurements,
                      atomic_write_text, load_dft_table, load_measurements,
                      load_odmr, load_truth, save_cost_curve, save_histogram,
@@ -241,8 +240,6 @@ def _localize_one(label: str, nm: NucleusMeasurements, args, mc: McConfig,
     ci_in = nm.inputs
     est = extract_couplings(ci_in.f0, ci_in.f_m1, ci_in.f_rabi, ci_in.tau)
     est = dataclasses.replace(est, inputs=ci_in)
-    if ci_in.sigma_f0 > 0.0 or ci_in.sigma_f_m1 > 0.0 or ci_in.sigma_f_rabi > 0.0:
-        est = propagate_coupling_sigma(ci_in, seed=mc.seed)
     fix, mode, why = _resolve_fix_a_iso(fix_policy, est.a_par, est.a_perp,
                                         constants)
 
@@ -283,9 +280,10 @@ def _localize_one(label: str, nm: NucleusMeasurements, args, mc: McConfig,
             "z_offset_A": pos.z_offset / ANGSTROM,
         },
     }
-    if est.sigma_a_par is not None:
-        entry["sigma_a_par_kHz"] = est.sigma_a_par / KHZ
-        entry["sigma_a_perp_kHz"] = est.sigma_a_perp / KHZ
+    if ci_in.sigma_f0 > 0.0 or ci_in.sigma_f_m1 > 0.0 or ci_in.sigma_f_rabi > 0.0:
+        s_par, s_perp = result.coupling_sigma
+        entry["sigma_a_par_kHz"] = s_par / KHZ
+        entry["sigma_a_perp_kHz"] = s_perp / KHZ
     print(f"{label}: a_par = {est.a_par / KHZ:.3f} kHz, "
           f"a_perp = {est.a_perp / KHZ:.3f} kHz, "
           f"r = {point['r_A']:.3f} A, theta = {point['theta_deg']:.2f} deg, "
@@ -362,7 +360,7 @@ def simulate_measurements(truth, constants=DEFAULT_CONSTANTS
             f_rabi_m = f_rabi + rng.standard_normal() * noise.sigma_f_rabi
             s_f = noise.sigma_f
         inputs = CouplingInputs(
-            f0=f0_m, f_m1=max(f_m1_m, f0_m), f_rabi=f_rabi_m, tau=tau,
+            f0=f0_m, f_m1=f_m1_m, f_rabi=f_rabi_m, tau=tau,
             sigma_f0=s_f, sigma_f_m1=s_f, sigma_f_rabi=noise.sigma_f_rabi)
 
         records = []

@@ -19,7 +19,10 @@ from .errors import DomainError, InconsistentInputError
 EXACT = "exact"
 APPROXIMATE = "approximate"
 
-_MIN_SIGMA_SAMPLES = 10_000
+# a tau beyond this factor of nominal, either way, draws a warning
+TAU_TOLERANCE_FACTOR = 2.0
+# |sin| of a precession phase below this makes the exact transformation singular
+_SINGULAR_SIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -36,9 +39,10 @@ class CouplingInputs:
     sigma_f_rabi: float = 0.0
 
     def __post_init__(self):
-        if not (self.f_m1 >= self.f0 > 0.0):
+        # f_m1 may sit below f0 when a_par < 0; only positivity is required
+        if not (self.f0 > 0.0 and self.f_m1 > 0.0):
             raise ValueError(
-                f"need f_m1 >= f0 > 0, got f0={self.f0!r}, f_m1={self.f_m1!r}")
+                f"need f0 > 0 and f_m1 > 0, got f0={self.f0!r}, f_m1={self.f_m1!r}")
         if self.f_rabi <= 0.0:
             raise ValueError(f"f_rabi must be positive, got {self.f_rabi!r}")
         if self.tau <= 0.0:
@@ -50,13 +54,11 @@ class CouplingInputs:
 
 @dataclass(frozen=True)
 class CouplingEstimate:
-    """Secular coupling scalars in Hz, with uncertainties once propagated."""
+    """Secular coupling scalars in Hz, with the raw inputs behind them."""
 
     a_par: float
     a_perp: float
     method: str
-    sigma_a_par: float | None = None
-    sigma_a_perp: float | None = None
     inputs: CouplingInputs | None = None
 
     def __post_init__(self):
@@ -64,14 +66,6 @@ class CouplingEstimate:
             raise ValueError(f"a_perp must be non-negative, got {self.a_perp!r}")
         if self.method not in (EXACT, APPROXIMATE):
             raise ValueError(f"method must be {EXACT!r} or {APPROXIMATE!r}")
-        for name in ("sigma_a_par", "sigma_a_perp"):
-            s = getattr(self, name)
-            if s is not None and s < 0.0:
-                raise ValueError(f"{name} must be non-negative when given")
-
-    def with_sigmas(self, sigma_a_par: float, sigma_a_perp: float) -> "CouplingEstimate":
-        return CouplingEstimate(self.a_par, self.a_perp, self.method,
-                                sigma_a_par, sigma_a_perp, self.inputs)
 
 
 def nominal_tau(f0: float, f_m1: float) -> float:
@@ -79,63 +73,68 @@ def nominal_tau(f0: float, f_m1: float) -> float:
     return 1.0 / (2.0 * (f0 + f_m1))
 
 
-def _exact_arrays(f0, f_m1, f_rabi, tau):
-    """Vectorized exact transformation. Returns (a_par, a_perp, valid)."""
+def _extract_arrays(f0, f_m1, f_rabi, tau, method):
+    """Lane-wise extraction over broadcast frequency arrays.
+
+    Returns (a_par, a_perp, ok). ok is the one validity rule: f0, f_m1 and
+    f_rabi positive and, for the exact method, neither precession phase a
+    multiple of pi and a non-negative square-root argument
+    f_m1^2 - (f0+a_par)^2. a_perp is NaN where the exact method fails.
+    """
+    ok = (f0 > 0.0) & (f_m1 > 0.0) & (f_rabi > 0.0)
+    if method == APPROXIMATE:
+        return f_m1 - f0, math.pi * f_rabi, ok
     spacing = 2.0 * tau
     c0 = np.cos(math.pi * f0 * spacing)
     s0 = np.sin(math.pi * f0 * spacing)
     c1 = np.cos(math.pi * f_m1 * spacing)
     s1 = np.sin(math.pi * f_m1 * spacing)
     denom = s1 * s0
+    ok &= (np.abs(s0) >= _SINGULAR_SIN) & (np.abs(s1) >= _SINGULAR_SIN)
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_alpha = (c1 * c0 - np.cos(math.pi - 2.0 * math.pi * f_rabi * spacing)) / denom
         a_par = f_m1 * cos_alpha - f0
         arg = f_m1 ** 2 - (f0 + a_par) ** 2
-        valid = (denom != 0.0) & np.isfinite(arg) & (arg >= 0.0)
-        a_perp = np.sqrt(np.where(valid, arg, np.nan))
-    return a_par, a_perp, valid
+        ok &= arg >= 0.0
+        a_perp = np.sqrt(np.where(ok, arg, np.nan))
+    return a_par, a_perp, ok
 
 
 def extract_couplings(f0: float, f_m1: float, f_rabi: float, tau: float,
-                      method: str = EXACT,
-                      tau_tolerance_factor: float = 2.0) -> CouplingEstimate:
+                      method: str = EXACT) -> CouplingEstimate:
     """Couplings (a_par, a_perp) from the measured frequency triplet.
 
     The exact method inverts the interferometric relation between the slow
     oscillation f_rabi and the two precession frequencies at pi-pulse spacing
     2*tau; the approximate method is the weak-coupling limit
     (a_par, a_perp) = (f_m1 - f0, pi*f_rabi). A tau far from the nominal
-    [2(f0+f_m1)]^-1 (beyond tau_tolerance_factor either way) draws a warning
+    [2(f0+f_m1)]^-1 (beyond TAU_TOLERANCE_FACTOR either way) draws a warning
     since the exact inversion degrades away from the tuned point.
     """
     inputs = CouplingInputs(f0=f0, f_m1=f_m1, f_rabi=f_rabi, tau=tau)
     ratio = tau / nominal_tau(f0, f_m1)
-    if not (1.0 / tau_tolerance_factor <= ratio <= tau_tolerance_factor):
+    if not (1.0 / TAU_TOLERANCE_FACTOR <= ratio <= TAU_TOLERANCE_FACTOR):
         warnings.warn(
             f"tau={tau:g} s is {ratio:.3g}x the nominal [2(f0+f_m1)]^-1; "
             "extraction assumes the sequence was tuned near nominal",
             stacklevel=2)
-
-    if method == APPROXIMATE:
-        return CouplingEstimate(a_par=f_m1 - f0, a_perp=math.pi * f_rabi,
-                                method=APPROXIMATE, inputs=inputs)
-    if method != EXACT:
+    if method not in (EXACT, APPROXIMATE):
         raise ValueError(f"method must be {EXACT!r} or {APPROXIMATE!r}, got {method!r}")
 
-    spacing = 2.0 * tau
-    if (abs(math.sin(math.pi * f0 * spacing)) < 1e-9
-            or abs(math.sin(math.pi * f_m1 * spacing)) < 1e-9):
-        raise DomainError(
-            f"tau={tau:g} s makes a precession phase a multiple of pi; "
-            "the exact transformation is singular there")
-    a_par_a, a_perp_a, valid = _exact_arrays(
-        np.float64(f0), np.float64(f_m1), np.float64(f_rabi), tau)
-    if not bool(valid):
+    a_par, a_perp, ok = _extract_arrays(
+        np.float64(f0), np.float64(f_m1), np.float64(f_rabi), tau, method)
+    if not ok:
+        # the inputs are positive, so the exact transformation failed
+        spacing = 2.0 * tau
+        if min(abs(math.sin(math.pi * f * spacing)) for f in (f0, f_m1)) < _SINGULAR_SIN:
+            raise DomainError(
+                f"tau={tau:g} s makes a precession phase a multiple of pi; "
+                "the exact transformation is singular there")
         raise InconsistentInputError(
             "square root argument f_m1^2 - (f0+a_par)^2 is negative; the "
             "frequency triplet is inconsistent (mis-identified peaks?)")
-    return CouplingEstimate(a_par=float(a_par_a), a_perp=float(a_perp_a),
-                            method=EXACT, inputs=inputs)
+    return CouplingEstimate(a_par=float(a_par), a_perp=float(a_perp),
+                            method=method, inputs=inputs)
 
 
 def rabi_frequency(f0: float, a_par: float, a_perp: float, tau: float) -> float:
@@ -159,42 +158,3 @@ def rabi_frequency(f0: float, a_par: float, a_perp: float, tau: float) -> float:
     s1 = math.sin(math.pi * f_m1 * spacing)
     x = min(1.0, max(-1.0, c1 * c0 - cos_alpha * s1 * s0))
     return (math.pi - math.acos(x)) / (2.0 * math.pi * spacing)
-
-
-def propagate_coupling_sigma(inputs: CouplingInputs, method: str = EXACT,
-                             n_samples: int = 10_000, seed: int = 0,
-                             max_failure_fraction: float = 0.01) -> CouplingEstimate:
-    """Monte Carlo uncertainties for the extracted couplings.
-
-    Draws the three frequencies from independent normals around the measured
-    values (draw order f0, f_m1, f_rabi; counter-based generator keyed by
-    seed), re-runs the extraction on each sample, and reports the sample
-    standard deviations. Samples where the exact transformation fails are
-    dropped; more than ``max_failure_fraction`` of them aborts.
-    """
-    if n_samples < _MIN_SIGMA_SAMPLES:
-        raise ValueError(f"n_samples must be at least {_MIN_SIGMA_SAMPLES}")
-    point = extract_couplings(inputs.f0, inputs.f_m1, inputs.f_rabi, inputs.tau,
-                              method=method)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    f0 = inputs.f0 + inputs.sigma_f0 * rng.standard_normal(n_samples)
-    f_m1 = inputs.f_m1 + inputs.sigma_f_m1 * rng.standard_normal(n_samples)
-    f_rabi = inputs.f_rabi + inputs.sigma_f_rabi * rng.standard_normal(n_samples)
-
-    if method == APPROXIMATE:
-        a_par = f_m1 - f0
-        a_perp = math.pi * f_rabi
-        valid = np.isfinite(a_par)
-    else:
-        a_par, a_perp, valid = _exact_arrays(f0, f_m1, f_rabi, inputs.tau)
-
-    n_failed = int(n_samples - np.count_nonzero(valid))
-    if n_failed > max_failure_fraction * n_samples:
-        raise InconsistentInputError(
-            f"{n_failed}/{n_samples} samples failed the exact transformation; "
-            "input uncertainties are too large for these frequencies")
-    sig_par = float(np.std(a_par[valid], ddof=1))
-    sig_perp = float(np.std(a_perp[valid], ddof=1))
-    return CouplingEstimate(point.a_par, point.a_perp, point.method,
-                            sigma_a_par=sig_par, sigma_a_perp=sig_perp,
-                            inputs=inputs)

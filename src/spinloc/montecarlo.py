@@ -29,8 +29,8 @@ import numpy as np
 from .core import DEFAULT_CONSTANTS, PhysicalConstants
 from .dipole import invert_dipole, invert_many
 from .dynamics import GENERAL_FIELD, xi_kernel
-from .errors import ConvergenceError
-from .extract import APPROXIMATE, _exact_arrays
+from .errors import ConvergenceError, InconsistentInputError
+from .extract import _extract_arrays
 from .localize import AzimuthFit, _levenberg_marquardt, fit_azimuth
 
 _TWO_PI = 2.0 * math.pi
@@ -38,6 +38,9 @@ _TWO_PI = 2.0 * math.pi
 PARAMETERS = ("phi", "a_iso", "r", "theta")
 _COLUMN = {name: k for k, name in enumerate(PARAMETERS)}
 
+# more samples failing the coupling extraction than this fraction abort the
+# propagation, before any other failure is counted
+MAX_EXTRACTION_FAILURE_FRACTION = 0.01
 # more failed samples than this fraction abort the propagation
 MAX_FAILURE_FRACTION = 0.05
 
@@ -83,8 +86,10 @@ class EstimateResult:
     """Point estimates, confidence intervals and the scatter behind them.
 
     ``point`` is the fit on unperturbed inputs (primary), ``fit`` the
-    azimuth fit behind it and ``solver`` the samples' solver outcome (both
-    None when built by hand); ``scatter_mode`` is the
+    azimuth fit behind it, ``solver`` the samples' solver outcome and
+    ``coupling_sigma`` the sample standard deviations (a_par, a_perp) in Hz
+    of the couplings extracted from the drawn frequency triplets (all None
+    when built by hand); ``scatter_mode`` is the
     per-parameter histogram mode of the scatter (secondary, coarse).
     ``ci`` maps parameter name -> confidence level -> (low, high). For phi
     the interval brackets the circular spread around the circular mean and
@@ -99,6 +104,7 @@ class EstimateResult:
     n_failed: int
     fit: AzimuthFit | None = None
     solver: SolverStats | None = None
+    coupling_sigma: tuple[float, float] | None = None
 
     def __post_init__(self):
         s = np.asarray(self.scatter, dtype=float)
@@ -162,35 +168,25 @@ def _draws(idx: np.ndarray, seed: int, n_draws: int) -> np.ndarray:
 
 def _chunk_estimates(idx: np.ndarray, seed: int, coupling, records,
                      fix_a_iso, point, constants) -> np.ndarray:
-    """(len(idx), 7) rows for one block of samples: the scatter columns phi,
-    a_iso, r, theta, then the solver's iterations, unconverged and at_bound.
+    """(len(idx), 9) rows for one block of samples: the scatter columns phi,
+    a_iso, r, theta, the sample's couplings a_par and a_perp, then the
+    solver's iterations, unconverged and at_bound.
 
     Each sample is one lane of the xi kernel, with its own perturbed fields
     and splittings. Failed lanes (couplings that do not extract or invert,
-    or a resonant enhancement denominator) get NaN scatter columns.
+    or a resonant enhancement denominator) get NaN scatter columns; lanes
+    whose frequency triplet does not extract also get NaN couplings.
     """
     inputs = coupling.inputs
-    n_input_draws = 3 if inputs is not None else 2
-    draws = _draws(idx, seed, n_input_draws + 8 * len(records))
-
-    if inputs is not None:
-        f0 = inputs.f0 + inputs.sigma_f0 * draws[:, 0]
-        f_m1 = inputs.f_m1 + inputs.sigma_f_m1 * draws[:, 1]
-        f_rabi = inputs.f_rabi + inputs.sigma_f_rabi * draws[:, 2]
-        valid = (f0 > 0.0) & (f_m1 >= f0) & (f_rabi > 0.0)
-        if coupling.method == APPROXIMATE:
-            a_par = f_m1 - f0
-            a_perp = math.pi * f_rabi
-        else:
-            a_par, a_perp, ok = _exact_arrays(f0, f_m1, f_rabi, inputs.tau)
-            valid &= ok
-    else:
-        a_par = coupling.a_par + coupling.sigma_a_par * draws[:, 0]
-        a_perp = coupling.a_perp + coupling.sigma_a_perp * draws[:, 1]
-        valid = a_perp >= 0.0
+    draws = _draws(idx, seed, 3 + 8 * len(records))
+    a_par, a_perp, extracted = _extract_arrays(
+        inputs.f0 + inputs.sigma_f0 * draws[:, 0],
+        inputs.f_m1 + inputs.sigma_f_m1 * draws[:, 1],
+        inputs.f_rabi + inputs.sigma_f_rabi * draws[:, 2],
+        inputs.tau, coupling.method)
 
     recs_data = []
-    k = n_input_draws
+    k = 3
     for rec in records:
         fp0 = rec.fp0 + rec.sigma_fp0 * draws[:, k]
         fp_m1 = rec.fp_m1 + rec.sigma_fp_m1 * draws[:, k + 1]
@@ -222,10 +218,11 @@ def _chunk_estimates(idx: np.ndarray, seed: int, coupling, records,
         (point.a_iso - _ISO_BOX, point.a_iso + _ISO_BOX), free_iso=free)
 
     r, theta = invert_many(a_par, a_perp, fit.a_iso, constants)
-    ok = valid & np.isfinite(fit.cost) & np.isfinite(r)
-    rows = np.column_stack([fit.phi % _TWO_PI, fit.a_iso, r, theta,
-                            fit.iterations, ~fit.converged, fit.at_bound])
+    ok = extracted & np.isfinite(fit.cost) & np.isfinite(r)
+    rows = np.column_stack([fit.phi % _TWO_PI, fit.a_iso, r, theta, a_par,
+                            a_perp, fit.iterations, ~fit.converged, fit.at_bound])
     rows[~ok, :4] = np.nan
+    rows[~extracted, 4:6] = np.nan
     return rows
 
 
@@ -233,22 +230,24 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
               constants: PhysicalConstants = DEFAULT_CONSTANTS) -> EstimateResult:
     """Full uncertainty propagation for one nucleus.
 
-    Per-sample draw order is fixed and documented: first the coupling inputs
-    (f0, f_m1, f_rabi when the estimate carries its raw inputs, otherwise
-    a_par, a_perp from their sigmas), then per record fp0, fp_m1, B0x, B0y,
-    B0z, dBx, dBy, dBz. Each sample uses its own generator keyed by
-    (seed, sample index), so any worker partition produces the same scatter.
-    Samples that fail extraction or inversion are dropped and counted; more
-    than MAX_FAILURE_FRACTION of them aborts. The point fit on the
-    unperturbed inputs warm-starts every sample and is returned as
-    ``result.fit``, so callers need not fit again.
+    The coupling must carry its raw inputs: every sample re-extracts the
+    couplings from a drawn frequency triplet with the coupling's method.
+    Per-sample draw order is fixed and documented: first f0, f_m1, f_rabi,
+    then per record fp0, fp_m1, B0x, B0y, B0z, dBx, dBy, dBz. Each sample
+    uses its own generator keyed by (seed, sample index), so any worker
+    partition produces the same scatter. More than
+    MAX_EXTRACTION_FAILURE_FRACTION of the samples failing the extraction
+    raises InconsistentInputError; samples that fail extraction, inversion
+    or the fit are dropped and counted, and more than MAX_FAILURE_FRACTION
+    of them aborts. The point fit on the unperturbed inputs warm-starts
+    every sample and is returned as ``result.fit``, so callers need not fit
+    again.
     """
     records = list(records)
     if not records:
         raise ValueError("need at least one measurement record")
-    if coupling.inputs is None and (coupling.sigma_a_par is None
-                                    or coupling.sigma_a_perp is None):
-        raise ValueError("coupling must carry raw inputs or both sigmas to propagate")
+    if coupling.inputs is None:
+        raise ValueError("coupling must carry its raw inputs to propagate")
     point_fit = fit_azimuth(records, coupling, fix_a_iso, constants=constants)
     point_pos = invert_dipole(coupling.a_par, coupling.a_perp, point_fit.a_iso,
                               constants)
@@ -259,7 +258,7 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
     chunks = np.array_split(np.arange(n), mc.parallel_chunks)
 
     def run_chunk(idx):
-        return np.concatenate([np.empty((0, 7))] + [
+        return np.concatenate([np.empty((0, 9))] + [
             _chunk_estimates(idx[k:k + _LANE_BLOCK], mc.seed, coupling, records,
                              fix_a_iso, point, constants)
             for k in range(0, len(idx), _LANE_BLOCK)])
@@ -270,6 +269,13 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
         with ThreadPoolExecutor(max_workers=mc.parallel_chunks) as ex:
             rows = np.concatenate(list(ex.map(run_chunk, chunks)))
 
+    a_par, a_perp = rows[:, 4:6].T
+    extracted = ~np.isnan(a_par)
+    n_unextracted = int(n - extracted.sum())
+    if n_unextracted > MAX_EXTRACTION_FAILURE_FRACTION * n:
+        raise InconsistentInputError(
+            f"{n_unextracted}/{n} samples failed the exact transformation; "
+            "input uncertainties are too large for these frequencies")
     good = ~np.isnan(rows[:, 0])
     n_failed = int(n - good.sum())
     if n_failed > MAX_FAILURE_FRACTION * n:
@@ -295,13 +301,15 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
         a_iso=_hist_mode(scatter[:, 1]),
         r=_hist_mode(scatter[:, 2]),
         theta=_hist_mode(scatter[:, 3]))
-    iterations, unconverged, at_bound = rows[good, 4:].T
+    iterations, unconverged, at_bound = rows[good, 6:].T
     solver = SolverStats(max_iterations=int(iterations.max()),
                          unconverged=int(unconverged.sum()),
                          at_bound=int(at_bound.sum()))
+    coupling_sigma = (float(np.std(a_par[extracted], ddof=1)),
+                      float(np.std(a_perp[extracted], ddof=1)))
     return EstimateResult(point=point, scatter_mode=mode, ci=ci, scatter=scatter,
                           n_samples=n, n_failed=n_failed, fit=point_fit,
-                          solver=solver)
+                          solver=solver, coupling_sigma=coupling_sigma)
 
 
 @dataclass(frozen=True)

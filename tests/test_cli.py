@@ -17,6 +17,7 @@ from spinloc import (
     SphericalPosition,
     Vector3,
     dipole_tensor,
+    load_measurements,
     odmr_lines,
     save_odmr,
 )
@@ -120,6 +121,31 @@ def test_localize_bit_identical_across_parallel(tmp_path):
     report = json.loads(blobs[0][0].decode())
     assert report["nuclei"]["C1"]["point"]["phi_deg"] == pytest.approx(238.0, abs=3.0)
     assert "parallel" not in json.dumps(report)  # chunking must not leak
+
+
+def test_simulate_localize_f_m1_below_f0(tmp_path):
+    # a negative parallel coupling puts the m_S = -1 line below f0; simulate
+    # must write it as drawn and localize must accept it
+    nucleus = ("[nucleus S08]\nr_A = 6.5625\ntheta_deg = 76.11111111111111\n"
+               "phi_deg = 230.40000000000003\na_iso_kHz = -13.46938775510204\n\n")
+    noise = ("[noise]\nsigma_f_kHz = 0.1\nsigma_f_rabi_kHz = 0.1\n"
+             "sigma_fp_kHz = 0.25\nsigma_B_mT = 0.015\n\n")
+    truth = tmp_path / "truth.txt"
+    truth.write_text("kind = truth\nversion = 1\n\n" + nucleus
+                     + TRUTH_COILS.format(b0="0.028 -0.056 9.502") + noise
+                     + "[options]\nseed = 20260822\n")
+    assert main(["simulate", str(truth), "--out", str(tmp_path / "sim")]) == 0
+    meas = tmp_path / "sim" / "measurements.txt"
+    inputs = load_measurements(meas)["S08"].inputs
+    assert inputs.f_m1 < inputs.f0
+    out = tmp_path / "loc"
+    assert main(["localize", str(meas), "--samples", "400", "--seed", "1",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["failures"] == {}
+    entry = report["nuclei"]["S08"]
+    assert entry["a_par_kHz"] < 0.0
+    assert entry["sigma_a_par_kHz"] > 0.0 and entry["sigma_a_perp_kHz"] > 0.0
 
 
 def test_localize_fix_a_iso_flag(tmp_path):

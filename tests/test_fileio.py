@@ -151,7 +151,7 @@ BAD_MEASUREMENTS = [
      + _record_block().replace("= 0.028 -0.056 9.502", "= 0.028 9.502"),
      16, "expected 3 components"),
     (MEAS_HEADER + _nucleus_block().replace("f_m1_kHz = 114.2",
-                                            "f_m1_kHz = 90.0")
+                                            "f_m1_kHz = 0.0")
      + _record_block(),
      3, None),  # validation failure surfaces at the section line
 ]

@@ -1,14 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from spinloc import (
+    APPROXIMATE,
     EXACT,
     ConvergenceError,
     CouplingEstimate,
     CouplingInputs,
     EstimateResult,
+    InconsistentInputError,
     McConfig,
     MeasurementRecord,
     PointEstimate,
@@ -119,6 +122,7 @@ def test_seed_determinism_and_chunk_invariance():
                                                parallel_chunks=4))
     np.testing.assert_array_equal(r1.scatter, r2.scatter)
     assert r1.ci == r2.ci
+    assert r1.coupling_sigma == r2.coupling_sigma
     r3 = propagate(records, coupling, McConfig(n_samples=400, seed=12))
     assert not np.array_equal(r1.scatter, r3.scatter)
 
@@ -170,7 +174,7 @@ def test_scatter_matches_per_sample_reference_fits():
         est = extract_couplings(inputs.f0 + inputs.sigma_f0 * draws[0],
                                 inputs.f_m1 + inputs.sigma_f_m1 * draws[1],
                                 inputs.f_rabi + inputs.sigma_f_rabi * draws[2],
-                                inputs.tau, tau_tolerance_factor=math.inf)
+                                inputs.tau)
         perturbed = []
         k = 3
         for rec in records:
@@ -230,10 +234,41 @@ def test_interval_width_scales_with_noise():
     assert w2 == pytest.approx(2.0 * w1, rel=0.25)
 
 
-def test_hopeless_noise_aborts():
+def test_hopeless_noise_aborts(monkeypatch):
     records, coupling = _build(noise=80.0)
+    mc = McConfig(n_samples=200, seed=1)
+    # most failures are frequency triplets that do not extract, and that
+    # gate comes first
+    with pytest.raises(InconsistentInputError, match="exact transformation"):
+        propagate(records, coupling, mc)
+    monkeypatch.setattr(montecarlo, "MAX_EXTRACTION_FAILURE_FRACTION", 1.0)
     with pytest.raises(ConvergenceError):
-        propagate(records, coupling, McConfig(n_samples=200, seed=1))
+        propagate(records, coupling, mc)
+
+
+def test_coupling_sigma_scales_linearly_with_input_noise():
+    def sigmas(noise):
+        records, coupling = _build(noise=noise)
+        return propagate(records, coupling,
+                         McConfig(n_samples=1000, seed=5)).coupling_sigma
+
+    one = sigmas(1.0)
+    two = sigmas(2.0)
+    assert one[0] > 0.0 and one[1] > 0.0
+    assert two[0] == pytest.approx(2.0 * one[0], rel=0.05)
+    assert two[1] == pytest.approx(2.0 * one[1], rel=0.05)
+
+
+def test_coupling_sigma_approximate_matches_analytic():
+    records, coupling = _build()
+    inputs = coupling.inputs
+    approx = dataclasses.replace(
+        extract_couplings(inputs.f0, inputs.f_m1, inputs.f_rabi, inputs.tau,
+                          method=APPROXIMATE), inputs=inputs)
+    result = propagate(records, approx, McConfig(n_samples=20_000, seed=1))
+    # difference of two independent normals and a pi-scaled one
+    assert result.coupling_sigma[0] == pytest.approx(math.sqrt(2.0) * 100.0, rel=0.02)
+    assert result.coupling_sigma[1] == pytest.approx(math.pi * 100.0, rel=0.02)
 
 
 def test_circular_mean_wraps():

@@ -11,6 +11,7 @@ a temp file and an atomic rename.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -44,12 +45,19 @@ DISPLAY_UNITS = dict(zip(PARAMETERS, ((DEG, "deg"), (KHZ, "kHz"),
 # ---------------------------------------------------------------------------
 # atomic writing
 
-def atomic_write_text(path, text: str):
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Text handle on a temp file that replaces ``path`` on a clean exit."""
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        yield fh
     os.replace(tmp, path)
+
+
+def atomic_write_text(path, text: str):
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 def write_json(path, obj):
@@ -570,15 +578,23 @@ def save_trace(path, trace: TimeTrace):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+# scatter rows formatted and written at a time; the text of the whole file
+# is never held in memory
+_SCATTER_BLOCK = 4096
+
+
 def save_scatter(path, scatter: np.ndarray):
     """Columns PARAMETERS in DISPLAY_UNITS (phi_deg, a_iso_kHz, r_A,
     theta_deg); one row per sample."""
-    lines = ["# " + "  ".join(f"{name}_{unit}"
-                              for name, (_, unit) in DISPLAY_UNITS.items())]
+    header = "# " + "  ".join(f"{name}_{unit}"
+                              for name, (_, unit) in DISPLAY_UNITS.items())
     scale = [s for s, _ in DISPLAY_UNITS.values()]
-    for row in (np.asarray(scatter, dtype=float) / scale).tolist():
-        lines.append(" ".join(map(_fmt, row)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = np.asarray(scatter, dtype=float) / scale
+    with _atomic_open(path) as fh:
+        fh.write(header + "\n")
+        for k in range(0, len(rows), _SCATTER_BLOCK):
+            fh.write("".join(" ".join(map(_fmt, row)) + "\n"
+                             for row in rows[k:k + _SCATTER_BLOCK].tolist()))
 
 
 def save_histogram(path, hist: Histogram, scale: float = 1.0, unit: str = ""):

@@ -256,18 +256,21 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
 
     n = mc.n_samples
     chunks = np.array_split(np.arange(n), mc.parallel_chunks)
+    # every block writes its own rows in place: no per-block copies are held
+    # and joined at the end
+    rows = np.empty((n, 9))
 
     def run_chunk(idx):
-        return np.concatenate([np.empty((0, 9))] + [
-            _chunk_estimates(idx[k:k + _LANE_BLOCK], mc.seed, coupling, records,
-                             fix_a_iso, point, constants)
-            for k in range(0, len(idx), _LANE_BLOCK)])
+        for k in range(0, len(idx), _LANE_BLOCK):
+            block = idx[k:k + _LANE_BLOCK]
+            rows[block] = _chunk_estimates(
+                block, mc.seed, coupling, records, fix_a_iso, point, constants)
 
     if mc.parallel_chunks == 1:
-        rows = run_chunk(chunks[0])
+        run_chunk(chunks[0])
     else:
         with ThreadPoolExecutor(max_workers=mc.parallel_chunks) as ex:
-            rows = np.concatenate(list(ex.map(run_chunk, chunks)))
+            list(ex.map(run_chunk, chunks))
 
     a_par, a_perp = rows[:, 4:6].T
     extracted = ~np.isnan(a_par)

@@ -25,6 +25,7 @@ from spinloc import (
     save_trace,
     DEFAULT_REGISTRY,
 )
+from spinloc import fileio
 from spinloc.dipole import ResidualBin, ResidualEntry, ResidualMap
 from spinloc.fileio import (
     save_histogram,
@@ -387,6 +388,22 @@ def test_save_scatter_converts_units(tmp_path):
     assert lines[0].startswith("#")
     vals = [float(v) for v in lines[1].split()]
     np.testing.assert_allclose(vals, [123.5, 9.0, 8.3, 58.0], rtol=1e-10)
+
+
+def test_save_scatter_blocks_do_not_change_the_file(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    scatter = rng.normal(size=(7, 4)) * [1.0, 1e3, 1e-10, 1.0]
+    whole = tmp_path / "whole.txt"
+    save_scatter(whole, scatter)
+    monkeypatch.setattr(fileio, "_SCATTER_BLOCK", 3)
+    blocked = tmp_path / "blocked.txt"
+    save_scatter(blocked, scatter)
+    assert blocked.read_bytes() == whole.read_bytes()
+    lines = whole.read_text().splitlines()
+    assert len(lines) == 1 + len(scatter)
+    empty = tmp_path / "empty.txt"
+    save_scatter(empty, np.empty((0, 4)))
+    assert empty.read_text() == lines[0] + "\n"
 
 
 def test_save_histogram_scales_edges(tmp_path):

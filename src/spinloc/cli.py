@@ -31,13 +31,12 @@ from .dynamics import precession_frequency
 from .errors import ParseError, SpinlocError
 from .extract import CouplingInputs, extract_couplings, nominal_tau, rabi_frequency
 from .fileio import (ANGSTROM, DEG, DISPLAY_UNITS, KHZ, MT, NucleusMeasurements,
-                     atomic_write_text, load_dft_table, load_measurements,
-                     load_odmr, load_truth, save_cost_curve, save_histogram,
-                     save_measurements, save_residual_map, save_scatter,
-                     write_json)
+                     load_dft_table, load_measurements, load_odmr, load_truth,
+                     save_cost_curve, save_histogram, save_measurements,
+                     save_residual_map, save_scatter, write_json, write_text)
 from .localize import (A_ISO_FIX_RADIUS, MeasurementRecord, assemble_position,
                        cost_curve)
-from .montecarlo import McConfig, histogram, propagate
+from .montecarlo import CONFIDENCE_LEVELS, McConfig, histogram, propagate
 from .signal import estimate_frequencies, synth_trace
 
 CONFIG_ENV_VAR = "SPINLOC_CONFIG"
@@ -68,6 +67,17 @@ def _load_environment(args):
         prov = {"config": "defaults"}
     prov["package_version"] = __version__
     return constants, registry, prov
+
+
+def _write_report(args, stem: str, report: dict) -> str:
+    """<stem>.json, or <stem>.txt under --format text; returns the path."""
+    if args.format == "json":
+        path = os.path.join(args.out, f"{stem}.json")
+        write_json(path, report)
+    else:
+        path = os.path.join(args.out, f"{stem}.txt")
+        write_text(path, report)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +112,7 @@ def cmd_calibrate(args) -> int:
         "provenance": prov,
     }
     os.makedirs(args.out, exist_ok=True)
-    if args.format == "json":
-        out_path = os.path.join(args.out, "field_solution.json")
-        write_json(out_path, report)
-    else:
-        out_path = os.path.join(args.out, "field_solution.txt")
-        atomic_write_text(out_path, _calibration_text(report))
+    out_path = _write_report(args, "field_solution", report)
     bx, by, bz = report["B_mT"]
     print(f"B ({sol.B.frame} frame) = ({bx:+.4f}, {by:+.4f}, {bz:+.4f}) mT, "
           f"|B| = {sol.B.norm() / MT:.4f} mT")
@@ -119,27 +124,6 @@ def cmd_calibrate(args) -> int:
           f"{'pass' if align.passed else 'FAIL'}")
     print(f"wrote {out_path}")
     return 0
-
-
-def _calibration_text(report: dict) -> str:
-    a = report["alignment"]
-    lines = [
-        "field solution",
-        f"  context        {report['context']}",
-        f"  frame          {report['frame']}",
-        "  B_mT           " + " ".join(f"{v:+.6f}" for v in report["B_mT"]),
-        "  sigma_B_mT     " + " ".join(f"{v:.6f}" for v in report["sigma_B_mT"]),
-        f"  rms_resid_MHz  {report['rms_residual_MHz']:.6f}",
-        f"  condition      {report['condition']:.6g}",
-        "  branch_costs   " + " ".join(f"{v:.6g}" for v in report["branch_costs"]),
-        "alignment",
-        f"  frame          {a['frame']}",
-        f"  transverse_uT  {a['transverse_uT']:.4f}",
-        f"  tilt_deg       {a['tilt_deg']:.4f}",
-        f"  threshold_uT   {a['threshold_uT']:.1f}",
-        f"  passed         {'yes' if a['passed'] else 'no'}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +204,12 @@ def cmd_localize(args) -> int:
         "kind": "localization-report",
         "version": 1,
         "mc": {"n_samples": mc.n_samples, "seed": mc.seed,
-               "confidence_levels": list(mc.confidence_levels)},
+               "confidence_levels": list(CONFIDENCE_LEVELS)},
         "nuclei": results,
         "failures": failures,
         "provenance": prov,
     }
-    if args.format == "json":
-        out_path = os.path.join(args.out, "report.json")
-        write_json(out_path, report)
-    else:
-        out_path = os.path.join(args.out, "report.txt")
-        atomic_write_text(out_path, _localization_text(report))
-    print(f"wrote {out_path}")
+    print(f"wrote {_write_report(args, 'report', report)}")
     return 1 if failures else 0
 
 
@@ -268,7 +246,6 @@ def _localize_one(label: str, nm: NucleusMeasurements, args, mc: McConfig,
         },
         "point": point,
         "ci": _ci_json(result.ci),
-        "scatter_mode": _display(**result.scatter_mode._asdict()),
         "n_samples": result.n_samples,
         "n_failed": result.n_failed,
         "solver": result.solver._asdict(),
@@ -291,31 +268,6 @@ def _localize_one(label: str, nm: NucleusMeasurements, args, mc: McConfig,
           f"a_iso = {point['a_iso_kHz']:.2f} kHz "
           f"({mode}), {result.n_failed}/{result.n_samples} samples failed")
     return entry
-
-
-def _localization_text(report: dict) -> str:
-    lines = [f"localization report (seed = {report['mc']['seed']}, "
-             f"samples = {report['mc']['n_samples']})"]
-    for label, e in report["nuclei"].items():
-        p = e["point"]
-        lines += [
-            f"[{label}]",
-            f"  a_par_kHz    {e['a_par_kHz']:+.4f}",
-            f"  a_perp_kHz   {e['a_perp_kHz']:.4f}",
-            f"  r_A          {p['r_A']:.4f}",
-            f"  theta_deg    {p['theta_deg']:.4f}",
-            f"  phi_deg      {p['phi_deg']:.4f}",
-            f"  a_iso_kHz    {p['a_iso_kHz']:+.4f} ({e['a_iso_mode']})",
-            f"  residual_Hz  {e['fit']['residual_Hz']:.4f}",
-            f"  mc_failed    {e['n_failed']}/{e['n_samples']}",
-            "  solver       " + " ".join(f"{k}={v}" for k, v in e["solver"].items()),
-        ]
-        for name, levels in sorted(e["ci"].items()):
-            for lvl, (lo, hi) in sorted(levels.items(), key=lambda kv: float(kv[0])):
-                lines.append(f"  ci {name} {lvl}%  [{lo:.4f}, {hi:.4f}]")
-    for label, msg in report["failures"].items():
-        lines.append(f"[{label}] FAILED: {msg}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, report=True):
         p.add_argument("--config", default=None,
                        help=f"constants/frames config file "
                             f"(default: ${CONFIG_ENV_VAR} if set)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("json", "text"), default="json",
-                       help="report format (default: json)")
+        if report:
+            p.add_argument("--format", choices=("json", "text"), default="json",
+                           help="report format (default: json)")
 
     p = sub.add_parser("calibrate", help="solve the field from ODMR lines")
     p.add_argument("odmr", help="ODMR line file")
@@ -499,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=40_000,
                    help="Monte Carlo sample count")
     p.add_argument("--parallel", type=int, default=1,
-                   help="worker chunks (results identical for any value)")
+                   help="sample chunks, run one after another (results "
+                        "identical for any value)")
     p.add_argument("--fix-a-iso", default="auto", metavar="VALUE",
                    help="'auto' (default), 'free', or a fixed contact term "
                         "in kHz")
@@ -510,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("truth", help="ground-truth file")
     p.add_argument("--seed", type=int, default=None,
                    help="override the truth file's noise seed")
-    common(p)
+    common(p, report=False)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("dft-residuals",

@@ -65,6 +65,32 @@ def write_json(path, obj):
     atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def write_text(path, obj: dict):
+    """The dict write_json would write, as text: keys sorted, one
+    ``key  value`` line per leaf, nested dicts as indented blocks, lists
+    joined by spaces, strings bare and other values as in JSON."""
+    atomic_write_text(path, "\n".join(_text_lines(obj, "")) + "\n")
+
+
+def _text_lines(obj: dict, indent: str) -> list[str]:
+    width = max(map(len, obj), default=0)
+    lines = []
+    for key in sorted(obj):
+        value = obj[key]
+        if isinstance(value, dict):
+            lines.append(indent + key)
+            lines += _text_lines(value, indent + "  ")
+        else:
+            lines.append(f"{indent}{key:<{width}}  {_text_value(value)}")
+    return lines
+
+
+def _text_value(value) -> str:
+    if isinstance(value, list):
+        return " ".join(map(_text_value, value))
+    return value if isinstance(value, str) else json.dumps(value)
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
@@ -138,12 +164,21 @@ def _parse_structured(path, expected_kind: str):
     return top, sections
 
 
+def _finite(path, line: int, parts, what: str) -> list[float]:
+    """parts as floats; ParseError at line for any that is not a finite number."""
+    raw = " ".join(parts)
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ParseError(path, line, f"{what}: {raw!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ParseError(path, line, f"not finite: {raw!r}")
+    return values
+
+
 def _float(path, entry) -> float:
     line, raw = entry
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(path, line, f"not a number: {raw!r}") from None
+    return _finite(path, line, [raw], "not a number")[0]
 
 
 def _vec3(path, entry) -> np.ndarray:
@@ -151,10 +186,7 @@ def _vec3(path, entry) -> np.ndarray:
     parts = raw.split()
     if len(parts) != 3:
         raise ParseError(path, line, f"expected 3 components, got {len(parts)}")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError:
-        raise ParseError(path, line, f"not a 3-vector of numbers: {raw!r}") from None
+    return np.array(_finite(path, line, parts, "not a 3-vector of numbers"))
 
 
 def _require(path, sec: _Section, key: str):
@@ -431,12 +463,9 @@ def load_odmr(path) -> OdmrDataset:
             raise ParseError(path, line_no,
                              "expected: nv_id frame_name f_GHz sigma_MHz")
         nv_id, frame = parts[0], parts[1]
-        try:
-            f = float(parts[2]) * 1e9
-            sigma = float(parts[3]) * 1e6
-        except ValueError:
-            raise ParseError(path, line_no, f"bad numbers in row: {raw!r}") from None
-        grouped.setdefault(nv_id, []).append((line_no, frame, f, sigma))
+        f_GHz, sigma_MHz = _finite(path, line_no, parts[2:], "bad numbers in row")
+        grouped.setdefault(nv_id, []).append((line_no, frame, f_GHz * 1e9,
+                                              sigma_MHz * 1e6))
 
     entries = []
     for nv_id, items in grouped.items():
@@ -505,10 +534,8 @@ def load_dft_table(path) -> list[DftRow]:
             if len(parts) != len(header):
                 raise ParseError(path, line_no,
                                  f"expected {len(header)} fields, got {len(parts)}")
-            try:
-                vals = dict(zip(header, (float(p) for p in parts)))
-            except ValueError:
-                raise ParseError(path, line_no, f"bad numbers in row: {s!r}") from None
+            vals = dict(zip(header, _finite(path, line_no, parts,
+                                            "bad numbers in row")))
             rows.append(DftRow(a_par=vals["a_par_kHz"] * KHZ,
                                a_perp=vals["a_perp_kHz"] * KHZ,
                                a_iso=vals.get("a_iso_kHz", 0.0) * KHZ,

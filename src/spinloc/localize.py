@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_CONSTANTS, PhysicalConstants, Vector3
+from .core import DEFAULT_CONSTANTS, SENSOR_FRAME_NAME, PhysicalConstants, Vector3
 from .dipole import SphericalPosition, dipole_tensor, invert_dipole, invert_many
 from .dynamics import (GENERAL_FIELD, enhancement_factor, precession_frequency,
                        xi_kernel)
@@ -365,11 +365,17 @@ def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = N
     minimizing over the a_iso axis in the joint case) is polished locally;
     minima within DEGENERACY_FACTOR of the global cost are reported.
     Ties on cost (within 1e-9 relative) resolve to the smallest phi so the
-    result does not depend on evaluation order.
+    result does not depend on evaluation order. Records must give their
+    fields in the sensor frame; any other frame raises FrameError.
     """
     records = list(records)
     if not records:
         raise ValueError("need at least one measurement record")
+    for rec in records:
+        if rec.B0.frame != SENSOR_FRAME_NAME:
+            raise FrameError(f"{rec.label}: fields are given in frame "
+                             f"{rec.B0.frame!r}; the fit needs "
+                             f"{SENSOR_FRAME_NAME!r} components")
     _check_identifiable(records)
     _check_off_crossing(records, constants)
 
@@ -464,13 +470,14 @@ class LocalizedPosition:
 
 
 def assemble_position(coupling: CouplingEstimate, fit: AzimuthFit,
-                      z_offset: float = SPIN_DENSITY_CENTER_OFFSET,
                       constants: PhysicalConstants = DEFAULT_CONSTANTS
                       ) -> LocalizedPosition:
-    """(r, theta) from the inversion at the fitted a_iso, phi from the fit."""
+    """(r, theta) from the inversion at the fitted a_iso, phi from the fit;
+    the offset position is shifted by SPIN_DENSITY_CENTER_OFFSET."""
     pos = invert_dipole(coupling.a_par, coupling.a_perp, fit.a_iso,
                         constants).with_phi(fit.phi)
     cart = pos.cartesian()
+    z_offset = np.array([0.0, 0.0, SPIN_DENSITY_CENTER_OFFSET])
     return LocalizedPosition(position=pos, cartesian=cart,
-                             cartesian_offset=cart + np.array([0.0, 0.0, z_offset]),
-                             z_offset=z_offset)
+                             cartesian_offset=cart + z_offset,
+                             z_offset=SPIN_DENSITY_CENTER_OFFSET)

@@ -4,8 +4,8 @@ Every sample redraws all uncertain inputs from independent normals, re-runs
 the extraction + azimuth fit + inversion pipeline, and contributes one
 scatter point. Sampling is keyed per sample index with a counter-based
 generator and the numerics below are strictly elementwise per sample, so the
-result is bit-identical no matter how the samples are partitioned across
-workers.
+result is bit-identical no matter how the samples are partitioned into
+chunks and blocks.
 
 The per-sample fit is the point fit's box-bounded Levenberg-Marquardt solver
 (``localize._levenberg_marquardt``), warm-started at the unperturbed optimum
@@ -20,7 +20,6 @@ counted in ``SolverStats.at_bound``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,6 +42,8 @@ _COLUMN = {name: k for k, name in enumerate(PARAMETERS)}
 MAX_EXTRACTION_FAILURE_FRACTION = 0.01
 # more failed samples than this fraction abort the propagation
 MAX_FAILURE_FRACTION = 0.05
+# levels of the reported confidence intervals
+CONFIDENCE_LEVELS = (0.6827, 0.95)
 
 
 class PointEstimate(NamedTuple):
@@ -64,19 +65,13 @@ class SolverStats(NamedTuple):
 class McConfig:
     n_samples: int = 40_000
     seed: int = 0
-    confidence_levels: tuple = (0.6827, 0.95)
-    parallel_chunks: int = 1
+    parallel_chunks: int = 1  # chunks run in turn and never change the result
 
     def __post_init__(self):
         if self.n_samples < 100:
             raise ValueError(f"n_samples must be at least 100, got {self.n_samples!r}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
-        if not self.confidence_levels:
-            raise ValueError("need at least one confidence level")
-        for lv in self.confidence_levels:
-            if not (0.0 < lv < 1.0):
-                raise ValueError(f"confidence level must be in (0, 1), got {lv!r}")
         if self.parallel_chunks < 1:
             raise ValueError("parallel_chunks must be positive")
 
@@ -89,15 +84,13 @@ class EstimateResult:
     azimuth fit behind it, ``solver`` the samples' solver outcome and
     ``coupling_sigma`` the sample standard deviations (a_par, a_perp) in Hz
     of the couplings extracted from the drawn frequency triplets (all None
-    when built by hand); ``scatter_mode`` is the
-    per-parameter histogram mode of the scatter (secondary, coarse).
-    ``ci`` maps parameter name -> confidence level -> (low, high). For phi
-    the interval brackets the circular spread around the circular mean and
-    its endpoints may fall outside [0, 2pi) so that low < high always holds.
+    when built by hand). ``ci`` maps parameter name -> confidence level
+    (CONFIDENCE_LEVELS) -> (low, high). For phi the interval brackets the
+    circular spread around the circular mean and its endpoints may fall
+    outside [0, 2pi) so that low < high always holds.
     """
 
     point: PointEstimate
-    scatter_mode: PointEstimate
     ci: dict
     scatter: np.ndarray  # (n_ok, 4) columns phi, a_iso, r, theta
     n_samples: int
@@ -129,15 +122,6 @@ def _recenter(phi: np.ndarray, center: float) -> np.ndarray:
 def _quantile_ci(values: np.ndarray, level: float) -> tuple[float, float]:
     lo = (1.0 - level) / 2.0
     return (float(np.quantile(values, lo)), float(np.quantile(values, 1.0 - lo)))
-
-
-def _hist_mode(values: np.ndarray, bins: int = 64) -> float:
-    vmin, vmax = float(np.min(values)), float(np.max(values))
-    if vmin == vmax:
-        return vmin
-    counts, edges = np.histogram(values, bins=bins, range=(vmin, vmax))
-    k = int(np.argmax(counts))
-    return 0.5 * (edges[k] + edges[k + 1])
 
 
 # Sample search box around the point fit: phi +-_PHI_BOX (+-_PHI_BOX_FREE
@@ -234,8 +218,8 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
     couplings from a drawn frequency triplet with the coupling's method.
     Per-sample draw order is fixed and documented: first f0, f_m1, f_rabi,
     then per record fp0, fp_m1, B0x, B0y, B0z, dBx, dBy, dBz. Each sample
-    uses its own generator keyed by (seed, sample index), so any worker
-    partition produces the same scatter. More than
+    uses its own generator keyed by (seed, sample index), so any partition
+    into chunks and lane blocks produces the same scatter. More than
     MAX_EXTRACTION_FAILURE_FRACTION of the samples failing the extraction
     raises InconsistentInputError; samples that fail extraction, inversion
     or the fit are dropped and counted, and more than MAX_FAILURE_FRACTION
@@ -255,22 +239,14 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
                           point_pos.theta)
 
     n = mc.n_samples
-    chunks = np.array_split(np.arange(n), mc.parallel_chunks)
     # every block writes its own rows in place: no per-block copies are held
     # and joined at the end
     rows = np.empty((n, 9))
-
-    def run_chunk(idx):
+    for idx in np.array_split(np.arange(n), mc.parallel_chunks):
         for k in range(0, len(idx), _LANE_BLOCK):
             block = idx[k:k + _LANE_BLOCK]
             rows[block] = _chunk_estimates(
                 block, mc.seed, coupling, records, fix_a_iso, point, constants)
-
-    if mc.parallel_chunks == 1:
-        run_chunk(chunks[0])
-    else:
-        with ThreadPoolExecutor(max_workers=mc.parallel_chunks) as ex:
-            list(ex.map(run_chunk, chunks))
 
     a_par, a_perp = rows[:, 4:6].T
     extracted = ~np.isnan(a_par)
@@ -293,24 +269,19 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
     mu = circular_mean(phi_col)
     dev = _recenter(phi_col, mu)
     ci: dict = {name: {} for name in PARAMETERS}
-    for lv in mc.confidence_levels:
+    for lv in CONFIDENCE_LEVELS:
         lo, hi = _quantile_ci(dev, lv)
         ci["phi"][lv] = (mu + lo, mu + hi)
         for name in ("a_iso", "r", "theta"):
             ci[name][lv] = _quantile_ci(scatter[:, _COLUMN[name]], lv)
 
-    mode = PointEstimate(
-        phi=(mu + _hist_mode(dev)) % _TWO_PI,
-        a_iso=_hist_mode(scatter[:, 1]),
-        r=_hist_mode(scatter[:, 2]),
-        theta=_hist_mode(scatter[:, 3]))
     iterations, unconverged, at_bound = rows[good, 6:].T
     solver = SolverStats(max_iterations=int(iterations.max()),
                          unconverged=int(unconverged.sum()),
                          at_bound=int(at_bound.sum()))
     coupling_sigma = (float(np.std(a_par[extracted], ddof=1)),
                       float(np.std(a_perp[extracted], ddof=1)))
-    return EstimateResult(point=point, scatter_mode=mode, ci=ci, scatter=scatter,
+    return EstimateResult(point=point, ci=ci, scatter=scatter,
                           n_samples=n, n_failed=n_failed, fit=point_fit,
                           solver=solver, coupling_sigma=coupling_sigma)
 

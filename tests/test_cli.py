@@ -236,8 +236,10 @@ def test_localize_reports_solver_outcome(tmp_path):
     assert main(["localize", str(meas), "--samples", "300", "--seed", "2",
                  "--format", "text", "--out", str(out)]) == 0
     text = (out / "report.txt").read_text()
-    assert (f"solver       max_iterations={solver['max_iterations']} "
-            "unconverged=0 at_bound=0") in text
+    block = text.split("\n    solver\n", 1)[1].splitlines()[:3]
+    assert [line.split() for line in block] == [
+        ["at_bound", "0"], ["max_iterations", str(solver["max_iterations"])],
+        ["unconverged", "0"]]
 
 
 def test_localize_level_crossing_field_is_a_failure(tmp_path, capsys):
@@ -255,6 +257,28 @@ def test_localize_level_crossing_field_is_a_failure(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_localize_record_outside_sensor_frame_is_a_failure(tmp_path, capsys):
+    # fields given in the lab frame must not be fitted as nv0 components
+    example = Path(__file__).resolve().parents[1] / "data" / "measurements_example.txt"
+    meas = tmp_path / "measurements.txt"
+    meas.write_text(example.read_text().replace("frame = nv0", "frame = lab", 1))
+    out = tmp_path / "loc"
+    rc = main(["localize", str(meas), "--samples", "200", "--out", str(out)])
+    assert rc == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["nuclei"] == {}
+    assert "'lab'" in report["failures"]["C1"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_simulate_has_no_format_option(tmp_path):
+    truth = _truth_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(truth), "--format", "text",
+              "--out", str(tmp_path / "sim")])
+    assert exc.value.code == 2
+
+
 def test_localize_text_format(tmp_path):
     meas = _run_simulate(tmp_path)
     out = tmp_path / "txt"
@@ -262,9 +286,9 @@ def test_localize_text_format(tmp_path):
                "--out", str(out)])
     assert rc == 0
     text = (out / "report.txt").read_text()
-    assert "localization report" in text
-    assert "[C1]" in text
-    assert "ci phi_deg 68.27%" in text
+    assert re.search(r"^kind +localization-report$", text, re.M)
+    assert "\nnuclei\n  C1\n" in text
+    assert re.search(r"^      phi_deg\n        68\.27 +\S+ \S+$", text, re.M)
     assert not (out / "report.json").exists()
 
 
@@ -310,8 +334,35 @@ def test_calibrate_text_format_and_target(tmp_path):
                "--target", "nv90", "--out", str(out)])
     assert rc == 0
     text = (out / "field_solution.txt").read_text()
-    assert text.startswith("field solution")
-    assert "nv90" in text
+    assert re.search(r"^kind +field-solution$", text, re.M)
+    assert re.search(r"^alignment\n  frame +nv90$", text, re.M)
+
+
+def _leaf_lines(report: dict):
+    """(key, value text) of every leaf of a JSON report; list items joined
+    by spaces, strings bare, other values as JSON writes them."""
+    for key, value in report.items():
+        if isinstance(value, dict):
+            yield from _leaf_lines(value)
+        else:
+            items = value if isinstance(value, list) else [value]
+            yield key, " ".join(v if isinstance(v, str) else json.dumps(v)
+                                for v in items)
+
+
+def test_text_reports_hold_every_json_value(tmp_path):
+    meas = _run_simulate(tmp_path)
+    odmr = _odmr_file(tmp_path, [0.2e-3, -0.1e-3, 9.4e-3])
+    runs = ((["localize", str(meas), "--samples", "300", "--seed", "2"], "report"),
+            (["calibrate", str(odmr)], "field_solution"))
+    for argv, stem in runs:
+        for fmt in ("json", "text"):
+            assert main(argv + ["--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+        report = json.loads((tmp_path / "json" / f"{stem}.json").read_text())
+        text = (tmp_path / "text" / f"{stem}.txt").read_text()
+        for key, value in _leaf_lines(report):
+            assert re.search(rf"^ *{re.escape(key)} +{re.escape(value)}$", text,
+                             re.M), (stem, key, value)
 
 
 def test_calibrate_single_orientation_exits_1(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spinloc import (
     BIAS_FIELD,
@@ -26,6 +29,7 @@ from spinloc import (
     DEFAULT_REGISTRY,
 )
 from spinloc import fileio
+from spinloc.cli import main
 from spinloc.dipole import ResidualBin, ResidualEntry, ResidualMap
 from spinloc.fileio import (
     save_histogram,
@@ -231,6 +235,7 @@ def test_truth_defaults(tmp_path):
     (("from_traces = yes", "from_traces = maybe"), 23, "'yes' or 'no'"),
     (("seed = 42", "seed = 1.5"), 21, "must be an integer"),
     (("phi_deg = 370   # wraps", "phi_deg = 370\nmass = 13"), 8, "unknown key"),
+    (("tau_us = 4.5", "tau_us = nan"), 22, "not finite"),
 ])
 def test_truth_rejects_malformed(tmp_path, mangle, line, match):
     path = _write(tmp_path, TRUTH_FULL.replace(*mangle))
@@ -338,6 +343,53 @@ def test_dft_table_header_without_comment_and_no_iso(tmp_path):
 def test_dft_table_rejects_malformed(tmp_path, text, match):
     with pytest.raises(ParseError, match=match):
         load_dft_table(_write(tmp_path, text))
+
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+
+
+def _numbers(lines):
+    """(line index, token index) of every number outside comments."""
+    return [(i, j) for i, line in enumerate(lines)
+            for j, tok in enumerate(line.split("#", 1)[0].split())
+            if _is_number(tok)]
+
+
+def _is_number(tok):
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name,loader,command", [
+    ("measurements_example.txt", load_measurements, "localize"),
+    ("truth_example.txt", load_truth, "simulate"),
+    ("odmr_example.txt", load_odmr, "calibrate"),
+    ("dft_couplings_example.txt", load_dft_table, "dft-residuals"),
+])
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_loaders_reject_non_finite_numbers(tmp_path, capsys, name, loader,
+                                           command, data):
+    # any number of a data/ example replaced by a non-finite or non-number
+    # value is a ParseError at its line, and exit code 2 from the CLI
+    lines = (DATA / name).read_text().splitlines()
+    i, j = data.draw(st.sampled_from(_numbers(lines)))
+    tokens = lines[i].split("#", 1)[0].split()
+    tokens[j] = data.draw(st.sampled_from(["nan", "inf", "-inf", "1e999", "fast"]))
+    lines[i] = " ".join(tokens)
+    path = _write(tmp_path, "\n".join(lines) + "\n", name)
+    with pytest.raises(ParseError) as exc:
+        loader(path)
+    assert exc.value.line == i + 1
+    capsys.readouterr()
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{i + 1}:" in err
+    assert "Traceback" not in err
 
 
 def test_trace_round_trip(tmp_path):

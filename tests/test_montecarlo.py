@@ -75,11 +75,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(n_samples=50)
     with pytest.raises(ValueError):
-        McConfig(confidence_levels=(1.2,))
-    with pytest.raises(ValueError):
         McConfig(parallel_chunks=0)
-    with pytest.raises(ValueError):
-        McConfig(confidence_levels=())
     for seed in (-1, 1 << 64):
         with pytest.raises(ValueError):
             McConfig(seed=seed)
@@ -88,7 +84,7 @@ def test_config_validation():
 def test_result_scatter_shape_validation():
     pt = PointEstimate(1.0, 0.0, 8e-10, 1.0)
     with pytest.raises(ValueError):
-        EstimateResult(point=pt, scatter_mode=pt, ci={},
+        EstimateResult(point=pt, ci={},
                        scatter=np.zeros((5, 4)), n_samples=10, n_failed=0)
 
 

@@ -1,7 +1,11 @@
 import re
+import shlex
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+from spinloc.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_library_example_runs():
@@ -10,3 +14,17 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme"})
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # every documented command line runs on the shipped data, writing to tmp
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    commands = [shlex.split(line)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("spinloc ")]
+    assert {argv[0] for argv in commands} == {"calibrate", "localize", "simulate",
+                                              "dft-residuals"}
+    monkeypatch.chdir(ROOT)
+    for k, argv in enumerate(commands):
+        if "--out" in argv:
+            del argv[argv.index("--out"):argv.index("--out") + 2]
+        assert main(argv + ["--out", str(tmp_path / str(k))]) == 0, argv

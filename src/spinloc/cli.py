@@ -390,23 +390,22 @@ def cmd_dft_residuals(args) -> int:
     prov["input_sha256"] = _sha256(args.table)
     rmap = dft_residual_map(rows, constants, bin_width=args.bin_width * ANGSTROM)
     os.makedirs(args.out, exist_ok=True)
-    table_path = os.path.join(args.out, "dft_residuals.txt")
+    table_path = os.path.join(args.out, "dft_residuals.tsv")
     save_residual_map(table_path, rmap)
-    if args.format == "json":
-        report = {
-            "kind": "dft-residuals",
-            "version": 1,
-            "n_total": rmap.n_total,
-            "n_failed": len(rmap.failures),
-            "failures": list(rmap.failures),
-            "bins": [{"r_lo_A": b.r_lo / ANGSTROM, "r_hi_A": b.r_hi / ANGSTROM,
-                      "n_sites": b.n_sites,
-                      "median_abs_dr_A": b.median_abs_dr / ANGSTROM,
-                      "median_abs_dtheta_deg": math.degrees(b.median_abs_dtheta)}
-                     for b in rmap.bins],
-            "provenance": prov,
-        }
-        write_json(os.path.join(args.out, "dft_residuals.json"), report)
+    report = {
+        "kind": "dft-residuals",
+        "version": 1,
+        "n_total": rmap.n_total,
+        "n_failed": len(rmap.failures),
+        "failures": list(rmap.failures),
+        "bins": [{"r_lo_A": b.r_lo / ANGSTROM, "r_hi_A": b.r_hi / ANGSTROM,
+                  "n_sites": b.n_sites,
+                  "median_abs_dr_A": b.median_abs_dr / ANGSTROM,
+                  "median_abs_dtheta_deg": math.degrees(b.median_abs_dtheta)}
+                 for b in rmap.bins],
+        "provenance": prov,
+    }
+    report_path = _write_report(args, "dft_residuals", report)
     for b in rmap.bins:
         print(f"r in [{b.r_lo / ANGSTROM:5.2f}, {b.r_hi / ANGSTROM:5.2f}) A: "
               f"{b.n_sites:4d} sites, median |dr| = "
@@ -415,7 +414,7 @@ def cmd_dft_residuals(args) -> int:
     if rmap.failures:
         print(f"{len(rmap.failures)}/{rmap.n_total} rows not invertible",
               file=sys.stderr)
-    print(f"wrote {table_path}")
+    print(f"wrote {table_path} and {report_path}")
     return 0
 
 

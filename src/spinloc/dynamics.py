@@ -1,8 +1,8 @@
 """Forward spin physics: nuclear precession frequencies and ODMR lines.
 
 ``precession_frequency`` is the scalar model; ``xi_kernel`` evaluates the
-same model lane-wise over many trial sites and fields at once, for the
-azimuth fit and the Monte Carlo.
+same model lane-wise over many trial azimuths, contact terms and fields at
+once, with its exact derivatives, for the azimuth fit and the Monte Carlo.
 
 The electronic spin is S = 1 with zero-field splitting D along its own z
 axis; nuclear precession is modeled at the vector level with the hyperfine
@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import DEFAULT_CONSTANTS, Frame, PhysicalConstants, LAB_FRAME_NAME, Vector3
 from .errors import DomainError, FrameError
-from .dipole import HyperfineModel
+from .dipole import HyperfineModel, invert_many
 
 LOW_FIELD = "low-field"
 GENERAL_FIELD = "general-field"
@@ -130,51 +130,77 @@ def precession_frequency(B0: Vector3, dB: Vector3, hf: HyperfineModel, m_S: int,
     return f
 
 
-def xi_kernel(records, variant: str = GENERAL_FIELD,
+def _tensor(u, n, d):
+    """Upper triangle (xx, xy, xz, yy, yz, zz) of 3(u n^T + n u^T) + d I."""
+    return (6.0 * u[0] * n[0] + d, 3.0 * (u[0] * n[1] + n[0] * u[1]),
+            3.0 * (u[0] * n[2] + n[0] * u[2]), 6.0 * u[1] * n[1] + d,
+            3.0 * (u[1] * n[2] + n[1] * u[2]), 6.0 * u[2] * n[2] + d)
+
+
+def xi_kernel(records, a_par, a_perp, variant: str = GENERAL_FIELD,
               constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Lane-wise signed xi of a record set, as a function of the nuclear site.
+    """Lane-wise signed xi of a record set, and its exact derivatives, as a
+    function of the azimuth and the contact term.
 
     ``records`` holds per record (measured fp_m1 - fp0, B0, dB) in Hz and
     tesla: sensor-frame field components shaped (3,) for one field set shared
     by every lane, or (3, m) for one per lane, with the splitting a scalar or
-    (m,). The enhancement prefactors are computed here, once per record set.
-    Returns a function of broadcasting (r, theta, phi, a_iso) lane arrays
-    giving the list of each record's xi, measured minus predicted coil-on
-    splitting, with the model of ``precession_frequency``. Lanes with NaN r
-    (couplings that do not invert) or at the level crossing come out NaN.
+    (m,). The couplings a_par, a_perp (Hz) are scalars or (m,) arrays. The
+    enhancement prefactors are computed here, once per record set.
+
+    Returns a function of broadcasting (phi, a_iso) lane arrays. It inverts
+    the couplings at a_iso (``invert_many``) and gives each record's xi,
+    measured minus predicted coil-on splitting with the model of
+    ``precession_frequency``, stacked over records, together with dxi/dphi
+    and dxi/da_iso from the same pass. With ``derivatives=False`` it gives
+    xi alone, for grid scans that need no Jacobian. Lanes whose couplings do
+    not invert, or at the level crossing, come out NaN.
     """
     _check_variant(variant)
+    gn = constants.gamma_n
     prepared = []
     for meas, B0, dB in records:
-        prepared.append((meas, B0, dB, _prefactor(0, B0[2], variant, constants),
-                         _prefactor(-1, B0[2], variant, constants)))
+        prepared.append((meas, [-gn * (B0[i] + dB[i]) for i in range(3)],
+                         [[gn * k * dB[i] for i in range(3)] for k in (
+                             _prefactor(0, B0[2], variant, constants),
+                             _prefactor(-1, B0[2], variant, constants))]))
     C = constants.dipolar_coefficient
-    gn = constants.gamma_n
 
-    def xi(r, theta, phi, a_iso):
+    def xi(phi, a_iso, derivatives=True):
+        r, theta = invert_many(a_par, a_perp, a_iso, constants)
+        # A = b(3 n n^T - I) + a_iso I, and its derivatives, each of the form
+        # 3(u n^T + n u^T) + d I
         b = C / r ** 3
         st, ct = np.sin(theta), np.cos(theta)
-        nx = st * np.cos(phi)
-        ny = st * np.sin(phi)
-        nz = ct
-        Axx = b * (3.0 * nx * nx - 1.0) + a_iso
-        Axy = 3.0 * b * nx * ny
-        Axz = 3.0 * b * nx * nz
-        Ayy = b * (3.0 * ny * ny - 1.0) + a_iso
-        Ayz = 3.0 * b * ny * nz
-        Azz = b * (3.0 * nz * nz - 1.0) + a_iso
+        cp, sp = np.cos(phi), np.sin(phi)
+        n = (st * cp, st * sp, ct)
+        tensors = [_tensor([0.5 * b * c for c in n], n, a_iso - b)]
+        if derivatives:
+            tensors.append(_tensor((-b * n[1], b * n[0], 0.0), n, 0.0))
+            # the site follows a_iso along a_par - a_iso = b(3cos^2 - 1),
+            # a_perp = 3b sin cos: the 2x2 system has determinant
+            # 3b(1 + cos^2) > 0, so b and theta move smoothly everywhere
+            g = 1.0 / (1.0 + ct * ct)
+            db = (st * st - ct * ct) * g  # db/da_iso
+            t = st * ct * g               # b dtheta/da_iso
+            tensors.append(_tensor((0.5 * db * n[0] + t * ct * cp,
+                                    0.5 * db * n[1] + t * ct * sp,
+                                    0.5 * db * ct - t * st), n, 1.0 - db))
         out = []
-        for meas, B0, dB, k0, k_m1 in prepared:
-            f_th = []
-            for m_S, k in ((0, k0), (-1, k_m1)):
-                ex = k * (Axx * dB[0] + Axy * dB[1] + Axz * dB[2])
-                ey = k * (Axy * dB[0] + Ayy * dB[1] + Ayz * dB[2])
-                vx = -gn * (B0[0] + dB[0] + ex) + m_S * Axz
-                vy = -gn * (B0[1] + dB[1] + ey) + m_S * Ayz
-                vz = -gn * (B0[2] + dB[2]) + m_S * Azz
-                f_th.append(np.sqrt(vx * vx + vy * vy + vz * vz))
-            out.append(meas - (f_th[1] - f_th[0]))
-        return out
+        for meas, c, ws in prepared:
+            f = []  # per m_S: the frequency and its derivatives
+            for m_S, w in zip((0, -1), ws):
+                lin = [(m_S * xz - (xx * w[0] + xy * w[1] + xz * w[2]),
+                        m_S * yz - (xy * w[0] + yy * w[1] + yz * w[2]),
+                        m_S * zz) for xx, xy, xz, yy, yz, zz in tensors]
+                v = [ci + li for ci, li in zip(c, lin[0])]
+                norm = np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+                f.append([norm] + [(v[0] * d[0] + v[1] * d[1] + v[2] * d[2])
+                                   / norm for d in lin[1:]])
+            out.append([meas - (f[1][0] - f[0][0])]
+                       + [d0 - d1 for d0, d1 in zip(f[0][1:], f[1][1:])])
+        parts = tuple(np.stack(col) for col in zip(*out))
+        return parts if derivatives else parts[0]
 
     return xi
 

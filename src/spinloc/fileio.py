@@ -88,7 +88,7 @@ def _text_lines(obj: dict, indent: str) -> list[str]:
 def _text_value(value) -> str:
     if isinstance(value, list):
         return " ".join(map(_text_value, value))
-    return value if isinstance(value, str) else json.dumps(value)
+    return value if isinstance(value, str) else json.dumps(value, sort_keys=True)
 
 
 def _fmt(x: float) -> str:
@@ -583,10 +583,7 @@ def load_trace(path) -> TimeTrace:
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise ParseError(path, line_no, "expected 2 or 3 columns")
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                raise ParseError(path, line_no, f"bad numbers: {line!r}") from None
+            vals = _finite(path, line_no, parts, "bad numbers")
             t.append(vals[0])
             y.append(vals[1])
             s.append(vals[2] if len(vals) == 3 else 0.0)

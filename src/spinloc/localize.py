@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import DEFAULT_CONSTANTS, SENSOR_FRAME_NAME, PhysicalConstants, Vector3
-from .dipole import SphericalPosition, dipole_tensor, invert_dipole, invert_many
+from .dipole import SphericalPosition, dipole_tensor, invert_dipole
 from .dynamics import (GENERAL_FIELD, enhancement_factor, precession_frequency,
                        xi_kernel)
 from .errors import FrameError, IdentifiabilityError, InconsistentInputError
@@ -45,17 +45,13 @@ MIN_TRANSVERSE_DB = 1e-6  # T
 DEGENERACY_FACTOR = 2.0
 DEGENERACY_EPSILON = 0.1  # Hz, squared before use
 
-# Levenberg-Marquardt on the per-record xi (More, LNM 630, 1978). Jacobian
-# steps: central in phi, because a forward difference biases phi by up to
-# 1e-7 rad where the residuals are large; forward in a_iso, where each probe
-# costs an inversion. The damping starts at _LM_LAMBDA0 and follows the gain
-# ratio: halved (down to _LM_LAMBDA_MIN) after a step that did what the model
-# predicted, raised after a poor one. A lane stops when a step moves phi and
-# a_iso by under _LM_XTOL_*, when an accepted step lowers the cost by under
-# _LM_FTOL relative (a few rounding units: the cost has stopped falling), or
-# after _LM_MAX_ITER iterations.
-_LM_STEP_PHI = 1e-6    # rad
-_LM_STEP_ISO = 0.1     # Hz
+# Levenberg-Marquardt on the per-record xi (More, LNM 630, 1978), on the
+# exact Jacobian of the xi kernel. The damping starts at _LM_LAMBDA0 and
+# follows the gain ratio: halved (down to _LM_LAMBDA_MIN) after a step that
+# did what the model predicted, raised after a poor one. A lane stops when a
+# step moves phi and a_iso by under _LM_XTOL_*, when an accepted step lowers
+# the cost by under _LM_FTOL relative (a few rounding units: the cost has
+# stopped falling), or after _LM_MAX_ITER iterations.
 _LM_LAMBDA0 = 1e-3
 _LM_LAMBDA_MIN = 1e-6
 _LM_FTOL = 1e-15
@@ -162,23 +158,24 @@ def xi(record: MeasurementRecord, coupling: CouplingEstimate, phi: float,
     return record.measured_difference - (th_m1 - th0)
 
 
-def _xi_parts(records, coupling, phi, a_iso, constants):
-    """Each record's xi over broadcast (phi, a_iso) grids, from the dynamics
-    kernel; a_iso values whose couplings do not invert yield NaN."""
-    phi_a, iso_a = np.broadcast_arrays(np.asarray(phi, dtype=float),
-                                       np.asarray(a_iso, dtype=float))
-    r, theta = invert_many(coupling.a_par, coupling.a_perp, iso_a, constants)
-    kernel = xi_kernel([(rec.measured_difference, rec.B0.components,
-                         rec.dB.components) for rec in records],
-                       GENERAL_FIELD, constants)
-    return kernel(r, theta, phi_a, iso_a)
+def _dot(u, v):
+    """Per-lane sum over records of u * v, for (n_records, lanes) arrays."""
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _kernel(records, coupling, constants):
+    """The dynamics xi kernel of the records at the coupling; a_iso values
+    whose couplings do not invert yield NaN."""
+    return xi_kernel([(rec.measured_difference, rec.B0.components,
+                       rec.dB.components) for rec in records],
+                     coupling.a_par, coupling.a_perp, GENERAL_FIELD, constants)
 
 
 def sum_sq_xi(records, coupling, phi, a_iso,
               constants: PhysicalConstants = DEFAULT_CONSTANTS):
     """Summed squared cost over records, broadcast over (phi, a_iso)."""
-    parts = _xi_parts(records, coupling, phi, a_iso, constants)
-    return sum(p * p for p in parts)
+    parts = _kernel(records, coupling, constants)(phi, a_iso, derivatives=False)
+    return _dot(parts, parts)
 
 
 @dataclass(frozen=True)
@@ -193,36 +190,30 @@ def cost_curve(records, coupling, a_iso: float = 0.0,
                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> CostCurve:
     """Dense |xi|(phi) sweep for plotting, at fixed a_iso."""
     phi = np.deg2rad(np.arange(0.0, 360.0, phi_step_deg))
-    parts = _xi_parts(records, coupling, phi, a_iso, constants)
-    per_record = np.abs(np.stack(parts))
-    return CostCurve(phi=phi, per_record=per_record,
-                     total=np.sum(np.stack(parts) ** 2, axis=0))
+    parts = _kernel(records, coupling, constants)(phi, a_iso, derivatives=False)
+    return CostCurve(phi=phi, per_record=np.abs(parts),
+                     total=np.sum(parts ** 2, axis=0))
 
 
 class _LaneFit(NamedTuple):
     phi: np.ndarray         # rad
     a_iso: np.ndarray       # Hz
     cost: np.ndarray        # Hz^2, summed squared xi
-    iterations: np.ndarray  # Jacobian evaluations
+    iterations: np.ndarray  # solver iterations, one kernel call each
     converged: np.ndarray   # False where the iteration cap stopped the lane
     at_bound: np.ndarray    # True where phi or a free a_iso ends on the box
-
-
-def _dot(u, v):
-    """Per-lane sum over records of u * v, for (n_records, lanes) arrays."""
-    return sum(x * y for x, y in zip(u, v))
 
 
 def _levenberg_marquardt(lanes, phi, a_iso, phi_box, iso_box,
                          free_iso: bool) -> _LaneFit:
     """Box-bounded Levenberg-Marquardt fit of (phi, a_iso) on every lane.
 
-    ``lanes(idx)`` returns, for the lane indices idx, the site function
-    a_iso -> (r, theta) and the xi function of ``dynamics.xi_kernel``.
-    a_iso stays at its start unless ``free_iso``. Steps solve the damped
-    normal equations of a finite-difference Jacobian (backward in a_iso where
-    the forward probe does not invert) and are clipped to the (lo, hi)
-    boxes; a coordinate on its bound whose descent points out stays there.
+    ``lanes(idx)`` returns the xi function of ``dynamics.xi_kernel`` for the
+    lane indices idx. a_iso stays at its start unless ``free_iso``. Steps
+    solve the damped normal equations of the kernel's exact Jacobian and are
+    clipped to the (lo, hi) boxes; a coordinate on its bound whose descent
+    points out stays there. Every iteration makes one kernel call, at the
+    trial point, whose derivatives are kept when the step is accepted.
     Each lane keeps its own damping and stops on its own test, and stopped
     lanes leave the batch, whose kernel is rebuilt on the lanes left. The
     arithmetic is per lane, so no lane's result depends on its batch. Lanes
@@ -238,9 +229,8 @@ def _levenberg_marquardt(lanes, phi, a_iso, phi_box, iso_box,
     edges = box
 
     idx = np.arange(m)
-    site, xi = lanes(idx)
-    r, theta = site(iso)
-    res = np.stack(xi(r, theta, phi, iso))
+    xi = lanes(idx)
+    res, j_phi, j_iso = xi(phi, iso)
     cost = _dot(res, res)
     lam = np.full(m, _LM_LAMBDA0)
     done = ~np.isfinite(cost)
@@ -250,34 +240,21 @@ def _levenberg_marquardt(lanes, phi, a_iso, phi_box, iso_box,
             fit.phi[fin], fit.a_iso[fin], fit.cost[fin] = (
                 phi[done], iso[done], cost[done])
             idx = idx[keep]
-            phi, iso, r, theta, res, cost, lam = (
-                v[..., keep] for v in (phi, iso, r, theta, res, cost, lam))
+            phi, iso, res, j_phi, j_iso, cost, lam = (
+                v[..., keep] for v in (phi, iso, res, j_phi, j_iso, cost, lam))
             box = [b[keep] for b in box]
             if not idx.size:
                 break
-            site, xi = lanes(idx)
+            xi = lanes(idx)
         if it == _LM_MAX_ITER:  # capped lanes keep their best point
             fit.phi[idx], fit.a_iso[idx], fit.cost[idx] = phi, iso, cost
             fit.converged[idx] = False
             break
         fit.iterations[idx] += 1
 
-        j_phi = (np.stack(xi(r, theta, phi + _LM_STEP_PHI, iso))
-                 - np.stack(xi(r, theta, phi - _LM_STEP_PHI, iso))
-                 ) / (2.0 * _LM_STEP_PHI)
-        j_iso = np.zeros_like(res)
-        if free_iso:
-            up = iso + _LM_STEP_ISO
-            res_up = np.stack(xi(*site(up), phi, up))
-            j_iso = (res_up - res) / _LM_STEP_ISO
-            back = ~np.isfinite(res_up).all(axis=0)
-            if back.any():
-                down = iso - _LM_STEP_ISO
-                res_down = np.stack(xi(*site(down), phi, down))
-                j_iso = np.where(back, (res - res_down) / _LM_STEP_ISO, j_iso)
-        a, b, g, h = (_dot(j_phi, j_phi), _dot(j_phi, j_iso), _dot(j_phi, res),
-                      _dot(j_iso, res))
-        c = _dot(j_iso, j_iso) if free_iso else 1.0
+        a, g = _dot(j_phi, j_phi), _dot(j_phi, res)
+        b, h, c = ((_dot(j_phi, j_iso), _dot(j_iso, res), _dot(j_iso, j_iso))
+                   if free_iso else (0.0, 0.0, 1.0))
         d1 = a * (1.0 + lam)
         d1 = np.where(d1 > 0.0, d1, np.inf)
         d2 = c * (1.0 + lam)
@@ -292,8 +269,7 @@ def _levenberg_marquardt(lanes, phi, a_iso, phi_box, iso_box,
             pin_phi, -h / d2, (b * g - d1 * h) / det))
         phi_t = np.clip(phi + step_phi, box[0], box[1])
         iso_t = np.clip(iso + step_iso, box[2], box[3])
-        r_t, theta_t = site(iso_t) if free_iso else (r, theta)
-        res_t = np.stack(xi(r_t, theta_t, phi_t, iso_t))
+        res_t, j_phi_t, j_iso_t = xi(phi_t, iso_t)
         cost_t = _dot(res_t, res_t)
 
         step_phi, step_iso = phi_t - phi, iso_t - iso
@@ -316,11 +292,10 @@ def _levenberg_marquardt(lanes, phi, a_iso, phi_box, iso_box,
                        np.where(ratio >= 0.25, lam,
                                 (1.0 + lam) / np.clip(shrink, 0.1, 0.5) - 1.0))
 
-        phi, iso, r, theta, cost = (
+        phi, iso, cost, res, j_phi, j_iso = (
             np.where(accept, new, old) for new, old in
-            ((phi_t, phi), (iso_t, iso), (r_t, r), (theta_t, theta),
-             (cost_t, cost)))
-        res = np.where(accept, res_t, res)
+            ((phi_t, phi), (iso_t, iso), (cost_t, cost), (res_t, res),
+             (j_phi_t, j_phi), (j_iso_t, j_iso)))
 
     on_edge = (fit.phi == edges[0]) | (fit.phi == edges[1])
     if free_iso:
@@ -409,14 +384,8 @@ def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = N
             f"{coupling.a_perp:g}) Hz invert to a point dipole at no contact "
             "term of the fit")
 
-    kernel = xi_kernel([(rec.measured_difference, rec.B0.components,
-                         rec.dB.components) for rec in records],
-                       GENERAL_FIELD, constants)
-
-    def site(iso):
-        return invert_many(coupling.a_par, coupling.a_perp, iso, constants)
-
-    lm = _levenberg_marquardt(lambda idx: (site, kernel), phi0, iso0, phi_box,
+    kernel = _kernel(records, coupling, constants)
+    lm = _levenberg_marquardt(lambda idx: kernel, phi0, iso0, phi_box,
                               iso_box, free_iso=fix_a_iso is None)
     candidates = [(float(c), float(p) % _TWO_PI, float(a))
                   for c, p, a in zip(lm.cost, lm.phi, lm.a_iso)]
@@ -443,8 +412,8 @@ def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = N
     minima = tuple(Minimum(phi=m[1], a_iso=m[2], residual=math.sqrt(m[0]))
                    for m in keep)
 
-    per_xi = tuple(float(v) for v in _xi_parts(
-        records, coupling, best_phi, best_iso, constants))
+    per_xi = tuple(float(v) for v in kernel(best_phi, best_iso,
+                                            derivatives=False))
     return AzimuthFit(phi=best_phi, a_iso=best_iso,
                       residual=math.sqrt(best_cost),
                       per_record_xi=per_xi,

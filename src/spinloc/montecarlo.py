@@ -132,7 +132,7 @@ _PHI_BOX = math.pi / 6.0
 _PHI_BOX_FREE = math.pi / 6.0 + 0.4  # rad
 _ISO_BOX = 140e3                     # Hz
 # samples solved together; bounds the size of the per-lane arrays
-_LANE_BLOCK = 8192
+_LANE_BLOCK = 4096
 
 
 def _draws(idx: np.ndarray, seed: int, n_draws: int) -> np.ndarray:
@@ -181,16 +181,11 @@ def _chunk_estimates(idx: np.ndarray, seed: int, coupling, records,
     del draws
 
     def lanes(sel):
-        """Site and xi functions of the lanes sel, with fields sliced to them."""
-        a_par_s, a_perp_s = a_par[sel], a_perp[sel]
-
-        def site(iso):
-            return invert_many(a_par_s, a_perp_s, iso, constants)
-
-        kernel = xi_kernel([(meas[sel], B0[:, sel], dB[:, sel])
-                            for meas, B0, dB in recs_data], GENERAL_FIELD,
-                           constants)
-        return site, kernel
+        """The xi kernel of the lanes sel, with fields and couplings sliced to
+        them."""
+        return xi_kernel([(meas[sel], B0[:, sel], dB[:, sel])
+                          for meas, B0, dB in recs_data], a_par[sel],
+                         a_perp[sel], GENERAL_FIELD, constants)
 
     m = len(idx)
     free = fix_a_iso is None

@@ -354,7 +354,8 @@ def test_text_reports_hold_every_json_value(tmp_path):
     meas = _run_simulate(tmp_path)
     odmr = _odmr_file(tmp_path, [0.2e-3, -0.1e-3, 9.4e-3])
     runs = ((["localize", str(meas), "--samples", "300", "--seed", "2"], "report"),
-            (["calibrate", str(odmr)], "field_solution"))
+            (["calibrate", str(odmr)], "field_solution"),
+            (["dft-residuals", str(_dft_table_file(tmp_path))], "dft_residuals"))
     for argv, stem in runs:
         for fmt in ("json", "text"):
             assert main(argv + ["--format", fmt, "--out", str(tmp_path / fmt)]) == 0
@@ -409,7 +410,7 @@ def test_dft_residuals(tmp_path, capsys):
     for b in report["bins"]:
         assert b["median_abs_dr_A"] < 1e-6
         assert b["median_abs_dtheta_deg"] < 1e-6
-    assert (out / "dft_residuals.txt").exists()
+    assert (out / "dft_residuals.tsv").exists()
 
 
 def test_config_file_via_environment(tmp_path, monkeypatch):

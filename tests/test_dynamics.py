@@ -173,6 +173,12 @@ def _invert(coupling, a_iso):
     return pos.r, pos.theta
 
 
+def _kernel(recs, coupling, variant):
+    return xi_kernel([(rec.measured_difference, rec.B0.components,
+                       rec.dB.components) for rec in recs],
+                     coupling.a_par, coupling.a_perp, variant)
+
+
 def _scalar_xi(rec, coupling, phi, a_iso, variant):
     """localize.xi, NaN where the couplings do not invert."""
     try:
@@ -193,12 +199,9 @@ def test_xi_kernel_matches_scalar_xi_over_a_grid(site, b0, dbs, splitting,
     a_par = coupling.a_par
     iso = np.array([site[2], site[2] - 2e4, site[2] + 2e4, a_par,
                     a_par - 1e9, a_par + 1e9])
-    r, theta = np.array([_invert(coupling, a) for a in iso]).T
-    assert np.isnan(r[-2:]).all()
+    assert all(math.isnan(_invert(coupling, a)[0]) for a in iso[-2:])
     phi = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)[:, None]
-    kernel = xi_kernel([(rec.measured_difference, rec.B0.components,
-                         rec.dB.components) for rec in recs], variant)
-    got = kernel(r, theta, phi, iso)
+    got = _kernel(recs, coupling, variant)(phi, iso, derivatives=False)
     assert len(got) == len(recs)
     for rec, lanes in zip(recs, got):
         assert lanes.shape == (len(phi), len(iso))
@@ -220,26 +223,51 @@ def test_xi_kernel_matches_scalar_xi_per_lane(lanes, variant):
     recs = [_record(b0, db, s) for _, b0, db, s, _, _ in lanes]
     phi = np.array([lane[4] for lane in lanes])
     iso = np.array([lane[5] for lane in lanes])
-    r, theta = np.array([_invert(c, a) for c, a in zip(couplings, iso)]).T
     kernel = xi_kernel([(
         np.array([rec.measured_difference for rec in recs]),
         np.stack([rec.B0.components for rec in recs], axis=1),
-        np.stack([rec.dB.components for rec in recs], axis=1))], variant)
-    (got,) = kernel(r, theta, phi, iso)
+        np.stack([rec.dB.components for rec in recs], axis=1))],
+        np.array([c.a_par for c in couplings]),
+        np.array([c.a_perp for c in couplings]), variant)
+    (got,) = kernel(phi, iso, derivatives=False)
     ref = [_scalar_xi(rec, c, p, a, variant)
            for rec, c, p, a in zip(recs, couplings, phi, iso)]
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(site=_sites, b0=_b0, dbs=st.lists(_db, min_size=1, max_size=3),
+       splitting=_splitting, variant=_variant)
+def test_xi_kernel_derivatives_match_central_differences(site, b0, dbs,
+                                                         splitting, variant):
+    # the a_iso derivative moves the site along the inversion; the last two
+    # a_iso columns do not invert and must be NaN in all three outputs
+    coupling = _coupling(site)
+    kernel = _kernel([_record(b0, db, splitting) for db in dbs], coupling,
+                     variant)
+    iso = np.array([site[2], site[2] - 2e4, coupling.a_par - 1e9,
+                    coupling.a_par + 1e9])
+    phi = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)[:, None]
+    got, d_phi, d_iso = kernel(phi, iso)
+    assert np.isnan(np.stack([got, d_phi, d_iso])[..., 2:]).all()
+    for d, (dp, di), floor in ((d_phi, (1e-6, 0.0), 1e-3),
+                               (d_iso, (0.0, 1e-2), 1e-6)):
+        ref = (kernel(phi + dp, iso + di, derivatives=False)
+               - kernel(phi - dp, iso - di, derivatives=False)) / (2 * (dp + di))
+        np.testing.assert_allclose(d[..., :2], ref[..., :2], rtol=1e-6,
+                                   atol=floor)
 
 
 def test_xi_kernel_resonant_lane_is_nan():
     crossing = DEFAULT_CONSTANTS.D / DEFAULT_CONSTANTS.gamma_e
     B0 = np.array([[0.0, 0.0], [0.0, 0.0], [9.502e-3, crossing]])
     dB = np.array([[1e-3, 1e-3], [0.0, 0.0], [0.0, 0.0]])
-    site = (8 * ANGSTROM, 1.0, 2.0, 3e3)
-    r, theta, phi, a_iso = (np.full(2, v) for v in site)
-    (gen,) = xi_kernel([(np.zeros(2), B0, dB)], GENERAL_FIELD)(r, theta, phi, a_iso)
-    (low,) = xi_kernel([(np.zeros(2), B0, dB)], LOW_FIELD)(r, theta, phi, a_iso)
-    assert np.isfinite(gen[0]) and np.isnan(gen[1])
+    a_par, a_perp = secular_couplings(8 * ANGSTROM, 1.0, 3e3)
+    phi, a_iso = np.full(2, 2.0), np.full(2, 3e3)
+    gen, low = (np.stack(xi_kernel([(np.zeros(2), B0, dB)], a_par, a_perp,
+                                   variant)(phi, a_iso))
+                for variant in (GENERAL_FIELD, LOW_FIELD))
+    assert np.isfinite(gen[..., 0]).all() and np.isnan(gen[..., 1]).all()
     assert np.isfinite(low).all()
     with pytest.raises(DomainError):
         enhancement_factor(0, crossing)

@@ -413,6 +413,7 @@ def test_trace_two_columns_means_no_sigma(tmp_path):
 @pytest.mark.parametrize("text,match", [
     ("0.0\n1e-6\n", "2 or 3 columns"),
     ("0.0 one\n1e-6 0.5\n", "bad numbers"),
+    ("0 nan\n1e-6 0.5\n2e-6 inf\n", "not finite"),
     ("0.0 1.0\n", "at least 2 samples"),
     ("0.0 1.0\n1e-6 0.5\n5e-6 0.1\n", None),  # uneven grid fails validation
 ])

@@ -95,6 +95,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _fmt_rows(rows: np.ndarray) -> str:
+    """The lines of a 2-D array, _fmt-formatted, in one % operation."""
+    line = " ".join(["%.12g"] * rows.shape[1]) + "\n"
+    return line * len(rows) % tuple(rows.ravel().tolist())
+
+
 def _fmt_vec(v) -> str:
     return " ".join(_fmt(c) for c in np.asarray(v, dtype=float))
 
@@ -596,10 +602,8 @@ def load_trace(path) -> TimeTrace:
 
 
 def save_trace(path, trace: TimeTrace):
-    lines = ["# time_s  signal  sigma"]
-    for tk, yk, sk in zip(trace.t, trace.y, trace.sigma_y):
-        lines.append(f"{_fmt(tk)} {_fmt(yk)} {_fmt(sk)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = np.column_stack([trace.t, trace.y, trace.sigma_y])
+    atomic_write_text(path, "# time_s  signal  sigma\n" + _fmt_rows(rows))
 
 
 # scatter rows formatted and written at a time; the text of the whole file
@@ -617,8 +621,7 @@ def save_scatter(path, scatter: np.ndarray):
     with _atomic_open(path) as fh:
         fh.write(header + "\n")
         for k in range(0, len(rows), _SCATTER_BLOCK):
-            fh.write("".join(" ".join(map(_fmt, row)) + "\n"
-                             for row in rows[k:k + _SCATTER_BLOCK].tolist()))
+            fh.write(_fmt_rows(rows[k:k + _SCATTER_BLOCK]))
 
 
 def save_histogram(path, hist: Histogram, scale: float = 1.0, unit: str = ""):
@@ -632,10 +635,7 @@ def save_histogram(path, hist: Histogram, scale: float = 1.0, unit: str = ""):
 
 def save_cost_curve(path, curve):
     """phi_deg, one |xi| column per record (Hz), then the summed square."""
-    lines = ["# phi_deg  abs_xi_Hz_per_record...  sum_sq_Hz2"]
-    for k in range(len(curve.phi)):
-        cols = [_fmt(math.degrees(curve.phi[k]))]
-        cols += [_fmt(v) for v in curve.per_record[:, k]]
-        cols.append(_fmt(curve.total[k]))
-        lines.append(" ".join(cols))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = np.column_stack([np.degrees(curve.phi), curve.per_record.T,
+                            curve.total])
+    atomic_write_text(path, "# phi_deg  abs_xi_Hz_per_record...  sum_sq_Hz2\n"
+                      + _fmt_rows(rows))

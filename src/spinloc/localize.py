@@ -46,12 +46,16 @@ DEGENERACY_FACTOR = 2.0
 DEGENERACY_EPSILON = 0.1  # Hz, squared before use
 
 # Levenberg-Marquardt on the per-record xi (More, LNM 630, 1978), on the
-# exact Jacobian of the xi kernel. The damping starts at _LM_LAMBDA0 and
-# follows the gain ratio: halved (down to _LM_LAMBDA_MIN) after a step that
-# did what the model predicted, raised after a poor one. A lane stops when a
-# step moves phi and a_iso by under _LM_XTOL_*, when an accepted step lowers
-# the cost by under _LM_FTOL relative (a few rounding units: the cost has
-# stopped falling), or after _LM_MAX_ITER iterations.
+# exact Jacobian of the xi kernel. Where J^T J + S is positive definite the
+# model adds S, each lane's secant estimate of the residual curvature that
+# Gauss-Newton lacks (NL2SOL: Dennis, Gay and Welsch, ACM TOMS 7 (1981) 348),
+# without which steps shrink only linearly at large residuals. The damping
+# starts at _LM_LAMBDA0 and follows the gain ratio of that model: halved
+# (down to _LM_LAMBDA_MIN) after a step that did what the model predicted,
+# raised after a poor one. A lane stops when a step moves phi and a_iso by
+# under _LM_XTOL_*, when an accepted step lowers the cost by under _LM_FTOL
+# relative (a few rounding units: the cost has stopped falling), or after
+# _LM_MAX_ITER iterations.
 _LM_LAMBDA0 = 1e-3
 _LM_LAMBDA_MIN = 1e-6
 _LM_FTOL = 1e-15
@@ -204,13 +208,32 @@ class _LaneFit(NamedTuple):
     at_bound: np.ndarray    # True where phi or a free a_iso ends on the box
 
 
+def _secant_update(sec, s, y, y_sharp, accept):
+    """The lanes' secant terms sec = (S_phiphi, S_phiiso, S_isoiso) after the
+    step s by the update of Dennis, Gay and Welsch, S first sized by tau =
+    min(1, |s^T y#| / |s^T S s|); rejected steps and y^T s <= 0 keep S."""
+    sec_s = (sec[0] * s[0] + sec[1] * s[1], sec[1] * s[0] + sec[2] * s[1])
+    ys = _dot(y, s)
+    update = accept & (ys > 0.0)
+    ys = np.where(update, ys, 1.0)
+    s_y_sharp, s_sec_s = np.abs(_dot(y_sharp, s)), np.abs(_dot(sec_s, s))
+    tau = np.divide(s_y_sharp, s_sec_s, out=np.ones_like(ys),
+                    where=s_sec_s > s_y_sharp)
+    w = [(v - tau * u) / ys for v, u in zip(y_sharp, sec_s)]
+    k = _dot(w, s) / ys
+    return np.where(update, [
+        tau * v + w[i] * y[j] + y[i] * w[j] - k * y[i] * y[j]
+        for v, (i, j) in zip(sec, ((0, 0), (0, 1), (1, 1)))], sec)
+
+
 def _levenberg_marquardt(lanes, phi, a_iso, phi_box, iso_box,
                          free_iso: bool) -> _LaneFit:
     """Box-bounded Levenberg-Marquardt fit of (phi, a_iso) on every lane.
 
     ``lanes(idx)`` returns the xi function of ``dynamics.xi_kernel`` for the
     lane indices idx. a_iso stays at its start unless ``free_iso``. Steps
-    solve the damped normal equations of the kernel's exact Jacobian and are
+    solve the damped normal equations of the kernel's exact Jacobian, plus
+    the lane's secant term where the sum is positive definite, and are
     clipped to the (lo, hi) boxes; a coordinate on its bound whose descent
     points out stays there. Every iteration makes one kernel call, at the
     trial point, whose derivatives are kept when the step is accepted.
@@ -233,6 +256,7 @@ def _levenberg_marquardt(lanes, phi, a_iso, phi_box, iso_box,
     res, j_phi, j_iso = xi(phi, iso)
     cost = _dot(res, res)
     lam = np.full(m, _LM_LAMBDA0)
+    sec = np.zeros((3, m))  # the secant term S: S_phiphi, S_phiiso, S_isoiso
     done = ~np.isfinite(cost)
     for it in range(_LM_MAX_ITER + 1):
         if done.any():
@@ -240,8 +264,8 @@ def _levenberg_marquardt(lanes, phi, a_iso, phi_box, iso_box,
             fit.phi[fin], fit.a_iso[fin], fit.cost[fin] = (
                 phi[done], iso[done], cost[done])
             idx = idx[keep]
-            phi, iso, res, j_phi, j_iso, cost, lam = (
-                v[..., keep] for v in (phi, iso, res, j_phi, j_iso, cost, lam))
+            phi, iso, res, j_phi, j_iso, cost, lam, sec = (
+                v[..., keep] for v in (phi, iso, res, j_phi, j_iso, cost, lam, sec))
             box = [b[keep] for b in box]
             if not idx.size:
                 break
@@ -255,18 +279,21 @@ def _levenberg_marquardt(lanes, phi, a_iso, phi_box, iso_box,
         a, g = _dot(j_phi, j_phi), _dot(j_phi, res)
         b, h, c = ((_dot(j_phi, j_iso), _dot(j_iso, res), _dot(j_iso, j_iso))
                    if free_iso else (0.0, 0.0, 1.0))
-        d1 = a * (1.0 + lam)
+        a_s, b_s, c_s = a + sec[0], b + sec[1], c + sec[2]
+        s11, s12, s22 = np.where((a_s > 0.0) & (a_s * c_s > b_s * b_s), sec, 0.0)
+        a_s, b_s, c_s = a + s11, b + s12, c + s22  # the model's Hessian / 2
+        d1 = a * (1.0 + lam) + s11
         d1 = np.where(d1 > 0.0, d1, np.inf)
-        d2 = c * (1.0 + lam)
+        d2 = c * (1.0 + lam) + s22
         d2 = np.where(d2 > 0.0, d2, np.inf)
-        det = d1 * d2 - b * b
+        det = d1 * d2 - b_s * b_s
         det = np.where(det > 0.0, det, np.inf)
         pin_phi = np.where(g > 0.0, phi <= box[0], phi >= box[1])
         pin_iso = np.where(h > 0.0, iso <= box[2], iso >= box[3])
         step_phi = np.where(pin_phi, 0.0, np.where(
-            pin_iso, -g / d1, (b * h - d2 * g) / det))
+            pin_iso, -g / d1, (b_s * h - d2 * g) / det))
         step_iso = np.where(pin_iso, 0.0, np.where(
-            pin_phi, -h / d2, (b * g - d1 * h) / det))
+            pin_phi, -h / d2, (b_s * g - d1 * h) / det))
         phi_t = np.clip(phi + step_phi, box[0], box[1])
         iso_t = np.clip(iso + step_iso, box[2], box[3])
         res_t, j_phi_t, j_iso_t = xi(phi_t, iso_t)
@@ -281,8 +308,8 @@ def _levenberg_marquardt(lanes, phi, a_iso, phi_box, iso_box,
         # step shortens the next one to the minimum of the parabola through
         # the cost and slope at the start and the cost at the trial point
         slope = 2.0 * (g * step_phi + h * step_iso)
-        pred = -slope - (a * step_phi ** 2 + 2.0 * b * step_phi * step_iso
-                         + c * step_iso ** 2)
+        pred = -slope - (a_s * step_phi ** 2 + 2.0 * b_s * step_phi * step_iso
+                         + c_s * step_iso ** 2)
         ratio = np.divide(cost - cost_t, pred, out=np.zeros_like(pred),
                           where=pred > 0.0)
         curv = cost_t - cost - slope
@@ -291,6 +318,14 @@ def _levenberg_marquardt(lanes, phi, a_iso, phi_box, iso_box,
         lam = np.where(ratio > 0.75, np.maximum(0.5 * lam, _LM_LAMBDA_MIN),
                        np.where(ratio >= 0.25, lam,
                                 (1.0 + lam) / np.clip(shrink, 0.1, 0.5) - 1.0))
+
+        # the secant update from y = J_t^T r_t - J^T r and y# = (J_t - J)^T r_t
+        y, y_sharp = [0.0, 0.0], [0.0, 0.0]
+        for i, (j_t, j, grad) in enumerate(((j_phi_t, j_phi, g),
+                                             (j_iso_t, j_iso, h))[:1 + free_iso]):
+            grad_t = _dot(j_t, res_t)
+            y[i], y_sharp[i] = grad_t - grad, grad_t - _dot(j, res_t)
+        sec = _secant_update(sec, (step_phi, step_iso), y, y_sharp, accept)
 
         phi, iso, cost, res, j_phi, j_iso = (
             np.where(accept, new, old) for new, old in

@@ -8,7 +8,8 @@ result is bit-identical no matter how the samples are partitioned into
 chunks and blocks.
 
 The per-sample fit is the point fit's box-bounded Levenberg-Marquardt solver
-(``localize._levenberg_marquardt``), warm-started at the unperturbed optimum
+(``localize._levenberg_marquardt``, whose NL2SOL secant curvature term lets
+samples at large residuals converge), warm-started at the unperturbed optimum
 on the same lane-wise xi kernel (``dynamics.xi_kernel``), with every
 sample's perturbed fields as its own lanes, in blocks of _LANE_BLOCK
 samples. Basin hops to mirror minima are deliberately not sampled, since
@@ -136,17 +137,19 @@ _LANE_BLOCK = 4096
 
 
 def _draws(idx: np.ndarray, seed: int, n_draws: int) -> np.ndarray:
-    """(len(idx), n_draws) normals, row j those of Philox(key=[seed, idx[j]]),
+    """(len(idx), n_draws) normals, row j those of Philox keyed [seed, idx[j]],
     from one generator re-keyed per sample."""
-    bg = np.random.Philox(key=[seed, 0])
+    bg = np.random.Philox(key=0)  # re-keyed below; a key >= 2**63 warns here
     rng = np.random.Generator(bg)
     zeros = np.zeros(4, dtype=np.uint64)
+    key = np.array([seed, 0], np.uint64)
+    state = {"bit_generator": "Philox", "buffer": zeros, "buffer_pos": 4,
+             "state": {"counter": zeros, "key": key}, "has_uint32": 0, "uinteger": 0}
     out = np.empty((len(idx), n_draws))
-    for j, i in enumerate(idx):
-        bg.state = {"bit_generator": "Philox", "buffer": zeros, "buffer_pos": 4,
-                    "state": {"counter": zeros, "key": np.array([seed, i], np.uint64)},
-                    "has_uint32": 0, "uinteger": 0}
-        out[j] = rng.standard_normal(n_draws)
+    for i, row in zip(idx, out):
+        key[1] = i
+        bg.state = state
+        rng.standard_normal(out=row)
     return out
 
 

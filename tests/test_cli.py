@@ -48,8 +48,9 @@ dB_mT = -0.4 -1.1 1.0
 """
 
 
-def _truth_file(tmp_path, b0="0 0 9.502", noise="", options=""):
-    text = ("kind = truth\nversion = 1\n\n" + TRUTH_NUCLEUS
+def _truth_file(tmp_path, b0="0 0 9.502", noise="", options="",
+                nucleus=TRUTH_NUCLEUS):
+    text = ("kind = truth\nversion = 1\n\n" + nucleus
             + TRUTH_COILS.format(b0=b0) + noise + options)
     path = tmp_path / "truth.txt"
     path.write_text(text)
@@ -123,19 +124,21 @@ def test_localize_bit_identical_across_parallel(tmp_path):
     assert "parallel" not in json.dumps(report)  # chunking must not leak
 
 
+def _simulate_survey_nucleus(tmp_path, nucleus: str):
+    """Simulate one nucleus section with the fields and noise of the
+    truth example at its seed; returns the measurements file."""
+    noise = ("[noise]\nsigma_f_kHz = 0.1\nsigma_f_rabi_kHz = 0.1\n"
+             "sigma_fp_kHz = 0.25\nsigma_B_mT = 0.015\n\n")
+    return _run_simulate(tmp_path, b0="0.028 -0.056 9.502", noise=noise,
+                         options="[options]\nseed = 20260822\n", nucleus=nucleus)
+
+
 def test_simulate_localize_f_m1_below_f0(tmp_path):
     # a negative parallel coupling puts the m_S = -1 line below f0; simulate
     # must write it as drawn and localize must accept it
-    nucleus = ("[nucleus S08]\nr_A = 6.5625\ntheta_deg = 76.11111111111111\n"
-               "phi_deg = 230.40000000000003\na_iso_kHz = -13.46938775510204\n\n")
-    noise = ("[noise]\nsigma_f_kHz = 0.1\nsigma_f_rabi_kHz = 0.1\n"
-             "sigma_fp_kHz = 0.25\nsigma_B_mT = 0.015\n\n")
-    truth = tmp_path / "truth.txt"
-    truth.write_text("kind = truth\nversion = 1\n\n" + nucleus
-                     + TRUTH_COILS.format(b0="0.028 -0.056 9.502") + noise
-                     + "[options]\nseed = 20260822\n")
-    assert main(["simulate", str(truth), "--out", str(tmp_path / "sim")]) == 0
-    meas = tmp_path / "sim" / "measurements.txt"
+    meas = _simulate_survey_nucleus(tmp_path, (
+        "[nucleus S08]\nr_A = 6.5625\ntheta_deg = 76.11111111111111\n"
+        "phi_deg = 230.40000000000003\na_iso_kHz = -13.46938775510204\n\n"))
     inputs = load_measurements(meas)["S08"].inputs
     assert inputs.f_m1 < inputs.f0
     out = tmp_path / "loc"
@@ -146,6 +149,21 @@ def test_simulate_localize_f_m1_below_f0(tmp_path):
     entry = report["nuclei"]["S08"]
     assert entry["a_par_kHz"] < 0.0
     assert entry["sigma_a_par_kHz"] > 0.0 and entry["sigma_a_perp_kHz"] > 0.0
+
+
+def test_localize_large_residual_samples_converge(tmp_path):
+    # survey nucleus S09 (a_iso fixed): many samples sit far from their box
+    # minimum at a large residual, where Gauss-Newton steps shrink only
+    # linearly; the solver's secant term must still converge every one
+    meas = _simulate_survey_nucleus(tmp_path, (
+        "[nucleus S09]\nr_A = 11.0625\ntheta_deg = 7.962962962962963\n"
+        "phi_deg = 302.40000000000003\na_iso_kHz = -7.755102040816325\n\n"))
+    out = tmp_path / "loc"
+    assert main(["localize", str(meas), "--samples", "400", "--seed", "1",
+                 "--out", str(out)]) == 0
+    solver = json.loads((out / "report.json").read_text())["nuclei"]["S09"]["solver"]
+    assert solver["unconverged"] == 0
+    assert solver["max_iterations"] <= 25
 
 
 def test_localize_fix_a_iso_flag(tmp_path):

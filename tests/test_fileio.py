@@ -32,11 +32,13 @@ from spinloc import fileio
 from spinloc.cli import main
 from spinloc.dipole import ResidualBin, ResidualEntry, ResidualMap
 from spinloc.fileio import (
+    save_cost_curve,
     save_histogram,
     save_residual_map,
     save_scatter,
     write_json,
 )
+from spinloc.localize import CostCurve
 from spinloc.montecarlo import Histogram
 
 MEAS_HEADER = "kind = measurements\nversion = 1\n"
@@ -457,6 +459,55 @@ def test_save_scatter_blocks_do_not_change_the_file(tmp_path, monkeypatch):
     empty = tmp_path / "empty.txt"
     save_scatter(empty, np.empty((0, 4)))
     assert empty.read_text() == lines[0] + "\n"
+
+
+_TABLE_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2e-309,
+                     1e300, -1e-300]))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n_rows=st.integers(0, 6), n_records=st.integers(1, 3), data=st.data())
+def test_table_writers_write_the_fmt_joined_rows(tmp_path, n_rows, n_records,
+                                                 data):
+    # every cell is _fmt of its value: nan, +-inf, -0.0, subnormals and
+    # magnitudes near the float range in the scatter and the cost curve,
+    # finite values in the time trace
+    def table(n_cols):
+        cells = data.draw(st.lists(_TABLE_FLOATS, min_size=n_rows * n_cols,
+                                   max_size=n_rows * n_cols))
+        return np.array(cells, dtype=float).reshape(n_rows, n_cols)
+
+    def text(header, rows):
+        return "".join([header + "\n"] + [" ".join(map(fileio._fmt, row)) + "\n"
+                                          for row in rows])
+
+    scatter = table(4)
+    scale = [s for s, _ in fileio.DISPLAY_UNITS.values()]
+    with np.errstate(over="ignore"):
+        save_scatter(tmp_path / "scatter.tsv", scatter)
+        rows = (scatter / scale).tolist()
+    written = (tmp_path / "scatter.tsv").read_text()
+    assert written == text(written.split("\n", 1)[0], rows)
+
+    cols = table(2 + n_records)
+    curve = CostCurve(phi=cols[:, 0], per_record=cols[:, 1:-1].T,
+                      total=cols[:, -1])
+    with np.errstate(over="ignore"):
+        save_cost_curve(tmp_path / "curve.tsv", curve)
+    rows = [[math.degrees(row[0]), *row[1:]] for row in cols.tolist()]
+    assert (tmp_path / "curve.tsv").read_text() == text(
+        "# phi_deg  abs_xi_Hz_per_record...  sum_sq_Hz2", rows)
+
+    if n_rows >= 2:
+        y = np.nan_to_num(table(1)[:, 0], posinf=1e300, neginf=-1e300)
+        trace = TimeTrace(t=1e-6 * np.arange(n_rows), y=y, sigma_y=np.abs(y))
+        save_trace(tmp_path / "trace.txt", trace)
+        assert (tmp_path / "trace.txt").read_text() == text(
+            "# time_s  signal  sigma",
+            np.column_stack([trace.t, trace.y, trace.sigma_y]).tolist())
 
 
 def test_save_histogram_scales_edges(tmp_path):

@@ -144,6 +144,15 @@ def test_draws_match_fresh_keyed_generators():
         np.testing.assert_array_equal(row, ref)
 
 
+def test_draws_take_seeds_up_to_2_64():
+    # a seed at or above 2**63 draws without a numpy cast warning and keys
+    # its own stream
+    idx = np.array([0, 1])
+    top = montecarlo._draws(idx, 2 ** 64 - 1, 5)
+    assert not np.array_equal(top, montecarlo._draws(idx, 2 ** 63, 5))
+    assert not np.array_equal(top, montecarlo._draws(idx, 0, 5))
+
+
 def test_solver_stats_count_the_samples():
     records, coupling = _build()
     result = propagate(records, coupling, McConfig(n_samples=300, seed=3))

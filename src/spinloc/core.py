@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from .errors import FrameError
 
@@ -274,6 +273,8 @@ def load_config(path) -> tuple[PhysicalConstants, FrameRegistry, dict]:
     ``frames``. Other sections are passed through untouched for the pipeline
     layer.
     """
+    import yaml  # deferred: slow to import
+
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh) or {}
     if not isinstance(raw, dict):
@@ -293,6 +294,8 @@ def load_config(path) -> tuple[PhysicalConstants, FrameRegistry, dict]:
 
 def save_config(path, constants: PhysicalConstants, registry: FrameRegistry | None = None,
                 extra: dict | None = None):
+    import yaml  # deferred: slow to import
+
     doc = dict(extra or {})
     doc["constants"] = {"gamma_n": constants.gamma_n}
     if registry is not None:

@@ -137,35 +137,37 @@ def secular_couplings(r: float, theta: float, a_iso: float = 0.0,
     return b * (3.0 * ct * ct - 1.0) + a_iso, abs(3.0 * b * st * ct)
 
 
-def _invert(p, q, constants: PhysicalConstants):
-    """(r, theta, b) for couplings p = a_par - a_iso and q = a_perp,
-    lane-wise over broadcast arrays, with b the dipolar strength.
+def _invert(p, q):
+    """(b, cos theta, sin theta) for couplings p = a_par - a_iso and
+    q = a_perp, lane-wise over broadcast arrays, with b the dipolar strength.
 
     theta is the root on [0, pi/2] of 3 p sin t cos t = q (3 cos^2 t - 1).
     Substituting u = tan t turns it into q u^2 + 3 p u - 2 q = 0, whose
     positive root is unique for q > 0; for p > 0 it is taken in the form
-    4q / (3p + sqrt(9p^2 + 8q^2)), which does not cancel at q << p. At q = 0
-    the site is on the axis (p > 0) or in the transverse plane (p < 0); at
-    p = q = 0 theta and b are NaN. b comes from the axial equation away from
-    the magic angle, where it is the stabler one, and from the transverse
-    one near it; b <= 0 means the couplings do not invert, and r is then
-    NaN or infinite.
+    4q / (3p + sqrt(9p^2 + 8q^2)), which does not cancel at q << p; then
+    cos t = 1 / sqrt(1 + u^2) and sin t = u cos t. At q = 0 the site is on
+    the axis (p > 0) or in the transverse plane (p < 0: u is infinite, and
+    sin t is set to 1); at p = q = 0 all three are NaN. b comes from the
+    axial equation away from the magic angle, where it is the stabler one,
+    and from the transverse one near it; b <= 0 means no inversion.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         root = np.sqrt(9.0 * p * p + 8.0 * q * q)
         u = np.where(p > 0.0, 4.0 * q / (3.0 * p + root),
                      (root - 3.0 * p) / (2.0 * q))
-        theta = np.arctan(u)
-        theta = np.where(q == 0.0,
-                         np.where(p > 0.0, 0.0,
-                                  np.where(p < 0.0, math.pi / 2.0, np.nan)),
-                         theta)
-        ct = np.cos(theta)
-        st = np.sin(theta)
+        ct = 1.0 / np.sqrt(1.0 + u * u)
+        st = np.where(ct == 0.0, 1.0, u * ct)
         denom = 3.0 * ct * ct - 1.0
         b = np.where(np.abs(denom) > 0.5, p / denom, q / (3.0 * st * ct))
-        r = (constants.dipolar_coefficient / b) ** (1.0 / 3.0)
-    return r, theta, b
+    return b, ct, st
+
+
+def _site(p, q, constants: PhysicalConstants):
+    """(r, theta, b) of ``_invert``; r is NaN or infinite where b <= 0."""
+    b, ct, st = _invert(p, q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ((constants.dipolar_coefficient / b) ** (1.0 / 3.0),
+                np.arctan2(st, ct), b)
 
 
 def invert_dipole(a_par: float, a_perp: float, a_iso: float = 0.0,
@@ -183,7 +185,7 @@ def invert_dipole(a_par: float, a_perp: float, a_iso: float = 0.0,
         raise InconsistentInputError(
             "a_par - a_iso and a_perp both vanish; position is unconstrained")
     # one-lane arrays, so that numpy takes the same array loops as for lanes
-    r, theta, b = (float(v[0]) for v in _invert(
+    r, theta, b = (float(v[0]) for v in _site(
         np.array([p], dtype=float), np.array([a_perp], dtype=float), constants))
     if not b > 0.0:
         raise InconsistentInputError(
@@ -204,7 +206,7 @@ def invert_many(a_par, a_perp, a_iso=0.0,
     """
     p = np.asarray(a_par, dtype=float) - a_iso
     q = np.asarray(a_perp, dtype=float)
-    r, theta, b = _invert(*np.broadcast_arrays(p, q), constants)
+    r, theta, b = _site(*np.broadcast_arrays(p, q), constants)
     ok = (b > 0.0) & (r >= MIN_RADIUS)
     return np.where(ok, r, np.nan), np.where(ok, theta, np.nan)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import DEFAULT_CONSTANTS, Frame, PhysicalConstants, LAB_FRAME_NAME, Vector3
 from .errors import DomainError, FrameError
-from .dipole import HyperfineModel, invert_many
+from .dipole import MIN_RADIUS, HyperfineModel, _invert
 
 LOW_FIELD = "low-field"
 GENERAL_FIELD = "general-field"
@@ -130,79 +130,110 @@ def precession_frequency(B0: Vector3, dB: Vector3, hf: HyperfineModel, m_S: int,
     return f
 
 
-def _tensor(u, n, d):
-    """Upper triangle (xx, xy, xz, yy, yz, zz) of 3(u n^T + n u^T) + d I."""
-    return (6.0 * u[0] * n[0] + d, 3.0 * (u[0] * n[1] + n[0] * u[1]),
-            3.0 * (u[0] * n[2] + n[0] * u[2]), 6.0 * u[1] * n[1] + d,
-            3.0 * (u[1] * n[2] + n[1] * u[2]), 6.0 * u[2] * n[2] + d)
-
-
 def xi_kernel(records, a_par, a_perp, variant: str = GENERAL_FIELD,
-              constants: PhysicalConstants = DEFAULT_CONSTANTS):
+              constants: PhysicalConstants = DEFAULT_CONSTANTS) -> "XiKernel":
     """Lane-wise signed xi of a record set, and its exact derivatives, as a
-    function of the azimuth and the contact term.
+    function of the azimuth and the contact term (see ``XiKernel``).
 
-    ``records`` holds per record (measured fp_m1 - fp0, B0, dB) in Hz and
+    ``records`` yields per record (measured fp_m1 - fp0, B0, dB) in Hz and
     tesla: sensor-frame field components shaped (3,) for one field set shared
     by every lane, or (3, m) for one per lane, with the splitting a scalar or
     (m,). The couplings a_par, a_perp (Hz) are scalars or (m,) arrays. The
-    enhancement prefactors are computed here, once per record set.
-
-    Returns a function of broadcasting (phi, a_iso) lane arrays. It inverts
-    the couplings at a_iso (``invert_many``) and gives each record's xi,
-    measured minus predicted coil-on splitting with the model of
-    ``precession_frequency``, stacked over records, together with dxi/dphi
-    and dxi/da_iso from the same pass. With ``derivatives=False`` it gives
-    xi alone, for grid scans that need no Jacobian. Lanes whose couplings do
-    not invert, or at the level crossing, come out NaN.
+    lane constants (couplings, splitting, c = -gamma_n (B0 + dB),
+    q = gamma_n dB, enhancement prefactors k(0) and k(-1)) are packed here.
     """
     _check_variant(variant)
     gn = constants.gamma_n
-    prepared = []
+    rows = [a_par, a_perp]
     for meas, B0, dB in records:
-        prepared.append((meas, [-gn * (B0[i] + dB[i]) for i in range(3)],
-                         [[gn * k * dB[i] for i in range(3)] for k in (
-                             _prefactor(0, B0[2], variant, constants),
-                             _prefactor(-1, B0[2], variant, constants))]))
-    C = constants.dipolar_coefficient
+        rows += [meas, *(-gn * (B0[i] + dB[i]) for i in range(3)),
+                 *(gn * dB[i] for i in range(3)),
+                 *(_prefactor(m, B0[2], variant, constants) for m in (0, -1))]
+    return XiKernel(np.array(np.broadcast_arrays(*rows), dtype=float),
+                    constants.dipolar_coefficient / MIN_RADIUS ** 3)
 
-    def xi(phi, a_iso, derivatives=True):
-        r, theta = invert_many(a_par, a_perp, a_iso, constants)
-        # A = b(3 n n^T - I) + a_iso I, and its derivatives, each of the form
-        # 3(u n^T + n u^T) + d I
-        b = C / r ** 3
-        st, ct = np.sin(theta), np.cos(theta)
+
+@dataclass(frozen=True, eq=False)
+class XiKernel:
+    """Called on broadcasting (phi, a_iso) lane arrays, inverts the couplings
+    at a_iso (``dipole._invert``) and gives each record's xi, measured minus
+    predicted coil-on splitting with the model of ``precession_frequency``,
+    stacked over records, with dxi/dphi and dxi/da_iso from the same pass.
+    ``derivatives="phi"`` gives xi and dxi/dphi alone, for fits with a_iso
+    fixed, and ``derivatives=False`` xi alone, for grid scans. Lanes whose
+    couplings do not invert, or at the level crossing, come out NaN.
+
+    With n the unit vector to the site, b the dipolar strength and
+    q = gamma_n dB, the hyperfine tensor A = 3b n n^T + (a_iso - b) I gives
+    A q = 3b (n.q) n + (a_iso - b) q, and each derivative tensor
+    T = 3(u n^T + n u^T) + d I gives T q = 3(u (n.q) + n (u.q)) + d q. Only
+    their x and y rows enter, the enhancement's third row being zero; the
+    secular columns A e_z and T e_z are computed once per call, and both
+    m_S branches share A q and T q, their enhancements differing by the
+    prefactor k alone.
+    """
+
+    consts: np.ndarray  # (2 + 9 records, *lanes): see xi_kernel
+    b_max: float        # Hz, the dipolar strength at MIN_RADIUS
+
+    def take(self, keep):
+        """The kernel of the lanes ``keep`` (a mask or indices); a kernel
+        whose constants all lanes share is its own."""
+        return (self if self.consts.ndim == 1
+                else XiKernel(self.consts[:, keep], self.b_max))
+
+    def __call__(self, phi, a_iso, derivatives=True):
+        consts = self.consts
+        b, ct, st = _invert(consts[0] - a_iso, consts[1])
+        b = np.where((b > 0.0) & (b <= self.b_max), b, np.nan)
         cp, sp = np.cos(phi), np.sin(phi)
-        n = (st * cp, st * sp, ct)
-        tensors = [_tensor([0.5 * b * c for c in n], n, a_iso - b)]
-        if derivatives:
-            tensors.append(_tensor((-b * n[1], b * n[0], 0.0), n, 0.0))
+        nx, ny = st * cp, st * sp
+        bb, e = 3.0 * b, a_iso - b
+        h = bb * ct
+        az = (h * nx, h * ny, h * ct + e)  # A e_z
+        if derivatives:  # 3u = 3b dn/dphi, with u_z = 0 and d = 0
+            u_phi = (-bb * ny, bb * nx)
+        if derivatives is True:
             # the site follows a_iso along a_par - a_iso = b(3cos^2 - 1),
             # a_perp = 3b sin cos: the 2x2 system has determinant
             # 3b(1 + cos^2) > 0, so b and theta move smoothly everywhere
             g = 1.0 / (1.0 + ct * ct)
             db = (st * st - ct * ct) * g  # db/da_iso
-            t = st * ct * g               # b dtheta/da_iso
-            tensors.append(_tensor((0.5 * db * n[0] + t * ct * cp,
-                                    0.5 * db * n[1] + t * ct * sp,
-                                    0.5 * db * ct - t * st), n, 1.0 - db))
-        out = []
-        for meas, c, ws in prepared:
-            f = []  # per m_S: the frequency and its derivatives
-            for m_S, w in zip((0, -1), ws):
-                lin = [(m_S * xz - (xx * w[0] + xy * w[1] + xz * w[2]),
-                        m_S * yz - (xy * w[0] + yy * w[1] + yz * w[2]),
-                        m_S * zz) for xx, xy, xz, yy, yz, zz in tensors]
-                v = [ci + li for ci, li in zip(c, lin[0])]
-                norm = np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-                f.append([norm] + [(v[0] * d[0] + v[1] * d[1] + v[2] * d[2])
-                                   / norm for d in lin[1:]])
-            out.append([meas - (f[1][0] - f[0][0])]
-                       + [d0 - d1 for d0, d1 in zip(f[0][1:], f[1][1:])])
-        parts = tuple(np.stack(col) for col in zip(*out))
-        return parts if derivatives else parts[0]
-
-    return xi
+            w = 3.0 * st * ct * g         # 3b dtheta/da_iso
+            u_iso = (1.5 * db * nx + w * ct * cp, 1.5 * db * ny + w * ct * sp,
+                     1.5 * db * ct - w * st)
+            d = 1.0 - db
+            tz = (u_iso[0] * ct + nx * u_iso[2], u_iso[1] * ct + ny * u_iso[2],
+                  2.0 * u_iso[2] * ct + d)  # T e_z
+        recs = consts[2:].reshape((len(consts) - 2) // 9, 9, *consts.shape[1:])
+        out = np.empty((1 + bool(derivatives) + (derivatives is True), len(recs),
+                        *np.broadcast_shapes(nx.shape, consts.shape[1:])))
+        for i, (meas, cx, cy, cz, qx, qy, qz, k0, k1) in enumerate(recs):
+            s = nx * qx + ny * qy + ct * qz
+            bs = bb * s
+            aqx, aqy = bs * nx + e * qx, bs * ny + e * qy
+            v0x, v0y = cx - k0 * aqx, cy - k0 * aqy
+            v1x, v1y, v1z = cx - az[0] - k1 * aqx, cy - az[1] - k1 * aqy, cz - az[2]
+            f0 = np.sqrt(v0x * v0x + v0y * v0y + cz * cz)
+            f1 = np.sqrt(v1x * v1x + v1y * v1y + v1z * v1z)
+            np.subtract(meas, f1 - f0, out=out[0, i, ...])
+            if not derivatives:
+                continue
+            # dxi = (v1 . T e_z) / f1 + (T q) . w over x and y, with
+            # w = k(-1) v1 / f1 - k(0) v0 / f0
+            a0, a1 = k0 / f0, k1 / f1
+            wx, wy = a1 * v1x - a0 * v0x, a1 * v1y - a0 * v0y
+            nw = nx * wx + ny * wy
+            np.add(s * (u_phi[0] * wx + u_phi[1] * wy)
+                   + (u_phi[0] * qx + u_phi[1] * qy) * nw,
+                   ct * (v1x * u_phi[0] + v1y * u_phi[1]) / f1, out=out[1, i, ...])
+            if derivatives is True:
+                np.add(s * (u_iso[0] * wx + u_iso[1] * wy)
+                       + (u_iso[0] * qx + u_iso[1] * qy + u_iso[2] * qz) * nw
+                       + d * (qx * wx + qy * wy),
+                       (v1x * tz[0] + v1y * tz[1] + v1z * tz[2]) / f1,
+                       out=out[2, i, ...])
+        return tuple(out) if derivatives else out[0]
 
 
 @dataclass(frozen=True)

@@ -163,8 +163,9 @@ def xi(record: MeasurementRecord, coupling: CouplingEstimate, phi: float,
 
 
 def _dot(u, v):
-    """Per-lane sum over records of u * v, for (n_records, lanes) arrays."""
-    return sum(x * y for x, y in zip(u, v))
+    """Per-lane sum over the rows of u * v, for (rows, lanes) arrays such as
+    one row per record; the rows are added in order."""
+    return (u * v).sum(axis=0)
 
 
 def _kernel(records, coupling, constants):
@@ -212,35 +213,36 @@ def _secant_update(sec, s, y, y_sharp, accept):
     """The lanes' secant terms sec = (S_phiphi, S_phiiso, S_isoiso) after the
     step s by the update of Dennis, Gay and Welsch, S first sized by tau =
     min(1, |s^T y#| / |s^T S s|); rejected steps and y^T s <= 0 keep S."""
-    sec_s = (sec[0] * s[0] + sec[1] * s[1], sec[1] * s[0] + sec[2] * s[1])
+    sec_s = sec[[0, 1]] * s[0] + sec[[1, 2]] * s[1]
     ys = _dot(y, s)
     update = accept & (ys > 0.0)
     ys = np.where(update, ys, 1.0)
     s_y_sharp, s_sec_s = np.abs(_dot(y_sharp, s)), np.abs(_dot(sec_s, s))
     tau = np.divide(s_y_sharp, s_sec_s, out=np.ones_like(ys),
                     where=s_sec_s > s_y_sharp)
-    w = [(v - tau * u) / ys for v, u in zip(y_sharp, sec_s)]
+    w = (y_sharp - tau * sec_s) / ys
     k = _dot(w, s) / ys
     return np.where(update, [
         tau * v + w[i] * y[j] + y[i] * w[j] - k * y[i] * y[j]
         for v, (i, j) in zip(sec, ((0, 0), (0, 1), (1, 1)))], sec)
 
 
-def _levenberg_marquardt(lanes, phi, a_iso, phi_box, iso_box,
+def _levenberg_marquardt(kernel, phi, a_iso, phi_box, iso_box,
                          free_iso: bool) -> _LaneFit:
     """Box-bounded Levenberg-Marquardt fit of (phi, a_iso) on every lane.
 
-    ``lanes(idx)`` returns the xi function of ``dynamics.xi_kernel`` for the
-    lane indices idx. a_iso stays at its start unless ``free_iso``. Steps
-    solve the damped normal equations of the kernel's exact Jacobian, plus
-    the lane's secant term where the sum is positive definite, and are
-    clipped to the (lo, hi) boxes; a coordinate on its bound whose descent
-    points out stays there. Every iteration makes one kernel call, at the
-    trial point, whose derivatives are kept when the step is accepted.
-    Each lane keeps its own damping and stops on its own test, and stopped
-    lanes leave the batch, whose kernel is rebuilt on the lanes left. The
-    arithmetic is per lane, so no lane's result depends on its batch. Lanes
-    with no finite cost at the start come back unchanged.
+    ``kernel`` is the ``dynamics.xi_kernel`` of the lanes. a_iso stays at
+    its start unless ``free_iso``, and the kernel then skips its a_iso
+    column. Steps solve the damped normal equations of the kernel's exact
+    Jacobian, plus the lane's secant term where the sum is positive
+    definite, and are clipped to the (lo, hi) boxes; a coordinate on its
+    bound whose descent points out stays there. Every iteration makes one
+    kernel call, at the trial point, whose derivatives are kept when the
+    step is accepted. Each lane keeps its own damping and stops on its own
+    test; stopped lanes leave the batch, the kernel compacted (``take``)
+    with the other lane arrays. The arithmetic is per lane, so no lane's
+    result depends on its batch. Lanes with no finite cost at the start
+    come back unchanged.
     """
     phi = np.array(phi, dtype=float)
     iso = np.array(a_iso, dtype=float)
@@ -252,8 +254,8 @@ def _levenberg_marquardt(lanes, phi, a_iso, phi_box, iso_box,
     edges = box
 
     idx = np.arange(m)
-    xi = lanes(idx)
-    res, j_phi, j_iso = xi(phi, iso)
+    cols = True if free_iso else "phi"
+    res, *jac = kernel(phi, iso, cols)  # jac: dxi/dphi (and dxi/da_iso)
     cost = _dot(res, res)
     lam = np.full(m, _LM_LAMBDA0)
     sec = np.zeros((3, m))  # the secant term S: S_phiphi, S_phiiso, S_isoiso
@@ -264,21 +266,21 @@ def _levenberg_marquardt(lanes, phi, a_iso, phi_box, iso_box,
             fit.phi[fin], fit.a_iso[fin], fit.cost[fin] = (
                 phi[done], iso[done], cost[done])
             idx = idx[keep]
-            phi, iso, res, j_phi, j_iso, cost, lam, sec = (
-                v[..., keep] for v in (phi, iso, res, j_phi, j_iso, cost, lam, sec))
+            phi, iso, res, cost, lam, sec, *jac = (
+                v[..., keep] for v in (phi, iso, res, cost, lam, sec, *jac))
             box = [b[keep] for b in box]
             if not idx.size:
                 break
-            xi = lanes(idx)
+            kernel = kernel.take(keep)
         if it == _LM_MAX_ITER:  # capped lanes keep their best point
             fit.phi[idx], fit.a_iso[idx], fit.cost[idx] = phi, iso, cost
             fit.converged[idx] = False
             break
         fit.iterations[idx] += 1
 
-        a, g = _dot(j_phi, j_phi), _dot(j_phi, res)
-        b, h, c = ((_dot(j_phi, j_iso), _dot(j_iso, res), _dot(j_iso, j_iso))
-                   if free_iso else (0.0, 0.0, 1.0))
+        a, g = _dot(jac[0], jac[0]), _dot(jac[0], res)
+        b, h, c = ((_dot(jac[0], jac[1]), _dot(jac[1], res),
+                    _dot(jac[1], jac[1])) if free_iso else (0.0, 0.0, 1.0))
         a_s, b_s, c_s = a + sec[0], b + sec[1], c + sec[2]
         s11, s12, s22 = np.where((a_s > 0.0) & (a_s * c_s > b_s * b_s), sec, 0.0)
         a_s, b_s, c_s = a + s11, b + s12, c + s22  # the model's Hessian / 2
@@ -296,7 +298,7 @@ def _levenberg_marquardt(lanes, phi, a_iso, phi_box, iso_box,
             pin_phi, -h / d2, (b_s * g - d1 * h) / det))
         phi_t = np.clip(phi + step_phi, box[0], box[1])
         iso_t = np.clip(iso + step_iso, box[2], box[3])
-        res_t, j_phi_t, j_iso_t = xi(phi_t, iso_t)
+        res_t, *jac_t = kernel(phi_t, iso_t, cols)
         cost_t = _dot(res_t, res_t)
 
         step_phi, step_iso = phi_t - phi, iso_t - iso
@@ -320,17 +322,16 @@ def _levenberg_marquardt(lanes, phi, a_iso, phi_box, iso_box,
                                 (1.0 + lam) / np.clip(shrink, 0.1, 0.5) - 1.0))
 
         # the secant update from y = J_t^T r_t - J^T r and y# = (J_t - J)^T r_t
-        y, y_sharp = [0.0, 0.0], [0.0, 0.0]
-        for i, (j_t, j, grad) in enumerate(((j_phi_t, j_phi, g),
-                                             (j_iso_t, j_iso, h))[:1 + free_iso]):
+        y, y_sharp = np.zeros((2, 2, idx.size))
+        for i, (j_t, j, grad) in enumerate(zip(jac_t, jac, (g, h))):
             grad_t = _dot(j_t, res_t)
             y[i], y_sharp[i] = grad_t - grad, grad_t - _dot(j, res_t)
         sec = _secant_update(sec, (step_phi, step_iso), y, y_sharp, accept)
 
-        phi, iso, cost, res, j_phi, j_iso = (
+        phi, iso, cost, res, *jac = (
             np.where(accept, new, old) for new, old in
-            ((phi_t, phi), (iso_t, iso), (cost_t, cost), (res_t, res),
-             (j_phi_t, j_phi), (j_iso_t, j_iso)))
+            zip((phi_t, iso_t, cost_t, res_t, *jac_t),
+                (phi, iso, cost, res, *jac)))
 
     on_edge = (fit.phi == edges[0]) | (fit.phi == edges[1])
     if free_iso:
@@ -420,8 +421,8 @@ def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = N
             "term of the fit")
 
     kernel = _kernel(records, coupling, constants)
-    lm = _levenberg_marquardt(lambda idx: kernel, phi0, iso0, phi_box,
-                              iso_box, free_iso=fix_a_iso is None)
+    lm = _levenberg_marquardt(kernel, phi0, iso0, phi_box, iso_box,
+                              free_iso=fix_a_iso is None)
     candidates = [(float(c), float(p) % _TWO_PI, float(a))
                   for c, p, a in zip(lm.cost, lm.phi, lm.a_iso)]
 

@@ -138,15 +138,16 @@ _LANE_BLOCK = 4096
 
 def _draws(idx: np.ndarray, seed: int, n_draws: int) -> np.ndarray:
     """(len(idx), n_draws) normals, row j those of Philox keyed [seed, idx[j]],
-    from one generator re-keyed per sample."""
+    from one generator re-keyed per sample from a state of Python ints, which
+    its setter converts faster than numpy scalars."""
     bg = np.random.Philox(key=0)  # re-keyed below; a key >= 2**63 warns here
     rng = np.random.Generator(bg)
-    zeros = np.zeros(4, dtype=np.uint64)
-    key = np.array([seed, 0], np.uint64)
+    zeros = [0, 0, 0, 0]
+    key = [seed, 0]
     state = {"bit_generator": "Philox", "buffer": zeros, "buffer_pos": 4,
              "state": {"counter": zeros, "key": key}, "has_uint32": 0, "uinteger": 0}
     out = np.empty((len(idx), n_draws))
-    for i, row in zip(idx, out):
+    for i, row in zip(idx.tolist(), out):
         key[1] = i
         bg.state = state
         rng.standard_normal(out=row)
@@ -172,30 +173,22 @@ def _chunk_estimates(idx: np.ndarray, seed: int, coupling, records,
         inputs.f_rabi + inputs.sigma_f_rabi * draws[:, 2],
         inputs.tau, coupling.method)
 
-    recs_data = []
-    k = 3
-    for rec in records:
-        fp0 = rec.fp0 + rec.sigma_fp0 * draws[:, k]
-        fp_m1 = rec.fp_m1 + rec.sigma_fp_m1 * draws[:, k + 1]
-        B0 = rec.B0.components[:, None] + rec.sigma_B0[:, None] * draws[:, k + 2:k + 5].T
-        dB = rec.dB.components[:, None] + rec.sigma_dB[:, None] * draws[:, k + 5:k + 8].T
-        recs_data.append((fp_m1 - fp0, B0, dB))
-        k += 8
+    # per record: the splitting fp_m1 - fp0, then B0 and dB, all perturbed
+    kernel = xi_kernel((
+        (rec.fp_m1 + rec.sigma_fp_m1 * draws[:, k + 1]
+         - (rec.fp0 + rec.sigma_fp0 * draws[:, k]),
+         rec.B0.components[:, None] + rec.sigma_B0[:, None] * draws[:, k + 2:k + 5].T,
+         rec.dB.components[:, None] + rec.sigma_dB[:, None] * draws[:, k + 5:k + 8].T)
+        for k, rec in zip(range(3, 3 + 8 * len(records), 8), records)),
+        a_par, a_perp, GENERAL_FIELD, constants)
     del draws
-
-    def lanes(sel):
-        """The xi kernel of the lanes sel, with fields and couplings sliced to
-        them."""
-        return xi_kernel([(meas[sel], B0[:, sel], dB[:, sel])
-                          for meas, B0, dB in recs_data], a_par[sel],
-                         a_perp[sel], GENERAL_FIELD, constants)
 
     m = len(idx)
     free = fix_a_iso is None
     iso0 = np.full(m, point.a_iso if free else float(fix_a_iso))
     phi_box = _PHI_BOX_FREE if free else _PHI_BOX
     fit = _levenberg_marquardt(
-        lanes, np.full(m, point.phi), iso0,
+        kernel, np.full(m, point.phi), iso0,
         (point.phi - phi_box, point.phi + phi_box),
         (point.a_iso - _ISO_BOX, point.a_iso + _ISO_BOX), free_iso=free)
 

@@ -21,6 +21,7 @@ from spinloc import (
     invert_many,
     secular_couplings,
 )
+from spinloc.dipole import _invert, _site
 
 ANGSTROM = 1e-10
 
@@ -208,6 +209,25 @@ def _reference_theta(p, q):
     if g(math.pi / 2.0) <= 0.0:
         return math.pi / 2.0
     return brentq(g, 0.0, math.pi / 2.0, xtol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats(-1e6, 1e6),
+       q=st.one_of(st.just(0.0), st.floats(1e-3, 1e6)))
+@example(p=0.0, q=1e3)
+def test_invert_cos_sin_match_theta(p, q):
+    # the xi kernel takes cos and sin of theta from the inversion itself; the
+    # last three lanes are the q = 0 branches: on the axis, in the plane,
+    # and p = q = 0, which is NaN
+    p_lanes, q_lanes = np.array([p, 2e3, -2e3, 0.0]), np.array([q, 0, 0, 0.0])
+    b, ct, st_ = _invert(p_lanes, q_lanes)
+    _, theta, _ = _site(p_lanes, q_lanes, DEFAULT_CONSTANTS)
+    np.testing.assert_allclose(ct, np.cos(theta), rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(st_, np.sin(theta), rtol=0.0, atol=1e-15)
+    assert theta[1] == 0.0 and theta[2] == math.pi / 2.0
+    assert np.isnan([b[3], ct[3], st_[3], theta[3]]).all()
+    if p != 0.0 or q != 0.0:
+        assert theta[0] == pytest.approx(_reference_theta(p, q), abs=1e-9)
 
 
 def _reference_inversion(a_par, a_perp, a_iso):

@@ -258,6 +258,38 @@ def test_xi_kernel_derivatives_match_central_differences(site, b0, dbs,
                                    atol=floor)
 
 
+@settings(max_examples=60, deadline=None)
+@given(lanes=st.lists(st.tuples(_sites, _b0, _db, _splitting,
+                                st.floats(0.0, 2.0 * math.pi),
+                                st.floats(-3e4, 3e4)),
+                      min_size=1, max_size=6),
+       data=st.data(), variant=_variant)
+def test_xi_kernel_take_matches_kernel_of_sliced_lanes(lanes, data, variant):
+    # the solver compacts the kernel with take as lanes stop: bit for bit the
+    # kernel of the sliced inputs, in all three output forms, for a random
+    # mask and a one-lane block
+    n = len(lanes)
+    a_par, a_perp = np.array([secular_couplings(*site) for site, *_ in lanes]).T
+    B0 = np.array([lane[1] for lane in lanes]).T
+    dB = np.array([lane[2] for lane in lanes]).T
+    meas = np.array([lane[3] for lane in lanes])
+    phi, iso = np.array([lane[4:] for lane in lanes]).T
+    recs = [(meas, B0, dB), (meas[::-1], B0, dB[::-1])]
+    full = xi_kernel(recs, a_par, a_perp, variant)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    one = np.arange(n) == data.draw(st.integers(0, n - 1))
+    for keep in (mask, one):
+        sliced = xi_kernel([(m[keep], b0[:, keep], db[:, keep])
+                            for m, b0, db in recs], a_par[keep], a_perp[keep],
+                           variant)
+        for derivatives in (True, "phi", False):
+            np.testing.assert_array_equal(
+                full.take(keep)(phi[keep], iso[keep], derivatives),
+                sliced(phi[keep], iso[keep], derivatives))
+    # the a_iso column does not change the other two
+    np.testing.assert_array_equal(full(phi, iso, "phi"), full(phi, iso)[:2])
+
+
 def test_xi_kernel_resonant_lane_is_nan():
     crossing = DEFAULT_CONSTANTS.D / DEFAULT_CONSTANTS.gamma_e
     B0 = np.array([[0.0, 0.0], [0.0, 0.0], [9.502e-3, crossing]])

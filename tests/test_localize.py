@@ -226,8 +226,8 @@ def test_levenberg_marquardt_lanes_end_at_box_minima(r, theta, phi, a_iso,
     iso0 = a_iso + 2e4 * offsets
     phi_box = (phi0 - 0.1, phi0 + 0.1)
     iso_box = (iso0 - 5e3, iso0 + 5e3) if free else (iso0, iso0)
-    fit = _levenberg_marquardt(lambda idx: kernel, phi0, iso0,
-                               phi_box, iso_box, free_iso=free)
+    fit = _levenberg_marquardt(kernel, phi0, iso0, phi_box, iso_box,
+                               free_iso=free)
 
     assert fit.converged.all()
     assert np.all((fit.phi >= phi_box[0]) & (fit.phi <= phi_box[1]))

@@ -30,10 +30,11 @@ from .dipole import SphericalPosition, dft_residual_map, dipole_tensor, invert_d
 from .dynamics import precession_frequency
 from .errors import ParseError, SpinlocError
 from .extract import CouplingInputs, extract_couplings, nominal_tau, rabi_frequency
-from .fileio import (ANGSTROM, DEG, DISPLAY_UNITS, KHZ, MT, NucleusMeasurements,
-                     load_dft_table, load_measurements, load_odmr, load_truth,
-                     save_cost_curve, save_histogram, save_measurements,
-                     save_residual_map, save_scatter, write_json, write_text)
+from .fileio import (ANGSTROM, DEG, DISPLAY_UNITS, KHZ, MT, SIGMA_F_FLOOR,
+                     NucleusMeasurements, load_dft_table, load_measurements,
+                     load_odmr, load_truth, save_cost_curve, save_histogram,
+                     save_measurements, save_residual_map, save_scatter,
+                     write_json, write_text)
 from .localize import (A_ISO_FIX_RADIUS, MeasurementRecord, assemble_position,
                        cost_curve)
 from .montecarlo import CONFIDENCE_LEVELS, McConfig, histogram, propagate
@@ -41,8 +42,7 @@ from .signal import estimate_frequencies, synth_trace
 
 CONFIG_ENV_VAR = "SPINLOC_CONFIG"
 
-# floors applied when writing sigmas the record contract requires positive
-_SIGMA_F_FLOOR = 1e-6   # Hz
+# floor applied when writing field sigmas the record contract requires positive
 _SIGMA_B_FLOOR = 1e-12  # T
 
 _HISTOGRAM_BINS = 48
@@ -330,10 +330,10 @@ def simulate_measurements(truth, constants=DEFAULT_CONSTANTS
             dB_m = cfg.dB.components + rng.standard_normal(3) * noise.sigma_B
             records.append(MeasurementRecord(
                 label=cfg.label,
-                f0=inputs.f0, sigma_f0=max(s_f, _SIGMA_F_FLOOR),
-                f_m1=inputs.f_m1, sigma_f_m1=max(s_f, _SIGMA_F_FLOOR),
-                fp0=fp0_m, sigma_fp0=max(s_fp, _SIGMA_F_FLOOR),
-                fp_m1=fp_m1_m, sigma_fp_m1=max(s_fp, _SIGMA_F_FLOOR),
+                f0=inputs.f0, sigma_f0=max(s_f, SIGMA_F_FLOOR),
+                f_m1=inputs.f_m1, sigma_f_m1=max(s_f, SIGMA_F_FLOOR),
+                fp0=fp0_m, sigma_fp0=max(s_fp, SIGMA_F_FLOOR),
+                fp_m1=fp_m1_m, sigma_fp_m1=max(s_fp, SIGMA_F_FLOOR),
                 B0=Vector3(B0_m, frame),
                 sigma_B0=np.full(3, max(noise.sigma_B, _SIGMA_B_FLOOR)),
                 dB=Vector3(dB_m, frame),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FrameError
+from .errors import FrameError, ParseError
 
 MU0 = 4e-7 * math.pi        # vacuum permeability, T*m/A
 HBAR = 1.054e-34            # reduced Planck constant, J*s
@@ -232,7 +232,7 @@ def rotate(v: Vector3, to: str, registry: FrameRegistry | None = None) -> Vector
 
 
 # ---------------------------------------------------------------------------
-# Configuration serialization (YAML; schema documented in FORMATS.md)
+# Configuration serialization (YAML; the sections are those load_config reads)
 
 def registry_to_mapping(reg: FrameRegistry) -> dict:
     out = {}
@@ -271,24 +271,34 @@ def load_config(path) -> tuple[PhysicalConstants, FrameRegistry, dict]:
     Returns (constants, frame registry, raw mapping). Recognized sections:
     ``constants`` (only gamma_n may differ from the built-in values) and
     ``frames``. Other sections are passed through untouched for the pipeline
-    layer.
+    layer. Text that is not YAML, or sections of the wrong shape, raise
+    ParseError (at the YAML error's line where it has one).
     """
     import yaml  # deferred: slow to import
 
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
+        try:
+            raw = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            problem = getattr(exc, "problem", None) or exc
+            raise ParseError(path, mark.line + 1 if mark else 1,
+                             f"not valid YAML: {problem}") from None
     if not isinstance(raw, dict):
-        raise ValueError(f"{path}: top level of config must be a mapping")
-    cdict = dict(raw.get("constants") or {})
-    kwargs = {}
-    if "gamma_n" in cdict:
-        kwargs["gamma_n"] = float(cdict.pop("gamma_n"))
-    for key, val in cdict.items():
-        if not hasattr(PhysicalConstants, key):
-            raise ValueError(f"unknown constant {key!r} in {path}")
-        kwargs[key] = float(val)  # fixed constants: accepted only if identical
-    constants = PhysicalConstants(**kwargs)
-    registry = registry_from_mapping(raw.get("frames"))
+        raise ParseError(path, 1, "top level of config must be a mapping")
+    try:
+        cdict = dict(raw.get("constants") or {})
+        kwargs = {}
+        if "gamma_n" in cdict:
+            kwargs["gamma_n"] = float(cdict.pop("gamma_n"))
+        for key, val in cdict.items():
+            if not hasattr(PhysicalConstants, key):
+                raise ValueError(f"unknown constant {key!r} in {path}")
+            kwargs[key] = float(val)  # fixed constants: accepted only if identical
+        constants = PhysicalConstants(**kwargs)
+        registry = registry_from_mapping(raw.get("frames"))
+    except (TypeError, AttributeError) as exc:
+        raise ParseError(path, 1, f"malformed config: {exc}") from None
     return constants, registry, raw
 
 

@@ -2,11 +2,13 @@
 
 All formats are plain text: a `kind = <name>` / `version = 1` header,
 `[section ...]` blocks, `key = value` lines, and bare whitespace-separated
-data rows where a format calls for them. `#` starts a comment anywhere.
-Units at the file boundary mirror the published tables (kHz, mT, us,
-Angstrom, degrees); everything is converted to SI/rad on load. Parse
-problems raise ParseError carrying path and line number. Writers go through
-a temp file and an atomic rename.
+data rows where a format calls for them. `#` starts a comment anywhere. A
+section (name and labels) appears at most once per file. The schema tables
+below are the grammar of each file kind: they list every section's keys in
+file order with their shape and default. A key's suffix names its unit,
+mirroring the published tables (kHz, mT, us, Angstrom, degrees); everything
+is converted to SI/rad on load. Parse problems raise ParseError carrying
+path and line number. Writers go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -37,9 +39,64 @@ US = 1e-6
 ANGSTROM = 1e-10
 DEG = math.pi / 180.0
 
+# SI value of one unit, keyed by the unit suffix of a file key or column
+_UNITS = {"kHz": KHZ, "mT": MT, "us": US, "A": ANGSTROM, "deg": DEG}
+
 # display unit of each Monte Carlo parameter: (SI value of one unit, name)
-DISPLAY_UNITS = dict(zip(PARAMETERS, ((DEG, "deg"), (KHZ, "kHz"),
-                                      (ANGSTROM, "A"), (DEG, "deg"))))
+DISPLAY_UNITS = {name: (_UNITS[unit], unit)
+                 for name, unit in zip(PARAMETERS, ("deg", "kHz", "A", "deg"))}
+
+# floor of the line sigmas a MeasurementRecord requires positive
+SIGMA_F_FLOOR = 1e-6  # Hz
+
+
+# ---------------------------------------------------------------------------
+# schemas: each maps a section's keys, in file order, to (shape, default).
+# The shape counts components (1: a number, 3: a 3-vector, 0: a word kept as
+# text). A key gives the field named by the key less its unit suffix, in SI
+# units: f0_kHz gives f0 in Hz. A _REQUIRED key must be given; an absent key
+# takes its default as the field. A layout maps each section name of a file
+# kind to (label count, schema); the header is the section "", and a None
+# schema marks a section of data rows.
+
+_REQUIRED = object()
+_NUMBER = (1, _REQUIRED)
+_VECTOR = (3, _REQUIRED)
+_FRAME = {"frame": (0, SENSOR_FRAME_NAME)}
+_HEADER = {"kind": (0, _REQUIRED), "version": (0, _REQUIRED)}
+
+_NUCLEUS = dict.fromkeys(("f0_kHz", "sigma_f0_kHz", "f_m1_kHz", "sigma_f_m1_kHz",
+                          "f_rabi_kHz", "sigma_f_rabi_kHz", "tau_us"), _NUMBER)
+_RECORD = {**dict.fromkeys(("fp0_kHz", "sigma_fp0_kHz",
+                            "fp_m1_kHz", "sigma_fp_m1_kHz"), _NUMBER),
+           **dict.fromkeys(("B0_mT", "sigma_B0_mT", "dB_mT", "sigma_dB_mT"), _VECTOR),
+           **_FRAME}
+_MEASUREMENTS = {"": (0, _HEADER), "nucleus": (1, _NUCLEUS), "record": (2, _RECORD)}
+
+_TRUTH = {
+    "": (0, _HEADER),
+    "nucleus": (1, {"r_A": _NUMBER, "theta_deg": _NUMBER, "phi_deg": _NUMBER,
+                    "a_iso_kHz": (1, 0.0)}),
+    "fields": (1, {"B0_mT": _VECTOR, "dB_mT": _VECTOR, **_FRAME}),
+    "noise": (0, dict.fromkeys(("sigma_f_kHz", "sigma_f_rabi_kHz",
+                                "sigma_fp_kHz", "sigma_B_mT"), (1, 0.0))),
+    "options": (0, {"seed": (0, "0"), "tau_us": (1, None), "from_traces": (0, "no")}),
+}
+
+# one row per resonance: nv_id frame_name f_GHz sigma_MHz
+_ODMR = {"": (0, {**_HEADER, "context": (0, COIL_FIELD)}), "lines": (0, None)}
+
+# the columns of a reference coupling table, in any order
+_DFT_COLUMNS = {"a_par_kHz": _NUMBER, "a_perp_kHz": _NUMBER, "a_iso_kHz": (1, 0.0),
+                "r_A": _NUMBER, "theta_deg": _NUMBER}
+
+_LABEL_COUNTS = ("no label", "exactly one label", "exactly two labels")
+
+
+def _field_unit(key: str):
+    """(field name, SI value of one unit) of a file key or column."""
+    name, _, suffix = key.rpartition("_")
+    return (name, _UNITS[suffix]) if suffix in _UNITS else (key, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +162,37 @@ def _fmt_vec(v) -> str:
     return " ".join(_fmt(c) for c in np.asarray(v, dtype=float))
 
 
+def _section_lines(head: str, schema: dict, values: dict) -> list[str]:
+    """A blank line, ``[head]`` and one ``key = value`` line per key of
+    ``schema``, in order, from the SI field values in ``values``."""
+    lines = ["", f"[{head}]"]
+    for key, (shape, _) in schema.items():
+        name, unit = _field_unit(key)
+        value = values[name]
+        if shape:
+            value = (_fmt if shape == 1 else _fmt_vec)(value / unit)
+        lines.append(f"{key} = {value}")
+    return lines
+
+
 # ---------------------------------------------------------------------------
 # structured-text core
+
+def _lines(path, header_comment: bool = False):
+    """(line number, text) of each non-blank line of ``path``, comments cut.
+    With ``header_comment`` the first such line may be a comment's text."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(path, 0, f"cannot open: {exc}") from None
+    with fh:
+        for line_no, raw in enumerate(fh, 1):
+            text, _, comment = raw.partition("#")
+            text = text.strip() or (comment.strip() if header_comment else "")
+            if text:
+                header_comment = False
+                yield line_no, text
+
 
 @dataclass
 class _Section:
@@ -118,56 +204,92 @@ class _Section:
 
     @property
     def label(self) -> str:
-        return " ".join([self.name] + self.args)
+        return f"[{' '.join([self.name] + self.args)}]" if self.name else "the header"
 
 
-def _parse_structured(path, expected_kind: str):
-    """Returns (toplevel values dict, sections list)."""
-    top: dict = {}
-    sections: list[_Section] = []
-    current: _Section | None = None
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(path, 0, f"cannot open: {exc}") from None
-    with fh:
-        for line_no, raw in enumerate(fh, 1):
-            s = raw.split("#", 1)[0].strip()
-            if not s:
-                continue
-            if s.startswith("["):
-                if not s.endswith("]"):
-                    raise ParseError(path, line_no, "unterminated section header")
-                toks = s[1:-1].split()
-                if not toks:
-                    raise ParseError(path, line_no, "empty section header")
-                current = _Section(line=line_no, name=toks[0], args=toks[1:])
-                sections.append(current)
-            elif "=" in s:
-                key, val = s.split("=", 1)
-                key, val = key.strip(), val.strip()
-                if not key:
-                    raise ParseError(path, line_no, "missing key before '='")
-                target = top if current is None else current.values
-                if key in target:
-                    raise ParseError(path, line_no, f"duplicate key {key!r}")
-                target[key] = (line_no, val)
-            else:
-                if current is None:
-                    raise ParseError(path, line_no, "data row outside any section")
-                current.rows.append((line_no, s))
+def _read_sections(path, kind: str, layout: dict):
+    """(section, field values) of each section of a ``kind`` file, in file
+    order and the header first, as the layout of that kind prescribes."""
+    sections = [_Section(line=1, name="", args=[])]
+    for line_no, s in _lines(path):
+        current = sections[-1]
+        if s.startswith("["):
+            if not s.endswith("]"):
+                raise ParseError(path, line_no, "unterminated section header")
+            toks = s[1:-1].split()
+            if not toks:
+                raise ParseError(path, line_no, "empty section header")
+            current = _Section(line=line_no, name=toks[0], args=toks[1:])
+            if any(sec.label == current.label for sec in sections):
+                raise ParseError(path, line_no, f"duplicate section {current.label}")
+            sections.append(current)
+        elif "=" in s:
+            key, val = (part.strip() for part in s.split("=", 1))
+            if not key:
+                raise ParseError(path, line_no, "missing key before '='")
+            if key in current.values:
+                raise ParseError(path, line_no, f"duplicate key {key!r}")
+            current.values[key] = (line_no, val)
+        elif not current.name:
+            raise ParseError(path, line_no, "data row outside any section")
+        else:
+            current.rows.append((line_no, s))
+    top = sections[0].values
     if "kind" not in top:
         raise ParseError(path, 1, "missing 'kind = ...' header")
-    kind = top["kind"][1]
-    if kind != expected_kind:
+    if top["kind"][1] != kind:
         raise ParseError(path, top["kind"][0],
-                         f"expected kind {expected_kind!r}, found {kind!r}")
+                         f"expected kind {kind!r}, found {top['kind'][1]!r}")
     if "version" not in top:
         raise ParseError(path, 1, "missing 'version = ...' header")
-    vline, vval = top["version"]
-    if vval != str(FORMAT_VERSION):
-        raise ParseError(path, vline, f"unsupported version {vval!r}")
-    return top, sections
+    if top["version"][1] != str(FORMAT_VERSION):
+        raise ParseError(path, top["version"][0],
+                         f"unsupported version {top['version'][1]!r}")
+    for sec in sections:
+        if sec.name not in layout:
+            raise ParseError(path, sec.line, f"unknown section [{sec.name}]")
+        n_labels, schema = layout[sec.name]
+        if len(sec.args) != n_labels:
+            raise ParseError(path, sec.line,
+                             f"[{sec.name}] needs {_LABEL_COUNTS[n_labels]}")
+        yield sec, _read_section(path, sec, schema)
+
+
+def _read_section(path, sec: _Section, schema) -> dict:
+    """Field -> value of each key of ``schema`` in ``sec``; a None schema is
+    a section of data rows, which takes no keys."""
+    if schema is None:
+        if sec.values:
+            key, (line, _) = next(iter(sec.values.items()))
+            raise ParseError(path, line, f"unexpected key {key!r} in {sec.label}")
+        return {}
+    if sec.rows:
+        raise ParseError(path, sec.rows[0][0], f"unexpected data row in {sec.label}")
+    _no_extra_keys(path, sec, schema)
+    values = {}
+    for key, (shape, default) in schema.items():
+        name, unit = _field_unit(key)
+        if key not in sec.values and default is not _REQUIRED:
+            values[name] = default
+            continue
+        line, raw = _require(path, sec, key)
+        parts = raw.split()
+        if shape == 0:
+            values[name] = raw
+        elif shape == 1:
+            values[name] = _finite(path, line, [raw], "not a number")[0] * unit
+        elif len(parts) != 3:
+            raise ParseError(path, line, f"expected 3 components, got {len(parts)}")
+        else:
+            values[name] = unit * np.array(
+                _finite(path, line, parts, "not a 3-vector of numbers"))
+    return values
+
+
+def _check(path, sec: _Section, key: str, ok: bool, rule: str):
+    """ParseError at the line of ``key`` in ``sec`` unless ``ok``."""
+    if not ok:
+        raise ParseError(path, sec.values[key][0], f"{key} {rule}")
 
 
 def _finite(path, line: int, parts, what: str) -> list[float]:
@@ -182,30 +304,17 @@ def _finite(path, line: int, parts, what: str) -> list[float]:
     return values
 
 
-def _float(path, entry) -> float:
-    line, raw = entry
-    return _finite(path, line, [raw], "not a number")[0]
-
-
-def _vec3(path, entry) -> np.ndarray:
-    line, raw = entry
-    parts = raw.split()
-    if len(parts) != 3:
-        raise ParseError(path, line, f"expected 3 components, got {len(parts)}")
-    return np.array(_finite(path, line, parts, "not a 3-vector of numbers"))
-
-
 def _require(path, sec: _Section, key: str):
     if key not in sec.values:
         raise ParseError(path, sec.line,
-                         f"section [{sec.label}] is missing key {key!r}")
+                         f"section {sec.label} is missing key {key!r}")
     return sec.values[key]
 
 
 def _no_extra_keys(path, sec: _Section, allowed):
     for key, (line, _) in sec.values.items():
         if key not in allowed:
-            raise ParseError(path, line, f"unknown key {key!r} in [{sec.label}]")
+            raise ParseError(path, line, f"unknown key {key!r} in {sec.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -223,102 +332,50 @@ class NucleusMeasurements:
         object.__setattr__(self, "records", tuple(self.records))
 
 
-_NUCLEUS_KEYS = {"f0_kHz", "sigma_f0_kHz", "f_m1_kHz", "sigma_f_m1_kHz",
-                 "f_rabi_kHz", "sigma_f_rabi_kHz", "tau_us"}
-_RECORD_KEYS = {"fp0_kHz", "sigma_fp0_kHz", "fp_m1_kHz", "sigma_fp_m1_kHz",
-                "B0_mT", "sigma_B0_mT", "dB_mT", "sigma_dB_mT", "frame"}
-
-
 def load_measurements(path) -> dict[str, NucleusMeasurements]:
     """Parse a measurements file into per-nucleus inputs and records.
 
     Returns nuclei in file order. Records must name a previously declared
     nucleus; every nucleus needs at least one record.
     """
-    _, sections = _parse_structured(path, "measurements")
     inputs: dict[str, CouplingInputs] = {}
     records: dict[str, list] = {}
-    for sec in sections:
-        if sec.name == "nucleus":
-            if len(sec.args) != 1:
-                raise ParseError(path, sec.line, "[nucleus] needs exactly one label")
-            label = sec.args[0]
-            if label in inputs:
-                raise ParseError(path, sec.line, f"duplicate nucleus {label!r}")
-            _no_extra_keys(path, sec, _NUCLEUS_KEYS)
-            try:
-                inputs[label] = CouplingInputs(
-                    f0=_float(path, _require(path, sec, "f0_kHz")) * KHZ,
-                    f_m1=_float(path, _require(path, sec, "f_m1_kHz")) * KHZ,
-                    f_rabi=_float(path, _require(path, sec, "f_rabi_kHz")) * KHZ,
-                    tau=_float(path, _require(path, sec, "tau_us")) * US,
-                    sigma_f0=_float(path, _require(path, sec, "sigma_f0_kHz")) * KHZ,
-                    sigma_f_m1=_float(path, _require(path, sec, "sigma_f_m1_kHz")) * KHZ,
-                    sigma_f_rabi=_float(path, _require(path, sec, "sigma_f_rabi_kHz")) * KHZ)
-            except ValueError as exc:
-                raise ParseError(path, sec.line, str(exc)) from None
-            records[label] = []
-        elif sec.name == "record":
-            if len(sec.args) != 2:
-                raise ParseError(path, sec.line,
-                                 "[record] needs a nucleus label and a record label")
-            nucleus, label = sec.args
-            if nucleus not in inputs:
-                raise ParseError(path, sec.line, f"record for unknown nucleus {nucleus!r}")
-            _no_extra_keys(path, sec, _RECORD_KEYS)
-            frame = sec.values.get("frame", (sec.line, SENSOR_FRAME_NAME))[1]
-            ci = inputs[nucleus]
-            try:
+    for sec, v in _read_sections(path, "measurements", _MEASUREMENTS):
+        try:
+            if sec.name == "nucleus":
+                inputs[sec.args[0]] = CouplingInputs(**v)
+                records[sec.args[0]] = []
+            elif sec.name == "record":
+                nucleus, label = sec.args
+                if nucleus not in inputs:
+                    raise ParseError(path, sec.line,
+                                     f"record for unknown nucleus {nucleus!r}")
+                ci, frame = inputs[nucleus], v.pop("frame")
                 records[nucleus].append(MeasurementRecord(
                     label=label,
-                    f0=ci.f0, sigma_f0=max(ci.sigma_f0, 1e-6),
-                    f_m1=ci.f_m1, sigma_f_m1=max(ci.sigma_f_m1, 1e-6),
-                    fp0=_float(path, _require(path, sec, "fp0_kHz")) * KHZ,
-                    sigma_fp0=_float(path, _require(path, sec, "sigma_fp0_kHz")) * KHZ,
-                    fp_m1=_float(path, _require(path, sec, "fp_m1_kHz")) * KHZ,
-                    sigma_fp_m1=_float(path, _require(path, sec, "sigma_fp_m1_kHz")) * KHZ,
-                    B0=Vector3(_vec3(path, _require(path, sec, "B0_mT")) * MT, frame),
-                    sigma_B0=_vec3(path, _require(path, sec, "sigma_B0_mT")) * MT,
-                    dB=Vector3(_vec3(path, _require(path, sec, "dB_mT")) * MT, frame),
-                    sigma_dB=_vec3(path, _require(path, sec, "sigma_dB_mT")) * MT))
-            except ValueError as exc:
-                raise ParseError(path, sec.line, str(exc)) from None
-        else:
-            raise ParseError(path, sec.line, f"unknown section [{sec.name}]")
+                    f0=ci.f0, sigma_f0=max(ci.sigma_f0, SIGMA_F_FLOOR),
+                    f_m1=ci.f_m1, sigma_f_m1=max(ci.sigma_f_m1, SIGMA_F_FLOOR),
+                    **dict(v, B0=Vector3(v["B0"], frame), dB=Vector3(v["dB"], frame))))
+        except ValueError as exc:
+            raise ParseError(path, sec.line, str(exc)) from None
     if not inputs:
         raise ParseError(path, 1, "no [nucleus] sections found")
-    out = {}
-    for label, ci in inputs.items():
+    for label in inputs:
         if not records[label]:
             raise ParseError(path, 1, f"nucleus {label!r} has no [record] sections")
-        out[label] = NucleusMeasurements(label=label, inputs=ci,
-                                         records=tuple(records[label]))
-    return out
+    return {label: NucleusMeasurements(label, ci, records[label])
+            for label, ci in inputs.items()}
 
 
 def save_measurements(path, nuclei: dict[str, NucleusMeasurements]):
-    lines = [f"kind = measurements", f"version = {FORMAT_VERSION}"]
+    lines = ["kind = measurements", f"version = {FORMAT_VERSION}"]
     for label, nm in nuclei.items():
-        ci = nm.inputs
-        lines += ["", f"[nucleus {label}]",
-                  f"f0_kHz = {_fmt(ci.f0 / KHZ)}",
-                  f"sigma_f0_kHz = {_fmt(ci.sigma_f0 / KHZ)}",
-                  f"f_m1_kHz = {_fmt(ci.f_m1 / KHZ)}",
-                  f"sigma_f_m1_kHz = {_fmt(ci.sigma_f_m1 / KHZ)}",
-                  f"f_rabi_kHz = {_fmt(ci.f_rabi / KHZ)}",
-                  f"sigma_f_rabi_kHz = {_fmt(ci.sigma_f_rabi / KHZ)}",
-                  f"tau_us = {_fmt(ci.tau / US)}"]
+        lines += _section_lines(f"nucleus {label}", _NUCLEUS, vars(nm.inputs))
         for rec in nm.records:
-            lines += ["", f"[record {label} {rec.label}]",
-                      f"fp0_kHz = {_fmt(rec.fp0 / KHZ)}",
-                      f"sigma_fp0_kHz = {_fmt(rec.sigma_fp0 / KHZ)}",
-                      f"fp_m1_kHz = {_fmt(rec.fp_m1 / KHZ)}",
-                      f"sigma_fp_m1_kHz = {_fmt(rec.sigma_fp_m1 / KHZ)}",
-                      f"B0_mT = {_fmt_vec(rec.B0.components / MT)}",
-                      f"sigma_B0_mT = {_fmt_vec(rec.sigma_B0 / MT)}",
-                      f"dB_mT = {_fmt_vec(rec.dB.components / MT)}",
-                      f"sigma_dB_mT = {_fmt_vec(rec.sigma_dB / MT)}",
-                      f"frame = {rec.B0.frame}"]
+            lines += _section_lines(
+                f"record {label} {rec.label}", _RECORD,
+                dict(vars(rec), B0=rec.B0.components, dB=rec.dB.components,
+                     frame=rec.B0.frame))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -363,78 +420,39 @@ class TruthSpec:
         object.__setattr__(self, "fields", tuple(self.fields))
 
 
-_TRUTH_NUCLEUS_KEYS = {"r_A", "theta_deg", "phi_deg", "a_iso_kHz"}
-_TRUTH_FIELD_KEYS = {"B0_mT", "dB_mT", "frame"}
-_TRUTH_NOISE_KEYS = {"sigma_f_kHz", "sigma_f_rabi_kHz", "sigma_fp_kHz", "sigma_B_mT"}
-_TRUTH_OPTION_KEYS = {"seed", "tau_us", "from_traces"}
-
-
 def load_truth(path) -> TruthSpec:
-    _, sections = _parse_structured(path, "truth")
     nuclei: list[TruthNucleus] = []
     fields: list[FieldConfig] = []
-    noise = NoiseSpec()
-    seed = 0
-    tau = None
-    from_traces = False
-    for sec in sections:
+    options: dict = {}
+    for sec, v in _read_sections(path, "truth", _TRUTH):
         if sec.name == "nucleus":
-            if len(sec.args) != 1:
-                raise ParseError(path, sec.line, "[nucleus] needs exactly one label")
-            _no_extra_keys(path, sec, _TRUTH_NUCLEUS_KEYS)
-            if any(n.label == sec.args[0] for n in nuclei):
-                raise ParseError(path, sec.line, f"duplicate nucleus {sec.args[0]!r}")
-            theta = math.radians(_float(path, _require(path, sec, "theta_deg")))
-            if not (0.0 <= theta <= math.pi / 2.0):
-                raise ParseError(path, _require(path, sec, "theta_deg")[0],
-                                 "theta_deg must lie in [0, 90]")
-            nuclei.append(TruthNucleus(
-                label=sec.args[0],
-                r=_float(path, _require(path, sec, "r_A")) * ANGSTROM,
-                theta=theta,
-                phi=math.radians(_float(path, _require(path, sec, "phi_deg"))) % (2 * math.pi),
-                a_iso=_float(path, sec.values.get("a_iso_kHz", (sec.line, "0"))) * KHZ))
+            _check(path, sec, "r_A", v["r"] > 0.0, "must be positive")
+            _check(path, sec, "theta_deg", 0.0 <= v["theta"] <= math.pi / 2.0,
+                   "must lie in [0, 90]")
+            nuclei.append(TruthNucleus(sec.args[0],
+                                       **dict(v, phi=v["phi"] % (2 * math.pi))))
         elif sec.name == "fields":
-            if len(sec.args) != 1:
-                raise ParseError(path, sec.line, "[fields] needs exactly one label")
-            _no_extra_keys(path, sec, _TRUTH_FIELD_KEYS)
-            if any(f.label == sec.args[0] for f in fields):
-                raise ParseError(path, sec.line, f"duplicate fields {sec.args[0]!r}")
-            frame = sec.values.get("frame", (sec.line, SENSOR_FRAME_NAME))[1]
-            fields.append(FieldConfig(
-                label=sec.args[0],
-                B0=Vector3(_vec3(path, _require(path, sec, "B0_mT")) * MT, frame),
-                dB=Vector3(_vec3(path, _require(path, sec, "dB_mT")) * MT, frame)))
+            fields.append(FieldConfig(sec.args[0], Vector3(v["B0"], v["frame"]),
+                                      Vector3(v["dB"], v["frame"])))
         elif sec.name == "noise":
-            _no_extra_keys(path, sec, _TRUTH_NOISE_KEYS)
-            noise = NoiseSpec(
-                sigma_f=_float(path, sec.values.get("sigma_f_kHz", (sec.line, "0"))) * KHZ,
-                sigma_f_rabi=_float(path, sec.values.get("sigma_f_rabi_kHz", (sec.line, "0"))) * KHZ,
-                sigma_fp=_float(path, sec.values.get("sigma_fp_kHz", (sec.line, "0"))) * KHZ,
-                sigma_B=_float(path, sec.values.get("sigma_B_mT", (sec.line, "0"))) * MT)
+            for key in sec.values:
+                _check(path, sec, key, v[_field_unit(key)[0]] >= 0.0,
+                       "must be non-negative")
+            options["noise"] = NoiseSpec(**v)
         elif sec.name == "options":
-            _no_extra_keys(path, sec, _TRUTH_OPTION_KEYS)
-            if "seed" in sec.values:
-                line, raw = sec.values["seed"]
-                try:
-                    seed = int(raw)
-                except ValueError:
-                    raise ParseError(path, line, f"seed must be an integer, got {raw!r}") from None
-            if "tau_us" in sec.values:
-                tau = _float(path, sec.values["tau_us"]) * US
-            if "from_traces" in sec.values:
-                line, raw = sec.values["from_traces"]
-                if raw not in ("yes", "no"):
-                    raise ParseError(path, line, "from_traces must be 'yes' or 'no'")
-                from_traces = raw == "yes"
-        else:
-            raise ParseError(path, sec.line, f"unknown section [{sec.name}]")
+            _check(path, sec, "seed", v["seed"].removeprefix("-").isdecimal(),
+                   f"must be an integer, got {v['seed']!r}")
+            _check(path, sec, "tau_us", v["tau"] is None or v["tau"] > 0.0,
+                   "must be positive")
+            _check(path, sec, "from_traces", v["from_traces"] in ("yes", "no"),
+                   "must be 'yes' or 'no'")
+            options.update(seed=int(v["seed"]), tau=v["tau"],
+                           from_traces=v["from_traces"] == "yes")
     if not nuclei:
         raise ParseError(path, 1, "no [nucleus] sections found")
     if not fields:
         raise ParseError(path, 1, "no [fields] sections found")
-    return TruthSpec(nuclei=tuple(nuclei), fields=tuple(fields), noise=noise,
-                     seed=seed, tau=tau, from_traces=from_traces)
+    return TruthSpec(nuclei=tuple(nuclei), fields=tuple(fields), **options)
 
 
 # ---------------------------------------------------------------------------
@@ -446,19 +464,14 @@ def load_odmr(path) -> OdmrDataset:
     Rows are grouped by nv_id; each id needs exactly two rows sharing a
     frame. The pair's sigma is the mean of the two row sigmas.
     """
-    top, sections = _parse_structured(path, "odmr")
-    context = top.get("context", (1, COIL_FIELD))[1]
-    if context not in (COIL_FIELD, BIAS_FIELD):
-        raise ParseError(path, top.get("context", (1, ""))[0],
-                         f"context must be {COIL_FIELD!r} or {BIAS_FIELD!r}")
     rows = []
-    for sec in sections:
-        if sec.name != "lines":
-            raise ParseError(path, sec.line, f"unknown section [{sec.name}]")
-        if sec.values:
-            key, (line, _) = next(iter(sec.values.items()))
-            raise ParseError(path, line, f"unexpected key {key!r} in [lines]")
-        rows.extend(sec.rows)
+    for sec, v in _read_sections(path, "odmr", _ODMR):
+        if sec.name:
+            rows.extend(sec.rows)
+        else:
+            context = v["context"]
+            _check(path, sec, "context", context in (COIL_FIELD, BIAS_FIELD),
+                   f"must be {COIL_FIELD!r} or {BIAS_FIELD!r}")
     if not rows:
         raise ParseError(path, 1, "no resonance rows found")
 
@@ -468,27 +481,23 @@ def load_odmr(path) -> OdmrDataset:
         if len(parts) != 4:
             raise ParseError(path, line_no,
                              "expected: nv_id frame_name f_GHz sigma_MHz")
-        nv_id, frame = parts[0], parts[1]
         f_GHz, sigma_MHz = _finite(path, line_no, parts[2:], "bad numbers in row")
-        grouped.setdefault(nv_id, []).append((line_no, frame, f_GHz * 1e9,
-                                              sigma_MHz * 1e6))
+        grouped.setdefault(parts[0], []).append((line_no, parts[1], f_GHz * 1e9,
+                                                 sigma_MHz * 1e6))
 
     entries = []
     for nv_id, items in grouped.items():
         if len(items) != 2:
             raise ParseError(path, items[0][0],
                              f"nv {nv_id!r} has {len(items)} lines, expected 2")
-        if items[0][1] != items[1][1]:
-            raise ParseError(path, items[1][0],
-                             f"nv {nv_id!r} rows disagree on frame")
-        fa, fb = sorted((items[0][2], items[1][2]))
-        sigma = 0.5 * (items[0][3] + items[1][3])
+        (line, frame, fa, sa), (line_b, frame_b, fb, sb) = items
+        if frame_b != frame:
+            raise ParseError(path, line_b, f"nv {nv_id!r} rows disagree on frame")
         try:
-            entries.append(OdmrEntry(frame=items[0][1],
-                                     lines=OdmrLinePair(f_minus=fa, f_plus=fb),
-                                     sigma=sigma))
+            entries.append(OdmrEntry(frame=frame, lines=OdmrLinePair(*sorted((fa, fb))),
+                                     sigma=0.5 * (sa + sb)))
         except ValueError as exc:
-            raise ParseError(path, items[0][0], str(exc)) from None
+            raise ParseError(path, line, str(exc)) from None
     return OdmrDataset(entries=tuple(entries), context=context)
 
 
@@ -505,70 +514,55 @@ def save_odmr(path, dataset: OdmrDataset, nv_ids=None):
 # ---------------------------------------------------------------------------
 # reference coupling tables and residual maps
 
-_DFT_REQUIRED = ("a_par_kHz", "a_perp_kHz", "r_A", "theta_deg")
-
-
 def load_dft_table(path) -> list[DftRow]:
     """Whitespace-separated table with a header row naming the columns.
 
-    Required columns: a_par_kHz, a_perp_kHz, r_A, theta_deg; a_iso_kHz is
-    optional. Column order is free; extra columns are rejected.
+    The columns are those of _DFT_COLUMNS, a_iso_kHz optional, in any order;
+    extra columns are rejected. The header may sit in a comment.
     """
     header = None
     rows = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(path, 0, f"cannot open: {exc}") from None
-    with fh:
-        for line_no, raw in enumerate(fh, 1):
-            s = raw.strip()
-            if s.startswith("#"):
-                s = s[1:].strip() if header is None else ""
-            if not s:
-                continue
-            parts = s.split()
-            if header is None:
-                header = parts
-                missing = [c for c in _DFT_REQUIRED if c not in header]
-                if missing:
-                    raise ParseError(path, line_no, f"header missing columns {missing}")
-                extra = [c for c in header if c not in _DFT_REQUIRED + ("a_iso_kHz",)]
-                if extra:
-                    raise ParseError(path, line_no, f"unknown columns {extra}")
-                continue
-            if len(parts) != len(header):
-                raise ParseError(path, line_no,
-                                 f"expected {len(header)} fields, got {len(parts)}")
-            vals = dict(zip(header, _finite(path, line_no, parts,
-                                            "bad numbers in row")))
-            rows.append(DftRow(a_par=vals["a_par_kHz"] * KHZ,
-                               a_perp=vals["a_perp_kHz"] * KHZ,
-                               a_iso=vals.get("a_iso_kHz", 0.0) * KHZ,
-                               r=vals["r_A"] * ANGSTROM,
-                               theta=math.radians(vals["theta_deg"])))
+    for line_no, s in _lines(path, header_comment=True):
+        parts = s.split()
+        if header is None:
+            header = parts
+            missing = [c for c, (_, default) in _DFT_COLUMNS.items()
+                       if default is _REQUIRED and c not in header]
+            if missing:
+                raise ParseError(path, line_no, f"header missing columns {missing}")
+            extra = [c for c in header if c not in _DFT_COLUMNS]
+            if extra:
+                raise ParseError(path, line_no, f"unknown columns {extra}")
+            if len(set(header)) != len(header):
+                raise ParseError(path, line_no, "duplicate column in header")
+            continue
+        if len(parts) != len(header):
+            raise ParseError(path, line_no,
+                             f"expected {len(header)} fields, got {len(parts)}")
+        vals = dict(zip(header, _finite(path, line_no, parts, "bad numbers in row")))
+        row = {}
+        for column, (_, default) in _DFT_COLUMNS.items():
+            name, unit = _field_unit(column)
+            row[name] = vals[column] * unit if column in vals else default
+        if row["a_perp"] < 0.0:
+            raise ParseError(path, line_no, "a_perp_kHz must be non-negative")
+        rows.append(DftRow(**row))
     if header is None:
         raise ParseError(path, 1, "empty table: no header row")
-    for row in rows:
-        if row.a_perp < 0.0:
-            raise ParseError(path, 1, "a_perp_kHz must be non-negative")
     return rows
 
 
 def save_residual_map(path, rmap: ResidualMap):
-    lines = ["# r_A  dr_A  dtheta_deg"]
-    for e in rmap.entries:
-        lines.append(f"{_fmt(e.r_ref / ANGSTROM)} {_fmt(e.dr / ANGSTROM)} "
-                     f"{_fmt(math.degrees(e.dtheta))}")
-    lines.append("")
-    lines.append("# binned medians: r_lo_A  r_hi_A  n_sites  median_abs_dr_A  median_abs_dtheta_deg")
-    for b in rmap.bins:
-        lines.append(f"{_fmt(b.r_lo / ANGSTROM)} {_fmt(b.r_hi / ANGSTROM)} {b.n_sites} "
-                     f"{_fmt(b.median_abs_dr / ANGSTROM)} "
-                     f"{_fmt(math.degrees(b.median_abs_dtheta))}")
-    for msg in rmap.failures:
-        lines.append(f"# failed {msg}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    entries = [[e.r_ref / ANGSTROM, e.dr / ANGSTROM, math.degrees(e.dtheta)]
+               for e in rmap.entries]
+    bins = [[b.r_lo / ANGSTROM, b.r_hi / ANGSTROM, b.n_sites,
+             b.median_abs_dr / ANGSTROM, math.degrees(b.median_abs_dtheta)]
+            for b in rmap.bins]
+    atomic_write_text(path, "# r_A  dr_A  dtheta_deg\n"
+                      + _fmt_rows(np.reshape(entries, (-1, 3))) + "\n# binned medians: "
+                      "r_lo_A  r_hi_A  n_sites  median_abs_dr_A  median_abs_dtheta_deg\n"
+                      + _fmt_rows(np.reshape(bins, (-1, 5)))
+                      + "".join(f"# failed {msg}\n" for msg in rmap.failures))
 
 
 # ---------------------------------------------------------------------------
@@ -576,27 +570,18 @@ def save_residual_map(path, rmap: ResidualMap):
 
 def load_trace(path) -> TimeTrace:
     """Two or three whitespace-separated columns: time_s signal [sigma]."""
-    t, y, s = [], [], []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(path, 0, f"cannot open: {exc}") from None
-    with fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ParseError(path, line_no, "expected 2 or 3 columns")
-            vals = _finite(path, line_no, parts, "bad numbers")
-            t.append(vals[0])
-            y.append(vals[1])
-            s.append(vals[2] if len(vals) == 3 else 0.0)
-    if len(t) < 2:
+    rows = []
+    for line_no, line in _lines(path):
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ParseError(path, line_no, "expected 2 or 3 columns")
+        rows.append(_finite(path, line_no, parts, "bad numbers")
+                    + [0.0] * (3 - len(parts)))
+    if len(rows) < 2:
         raise ParseError(path, 1, "trace needs at least 2 samples")
+    t, y, s = (np.array(column) for column in zip(*rows))
     try:
-        return TimeTrace(t=np.array(t), y=np.array(y), sigma_y=np.array(s))
+        return TimeTrace(t=t, y=y, sigma_y=s)
     except ValueError as exc:
         raise ParseError(path, 1, str(exc)) from None
 
@@ -627,10 +612,10 @@ def save_scatter(path, scatter: np.ndarray):
 def save_histogram(path, hist: Histogram, scale: float = 1.0, unit: str = ""):
     """Rows of edge_low edge_high count, with edges divided by ``scale``."""
     suffix = f"_{unit}" if unit else ""
-    lines = [f"# edge_low{suffix}  edge_high{suffix}  count"]
-    for k, c in enumerate(hist.counts):
-        lines.append(f"{_fmt(hist.edges[k] / scale)} {_fmt(hist.edges[k + 1] / scale)} {int(c)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = np.column_stack([hist.edges[:-1] / scale, hist.edges[1:] / scale,
+                            hist.counts])
+    atomic_write_text(path, f"# edge_low{suffix}  edge_high{suffix}  count\n"
+                      + _fmt_rows(rows))
 
 
 def save_cost_curve(path, curve):

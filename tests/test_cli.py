@@ -458,6 +458,23 @@ def test_config_rejects_out_of_band_gamma_n(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,line", [
+    ("constants: [1, 2\n", 2),   # not YAML: reported at the parser's mark
+    ("constants: [1, 2]\n", 1),
+    ("frames: {nv1: 5}\n", 1),
+])
+def test_malformed_config_is_a_parse_error(tmp_path, capsys, text, line):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(text)
+    example = Path(__file__).resolve().parents[1] / "data" / "measurements_example.txt"
+    rc = main(["localize", str(example), "--samples", "200", "--config", str(cfg),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:{line}:" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_from_traces_matches_model(tmp_path):
     opts = "[options]\nseed = 3\nfrom_traces = yes\n"
     meas_path = _run_simulate(tmp_path, options=opts)

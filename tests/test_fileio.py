@@ -161,6 +161,8 @@ BAD_MEASUREMENTS = [
                                             "f_m1_kHz = 0.0")
      + _record_block(),
      3, None),  # validation failure surfaces at the section line
+    (MEAS_HEADER + _nucleus_block() + _record_block() + _record_block(),
+     20, "duplicate section \\[record C1 cfg1\\]"),
 ]
 
 
@@ -238,6 +240,15 @@ def test_truth_defaults(tmp_path):
     (("seed = 42", "seed = 1.5"), 21, "must be an integer"),
     (("phi_deg = 370   # wraps", "phi_deg = 370\nmass = 13"), 8, "unknown key"),
     (("tau_us = 4.5", "tau_us = nan"), 22, "not finite"),
+    (("tau_us = 4.5", "tau_us = -4.5"), 22, "must be positive"),
+    (("r_A = 8.3", "r_A = 0"), 5, "r_A must be positive"),
+    (("r_A = 8.3", "r_A = -8.3"), 5, "r_A must be positive"),
+    (("sigma_fp_kHz = 0.3", "sigma_fp_kHz = -0.3"), 17, "non-negative"),
+    (("sigma_B_mT = 0.015", "sigma_B_mT = -0.015"), 18, "non-negative"),
+    (("from_traces = yes", "from_traces = yes\n[noise]"), 24,
+     "duplicate section \\[noise\\]"),
+    (("from_traces = yes", "from_traces = yes\n\n[options]\nseed = 1"), 25,
+     "duplicate section \\[options\\]"),
 ])
 def test_truth_rejects_malformed(tmp_path, mangle, line, match):
     path = _write(tmp_path, TRUTH_FULL.replace(*mangle))
@@ -334,17 +345,21 @@ def test_dft_table_header_without_comment_and_no_iso(tmp_path):
     assert row.a_iso == 0.0
 
 
-@pytest.mark.parametrize("text,match", [
-    ("a_par_kHz a_perp_kHz r_A\n1 2 3\n", "missing columns"),
-    ("a_par_kHz a_perp_kHz r_A theta_deg spin\n1 2 3 4 5\n", "unknown columns"),
-    ("a_par_kHz a_perp_kHz r_A theta_deg\n1 2 3\n", "expected 4 fields"),
-    ("a_par_kHz a_perp_kHz r_A theta_deg\n1 2 three 4\n", "bad numbers"),
-    ("", "empty table"),
-    ("a_par_kHz a_perp_kHz r_A theta_deg\n1 -2 3 4\n", "non-negative"),
+@pytest.mark.parametrize("text,match,line", [
+    ("a_par_kHz a_perp_kHz r_A\n1 2 3\n", "missing columns", 1),
+    ("a_par_kHz a_perp_kHz r_A theta_deg spin\n1 2 3 4 5\n", "unknown columns", 1),
+    ("a_par_kHz a_perp_kHz r_A theta_deg\n1 2 3\n", "expected 4 fields", 2),
+    ("a_par_kHz a_perp_kHz r_A theta_deg\n1 2 three 4\n", "bad numbers", 2),
+    ("", "empty table", 1),
+    ("a_par_kHz a_perp_kHz r_A theta_deg\n1 -2 3 4\n", "non-negative", 2),
+    ("# a_par_kHz a_perp_kHz r_A theta_deg\n1 2 3 4\n\n1 -2 3 4\n",
+     "non-negative", 4),
+    ("a_par_kHz a_perp_kHz r_A theta_deg r_A\n1 2 3 4 5\n", "duplicate column", 1),
 ])
-def test_dft_table_rejects_malformed(tmp_path, text, match):
-    with pytest.raises(ParseError, match=match):
+def test_dft_table_rejects_malformed(tmp_path, text, match, line):
+    with pytest.raises(ParseError, match=match) as exc:
         load_dft_table(_write(tmp_path, text))
+    assert exc.value.line == line
 
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -391,6 +406,88 @@ def test_loaders_reject_non_finite_numbers(tmp_path, capsys, name, loader,
     assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"{path}:{i + 1}:" in err
+    assert "Traceback" not in err
+
+
+_MEASUREMENT_KEYS = {"f0_kHz", "sigma_f0_kHz", "f_m1_kHz", "sigma_f_m1_kHz",
+                     "f_rabi_kHz", "sigma_f_rabi_kHz", "tau_us", "fp0_kHz",
+                     "sigma_fp0_kHz", "fp_m1_kHz", "sigma_fp_m1_kHz", "B0_mT",
+                     "sigma_B0_mT", "dB_mT", "sigma_dB_mT"}
+
+
+def _damage_table(lines, required, data):
+    """The table with one header column dropped, duplicated or renamed."""
+    names = lines[0].lstrip("# ").split()
+    damage = data.draw(st.sampled_from(["drop", "duplicate", "rename"]))
+    j = data.draw(st.sampled_from([j for j, n in enumerate(names)
+                                   if damage != "drop" or n in required]))
+    if damage == "drop":
+        del names[j]
+    elif damage == "duplicate":
+        names.insert(j, names[j])
+    else:
+        names[j] += "x"
+    return ["# " + " ".join(names)] + lines[1:], 1
+
+
+def _damage_structured(lines, required, data):
+    """The file with its kind or version header or a required key dropped,
+    a key or a section duplicated, or a key or a section header renamed;
+    and the line the loader must report."""
+    code = [line.split("#", 1)[0].strip() for line in lines]
+    keys = {i: c.split("=", 1)[0].strip() for i, c in enumerate(code) if "=" in c}
+    heads = [i for i, c in enumerate(code) if c.startswith("[")]
+    damage = data.draw(st.sampled_from(["drop", "duplicate key", "duplicate section",
+                                        "rename key", "rename section"]))
+    i = data.draw(st.sampled_from(
+        heads if damage.endswith("section") else
+        [i for i, k in keys.items()
+         if damage != "drop" or k in required | {"kind", "version"}]))
+    if damage == "drop":
+        # a missing header is reported at line 1, a missing key at its section
+        line = max([h + 1 for h in heads if h < i], default=1)
+        del lines[i]
+    elif damage == "duplicate key":
+        line = i + 2
+        lines.insert(i + 1, lines[i])
+    elif damage == "duplicate section":
+        line = len(lines) + 1
+        lines += lines[i:next((h for h in heads if h > i), len(lines))]
+    elif damage == "rename key":
+        line = 1 if keys[i] in ("kind", "version") else i + 1
+        lines[i] = lines[i].replace(keys[i], keys[i] + "x", 1)
+    else:
+        line = i + 1
+        lines[i] = lines[i].replace("[", "[x", 1)
+    return lines, line
+
+
+@pytest.mark.parametrize("name,loader,command,required", [
+    ("measurements_example.txt", load_measurements, "localize", _MEASUREMENT_KEYS),
+    ("truth_example.txt", load_truth, "simulate",
+     {"r_A", "theta_deg", "phi_deg", "B0_mT", "dB_mT"}),
+    ("odmr_example.txt", load_odmr, "calibrate", set()),
+    ("dft_couplings_example.txt", load_dft_table, "dft-residuals",
+     {"a_par_kHz", "a_perp_kHz", "r_A", "theta_deg"}),
+])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_loaders_reject_structural_damage(tmp_path, capsys, name, loader, command,
+                                          required, data):
+    # a data/ example with one structural damage is a ParseError at the line
+    # that names it, and exit code 2 from the CLI
+    lines = (DATA / name).read_text().splitlines()
+    damage = _damage_table if loader is load_dft_table else _damage_structured
+    lines, line = damage(lines, required, data)
+    path = _write(tmp_path, "\n".join(lines) + "\n", name)
+    with pytest.raises(ParseError) as exc:
+        loader(path)
+    assert exc.value.line == line
+    capsys.readouterr()
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{line}:" in err
     assert "Traceback" not in err
 
 

@@ -271,21 +271,28 @@ def load_config(path) -> tuple[PhysicalConstants, FrameRegistry, dict]:
     Returns (constants, frame registry, raw mapping). Recognized sections:
     ``constants`` (only gamma_n may differ from the built-in values) and
     ``frames``. Other sections are passed through untouched for the pipeline
-    layer. Text that is not YAML, or sections of the wrong shape, raise
-    ParseError (at the YAML error's line where it has one).
+    layer. Bytes that are not UTF-8, text that is not YAML, or sections of
+    the wrong shape raise ParseError (at the line of the bad byte or of the
+    YAML error where it has one).
     """
     import yaml  # deferred: slow to import
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = yaml.safe_load(fh) or {}
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            problem = getattr(exc, "problem", None) or exc
-            raise ParseError(path, mark.line + 1 if mark else 1,
-                             f"not valid YAML: {problem}") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        raw = yaml.safe_load(data.decode("utf-8")) or {}
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
+                         f"not UTF-8: byte {data[exc.start]:#04x}") from None
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        problem = getattr(exc, "problem", None) or exc
+        raise ParseError(path, mark.line + 1 if mark else 1,
+                         f"not valid YAML: {problem}") from None
     if not isinstance(raw, dict):
         raise ParseError(path, 1, "top level of config must be a mapping")
+    if not isinstance(raw.get("constants") or {}, dict):
+        raise ParseError(path, 1, "malformed config: constants must be a mapping")
     try:
         cdict = dict(raw.get("constants") or {})
         kwargs = {}

@@ -182,16 +182,23 @@ def _lines(path, header_comment: bool = False):
     """(line number, text) of each non-blank line of ``path``, comments cut.
     With ``header_comment`` the first such line may be a comment's text."""
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ParseError(path, 0, f"cannot open: {exc}") from None
-    with fh:
-        for line_no, raw in enumerate(fh, 1):
-            text, _, comment = raw.partition("#")
-            text = text.strip() or (comment.strip() if header_comment else "")
-            if text:
-                header_comment = False
-                yield line_no, text
+    # bytes split into lines where text mode would, and decode line by line
+    # so that bytes that are not UTF-8 are reported at their line
+    for line_no, raw in enumerate(data.splitlines(), 1):
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(path, line_no, f"not UTF-8: byte {raw[exc.start]:#04x}"
+                             f" at column {exc.start + 1}") from None
+        text, _, comment = raw.partition("#")
+        text = text.strip() or (comment.strip() if header_comment else "")
+        if text:
+            header_comment = False
+            yield line_no, text
 
 
 @dataclass
@@ -432,6 +439,11 @@ def load_truth(path) -> TruthSpec:
             nuclei.append(TruthNucleus(sec.args[0],
                                        **dict(v, phi=v["phi"] % (2 * math.pi))))
         elif sec.name == "fields":
+            if fields and v["frame"] != fields[0].B0.frame:
+                raise ParseError(path, sec.line,
+                                 f"frame {v['frame']!r} differs from "
+                                 f"{fields[0].B0.frame!r}; all field "
+                                 "configurations must share one frame")
             fields.append(FieldConfig(sec.args[0], Vector3(v["B0"], v["frame"]),
                                       Vector3(v["dB"], v["frame"])))
         elif sec.name == "noise":

@@ -52,10 +52,16 @@ DEGENERACY_EPSILON = 0.1  # Hz, squared before use
 # without which steps shrink only linearly at large residuals. The damping
 # starts at _LM_LAMBDA0 and follows the gain ratio of that model: halved
 # (down to _LM_LAMBDA_MIN) after a step that did what the model predicted,
-# raised after a poor one. A lane stops when a step moves phi and a_iso by
-# under _LM_XTOL_*, when an accepted step lowers the cost by under _LM_FTOL
-# relative (a few rounding units: the cost has stopped falling), or after
-# _LM_MAX_ITER iterations.
+# raised after a poor one. Where the cost is concave along the step (y^T s
+# <= 0 for the gradient change y), S learns nothing and the Gauss-Newton
+# steps would only crawl forward, so each lane scales its step by a
+# multiplier mu (More and Sorensen, SIAM J. Sci. Stat. Comput. 4 (1983)
+# 553): mu starts at 1, doubles after every accepted step with y^T s <= 0
+# and returns to 1 after any other step, and a step taken with mu > 1
+# leaves the damping as it was. A lane stops when a step moves phi and
+# a_iso by under _LM_XTOL_*, when an accepted step lowers the cost by under
+# _LM_FTOL relative (a few rounding units: the cost has stopped falling), or
+# after _LM_MAX_ITER iterations.
 _LM_LAMBDA0 = 1e-3
 _LM_LAMBDA_MIN = 1e-6
 _LM_FTOL = 1e-15
@@ -209,13 +215,12 @@ class _LaneFit(NamedTuple):
     at_bound: np.ndarray    # True where phi or a free a_iso ends on the box
 
 
-def _secant_update(sec, s, y, y_sharp, accept):
+def _secant_update(sec, s, y, y_sharp, ys, update):
     """The lanes' secant terms sec = (S_phiphi, S_phiiso, S_isoiso) after the
-    step s by the update of Dennis, Gay and Welsch, S first sized by tau =
-    min(1, |s^T y#| / |s^T S s|); rejected steps and y^T s <= 0 keep S."""
+    step s, with ys = y^T s, by the update of Dennis, Gay and Welsch, S first
+    sized by tau = min(1, |s^T y#| / |s^T S s|); lanes not in ``update``
+    keep S."""
     sec_s = sec[[0, 1]] * s[0] + sec[[1, 2]] * s[1]
-    ys = _dot(y, s)
-    update = accept & (ys > 0.0)
     ys = np.where(update, ys, 1.0)
     s_y_sharp, s_sec_s = np.abs(_dot(y_sharp, s)), np.abs(_dot(sec_s, s))
     tau = np.divide(s_y_sharp, s_sec_s, out=np.ones_like(ys),
@@ -238,11 +243,11 @@ def _levenberg_marquardt(kernel, phi, a_iso, phi_box, iso_box,
     definite, and are clipped to the (lo, hi) boxes; a coordinate on its
     bound whose descent points out stays there. Every iteration makes one
     kernel call, at the trial point, whose derivatives are kept when the
-    step is accepted. Each lane keeps its own damping and stops on its own
-    test; stopped lanes leave the batch, the kernel compacted (``take``)
-    with the other lane arrays. The arithmetic is per lane, so no lane's
-    result depends on its batch. Lanes with no finite cost at the start
-    come back unchanged.
+    step is accepted. Each lane keeps its own damping and step multiplier
+    and stops on its own test; stopped lanes leave the batch, the kernel
+    compacted (``take``) with the other lane arrays. The arithmetic is per
+    lane, so no lane's result depends on its batch. Lanes with no finite
+    cost at the start come back unchanged.
     """
     phi = np.array(phi, dtype=float)
     iso = np.array(a_iso, dtype=float)
@@ -258,6 +263,7 @@ def _levenberg_marquardt(kernel, phi, a_iso, phi_box, iso_box,
     res, *jac = kernel(phi, iso, cols)  # jac: dxi/dphi (and dxi/da_iso)
     cost = _dot(res, res)
     lam = np.full(m, _LM_LAMBDA0)
+    mult = np.ones(m)  # the step multiplier mu
     sec = np.zeros((3, m))  # the secant term S: S_phiphi, S_phiiso, S_isoiso
     done = ~np.isfinite(cost)
     for it in range(_LM_MAX_ITER + 1):
@@ -266,8 +272,8 @@ def _levenberg_marquardt(kernel, phi, a_iso, phi_box, iso_box,
             fit.phi[fin], fit.a_iso[fin], fit.cost[fin] = (
                 phi[done], iso[done], cost[done])
             idx = idx[keep]
-            phi, iso, res, cost, lam, sec, *jac = (
-                v[..., keep] for v in (phi, iso, res, cost, lam, sec, *jac))
+            phi, iso, res, cost, lam, mult, sec, *jac = (
+                v[..., keep] for v in (phi, iso, res, cost, lam, mult, sec, *jac))
             box = [b[keep] for b in box]
             if not idx.size:
                 break
@@ -296,8 +302,8 @@ def _levenberg_marquardt(kernel, phi, a_iso, phi_box, iso_box,
             pin_iso, -g / d1, (b_s * h - d2 * g) / det))
         step_iso = np.where(pin_iso, 0.0, np.where(
             pin_phi, -h / d2, (b_s * g - d1 * h) / det))
-        phi_t = np.clip(phi + step_phi, box[0], box[1])
-        iso_t = np.clip(iso + step_iso, box[2], box[3])
+        phi_t = np.clip(phi + mult * step_phi, box[0], box[1])
+        iso_t = np.clip(iso + mult * step_iso, box[2], box[3])
         res_t, *jac_t = kernel(phi_t, iso_t, cols)
         cost_t = _dot(res_t, res_t)
 
@@ -317,16 +323,20 @@ def _levenberg_marquardt(kernel, phi, a_iso, phi_box, iso_box,
         curv = cost_t - cost - slope
         shrink = np.full_like(pred, 0.1)
         np.divide(-0.5 * slope, curv, out=shrink, where=curv > 0.0)
-        lam = np.where(ratio > 0.75, np.maximum(0.5 * lam, _LM_LAMBDA_MIN),
-                       np.where(ratio >= 0.25, lam,
-                                (1.0 + lam) / np.clip(shrink, 0.1, 0.5) - 1.0))
+        lam = np.where(mult > 1.0, lam, np.where(
+            ratio > 0.75, np.maximum(0.5 * lam, _LM_LAMBDA_MIN),
+            np.where(ratio >= 0.25, lam,
+                     (1.0 + lam) / np.clip(shrink, 0.1, 0.5) - 1.0)))
 
         # the secant update from y = J_t^T r_t - J^T r and y# = (J_t - J)^T r_t
         y, y_sharp = np.zeros((2, 2, idx.size))
         for i, (j_t, j, grad) in enumerate(zip(jac_t, jac, (g, h))):
             grad_t = _dot(j_t, res_t)
             y[i], y_sharp[i] = grad_t - grad, grad_t - _dot(j, res_t)
-        sec = _secant_update(sec, (step_phi, step_iso), y, y_sharp, accept)
+        s = (step_phi, step_iso)
+        ys = _dot(y, s)
+        sec = _secant_update(sec, s, y, y_sharp, ys, accept & (ys > 0.0))
+        mult = np.where(accept & (ys <= 0.0), 2.0 * mult, 1.0)
 
         phi, iso, cost, res, *jac = (
             np.where(accept, new, old) for new, old in

@@ -2,10 +2,11 @@
 
 Every sample redraws all uncertain inputs from independent normals, re-runs
 the extraction + azimuth fit + inversion pipeline, and contributes one
-scatter point. Sampling is keyed per sample index with a counter-based
-generator and the numerics below are strictly elementwise per sample, so the
-result is bit-identical no matter how the samples are partitioned into
-chunks and blocks.
+scatter point. Sampling is keyed per page of _PAGE consecutive sample
+indices with a counter-based generator: sample i takes row i % _PAGE of its
+page's draws, whatever block draws the page. With the numerics below
+strictly elementwise per sample, the result is bit-identical no matter how
+the samples are partitioned into chunks and blocks.
 
 The per-sample fit is the point fit's box-bounded Levenberg-Marquardt solver
 (``localize._levenberg_marquardt``, whose NL2SOL secant curvature term lets
@@ -120,11 +121,6 @@ def _recenter(phi: np.ndarray, center: float) -> np.ndarray:
     return (np.asarray(phi) - center + math.pi) % _TWO_PI - math.pi
 
 
-def _quantile_ci(values: np.ndarray, level: float) -> tuple[float, float]:
-    lo = (1.0 - level) / 2.0
-    return (float(np.quantile(values, lo)), float(np.quantile(values, 1.0 - lo)))
-
-
 # Sample search box around the point fit: phi +-_PHI_BOX (+-_PHI_BOX_FREE
 # when a_iso is free) and a_iso +-_ISO_BOX. Samples whose minimum lies
 # outside stay on its edge, counted as at_bound, rather than hop to a
@@ -134,24 +130,35 @@ _PHI_BOX_FREE = math.pi / 6.0 + 0.4  # rad
 _ISO_BOX = 140e3                     # Hz
 # samples solved together; bounds the size of the per-lane arrays
 _LANE_BLOCK = 4096
+# samples drawn from one keyed generator
+_PAGE = 256
 
 
 def _draws(idx: np.ndarray, seed: int, n_draws: int) -> np.ndarray:
-    """(len(idx), n_draws) normals, row j those of Philox keyed [seed, idx[j]],
-    from one generator re-keyed per sample from a state of Python ints, which
-    its setter converts faster than numpy scalars."""
+    """(len(idx), n_draws) normals for the increasing sample indices idx:
+    sample i's are row i % _PAGE of standard_normal((_PAGE, n_draws)) on
+    Philox keyed [seed, i // _PAGE]. Every page from idx[0]'s to idx[-1]'s
+    is drawn whole into one buffer, by one generator re-keyed per page from
+    a state of Python ints, which its setter converts faster than numpy
+    scalars; consecutive indices, as in every lane block, get a slice of
+    that buffer rather than a copy."""
     bg = np.random.Philox(key=0)  # re-keyed below; a key >= 2**63 warns here
     rng = np.random.Generator(bg)
     zeros = [0, 0, 0, 0]
     key = [seed, 0]
     state = {"bit_generator": "Philox", "buffer": zeros, "buffer_pos": 4,
              "state": {"counter": zeros, "key": key}, "has_uint32": 0, "uinteger": 0}
-    out = np.empty((len(idx), n_draws))
-    for i, row in zip(idx.tolist(), out):
-        key[1] = i
+    first, last = int(idx[0]) // _PAGE, int(idx[-1]) // _PAGE
+    buf = np.empty(((last + 1 - first) * _PAGE, n_draws))
+    for page in range(first, last + 1):
+        key[1] = page
         bg.state = state
-        rng.standard_normal(out=row)
-    return out
+        start = (page - first) * _PAGE
+        rng.standard_normal(out=buf[start:start + _PAGE])
+    rows = idx - first * _PAGE
+    if rows[-1] - rows[0] + 1 == len(rows):
+        return buf[rows[0]:rows[-1] + 1]
+    return buf[rows]
 
 
 def _chunk_estimates(idx: np.ndarray, seed: int, coupling, records,
@@ -208,9 +215,10 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
     The coupling must carry its raw inputs: every sample re-extracts the
     couplings from a drawn frequency triplet with the coupling's method.
     Per-sample draw order is fixed and documented: first f0, f_m1, f_rabi,
-    then per record fp0, fp_m1, B0x, B0y, B0z, dBx, dBy, dBz. Each sample
-    uses its own generator keyed by (seed, sample index), so any partition
-    into chunks and lane blocks produces the same scatter. More than
+    then per record fp0, fp_m1, B0x, B0y, B0z, dBx, dBy, dBz. Sample i
+    takes row i % _PAGE of the (_PAGE, draws) normals of a generator keyed
+    by (seed, i // _PAGE), so any partition into chunks and lane blocks
+    produces the same scatter. More than
     MAX_EXTRACTION_FAILURE_FRACTION of the samples failing the extraction
     raises InconsistentInputError; samples that fail extraction, inversion
     or the fit are dropped and counted, and more than MAX_FAILURE_FRACTION
@@ -256,15 +264,22 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
         raise ConvergenceError("all Monte Carlo samples failed")
     scatter = rows[good, :4]
 
-    phi_col = scatter[:, 0]
-    mu = circular_mean(phi_col)
-    dev = _recenter(phi_col, mu)
-    ci: dict = {name: {} for name in PARAMETERS}
-    for lv in CONFIDENCE_LEVELS:
-        lo, hi = _quantile_ci(dev, lv)
-        ci["phi"][lv] = (mu + lo, mu + hi)
-        for name in ("a_iso", "r", "theta"):
-            ci[name][lv] = _quantile_ci(scatter[:, _COLUMN[name]], lv)
+    # one quantile pass per column, at the lower and upper tail of every
+    # level; phi's are those of its deviations from the circular mean. Each
+    # pass partitions its own contiguous copy in place: on a strided column
+    # np.quantile at four tails holds several copies of it at once.
+    tails = [p for lv in CONFIDENCE_LEVELS
+             for p in ((1.0 - lv) / 2.0, 1.0 - (1.0 - lv) / 2.0)]
+    mu = circular_mean(scatter[:, 0])
+    ci: dict = {}
+    for name, col in _COLUMN.items():
+        values = (_recenter(scatter[:, 0], mu) if name == "phi"
+                  else scatter[:, col].copy())
+        q = np.quantile(values, tails, overwrite_input=True).tolist()
+        if name == "phi":
+            q = [mu + v for v in q]
+        ci[name] = {lv: (q[2 * k], q[2 * k + 1])
+                    for k, lv in enumerate(CONFIDENCE_LEVELS)}
 
     iterations, unconverged, at_bound = rows[good, 6:].T
     solver = SolverStats(max_iterations=int(iterations.max()),

@@ -151,15 +151,17 @@ def test_simulate_localize_f_m1_below_f0(tmp_path):
     assert entry["sigma_a_par_kHz"] > 0.0 and entry["sigma_a_perp_kHz"] > 0.0
 
 
-def test_localize_large_residual_samples_converge(tmp_path):
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_localize_large_residual_samples_converge(tmp_path, seed):
     # survey nucleus S09 (a_iso fixed): many samples sit far from their box
     # minimum at a large residual, where Gauss-Newton steps shrink only
-    # linearly; the solver's secant term must still converge every one
+    # linearly, and some start where the cost is concave; the solver's
+    # secant term and step multiplier must still converge every one
     meas = _simulate_survey_nucleus(tmp_path, (
         "[nucleus S09]\nr_A = 11.0625\ntheta_deg = 7.962962962962963\n"
         "phi_deg = 302.40000000000003\na_iso_kHz = -7.755102040816325\n\n"))
     out = tmp_path / "loc"
-    assert main(["localize", str(meas), "--samples", "400", "--seed", "1",
+    assert main(["localize", str(meas), "--samples", "400", "--seed", str(seed),
                  "--out", str(out)]) == 0
     solver = json.loads((out / "report.json").read_text())["nuclei"]["S09"]["solver"]
     assert solver["unconverged"] == 0
@@ -461,6 +463,7 @@ def test_config_rejects_out_of_band_gamma_n(tmp_path, capsys):
 @pytest.mark.parametrize("text,line", [
     ("constants: [1, 2\n", 2),   # not YAML: reported at the parser's mark
     ("constants: [1, 2]\n", 1),
+    ("constants: ab\n", 1),
     ("frames: {nv1: 5}\n", 1),
 ])
 def test_malformed_config_is_a_parse_error(tmp_path, capsys, text, line):
@@ -472,6 +475,18 @@ def test_malformed_config_is_a_parse_error(tmp_path, capsys, text, line):
     assert rc == 2
     err = capsys.readouterr().err
     assert f"{cfg}:{line}:" in err
+    assert "Traceback" not in err
+
+
+def test_config_bytes_that_are_not_utf8_are_a_parse_error(tmp_path, capsys):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_bytes(b"constants:\n  gamma_n: 10.7\xff\n")
+    example = Path(__file__).resolve().parents[1] / "data" / "measurements_example.txt"
+    rc = main(["localize", str(example), "--samples", "200", "--config", str(cfg),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:2: not UTF-8: byte 0xff" in err
     assert "Traceback" not in err
 
 

@@ -257,6 +257,22 @@ def test_truth_rejects_malformed(tmp_path, mangle, line, match):
     assert exc.value.line == line
 
 
+def test_truth_fields_must_share_one_frame(tmp_path, capsys):
+    # a second [fields] section in another frame is a ParseError at its
+    # header, and exit code 2 from the CLI
+    text = TRUTH_FULL.replace(
+        "frame = lab\n",
+        "frame = lab\n\n[fields cfg2]\nB0_mT = 0 0 9.5\ndB_mT = 1 0 0\nframe = nv0\n")
+    path = _write(tmp_path, text)
+    with pytest.raises(ParseError, match="share one frame") as exc:
+        load_truth(path)
+    assert exc.value.line == 15
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:15:" in err
+    assert "Traceback" not in err
+
+
 def test_truth_requires_fields_section(tmp_path):
     text = ("kind = truth\nversion = 1\n"
             "[nucleus X]\nr_A = 10\ntheta_deg = 30\nphi_deg = 0\n")
@@ -488,6 +504,21 @@ def test_loaders_reject_structural_damage(tmp_path, capsys, name, loader, comman
     assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"{path}:{line}:" in err
+    assert "Traceback" not in err
+
+
+def test_bytes_that_are_not_utf8_are_reported_at_their_line(tmp_path, capsys):
+    lines = (DATA / "measurements_example.txt").read_bytes().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(b"tau_us"))
+    lines[i] = lines[i].replace(b"=", b"= \xff", 1)
+    path = tmp_path / "measurements.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ParseError, match="not UTF-8: byte 0xff") as exc:
+        load_measurements(path)
+    assert exc.value.line == i + 1
+    assert main(["localize", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{i + 1}:" in err
     assert "Traceback" not in err
 
 

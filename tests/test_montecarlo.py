@@ -140,8 +140,18 @@ def test_draws_match_fresh_keyed_generators():
     draws = montecarlo._draws(idx, 21, 27)
     for row, i in zip(draws, idx):
         ref = np.random.Generator(
-            np.random.Philox(key=[21, int(i)])).standard_normal(27)
-        np.testing.assert_array_equal(row, ref)
+            np.random.Philox(key=[21, int(i) // 256])).standard_normal((256, 27))
+        np.testing.assert_array_equal(row, ref[i % 256])
+
+
+def test_draws_do_not_depend_on_the_block_split():
+    # blocks that start or end inside a page draw its rows all the same
+    n = 40_000
+    full = montecarlo._draws(np.arange(n), 3, 27)
+    for size in (4096, 333, 2000):
+        split = np.concatenate([montecarlo._draws(np.arange(k, min(k + size, n)), 3, 27)
+                                for k in range(0, n, size)])
+        np.testing.assert_array_equal(split, full)
 
 
 def test_draws_take_seeds_up_to_2_64():
@@ -174,8 +184,8 @@ def test_scatter_matches_per_sample_reference_fits():
     inputs = coupling.inputs
     n_draws = 3 + 8 * len(records)
     for i in (0, 1, 57, 102, 150, 199):
-        draws = np.random.Generator(
-            np.random.Philox(key=[seed, i])).standard_normal(n_draws)
+        draws = np.random.Generator(np.random.Philox(
+            key=[seed, i // 256])).standard_normal((256, n_draws))[i % 256]
         est = extract_couplings(inputs.f0 + inputs.sigma_f0 * draws[0],
                                 inputs.f_m1 + inputs.sigma_f_m1 * draws[1],
                                 inputs.f_rabi + inputs.sigma_f_rabi * draws[2],

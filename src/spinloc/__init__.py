@@ -30,11 +30,13 @@ from .signal import TimeTrace, FrequencyEstimate, synth_trace, estimate_frequenc
 from .extract import (EXACT, APPROXIMATE, CouplingInputs, CouplingEstimate,
                       nominal_tau, extract_couplings, rabi_frequency)
 from .localize import (MeasurementRecord, Minimum, AzimuthFit, xi, sum_sq_xi,
-                       CostCurve, cost_curve, fit_azimuth, LocalizedPosition,
+                       CostCurve, cost_curve, fit_azimuth, fit_azimuths,
+                       LocalizedPosition,
                        assemble_position, SPIN_DENSITY_CENTER_OFFSET,
                        A_ISO_FIX_RADIUS)
 from .montecarlo import (McConfig, PointEstimate, SolverStats, EstimateResult,
-                         propagate, Histogram, histogram, circular_mean)
+                         propagate, propagate_many, Histogram, histogram,
+                         circular_mean)
 from .calibrate import (COIL_FIELD, BIAS_FIELD, OdmrEntry, OdmrDataset,
                         FieldSolution, solve_field, AlignmentReport,
                         alignment_report)

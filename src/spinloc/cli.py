@@ -19,6 +19,7 @@ import hashlib
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .fileio import (ANGSTROM, DEG, DISPLAY_UNITS, KHZ, MT, SIGMA_F_FLOOR,
                      write_json, write_text)
 from .localize import (A_ISO_FIX_RADIUS, MeasurementRecord, assemble_position,
                        cost_curve)
-from .montecarlo import CONFIDENCE_LEVELS, McConfig, histogram, propagate
+from .montecarlo import CONFIDENCE_LEVELS, McConfig, histogram, propagate_many
 from .signal import estimate_frequencies, synth_trace
 
 CONFIG_ENV_VAR = "SPINLOC_CONFIG"
@@ -85,7 +86,7 @@ def _write_report(args, stem: str, report: dict) -> str:
 
 def cmd_calibrate(args) -> int:
     constants, registry, prov = _load_environment(args)
-    dataset = load_odmr(args.odmr)
+    dataset = load_odmr(args.odmr, registry)
     prov["input"] = os.fspath(args.odmr)
     prov["input_sha256"] = _sha256(args.odmr)
     sol = solve_field(dataset, registry=registry, constants=constants)
@@ -182,7 +183,7 @@ def _ci_json(ci: dict) -> dict:
 
 def cmd_localize(args) -> int:
     constants, registry, prov = _load_environment(args)
-    nuclei = load_measurements(args.measurements)
+    nuclei = load_measurements(args.measurements, registry)
     prov["input"] = os.fspath(args.measurements)
     prov["input_sha256"] = _sha256(args.measurements)
     os.makedirs(args.out, exist_ok=True)
@@ -190,12 +191,36 @@ def cmd_localize(args) -> int:
     mc = McConfig(n_samples=args.samples, seed=args.seed,
                   parallel_chunks=args.parallel)
     fix_policy = _parse_fix_a_iso(args.fix_a_iso)  # reject bad flags up front
+    # the couplings and a_iso policy of each nucleus, then the point fits and
+    # Monte Carlo samples of all of them together, then each one's report
+    # entry and files, in file order; a nucleus that fails fails alone
+    outcomes: dict = {}
+    setups: dict = {}
+    notes: dict = {}  # each nucleus's setup warnings, shown with its entry
+    for label, nm in nuclei.items():
+        with warnings.catch_warnings(record=True) as notes[label]:
+            warnings.simplefilter("always")
+            try:
+                setups[label] = _setup_one(nm, constants, fix_policy)
+            except (SpinlocError, ValueError) as exc:
+                outcomes[label] = exc
+    outcomes.update(zip(setups, propagate_many(
+        [(nuclei[label].records, est, fix)
+         for label, (est, fix, _, _) in setups.items()], mc, constants)))
+
     results: dict[str, dict] = {}
     failures: dict[str, str] = {}
     for label, nm in nuclei.items():
+        for note in notes[label]:
+            warnings.warn_explicit(note.message, note.category, note.filename,
+                                   note.lineno, module=__name__,
+                                   registry=globals().setdefault(
+                                       "__warningregistry__", {}))
         try:
-            results[label] = _localize_one(label, nm, args, mc, constants,
-                                           fix_policy)
+            if isinstance(outcomes[label], Exception):
+                raise outcomes[label]
+            results[label] = _report_one(label, nm, setups[label],
+                                         outcomes[label], args, constants)
         except (SpinlocError, ValueError) as exc:
             failures[label] = str(exc)
             print(f"{label}: FAILED: {exc}", file=sys.stderr)
@@ -213,15 +238,19 @@ def cmd_localize(args) -> int:
     return 1 if failures else 0
 
 
-def _localize_one(label: str, nm: NucleusMeasurements, args, mc: McConfig,
-                  constants, fix_policy) -> dict:
+def _setup_one(nm: NucleusMeasurements, constants, fix_policy):
+    """(couplings with their inputs, a_iso fix or None, mode, why)."""
     ci_in = nm.inputs
     est = extract_couplings(ci_in.f0, ci_in.f_m1, ci_in.f_rabi, ci_in.tau)
     est = dataclasses.replace(est, inputs=ci_in)
-    fix, mode, why = _resolve_fix_a_iso(fix_policy, est.a_par, est.a_perp,
-                                        constants)
+    return (est, *_resolve_fix_a_iso(fix_policy, est.a_par, est.a_perp,
+                                     constants))
 
-    result = propagate(nm.records, est, mc, fix_a_iso=fix, constants=constants)
+
+def _report_one(label: str, nm: NucleusMeasurements, setup, result, args,
+                constants) -> dict:
+    est, _, mode, why = setup
+    ci_in = nm.inputs
     fit = result.fit
     pos = assemble_position(est, fit, constants=constants)
 
@@ -363,8 +392,8 @@ def _lines_from_trace(f_lo: float, f_hi: float, sigma: float, rng):
 
 
 def cmd_simulate(args) -> int:
-    constants, _, prov = _load_environment(args)
-    truth = load_truth(args.truth)
+    constants, registry, prov = _load_environment(args)
+    truth = load_truth(args.truth, registry)
     if args.seed is not None:
         truth = dataclasses.replace(truth, seed=args.seed)
     nuclei = simulate_measurements(truth, constants)

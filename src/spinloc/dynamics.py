@@ -130,10 +130,11 @@ def precession_frequency(B0: Vector3, dB: Vector3, hf: HyperfineModel, m_S: int,
     return f
 
 
-def xi_kernel(records, a_par, a_perp, variant: str = GENERAL_FIELD,
+def xi_kernel(records, a_par, a_perp,
               constants: PhysicalConstants = DEFAULT_CONSTANTS) -> "XiKernel":
     """Lane-wise signed xi of a record set, and its exact derivatives, as a
-    function of the azimuth and the contact term (see ``XiKernel``).
+    function of the azimuth and the contact term (see ``XiKernel``), with the
+    general-field enhancement.
 
     ``records`` yields per record (measured fp_m1 - fp0, B0, dB) in Hz and
     tesla: sensor-frame field components shaped (3,) for one field set shared
@@ -142,13 +143,12 @@ def xi_kernel(records, a_par, a_perp, variant: str = GENERAL_FIELD,
     lane constants (couplings, splitting, c = -gamma_n (B0 + dB),
     q = gamma_n dB, enhancement prefactors k(0) and k(-1)) are packed here.
     """
-    _check_variant(variant)
     gn = constants.gamma_n
     rows = [a_par, a_perp]
     for meas, B0, dB in records:
         rows += [meas, *(-gn * (B0[i] + dB[i]) for i in range(3)),
                  *(gn * dB[i] for i in range(3)),
-                 *(_prefactor(m, B0[2], variant, constants) for m in (0, -1))]
+                 *(_prefactor(m, B0[2], GENERAL_FIELD, constants) for m in (0, -1))]
     return XiKernel(np.array(np.broadcast_arrays(*rows), dtype=float),
                     constants.dipolar_coefficient / MIN_RADIUS ** 3)
 
@@ -181,6 +181,19 @@ class XiKernel:
         whose constants all lanes share is its own."""
         return (self if self.consts.ndim == 1
                 else XiKernel(self.consts[:, keep], self.b_max))
+
+    @staticmethod
+    def join(parts) -> "XiKernel":
+        """One kernel of the lanes of every (kernel, lane count) in ``parts``,
+        side by side in that order; a kernel whose lanes share their
+        constants is widened to its count. One part is its own join."""
+        parts = list(parts)
+        if len(parts) == 1:
+            return parts[0][0]
+        return XiKernel(np.concatenate(
+            [np.broadcast_to(k.consts.reshape(len(k.consts), -1),
+                             (len(k.consts), m)) for k, m in parts], axis=1),
+            parts[0][0].b_max)
 
     def __call__(self, phi, a_iso, derivatives=True):
         consts = self.consts

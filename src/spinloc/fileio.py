@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibrate import OdmrDataset, OdmrEntry, COIL_FIELD, BIAS_FIELD
-from .core import Vector3, SENSOR_FRAME_NAME
+from .core import DEFAULT_REGISTRY, FrameRegistry, Vector3, SENSOR_FRAME_NAME
 from .dipole import DftRow, ResidualMap
 from .dynamics import OdmrLinePair
 from .errors import ParseError
@@ -311,6 +311,18 @@ def _finite(path, line: int, parts, what: str) -> list[float]:
     return values
 
 
+def _check_frame(path, line: int, name: str, registry: FrameRegistry):
+    """ParseError at ``line`` unless ``registry`` holds the frame ``name``."""
+    if name not in registry:
+        raise ParseError(path, line, f"unknown frame {name!r}; registered: "
+                                     f"{registry.names()}")
+
+
+def _frame_line(sec: _Section) -> int:
+    """The line of a section's frame key, or of its header when defaulted."""
+    return sec.values.get("frame", (sec.line,))[0]
+
+
 def _require(path, sec: _Section, key: str):
     if key not in sec.values:
         raise ParseError(path, sec.line,
@@ -339,11 +351,13 @@ class NucleusMeasurements:
         object.__setattr__(self, "records", tuple(self.records))
 
 
-def load_measurements(path) -> dict[str, NucleusMeasurements]:
+def load_measurements(path, registry: FrameRegistry = DEFAULT_REGISTRY
+                      ) -> dict[str, NucleusMeasurements]:
     """Parse a measurements file into per-nucleus inputs and records.
 
     Returns nuclei in file order. Records must name a previously declared
-    nucleus; every nucleus needs at least one record.
+    nucleus and a frame of ``registry``; every nucleus needs at least one
+    record.
     """
     inputs: dict[str, CouplingInputs] = {}
     records: dict[str, list] = {}
@@ -358,6 +372,7 @@ def load_measurements(path) -> dict[str, NucleusMeasurements]:
                     raise ParseError(path, sec.line,
                                      f"record for unknown nucleus {nucleus!r}")
                 ci, frame = inputs[nucleus], v.pop("frame")
+                _check_frame(path, _frame_line(sec), frame, registry)
                 records[nucleus].append(MeasurementRecord(
                     label=label,
                     f0=ci.f0, sigma_f0=max(ci.sigma_f0, SIGMA_F_FLOOR),
@@ -427,7 +442,9 @@ class TruthSpec:
         object.__setattr__(self, "fields", tuple(self.fields))
 
 
-def load_truth(path) -> TruthSpec:
+def load_truth(path, registry: FrameRegistry = DEFAULT_REGISTRY) -> TruthSpec:
+    """Parse a truth file; every [fields] section names a frame of
+    ``registry``, the same one."""
     nuclei: list[TruthNucleus] = []
     fields: list[FieldConfig] = []
     options: dict = {}
@@ -439,6 +456,7 @@ def load_truth(path) -> TruthSpec:
             nuclei.append(TruthNucleus(sec.args[0],
                                        **dict(v, phi=v["phi"] % (2 * math.pi))))
         elif sec.name == "fields":
+            _check_frame(path, _frame_line(sec), v["frame"], registry)
             if fields and v["frame"] != fields[0].B0.frame:
                 raise ParseError(path, sec.line,
                                  f"frame {v['frame']!r} differs from "
@@ -470,11 +488,12 @@ def load_truth(path) -> TruthSpec:
 # ---------------------------------------------------------------------------
 # ODMR line files
 
-def load_odmr(path) -> OdmrDataset:
+def load_odmr(path, registry: FrameRegistry = DEFAULT_REGISTRY) -> OdmrDataset:
     """One data row per resonance: nv_id frame_name f_GHz sigma_MHz.
 
     Rows are grouped by nv_id; each id needs exactly two rows sharing a
-    frame. The pair's sigma is the mean of the two row sigmas.
+    frame of ``registry``. The pair's sigma is the mean of the two row
+    sigmas.
     """
     rows = []
     for sec, v in _read_sections(path, "odmr", _ODMR):
@@ -493,6 +512,7 @@ def load_odmr(path) -> OdmrDataset:
         if len(parts) != 4:
             raise ParseError(path, line_no,
                              "expected: nv_id frame_name f_GHz sigma_MHz")
+        _check_frame(path, line_no, parts[1], registry)
         f_GHz, sigma_MHz = _finite(path, line_no, parts[2:], "bad numbers in row")
         grouped.setdefault(parts[0], []).append((line_no, parts[1], f_GHz * 1e9,
                                                  sigma_MHz * 1e6))

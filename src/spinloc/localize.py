@@ -17,9 +17,10 @@ import numpy as np
 
 from .core import DEFAULT_CONSTANTS, SENSOR_FRAME_NAME, PhysicalConstants, Vector3
 from .dipole import SphericalPosition, dipole_tensor, invert_dipole
-from .dynamics import (GENERAL_FIELD, enhancement_factor, precession_frequency,
-                       xi_kernel)
-from .errors import FrameError, IdentifiabilityError, InconsistentInputError
+from .dynamics import (GENERAL_FIELD, XiKernel, enhancement_factor,
+                       precession_frequency, xi_kernel)
+from .errors import (FrameError, IdentifiabilityError, InconsistentInputError,
+                     SpinlocError)
 from .extract import CouplingEstimate
 
 _TWO_PI = 2.0 * math.pi
@@ -179,7 +180,7 @@ def _kernel(records, coupling, constants):
     whose couplings do not invert yield NaN."""
     return xi_kernel([(rec.measured_difference, rec.B0.components,
                        rec.dB.components) for rec in records],
-                     coupling.a_par, coupling.a_perp, GENERAL_FIELD, constants)
+                     coupling.a_par, coupling.a_perp, constants)
 
 
 def sum_sq_xi(records, coupling, phi, a_iso,
@@ -232,8 +233,25 @@ def _secant_update(sec, s, y, y_sharp, ys, update):
         for v, (i, j) in zip(sec, ((0, 0), (0, 1), (1, 1)))], sec)
 
 
-def _levenberg_marquardt(kernel, phi, a_iso, phi_box, iso_box,
-                         free_iso: bool) -> _LaneFit:
+def _join_lanes(batches):
+    """One batch of solver lanes, (kernel, phi, a_iso, phi_box, iso_box),
+    from several side by side in order; starts and boxes may be scalars
+    that all lanes of their batch share. One batch is its own join."""
+    if len(batches) == 1:
+        return batches[0]
+    sizes = [np.size(b[1]) for b in batches]
+
+    def cat(values):
+        return np.concatenate([np.broadcast_to(v, (m,)) for v, m in zip(values, sizes)])
+
+    kernels, phi, iso, phi_box, iso_box = zip(*batches)
+    return (XiKernel.join(zip(kernels, sizes)), cat(phi), cat(iso),
+            tuple(map(cat, zip(*phi_box))), tuple(map(cat, zip(*iso_box))))
+
+
+def _levenberg_marquardt(kernel=None, phi=(), a_iso=(), phi_box=(), iso_box=(),
+                         *, free_iso: bool, refill=None,
+                         n_lanes: int | None = None) -> _LaneFit:
     """Box-bounded Levenberg-Marquardt fit of (phi, a_iso) on every lane.
 
     ``kernel`` is the ``dynamics.xi_kernel`` of the lanes. a_iso stays at
@@ -243,111 +261,154 @@ def _levenberg_marquardt(kernel, phi, a_iso, phi_box, iso_box,
     definite, and are clipped to the (lo, hi) boxes; a coordinate on its
     bound whose descent points out stays there. Every iteration makes one
     kernel call, at the trial point, whose derivatives are kept when the
-    step is accepted. Each lane keeps its own damping and step multiplier
-    and stops on its own test; stopped lanes leave the batch, the kernel
-    compacted (``take``) with the other lane arrays. The arithmetic is per
-    lane, so no lane's result depends on its batch. Lanes with no finite
-    cost at the start come back unchanged.
+    step is accepted. Each lane keeps its own damping, step multiplier and
+    iteration count, and stops on its own test or after _LM_MAX_ITER of its
+    own iterations; stopped lanes leave the batch, the kernel compacted
+    (``take``) with the other lane arrays.
+
+    The lanes given, if any, are the first of a pool of ``n_lanes``
+    (default: just these). Before every iteration, and before the first
+    when no lanes are given, ``refill(running)`` is called with the number
+    of lanes still running and may return more lanes, in the form of the
+    first five arguments; they join the batch (``XiKernel.join``), and
+    their start point is evaluated in the same kernel call as the next
+    trial point of the lanes already running. Lanes are numbered in order
+    of admission. The arithmetic is per lane, so no lane's result depends
+    on its batch or on when it joined. Lanes with no finite cost at the
+    start come back unchanged.
     """
-    phi = np.array(phi, dtype=float)
-    iso = np.array(a_iso, dtype=float)
-    m = phi.size
-    box = [np.broadcast_to(b, (m,)) for b in (*phi_box, *iso_box)]
-    fit = _LaneFit(phi.copy(), iso.copy(), np.full(m, np.nan),
-                   np.zeros(m, dtype=int), np.ones(m, dtype=bool),
-                   np.zeros(m, dtype=bool))
-    edges = box
-
-    idx = np.arange(m)
+    n = np.size(phi) if n_lanes is None else n_lanes
+    fit = _LaneFit(np.empty(n), np.empty(n), np.empty(n), np.zeros(n, dtype=int),
+                   np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
     cols = True if free_iso else "phi"
-    res, *jac = kernel(phi, iso, cols)  # jac: dxi/dphi (and dxi/da_iso)
-    cost = _dot(res, res)
-    lam = np.full(m, _LM_LAMBDA0)
-    mult = np.ones(m)  # the step multiplier mu
-    sec = np.zeros((3, m))  # the secant term S: S_phiphi, S_phiiso, S_isoiso
-    done = ~np.isfinite(cost)
-    for it in range(_LM_MAX_ITER + 1):
-        if done.any():
-            fin, keep = idx[done], ~done
-            fit.phi[fin], fit.a_iso[fin], fit.cost[fin] = (
-                phi[done], iso[done], cost[done])
-            idx = idx[keep]
-            phi, iso, res, cost, lam, mult, sec, *jac = (
-                v[..., keep] for v in (phi, iso, res, cost, lam, mult, sec, *jac))
-            box = [b[keep] for b in box]
-            if not idx.size:
-                break
-            kernel = kernel.take(keep)
-        if it == _LM_MAX_ITER:  # capped lanes keep their best point
-            fit.phi[idx], fit.a_iso[idx], fit.cost[idx] = phi, iso, cost
-            fit.converged[idx] = False
-            break
-        fit.iterations[idx] += 1
+    # a pool's first lanes come from refill: lanes passed here stay held by
+    # the caller's arguments until the solve ends
+    batch = (kernel, phi, a_iso, phi_box, iso_box) if np.size(phi) else None
+    admitted = 0
+    idx = np.arange(0)  # the running lanes
+    # per running lane: phi, a_iso, cost, damping, step multiplier mu, the
+    # secant term S (S_phiphi, S_phiiso, S_isoiso), the box (phi lo, phi hi,
+    # a_iso lo, a_iso hi), then xi and its Jacobian dxi/dphi (and dxi/da_iso)
+    lanes = ()
+    while True:
+        if batch is None and refill is not None:
+            batch = refill(idx.size)
+        m = 0 if batch is None else np.size(batch[1])
+        if not (m or idx.size):
+            return fit
+        na = idx.size
+        phi_t = iso_t = np.empty(0)
+        if na:
+            phi, iso, cost, lam, mult, sec, *box, res = lanes[:11]
+            jac = lanes[11:]
+            fit.iterations[idx] += 1
 
-        a, g = _dot(jac[0], jac[0]), _dot(jac[0], res)
-        b, h, c = ((_dot(jac[0], jac[1]), _dot(jac[1], res),
-                    _dot(jac[1], jac[1])) if free_iso else (0.0, 0.0, 1.0))
-        a_s, b_s, c_s = a + sec[0], b + sec[1], c + sec[2]
-        s11, s12, s22 = np.where((a_s > 0.0) & (a_s * c_s > b_s * b_s), sec, 0.0)
-        a_s, b_s, c_s = a + s11, b + s12, c + s22  # the model's Hessian / 2
-        d1 = a * (1.0 + lam) + s11
-        d1 = np.where(d1 > 0.0, d1, np.inf)
-        d2 = c * (1.0 + lam) + s22
-        d2 = np.where(d2 > 0.0, d2, np.inf)
-        det = d1 * d2 - b_s * b_s
-        det = np.where(det > 0.0, det, np.inf)
-        pin_phi = np.where(g > 0.0, phi <= box[0], phi >= box[1])
-        pin_iso = np.where(h > 0.0, iso <= box[2], iso >= box[3])
-        step_phi = np.where(pin_phi, 0.0, np.where(
-            pin_iso, -g / d1, (b_s * h - d2 * g) / det))
-        step_iso = np.where(pin_iso, 0.0, np.where(
-            pin_phi, -h / d2, (b_s * g - d1 * h) / det))
-        phi_t = np.clip(phi + mult * step_phi, box[0], box[1])
-        iso_t = np.clip(iso + mult * step_iso, box[2], box[3])
+            a, g = _dot(jac[0], jac[0]), _dot(jac[0], res)
+            b, h, c = ((_dot(jac[0], jac[1]), _dot(jac[1], res),
+                        _dot(jac[1], jac[1])) if free_iso else (0.0, 0.0, 1.0))
+            a_s, b_s, c_s = a + sec[0], b + sec[1], c + sec[2]
+            s11, s12, s22 = np.where((a_s > 0.0) & (a_s * c_s > b_s * b_s), sec, 0.0)
+            a_s, b_s, c_s = a + s11, b + s12, c + s22  # the model's Hessian / 2
+            d1 = a * (1.0 + lam) + s11
+            d1 = np.where(d1 > 0.0, d1, np.inf)
+            d2 = c * (1.0 + lam) + s22
+            d2 = np.where(d2 > 0.0, d2, np.inf)
+            det = d1 * d2 - b_s * b_s
+            det = np.where(det > 0.0, det, np.inf)
+            pin_phi = np.where(g > 0.0, phi <= box[0], phi >= box[1])
+            pin_iso = np.where(h > 0.0, iso <= box[2], iso >= box[3])
+            step_phi = np.where(pin_phi, 0.0, np.where(
+                pin_iso, -g / d1, (b_s * h - d2 * g) / det))
+            step_iso = np.where(pin_iso, 0.0, np.where(
+                pin_phi, -h / d2, (b_s * g - d1 * h) / det))
+            phi_t = np.clip(phi + mult * step_phi, box[0], box[1])
+            iso_t = np.clip(iso + mult * step_iso, box[2], box[3])
+        if m:
+            # the new lanes' kernel constants are held once, in the joined
+            # kernel, through the call
+            kernel = XiKernel.join([(kernel, na), (batch[0], m)]) if na else batch[0]
+            phi_n, iso_n, *box_n = (np.broadcast_to(v, (m,)).astype(float)
+                                    for v in (*batch[1:3], *batch[3], *batch[4]))
+            batch = None
+            phi_t, iso_t = np.concatenate([phi_t, phi_n]), np.concatenate([iso_t, iso_n])
+        # one kernel call: the running lanes' trial points, then the new
+        # lanes' start points
         res_t, *jac_t = kernel(phi_t, iso_t, cols)
         cost_t = _dot(res_t, res_t)
 
-        step_phi, step_iso = phi_t - phi, iso_t - iso
-        accept = cost_t < cost
-        done = (((np.abs(step_phi) <= _LM_XTOL_PHI)
-                 & (np.abs(step_iso) <= _LM_XTOL_ISO))
-                | (accept & (cost - cost_t <= _LM_FTOL * cost)))
-        # damping from the gain ratio of actual to predicted decrease; a poor
-        # step shortens the next one to the minimum of the parabola through
-        # the cost and slope at the start and the cost at the trial point
-        slope = 2.0 * (g * step_phi + h * step_iso)
-        pred = -slope - (a_s * step_phi ** 2 + 2.0 * b_s * step_phi * step_iso
-                         + c_s * step_iso ** 2)
-        ratio = np.divide(cost - cost_t, pred, out=np.zeros_like(pred),
-                          where=pred > 0.0)
-        curv = cost_t - cost - slope
-        shrink = np.full_like(pred, 0.1)
-        np.divide(-0.5 * slope, curv, out=shrink, where=curv > 0.0)
-        lam = np.where(mult > 1.0, lam, np.where(
-            ratio > 0.75, np.maximum(0.5 * lam, _LM_LAMBDA_MIN),
-            np.where(ratio >= 0.25, lam,
-                     (1.0 + lam) / np.clip(shrink, 0.1, 0.5) - 1.0)))
+        done = np.zeros(0, dtype=bool)
+        if na:
+            step_phi, step_iso = phi_t[:na] - phi, iso_t[:na] - iso
+            res_r, cost_r = res_t[:, :na], cost_t[:na]
+            jac_r = [j[:, :na] for j in jac_t]
+            accept = cost_r < cost
+            done = (((np.abs(step_phi) <= _LM_XTOL_PHI)
+                     & (np.abs(step_iso) <= _LM_XTOL_ISO))
+                    | (accept & (cost - cost_r <= _LM_FTOL * cost)))
+            # damping from the gain ratio of actual to predicted decrease; a
+            # poor step shortens the next one to the minimum of the parabola
+            # through the cost and slope at the start and the cost at the
+            # trial point
+            slope = 2.0 * (g * step_phi + h * step_iso)
+            pred = -slope - (a_s * step_phi ** 2 + 2.0 * b_s * step_phi * step_iso
+                             + c_s * step_iso ** 2)
+            ratio = np.divide(cost - cost_r, pred, out=np.zeros_like(pred),
+                              where=pred > 0.0)
+            curv = cost_r - cost - slope
+            shrink = np.full_like(pred, 0.1)
+            np.divide(-0.5 * slope, curv, out=shrink, where=curv > 0.0)
+            lam = np.where(mult > 1.0, lam, np.where(
+                ratio > 0.75, np.maximum(0.5 * lam, _LM_LAMBDA_MIN),
+                np.where(ratio >= 0.25, lam,
+                         (1.0 + lam) / np.clip(shrink, 0.1, 0.5) - 1.0)))
 
-        # the secant update from y = J_t^T r_t - J^T r and y# = (J_t - J)^T r_t
-        y, y_sharp = np.zeros((2, 2, idx.size))
-        for i, (j_t, j, grad) in enumerate(zip(jac_t, jac, (g, h))):
-            grad_t = _dot(j_t, res_t)
-            y[i], y_sharp[i] = grad_t - grad, grad_t - _dot(j, res_t)
-        s = (step_phi, step_iso)
-        ys = _dot(y, s)
-        sec = _secant_update(sec, s, y, y_sharp, ys, accept & (ys > 0.0))
-        mult = np.where(accept & (ys <= 0.0), 2.0 * mult, 1.0)
+            # the secant update from y = J_t^T r_t - J^T r and
+            # y# = (J_t - J)^T r_t
+            y, y_sharp = np.zeros((2, 2, na))
+            for i, (j_t, j, grad) in enumerate(zip(jac_r, jac, (g, h))):
+                grad_t = _dot(j_t, res_r)
+                y[i], y_sharp[i] = grad_t - grad, grad_t - _dot(j, res_r)
+            s = (step_phi, step_iso)
+            ys = _dot(y, s)
+            sec = _secant_update(sec, s, y, y_sharp, ys, accept & (ys > 0.0))
+            mult = np.where(accept & (ys <= 0.0), 2.0 * mult, 1.0)
 
-        phi, iso, cost, res, *jac = (
-            np.where(accept, new, old) for new, old in
-            zip((phi_t, iso_t, cost_t, res_t, *jac_t),
-                (phi, iso, cost, res, *jac)))
+            phi, iso, cost, res, *jac = (
+                np.where(accept, new, old) for new, old in
+                zip((phi_t[:na], iso_t[:na], cost_r, res_r, *jac_r),
+                    (phi, iso, cost, res, *jac)))
+            lanes = (phi, iso, cost, lam, mult, sec, *box, res, *jac)
+        if m:
+            cost_n = cost_t[na:]
+            new = (phi_n, iso_n, cost_n, np.full(m, _LM_LAMBDA0), np.ones(m),
+                   np.zeros((3, m)), *box_n, res_t[:, na:],
+                   *(j[:, na:] for j in jac_t))
+            lanes = (tuple(np.concatenate([u, v], axis=-1)
+                           for u, v in zip(lanes, new)) if na else new)
+            idx = np.concatenate([idx, np.arange(admitted, admitted + m)])
+            done = np.concatenate([done, ~np.isfinite(cost_n)])
+            admitted += m
 
-    on_edge = (fit.phi == edges[0]) | (fit.phi == edges[1])
-    if free_iso:
-        on_edge |= (fit.a_iso == edges[2]) | (fit.a_iso == edges[3])
-    fit.at_bound[:] = on_edge & np.isfinite(fit.cost)
-    return fit
+        # lanes that stopped, or ran out of iterations at their best point,
+        # leave the batch
+        stop = done | (fit.iterations[idx] >= _LM_MAX_ITER)
+        if stop.any():
+            fin = idx[stop]
+            phi_f, iso_f, cost_f = (v[stop] for v in lanes[:3])
+            box = [v[stop] for v in lanes[6:10]]
+            fit.phi[fin], fit.a_iso[fin], fit.cost[fin] = phi_f, iso_f, cost_f
+            fit.converged[fin] = done[stop]
+            on_edge = (phi_f == box[0]) | (phi_f == box[1])
+            if free_iso:
+                on_edge |= (iso_f == box[2]) | (iso_f == box[3])
+            fit.at_bound[fin] = on_edge & np.isfinite(cost_f)
+            # integer takes: on a lane axis of a few thousand, a boolean
+            # mask copies several times slower
+            keep = np.flatnonzero(~stop)
+            idx = idx[keep]
+            lanes = tuple(v.take(keep, axis=-1) for v in lanes)
+            if idx.size:
+                kernel = kernel.take(keep)
 
 
 def _grid_local_minima(profile: np.ndarray) -> list[int]:
@@ -374,22 +435,27 @@ def _check_off_crossing(records, constants):
                                constants)
 
 
-def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = None,
-                *, phi_step_deg: float = DEFAULT_PHI_STEP_DEG,
-                a_iso_step: float = DEFAULT_A_ISO_STEP,
-                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> AzimuthFit:
-    """Global fit of phi (and a_iso unless fixed) to the record set.
+class _Scan(NamedTuple):
+    """One nucleus's grid scan: the xi kernel of its records and the solver
+    lanes its polish starts from, one per grid minimum; its first five
+    fields are those lanes as ``_levenberg_marquardt`` takes them."""
 
-    Dense grid scan first: the landscape generically has two symmetric
-    near-degenerate minima per configuration, so a local solver alone is not
-    trustworthy. Every grid-level local minimum of the phi profile (after
-    minimizing over the a_iso axis in the joint case) is polished locally;
-    minima within DEGENERACY_FACTOR of the global cost are reported.
-    Ties on cost (within 1e-9 relative) resolve to the smallest phi so the
-    result does not depend on evaluation order. Records must give their
-    fields in the sensor frame; any other frame raises FrameError.
-    """
-    records = list(records)
+    kernel: XiKernel
+    phi: np.ndarray      # rad
+    a_iso: np.ndarray    # Hz
+    phi_box: tuple       # (lo, hi), per lane or shared by all
+    iso_box: tuple       # (lo, hi), per lane or shared by all
+    a_iso_fixed: bool
+
+
+# phi rows of the joint (phi, a_iso) grid per kernel call; bounds the size of
+# the kernel's per-lane arrays
+_GRID_ROWS = 90
+
+
+def _scan(records, coupling, fix_a_iso, phi_step_deg, a_iso_step,
+          constants) -> _Scan:
+    """The checks of ``fit_azimuth`` and its grid scan."""
     if not records:
         raise ValueError("need at least one measurement record")
     for rec in records:
@@ -400,14 +466,15 @@ def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = N
     _check_identifiable(records)
     _check_off_crossing(records, constants)
 
-    # every grid minimum is one lane of one polish. With a_iso fixed, phi
+    # every grid minimum is one lane of the polish. With a_iso fixed, phi
     # stays within a grid step of its grid minimum. In the joint fit the
     # coarse a_iso grid can misplace a diagonal valley's phi by more than a
     # step, so there phi (periodic) is left free and a_iso held to its range.
+    kernel = _kernel(records, coupling, constants)
     phi_grid = np.deg2rad(np.arange(0.0, 360.0, phi_step_deg))
     if fix_a_iso is not None:
-        profile = sum_sq_xi(records, coupling, phi_grid, float(fix_a_iso),
-                            constants)
+        parts = kernel(phi_grid, float(fix_a_iso), derivatives=False)
+        profile = _dot(parts, parts)
         profile = np.where(np.isfinite(profile), profile, np.inf)
         phi0 = phi_grid[_grid_local_minima(profile)]
         iso0 = np.full(phi0.size, float(fix_a_iso))
@@ -416,8 +483,11 @@ def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = N
     else:
         lo, hi = DEFAULT_A_ISO_RANGE
         iso_grid = np.arange(lo, hi + 0.5 * a_iso_step, a_iso_step)
-        surf = sum_sq_xi(records, coupling, phi_grid[:, None], iso_grid[None, :],
-                         constants)
+        surf = np.empty((phi_grid.size, iso_grid.size))
+        for k in range(0, phi_grid.size, _GRID_ROWS):
+            parts = kernel(phi_grid[k:k + _GRID_ROWS, None], iso_grid[None, :],
+                           derivatives=False)
+            surf[k:k + _GRID_ROWS] = _dot(parts, parts)
         surf = np.where(np.isfinite(surf), surf, np.inf)
         profile = surf.min(axis=1)
         i = _grid_local_minima(profile)
@@ -429,10 +499,12 @@ def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = N
             f"couplings (a_par, a_perp) = ({coupling.a_par:g}, "
             f"{coupling.a_perp:g}) Hz invert to a point dipole at no contact "
             "term of the fit")
+    return _Scan(kernel, phi0, iso0, phi_box, iso_box, fix_a_iso is not None)
 
-    kernel = _kernel(records, coupling, constants)
-    lm = _levenberg_marquardt(kernel, phi0, iso0, phi_box, iso_box,
-                              free_iso=fix_a_iso is None)
+
+def _finish(scan: _Scan, lm: _LaneFit) -> AzimuthFit:
+    """The fit from the polished lanes of a scan: merged minima, the best
+    one and its near-degenerate rivals."""
     candidates = [(float(c), float(p) % _TWO_PI, float(a))
                   for c, p, a in zip(lm.cost, lm.phi, lm.a_iso)]
 
@@ -458,14 +530,83 @@ def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = N
     minima = tuple(Minimum(phi=m[1], a_iso=m[2], residual=math.sqrt(m[0]))
                    for m in keep)
 
-    per_xi = tuple(float(v) for v in kernel(best_phi, best_iso,
-                                            derivatives=False))
+    per_xi = tuple(float(v) for v in scan.kernel(best_phi, best_iso,
+                                                 derivatives=False))
     return AzimuthFit(phi=best_phi, a_iso=best_iso,
                       residual=math.sqrt(best_cost),
                       per_record_xi=per_xi,
                       degenerate_minima=tuple(m.phi for m in minima),
                       minima=minima,
-                      a_iso_fixed=fix_a_iso is not None)
+                      a_iso_fixed=scan.a_iso_fixed)
+
+
+def _isolate(fn, *args):
+    """fn(*args), or the SpinlocError or ValueError it raised: one
+    nucleus's failure must not stop the others."""
+    try:
+        return fn(*args)
+    except (SpinlocError, ValueError) as exc:
+        return exc
+
+
+def _groups(keys) -> list[list[int]]:
+    """The positions of equal keys, grouped in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def fit_azimuths(problems, *, phi_step_deg: float = DEFAULT_PHI_STEP_DEG,
+                 a_iso_step: float = DEFAULT_A_ISO_STEP,
+                 constants: PhysicalConstants = DEFAULT_CONSTANTS) -> list:
+    """``fit_azimuth`` of every (records, coupling, fix_a_iso) problem.
+
+    Returns one entry per problem, in order: its AzimuthFit, or the
+    SpinlocError or ValueError its fit raised. Each problem is checked and
+    grid-scanned on its own; then the grid minima of all problems of one
+    kernel shape (record count, and whether a_iso is free) are polished
+    together in one solve, whose lanes do not depend on each other.
+    """
+    problems = [(list(records), coupling, fix) for records, coupling, fix in problems]
+    scans = [_isolate(_scan, *p, phi_step_deg, a_iso_step, constants)
+             for p in problems]
+    live = [k for k, s in enumerate(scans) if not isinstance(s, Exception)]
+    out = list(scans)
+    for group in _groups((len(problems[k][0]), scans[k].a_iso_fixed) for k in live):
+        members = [live[i] for i in group]
+        sizes = [scans[k].phi.size for k in members]
+        lm = _levenberg_marquardt(
+            *_join_lanes([scans[k][:5] for k in members]),
+            free_iso=not scans[members[0]].a_iso_fixed)
+        for k, end in zip(members, np.cumsum(sizes)):
+            out[k] = _isolate(_finish, scans[k], _LaneFit(
+                *(v[end - scans[k].phi.size:end] for v in lm)))
+    return out
+
+
+def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = None,
+                *, phi_step_deg: float = DEFAULT_PHI_STEP_DEG,
+                a_iso_step: float = DEFAULT_A_ISO_STEP,
+                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> AzimuthFit:
+    """Global fit of phi (and a_iso unless fixed) to the record set.
+
+    Dense grid scan first: the landscape generically has two symmetric
+    near-degenerate minima per configuration, so a local solver alone is not
+    trustworthy. Every grid-level local minimum of the phi profile (after
+    minimizing over the a_iso axis in the joint case) is polished locally;
+    minima within DEGENERACY_FACTOR of the global cost are reported.
+    Ties on cost (within 1e-9 relative) resolve to the smallest phi so the
+    result does not depend on evaluation order. Records must give their
+    fields in the sensor frame; any other frame raises FrameError. The
+    one-problem case of ``fit_azimuths``.
+    """
+    (fit,) = fit_azimuths([(records, coupling, fix_a_iso)],
+                          phi_step_deg=phi_step_deg, a_iso_step=a_iso_step,
+                          constants=constants)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 @dataclass(frozen=True)

@@ -4,24 +4,30 @@ Every sample redraws all uncertain inputs from independent normals, re-runs
 the extraction + azimuth fit + inversion pipeline, and contributes one
 scatter point. Sampling is keyed per page of _PAGE consecutive sample
 indices with a counter-based generator: sample i takes row i % _PAGE of its
-page's draws, whatever block draws the page. With the numerics below
+page's draws, whatever admission draws the page. With the numerics below
 strictly elementwise per sample, the result is bit-identical no matter how
-the samples are partitioned into chunks and blocks.
+the samples are partitioned into chunks and admissions.
 
 The per-sample fit is the point fit's box-bounded Levenberg-Marquardt solver
 (``localize._levenberg_marquardt``, whose NL2SOL secant curvature term lets
 samples at large residuals converge), warm-started at the unperturbed optimum
 on the same lane-wise xi kernel (``dynamics.xi_kernel``), with every
-sample's perturbed fields as its own lanes, in blocks of _LANE_BLOCK
-samples. Basin hops to mirror minima are deliberately not sampled, since
-degenerate minima are reported separately by the fit itself: the box keeps
-each sample near the point fit, and samples that end on its edge are
-counted in ``SolverStats.at_bound``.
+sample's perturbed fields as its own lane. The lanes form one pool per
+kernel shape (record count, and whether a_iso is free) over all nuclei of a
+``propagate_many`` call: the pool holds at most _LANE_BLOCK lanes, retires
+each lane as it stops, and tops up with the next samples, of the same
+nucleus or the next one, when fewer than a quarter of that still run, so
+solver iterations are not spent on a few slow lanes at a time. Basin hops
+to mirror minima are deliberately not sampled, since degenerate minima are
+reported separately by the fit itself: the box keeps each sample near the
+point fit, and samples that end on its edge are counted in
+``SolverStats.at_bound``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,10 +35,11 @@ import numpy as np
 
 from .core import DEFAULT_CONSTANTS, PhysicalConstants
 from .dipole import invert_dipole, invert_many
-from .dynamics import GENERAL_FIELD, xi_kernel
+from .dynamics import xi_kernel
 from .errors import ConvergenceError, InconsistentInputError
-from .extract import _extract_arrays
-from .localize import AzimuthFit, _levenberg_marquardt, fit_azimuth
+from .extract import CouplingEstimate, _extract_arrays
+from .localize import (AzimuthFit, _groups, _isolate, _join_lanes, _LaneFit,
+                       _levenberg_marquardt, fit_azimuths)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -67,7 +74,7 @@ class SolverStats(NamedTuple):
 class McConfig:
     n_samples: int = 40_000
     seed: int = 0
-    parallel_chunks: int = 1  # chunks run in turn and never change the result
+    parallel_chunks: int = 1  # chunks admitted in turn; never change the result
 
     def __post_init__(self):
         if self.n_samples < 100:
@@ -128,7 +135,7 @@ def _recenter(phi: np.ndarray, center: float) -> np.ndarray:
 _PHI_BOX = math.pi / 6.0
 _PHI_BOX_FREE = math.pi / 6.0 + 0.4  # rad
 _ISO_BOX = 140e3                     # Hz
-# samples solved together; bounds the size of the per-lane arrays
+# lanes of the sample pool: bounds the size of the per-lane arrays
 _LANE_BLOCK = 4096
 # samples drawn from one keyed generator
 _PAGE = 256
@@ -161,24 +168,54 @@ def _draws(idx: np.ndarray, seed: int, n_draws: int) -> np.ndarray:
     return buf[rows]
 
 
-def _chunk_estimates(idx: np.ndarray, seed: int, coupling, records,
-                     fix_a_iso, point, constants) -> np.ndarray:
-    """(len(idx), 9) rows for one block of samples: the scatter columns phi,
-    a_iso, r, theta, the sample's couplings a_par and a_perp, then the
-    solver's iterations, unconverged and at_bound.
+@dataclass(eq=False)
+class _Nucleus:
+    """One problem of ``propagate_many`` on its way through the passes; the
+    first error it meets ends it."""
 
-    Each sample is one lane of the xi kernel, with its own perturbed fields
-    and splittings. Failed lanes (couplings that do not extract or invert,
-    or a resonant enhancement denominator) get NaN scatter columns; lanes
-    whose frequency triplet does not extract also get NaN couplings.
-    """
-    inputs = coupling.inputs
-    draws = _draws(idx, seed, 3 + 8 * len(records))
+    records: list
+    coupling: CouplingEstimate
+    fix_a_iso: float | None
+    error: Exception | None = None
+    fit: AzimuthFit | None = None
+    point: PointEstimate | None = None
+    # per sample: the couplings extracted from its drawn lines, whether they
+    # extracted, and the solver's outcome
+    a_par: np.ndarray | None = None
+    a_perp: np.ndarray | None = None
+    extracted: np.ndarray | None = None
+    lanes: _LaneFit | None = None
+
+
+def _check_inputs(nuc: _Nucleus):
+    if not nuc.records:
+        raise ValueError("need at least one measurement record")
+    if nuc.coupling.inputs is None:
+        raise ValueError("coupling must carry its raw inputs to propagate")
+
+
+def _set_point(nuc: _Nucleus, fit: AzimuthFit, constants):
+    pos = invert_dipole(nuc.coupling.a_par, nuc.coupling.a_perp, fit.a_iso,
+                        constants)
+    nuc.fit = fit
+    nuc.point = PointEstimate(fit.phi, fit.a_iso, pos.r, pos.theta)
+
+
+def _sample_lanes(nuc: _Nucleus, lo: int, hi: int, seed: int, constants):
+    """The solver lanes of samples lo..hi-1 of a nucleus, in the form
+    ``localize._levenberg_marquardt`` takes them: each sample's perturbed
+    fields and splittings in a kernel lane, started at the point fit in its
+    search box. The couplings each sample extracts from its drawn lines go
+    to the nucleus's per-sample arrays."""
+    records, inputs = nuc.records, nuc.coupling.inputs
+    draws = _draws(np.arange(lo, hi), seed, 3 + 8 * len(records))
     a_par, a_perp, extracted = _extract_arrays(
         inputs.f0 + inputs.sigma_f0 * draws[:, 0],
         inputs.f_m1 + inputs.sigma_f_m1 * draws[:, 1],
         inputs.f_rabi + inputs.sigma_f_rabi * draws[:, 2],
-        inputs.tau, coupling.method)
+        inputs.tau, nuc.coupling.method)
+    nuc.a_par[lo:hi], nuc.a_perp[lo:hi], nuc.extracted[lo:hi] = (
+        a_par, a_perp, extracted)
 
     # per record: the splitting fp_m1 - fp0, then B0 and dB, all perturbed
     kernel = xi_kernel((
@@ -187,74 +224,75 @@ def _chunk_estimates(idx: np.ndarray, seed: int, coupling, records,
          rec.B0.components[:, None] + rec.sigma_B0[:, None] * draws[:, k + 2:k + 5].T,
          rec.dB.components[:, None] + rec.sigma_dB[:, None] * draws[:, k + 5:k + 8].T)
         for k, rec in zip(range(3, 3 + 8 * len(records), 8), records)),
-        a_par, a_perp, GENERAL_FIELD, constants)
-    del draws
+        a_par, a_perp, constants)
 
-    m = len(idx)
-    free = fix_a_iso is None
-    iso0 = np.full(m, point.a_iso if free else float(fix_a_iso))
+    point, free = nuc.point, nuc.fix_a_iso is None
     phi_box = _PHI_BOX_FREE if free else _PHI_BOX
-    fit = _levenberg_marquardt(
-        kernel, np.full(m, point.phi), iso0,
-        (point.phi - phi_box, point.phi + phi_box),
-        (point.a_iso - _ISO_BOX, point.a_iso + _ISO_BOX), free_iso=free)
-
-    r, theta = invert_many(a_par, a_perp, fit.a_iso, constants)
-    ok = extracted & np.isfinite(fit.cost) & np.isfinite(r)
-    rows = np.column_stack([fit.phi % _TWO_PI, fit.a_iso, r, theta, a_par,
-                            a_perp, fit.iterations, ~fit.converged, fit.at_bound])
-    rows[~ok, :4] = np.nan
-    rows[~extracted, 4:6] = np.nan
-    return rows
+    return (kernel, np.full(hi - lo, point.phi),
+            np.full(hi - lo, point.a_iso if free else float(nuc.fix_a_iso)),
+            (point.phi - phi_box, point.phi + phi_box),
+            (point.a_iso - _ISO_BOX, point.a_iso + _ISO_BOX))
 
 
-def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
-              constants: PhysicalConstants = DEFAULT_CONSTANTS) -> EstimateResult:
-    """Full uncertainty propagation for one nucleus.
+def _solve_samples(nuclei: list, mc: McConfig, constants):
+    """Solve the samples of nuclei that share one kernel shape in one lane
+    pool of at most _LANE_BLOCK lanes.
 
-    The coupling must carry its raw inputs: every sample re-extracts the
-    couplings from a drawn frequency triplet with the coupling's method.
-    Per-sample draw order is fixed and documented: first f0, f_m1, f_rabi,
-    then per record fp0, fp_m1, B0x, B0y, B0z, dBx, dBy, dBz. Sample i
-    takes row i % _PAGE of the (_PAGE, draws) normals of a generator keyed
-    by (seed, i // _PAGE), so any partition into chunks and lane blocks
-    produces the same scatter. More than
-    MAX_EXTRACTION_FAILURE_FRACTION of the samples failing the extraction
-    raises InconsistentInputError; samples that fail extraction, inversion
-    or the fit are dropped and counted, and more than MAX_FAILURE_FRACTION
-    of them aborts. The point fit on the unperturbed inputs warm-starts
-    every sample and is returned as ``result.fit``, so callers need not fit
-    again.
+    Samples are admitted in order: nucleus by nucleus, each nucleus's
+    samples in its mc.parallel_chunks chunks, one after another. The pool
+    starts full, and whenever fewer than _LANE_BLOCK // 4 lanes still run
+    it tops up to _LANE_BLOCK with the next samples, of the same nucleus
+    or the next ones. The draws are keyed per page and the solver's
+    arithmetic is per lane, so no sample's result depends on how the
+    admissions fall.
     """
-    records = list(records)
-    if not records:
-        raise ValueError("need at least one measurement record")
-    if coupling.inputs is None:
-        raise ValueError("coupling must carry its raw inputs to propagate")
-    point_fit = fit_azimuth(records, coupling, fix_a_iso, constants=constants)
-    point_pos = invert_dipole(coupling.a_par, coupling.a_perp, point_fit.a_iso,
-                              constants)
-    point = PointEstimate(point_fit.phi, point_fit.a_iso, point_pos.r,
-                          point_pos.theta)
-
     n = mc.n_samples
-    # every block writes its own rows in place: no per-block copies are held
-    # and joined at the end
-    rows = np.empty((n, 9))
-    for idx in np.array_split(np.arange(n), mc.parallel_chunks):
-        for k in range(0, len(idx), _LANE_BLOCK):
-            block = idx[k:k + _LANE_BLOCK]
-            rows[block] = _chunk_estimates(
-                block, mc.seed, coupling, records, fix_a_iso, point, constants)
+    queue = deque()
+    for nuc in nuclei:
+        nuc.a_par, nuc.a_perp = np.empty(n), np.empty(n)
+        nuc.extracted = np.empty(n, dtype=bool)
+        for chunk in np.array_split(np.arange(n), mc.parallel_chunks):
+            if chunk.size:
+                queue.append((nuc, int(chunk[0]), int(chunk[-1]) + 1))
 
-    a_par, a_perp = rows[:, 4:6].T
-    extracted = ~np.isnan(a_par)
-    n_unextracted = int(n - extracted.sum())
+    def admit(running: int):
+        if running >= _LANE_BLOCK // 4 or not queue:
+            return None
+        room, batches = _LANE_BLOCK - running, []
+        while room and queue:
+            nuc, lo, hi = queue.popleft()
+            if hi - lo > room:
+                queue.appendleft((nuc, lo + room, hi))
+                hi = lo + room
+            batches.append(_sample_lanes(nuc, lo, hi, mc.seed, constants))
+            room -= hi - lo
+        return _join_lanes(batches)
+
+    lanes = _levenberg_marquardt(free_iso=nuclei[0].fix_a_iso is None,
+                                 refill=admit, n_lanes=n * len(nuclei))
+    for k, nuc in enumerate(nuclei):
+        nuc.lanes = _LaneFit(*(v[k * n:(k + 1) * n] for v in lanes))
+
+
+def _estimate(nuc: _Nucleus, n: int, constants) -> EstimateResult:
+    """The gates, intervals and solver counts of a nucleus's solved samples.
+    Releases the nucleus's per-sample arrays once the scatter is built."""
+    n_unextracted = int(n - nuc.extracted.sum())
     if n_unextracted > MAX_EXTRACTION_FAILURE_FRACTION * n:
         raise InconsistentInputError(
             f"{n_unextracted}/{n} samples failed the exact transformation; "
             "input uncertainties are too large for these frequencies")
-    good = ~np.isnan(rows[:, 0])
+    lanes, extracted = nuc.lanes, nuc.extracted
+    # inverted a lane block at a time: the temporaries of one inversion of
+    # every sample would set the peak memory of a run
+    r, theta = np.empty(n), np.empty(n)
+    for k in range(0, n, _LANE_BLOCK):
+        block = slice(k, k + _LANE_BLOCK)
+        r[block], theta[block] = invert_many(nuc.a_par[block], nuc.a_perp[block],
+                                             lanes.a_iso[block], constants)
+    # failed samples: couplings that do not extract or invert, or a resonant
+    # enhancement denominator
+    good = extracted & np.isfinite(lanes.cost) & np.isfinite(r)
     n_failed = int(n - good.sum())
     if n_failed > MAX_FAILURE_FRACTION * n:
         raise ConvergenceError(
@@ -262,7 +300,17 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
             "uncertainties are too large for a meaningful propagation")
     if n_failed == n:
         raise ConvergenceError("all Monte Carlo samples failed")
-    scatter = rows[good, :4]
+    solver = SolverStats(max_iterations=int(lanes.iterations[good].max()),
+                         unconverged=int((~lanes.converged[good]).sum()),
+                         at_bound=int(lanes.at_bound[good].sum()))
+    coupling_sigma = (float(np.std(nuc.a_par[extracted], ddof=1)),
+                      float(np.std(nuc.a_perp[extracted], ddof=1)))
+    scatter = np.empty((n - n_failed, 4))
+    for col, values in enumerate((lanes.phi, lanes.a_iso, r, theta)):
+        scatter[:, col] = values[good] % _TWO_PI if col == 0 else values[good]
+    # the result copies the scatter: the per-sample arrays go first
+    nuc.lanes = nuc.a_par = nuc.a_perp = nuc.extracted = None
+    del lanes, extracted, r, theta, good
 
     # one quantile pass per column, at the lower and upper tail of every
     # level; phi's are those of its deviations from the circular mean. Each
@@ -280,16 +328,61 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
             q = [mu + v for v in q]
         ci[name] = {lv: (q[2 * k], q[2 * k + 1])
                     for k, lv in enumerate(CONFIDENCE_LEVELS)}
-
-    iterations, unconverged, at_bound = rows[good, 6:].T
-    solver = SolverStats(max_iterations=int(iterations.max()),
-                         unconverged=int(unconverged.sum()),
-                         at_bound=int(at_bound.sum()))
-    coupling_sigma = (float(np.std(a_par[extracted], ddof=1)),
-                      float(np.std(a_perp[extracted], ddof=1)))
-    return EstimateResult(point=point, ci=ci, scatter=scatter,
-                          n_samples=n, n_failed=n_failed, fit=point_fit,
+    return EstimateResult(point=nuc.point, ci=ci, scatter=scatter,
+                          n_samples=n, n_failed=n_failed, fit=nuc.fit,
                           solver=solver, coupling_sigma=coupling_sigma)
+
+
+def propagate_many(problems, mc: McConfig,
+                   constants: PhysicalConstants = DEFAULT_CONSTANTS) -> list:
+    """``propagate`` of every (records, coupling, fix_a_iso) problem.
+
+    Returns one entry per problem, in order: its EstimateResult, or the
+    SpinlocError or ValueError that ended it. The passes run over all
+    problems at once: the point fits (``localize.fit_azimuths``, one polish
+    per kernel shape: record count and whether a_iso is free), then one
+    lane pool per kernel shape for the samples, then each problem's gates
+    and intervals. Every result equals that of the problem alone.
+    """
+    nuclei = [_Nucleus(list(records), coupling, fix_a_iso)
+              for records, coupling, fix_a_iso in problems]
+    for nuc in nuclei:
+        nuc.error = _isolate(_check_inputs, nuc)
+    live = [nuc for nuc in nuclei if nuc.error is None]
+    fits = fit_azimuths([(nuc.records, nuc.coupling, nuc.fix_a_iso) for nuc in live],
+                        constants=constants)
+    for nuc, fit in zip(live, fits):
+        nuc.error = fit if isinstance(fit, Exception) else _isolate(
+            _set_point, nuc, fit, constants)
+    live = [nuc for nuc in live if nuc.error is None]
+    for group in _groups((len(nuc.records), nuc.fix_a_iso is None) for nuc in live):
+        _solve_samples([live[i] for i in group], mc, constants)
+    return [nuc.error or _isolate(_estimate, nuc, mc.n_samples, constants)
+            for nuc in nuclei]
+
+
+def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
+              constants: PhysicalConstants = DEFAULT_CONSTANTS) -> EstimateResult:
+    """Full uncertainty propagation for one nucleus.
+
+    The coupling must carry its raw inputs: every sample re-extracts the
+    couplings from a drawn frequency triplet with the coupling's method.
+    Per-sample draw order is fixed and documented: first f0, f_m1, f_rabi,
+    then per record fp0, fp_m1, B0x, B0y, B0z, dBx, dBy, dBz. Sample i
+    takes row i % _PAGE of the (_PAGE, draws) normals of a generator keyed
+    by (seed, i // _PAGE), so any partition into chunks and lane pool
+    admissions produces the same scatter. More than
+    MAX_EXTRACTION_FAILURE_FRACTION of the samples failing the extraction
+    raises InconsistentInputError; samples that fail extraction, inversion
+    or the fit are dropped and counted, and more than MAX_FAILURE_FRACTION
+    of them aborts. The point fit on the unperturbed inputs warm-starts
+    every sample and is returned as ``result.fit``, so callers need not fit
+    again. The one-problem case of ``propagate_many``.
+    """
+    (result,) = propagate_many([(records, coupling, fix_a_iso)], mc, constants)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,10 @@ from spinloc import (
     dipole_tensor,
     load_measurements,
     odmr_lines,
+    save_measurements,
     save_odmr,
 )
-from spinloc import localize
+from spinloc import localize, montecarlo
 from spinloc.calibrate import COIL_FIELD
 from spinloc.cli import main
 
@@ -225,23 +227,28 @@ def test_localize_imports_no_scipy(tmp_path):
 
 
 def test_localize_fits_each_nucleus_once(tmp_path, monkeypatch):
-    # the Monte Carlo returns its point fit; the command must not fit again
+    # the Monte Carlo returns its point fits, all nuclei's from one call;
+    # the command must not fit again
     meas = _run_simulate(tmp_path)
-    original = localize.fit_azimuth
-    calls = []
+    calls = {"fit_azimuth": [], "fit_azimuths": []}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return original(*args, **kwargs)
+        return wrapper
 
-    for name, mod in list(sys.modules.items()):
-        if (name.startswith("spinloc")
-                and getattr(mod, "fit_azimuth", None) is original):
-            monkeypatch.setattr(mod, "fit_azimuth", counting)
+    for name in calls:
+        original = getattr(localize, name)
+        for modname, mod in list(sys.modules.items()):
+            if (modname.startswith("spinloc")
+                    and getattr(mod, name, None) is original):
+                monkeypatch.setattr(mod, name, counting(name, original))
     rc = main(["localize", str(meas), "--samples", "200",
                "--out", str(tmp_path / "loc")])
     assert rc == 0
-    assert len(calls) == 1
+    assert calls["fit_azimuth"] == []
+    assert [len(args[0]) for args in calls["fit_azimuths"]] == [1]
 
 
 def test_localize_reports_solver_outcome(tmp_path):
@@ -512,3 +519,164 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _with_line(text: str, old: str, new: str):
+    """text with the first ``old`` replaced by ``new``, and that line's
+    1-based number."""
+    head, sep, tail = text.partition(old)
+    assert sep
+    return head + new + tail, head.count("\n") + 1
+
+
+def test_odmr_row_with_unknown_frame_is_a_parse_error(tmp_path, capsys):
+    data = Path(__file__).resolve().parents[1] / "data"
+    text, line = _with_line((data / "odmr_example.txt").read_text(),
+                            "NV2 nv90 2.91", "NV2 nv7 2.91")
+    path = tmp_path / "odmr.txt"
+    path.write_text(text)
+    assert main(["calibrate", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{line}: unknown frame 'nv7'" in err
+    assert "Traceback" not in err
+
+
+def test_measurement_record_with_unknown_frame_is_a_parse_error(tmp_path, capsys):
+    data = Path(__file__).resolve().parents[1] / "data"
+    text, line = _with_line((data / "measurements_example.txt").read_text(),
+                            "frame = nv0", "frame = nv7")
+    path = tmp_path / "measurements.txt"
+    path.write_text(text)
+    argv = ["localize", str(path), "--samples", "200", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{line}: unknown frame 'nv7'" in err
+    assert "Traceback" not in err
+    # a frame that the config registers parses, and the fit then rejects it
+    # for that nucleus alone
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("frames:\n  nv7:\n    axis: [1, 1, 1]\n")
+    assert main(argv + ["--config", str(cfg)]) == 1
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert "'nv7'" in report["failures"]["C1"]
+
+
+def test_truth_fields_with_unknown_frame_is_a_parse_error(tmp_path, capsys):
+    truth = _truth_file(tmp_path)
+    text, line = _with_line(truth.read_text(), "[fields coil2]\n",
+                            "[fields coil2]\nframe = nv7\n")
+    truth.write_text(text)
+    assert main(["simulate", str(truth), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{truth}:{line + 1}: unknown frame 'nv7'" in err
+    assert "Traceback" not in err
+
+
+def _mixed_measurements(tmp_path):
+    """A measurements file whose nuclei take every path of localize: three
+    and two records with a_iso free and fixed, and nuclei that fail at the
+    coupling extraction (E3), at the level crossing (X3) and at the Monte
+    Carlo extraction gate (G3)."""
+    noise = ("[noise]\nsigma_f_kHz = 0.1\nsigma_f_rabi_kHz = 0.1\n"
+             "sigma_fp_kHz = 0.25\nsigma_B_mT = 0.015\n\n[options]\nseed = 5\n")
+
+    def simulate(name, nuclei, coils):
+        nuclei = "".join(
+            f"[nucleus {label}]\nr_A = {r}\ntheta_deg = {theta}\n"
+            f"phi_deg = {phi}\na_iso_kHz = {iso}\n\n"
+            for label, r, theta, phi, iso in nuclei)
+        truth = tmp_path / f"{name}.txt"
+        truth.write_text("kind = truth\nversion = 1\n\n" + nuclei
+                         + coils.format(b0="0.028 -0.056 9.502") + noise)
+        assert main(["simulate", str(truth), "--out", str(tmp_path / name)]) == 0
+        return load_measurements(tmp_path / name / "measurements.txt")
+
+    nuclei = {
+        **simulate("three", [("A3", 8.3, 58, 238, 9), ("B3", 12, 30, 100, 0),
+                             ("E3", 9, 50, 20, 0), ("X3", 8.5, 60, 300, 2),
+                             ("G3", 9.5, 45, 150, 0)], TRUTH_COILS),
+        **simulate("two", [("C2", 7.5, 50, 60, 5), ("D2", 13, 40, 200, 0)],
+                   TRUTH_COILS.split("[fields coil3]")[0]),
+    }
+    e3, x3, g3 = nuclei["E3"], nuclei["X3"], nuclei["G3"]
+    nuclei["E3"] = replace(e3, inputs=replace(
+        e3.inputs, f_rabi=0.1 * e3.inputs.f_rabi, tau=1.5 * e3.inputs.tau))
+    crossing = DEFAULT_CONSTANTS.D / DEFAULT_CONSTANTS.gamma_e
+    nuclei["X3"] = replace(x3, records=(x3.records[0], replace(
+        x3.records[1], B0=Vector3(np.array([0.0, 0.0, crossing]), "nv0")),
+        x3.records[2]))
+    nuclei["G3"] = replace(g3, inputs=replace(
+        g3.inputs, sigma_f0=1e4, sigma_f_m1=1e4, sigma_f_rabi=1e4))
+    return {label: nuclei[label]
+            for label in ("A3", "C2", "E3", "B3", "X3", "D2", "G3")}
+
+
+def _localize_outputs(meas, out, *options):
+    """(exit code, report, {file name: bytes} of the .tsv files)."""
+    rc = main(["localize", str(meas), "--samples", "300", "--seed", "2",
+               "--out", str(out), *options])
+    report = json.loads((out / "report.json").read_text())
+    return rc, report, {p.name: p.read_bytes() for p in sorted(out.glob("*.tsv"))}
+
+
+def test_localize_many_nuclei_equals_each_alone(tmp_path, monkeypatch):
+    # a small lane pool makes the Monte Carlo admissions straddle nuclei
+    monkeypatch.setattr(montecarlo, "_LANE_BLOCK", 96)
+    nuclei = _mixed_measurements(tmp_path)
+    meas = tmp_path / "mixed.txt"
+    save_measurements(meas, nuclei)
+    rc, report, files = _localize_outputs(meas, tmp_path / "all")
+    assert rc == 1
+    failures = report["failures"]
+    assert set(failures) == {"E3", "X3", "G3"}
+    assert "square root argument" in failures["E3"]
+    assert "diverges" in failures["X3"]
+    assert "failed the exact transformation" in failures["G3"]
+    assert {(len(nuclei[label].records), entry["a_iso_mode"])
+            for label, entry in report["nuclei"].items()} == {
+        (3, "free"), (3, "fixed"), (2, "free"), (2, "fixed")}
+
+    for label, nm in nuclei.items():
+        alone = tmp_path / f"alone_{label}.txt"
+        save_measurements(alone, {label: nm})
+        _, single, single_files = _localize_outputs(alone, tmp_path / label)
+        assert report["nuclei"].get(label) == single["nuclei"].get(label)
+        assert failures.get(label) == single["failures"].get(label)
+        assert single_files == {name: blob for name, blob in files.items()
+                                if name.endswith(f"_{label}.tsv")}
+
+
+def test_localize_many_nuclei_bit_identical_across_parallel(tmp_path):
+    meas = tmp_path / "mixed.txt"
+    save_measurements(meas, _mixed_measurements(tmp_path))
+    runs = []
+    for chunks in ("1", "2", "3"):
+        out = tmp_path / f"par{chunks}"
+        rc, _, files = _localize_outputs(meas, out, "--parallel", chunks)
+        runs.append((rc, (out / "report.json").read_bytes(), files))
+    assert runs[0] == runs[1] == runs[2]
+    assert len(runs[0][2]) == 4 * 6  # four nuclei localized, six files each
+
+
+def test_localize_shows_setup_warnings_in_file_order(tmp_path):
+    # the couplings of every nucleus are extracted before any is reported; a
+    # warning of that step still comes after the lines of earlier nuclei
+    root = Path(__file__).resolve().parents[1]
+    c1 = load_measurements(root / "data" / "measurements_example.txt")["C1"]
+    crossing = DEFAULT_CONSTANTS.D / DEFAULT_CONSTANTS.gamma_e
+    meas = tmp_path / "measurements.txt"
+    save_measurements(meas, {
+        "A": replace(c1, records=(replace(c1.records[0], B0=Vector3(
+            np.array([0.0, 0.0, crossing]), "nv0")), *c1.records[1:])),
+        "B": replace(c1, inputs=replace(c1.inputs, tau=2.5 * c1.inputs.tau))})
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    child = subprocess.run(
+        [sys.executable, "-m", "spinloc.cli", "localize", str(meas), "--samples",
+         "200", "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=300)
+    lines = child.stderr.splitlines()
+    assert lines[0].startswith("A: FAILED: ")
+    assert "UserWarning: tau=" in lines[1]
+    assert lines[-1].startswith("B: FAILED: ")

@@ -146,7 +146,6 @@ _b0 = st.tuples(st.floats(-1e-4, 1e-4), st.floats(-1e-4, 1e-4),
                 st.floats(2e-3, 5e-2))
 _db = st.tuples(*[st.floats(-3e-3, 3e-3)] * 3)
 _splitting = st.floats(-5e4, 5e4)
-_variant = st.sampled_from((LOW_FIELD, GENERAL_FIELD))
 
 
 def _coupling(site):
@@ -173,25 +172,25 @@ def _invert(coupling, a_iso):
     return pos.r, pos.theta
 
 
-def _kernel(recs, coupling, variant):
+def _kernel(recs, coupling):
     return xi_kernel([(rec.measured_difference, rec.B0.components,
                        rec.dB.components) for rec in recs],
-                     coupling.a_par, coupling.a_perp, variant)
+                     coupling.a_par, coupling.a_perp)
 
 
-def _scalar_xi(rec, coupling, phi, a_iso, variant):
-    """localize.xi, NaN where the couplings do not invert."""
+def _scalar_xi(rec, coupling, phi, a_iso):
+    """localize.xi in the general field, NaN where the couplings do not
+    invert."""
     try:
-        return xi(rec, coupling, float(phi), float(a_iso), variant)
+        return xi(rec, coupling, float(phi), float(a_iso), GENERAL_FIELD)
     except SpinlocError:
         return math.nan
 
 
 @settings(max_examples=60, deadline=None)
 @given(site=_sites, b0=_b0, dbs=st.lists(_db, min_size=1, max_size=3),
-       splitting=_splitting, variant=_variant)
-def test_xi_kernel_matches_scalar_xi_over_a_grid(site, b0, dbs, splitting,
-                                                 variant):
+       splitting=_splitting)
+def test_xi_kernel_matches_scalar_xi_over_a_grid(site, b0, dbs, splitting):
     # one field set shared by a (phi, a_iso) grid, as in the point fit; the
     # last two a_iso columns put r below the floor
     coupling = _coupling(site)
@@ -201,11 +200,11 @@ def test_xi_kernel_matches_scalar_xi_over_a_grid(site, b0, dbs, splitting,
                     a_par - 1e9, a_par + 1e9])
     assert all(math.isnan(_invert(coupling, a)[0]) for a in iso[-2:])
     phi = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)[:, None]
-    got = _kernel(recs, coupling, variant)(phi, iso, derivatives=False)
+    got = _kernel(recs, coupling)(phi, iso, derivatives=False)
     assert len(got) == len(recs)
     for rec, lanes in zip(recs, got):
         assert lanes.shape == (len(phi), len(iso))
-        ref = [[_scalar_xi(rec, coupling, p, a, variant) for a in iso]
+        ref = [[_scalar_xi(rec, coupling, p, a) for a in iso]
                for p in phi[:, 0]]
         np.testing.assert_allclose(lanes, ref, rtol=0.0, atol=1e-6)
 
@@ -214,9 +213,8 @@ def test_xi_kernel_matches_scalar_xi_over_a_grid(site, b0, dbs, splitting,
 @given(lanes=st.lists(st.tuples(_sites, _b0, _db, _splitting,
                                 st.floats(0.0, 2.0 * math.pi),
                                 st.floats(-3e4, 3e4)),
-                      min_size=1, max_size=6),
-       variant=_variant)
-def test_xi_kernel_matches_scalar_xi_per_lane(lanes, variant):
+                      min_size=1, max_size=6))
+def test_xi_kernel_matches_scalar_xi_per_lane(lanes):
     # fields, splitting and couplings of their own in every lane, as in the
     # Monte Carlo
     couplings = [_coupling(site) for site, *_ in lanes]
@@ -228,23 +226,22 @@ def test_xi_kernel_matches_scalar_xi_per_lane(lanes, variant):
         np.stack([rec.B0.components for rec in recs], axis=1),
         np.stack([rec.dB.components for rec in recs], axis=1))],
         np.array([c.a_par for c in couplings]),
-        np.array([c.a_perp for c in couplings]), variant)
+        np.array([c.a_perp for c in couplings]))
     (got,) = kernel(phi, iso, derivatives=False)
-    ref = [_scalar_xi(rec, c, p, a, variant)
+    ref = [_scalar_xi(rec, c, p, a)
            for rec, c, p, a in zip(recs, couplings, phi, iso)]
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-6)
 
 
 @settings(max_examples=60, deadline=None)
 @given(site=_sites, b0=_b0, dbs=st.lists(_db, min_size=1, max_size=3),
-       splitting=_splitting, variant=_variant)
+       splitting=_splitting)
 def test_xi_kernel_derivatives_match_central_differences(site, b0, dbs,
-                                                         splitting, variant):
+                                                         splitting):
     # the a_iso derivative moves the site along the inversion; the last two
     # a_iso columns do not invert and must be NaN in all three outputs
     coupling = _coupling(site)
-    kernel = _kernel([_record(b0, db, splitting) for db in dbs], coupling,
-                     variant)
+    kernel = _kernel([_record(b0, db, splitting) for db in dbs], coupling)
     iso = np.array([site[2], site[2] - 2e4, coupling.a_par - 1e9,
                     coupling.a_par + 1e9])
     phi = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)[:, None]
@@ -263,8 +260,8 @@ def test_xi_kernel_derivatives_match_central_differences(site, b0, dbs,
                                 st.floats(0.0, 2.0 * math.pi),
                                 st.floats(-3e4, 3e4)),
                       min_size=1, max_size=6),
-       data=st.data(), variant=_variant)
-def test_xi_kernel_take_matches_kernel_of_sliced_lanes(lanes, data, variant):
+       data=st.data())
+def test_xi_kernel_take_matches_kernel_of_sliced_lanes(lanes, data):
     # the solver compacts the kernel with take as lanes stop: bit for bit the
     # kernel of the sliced inputs, in all three output forms, for a random
     # mask and a one-lane block
@@ -275,13 +272,12 @@ def test_xi_kernel_take_matches_kernel_of_sliced_lanes(lanes, data, variant):
     meas = np.array([lane[3] for lane in lanes])
     phi, iso = np.array([lane[4:] for lane in lanes]).T
     recs = [(meas, B0, dB), (meas[::-1], B0, dB[::-1])]
-    full = xi_kernel(recs, a_par, a_perp, variant)
+    full = xi_kernel(recs, a_par, a_perp)
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     one = np.arange(n) == data.draw(st.integers(0, n - 1))
     for keep in (mask, one):
         sliced = xi_kernel([(m[keep], b0[:, keep], db[:, keep])
-                            for m, b0, db in recs], a_par[keep], a_perp[keep],
-                           variant)
+                            for m, b0, db in recs], a_par[keep], a_perp[keep])
         for derivatives in (True, "phi", False):
             np.testing.assert_array_equal(
                 full.take(keep)(phi[keep], iso[keep], derivatives),
@@ -296,11 +292,8 @@ def test_xi_kernel_resonant_lane_is_nan():
     dB = np.array([[1e-3, 1e-3], [0.0, 0.0], [0.0, 0.0]])
     a_par, a_perp = secular_couplings(8 * ANGSTROM, 1.0, 3e3)
     phi, a_iso = np.full(2, 2.0), np.full(2, 3e3)
-    gen, low = (np.stack(xi_kernel([(np.zeros(2), B0, dB)], a_par, a_perp,
-                                   variant)(phi, a_iso))
-                for variant in (GENERAL_FIELD, LOW_FIELD))
-    assert np.isfinite(gen[..., 0]).all() and np.isnan(gen[..., 1]).all()
-    assert np.isfinite(low).all()
+    out = np.stack(xi_kernel([(np.zeros(2), B0, dB)], a_par, a_perp)(phi, a_iso))
+    assert np.isfinite(out[..., 0]).all() and np.isnan(out[..., 1]).all()
     with pytest.raises(DomainError):
         enhancement_factor(0, crossing)
 

@@ -27,6 +27,7 @@ from spinloc import (
     sum_sq_xi,
     xi,
 )
+from spinloc import localize
 from spinloc.dynamics import xi_kernel
 from spinloc.localize import _levenberg_marquardt
 
@@ -249,3 +250,35 @@ def test_levenberg_marquardt_lanes_end_at_box_minima(r, theta, phi, a_iso,
                   & (a >= iso_box[0]) & (a <= iso_box[1]))
         probe_cost = sum_sq_xi(recs, coupling, p, a)
         assert np.all(fit.cost[inside] <= probe_cost[inside]), (d_phi, d_iso)
+
+
+def test_levenberg_marquardt_caps_a_late_lane_after_its_own_iterations(monkeypatch):
+    # a lane admitted to the pool after the first iteration runs its own
+    # _LM_MAX_ITER iterations, not what is left of the others', and ends
+    # where it ends when solved alone
+    monkeypatch.setattr(localize, "_LM_MAX_ITER", 3)
+    recs = _records(_TRUTH, _A_ISO, _COILS)
+    coupling = _coupling(_TRUTH, _A_ISO)
+    kernel = xi_kernel([(rec.measured_difference, rec.B0.components,
+                         rec.dB.components) for rec in recs],
+                       coupling.a_par, coupling.a_perp)
+
+    def lanes(offsets):
+        phi0, iso0 = _TRUTH.phi + offsets, _A_ISO + 2e4 * offsets
+        return kernel, phi0, iso0, (phi0 - 1.0, phi0 + 1.0), (iso0 - 3e4, iso0 + 3e4)
+
+    late = lanes(np.array([0.3]))
+    alone = _levenberg_marquardt(*late, free_iso=True)
+    assert alone.iterations[0] == 3 and not alone.converged[0]
+    refills = []
+
+    def refill(running):
+        refills.append(running)
+        return late if len(refills) == 2 else None
+
+    fit = _levenberg_marquardt(*lanes(np.array([-0.4, 0.35])), free_iso=True,
+                               refill=refill, n_lanes=3)
+    assert len(refills) > 2
+    assert np.all(fit.iterations[:2] <= 3)
+    for got, want in zip(fit, alone):
+        np.testing.assert_array_equal(got[2:], want)

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinloc import (
     APPROXIMATE,
@@ -43,15 +46,15 @@ _TRUTH = SphericalPosition(8.3 * ANGSTROM, math.radians(58.0), math.radians(238.
 _A_ISO = 9e3
 
 
-def _build(noise=1.0, coils=_COILS):
+def _build(noise=1.0, coils=_COILS, truth=_TRUTH, a_iso=_A_ISO):
     """Noiseless synthetic records and a coupling estimate that carries its
     raw frequency inputs; ``noise`` scales every quoted 1-sigma."""
-    hf = dipole_tensor(_TRUTH, _A_ISO)
+    hf = dipole_tensor(truth, a_iso)
     B0 = Vector3(np.asarray(_B0), "nv0")
     zero = Vector3(np.zeros(3), "nv0")
     f0 = precession_frequency(B0, zero, hf, 0)
     f_m1 = precession_frequency(B0, zero, hf, -1)
-    a_par, a_perp = secular_couplings(_TRUTH.r, _TRUTH.theta, _A_ISO)
+    a_par, a_perp = secular_couplings(truth.r, truth.theta, a_iso)
     tau = nominal_tau(f0, f_m1)
     f_rabi = rabi_frequency(f0, a_par, a_perp, tau)
     inputs = CouplingInputs(f0=f0, f_m1=f_m1, f_rabi=f_rabi, tau=tau,
@@ -133,6 +136,53 @@ def test_lane_blocks_do_not_change_the_scatter(monkeypatch):
         np.testing.assert_array_equal(blocked.scatter, base.scatter)
         assert blocked.solver == base.solver
         assert blocked.ci == base.ci
+
+
+def _pool_lanes(problems, mc, lane_block):
+    """Each problem's per-sample solver lanes from ``propagate_many`` with a
+    lane pool of ``lane_block``, keyed by the id of its coupling; problems
+    that fail before the samples are solved have none."""
+    seen = {}
+    estimate = montecarlo._estimate
+
+    def spy(nuc, n, constants):
+        seen[id(nuc.coupling)] = nuc.lanes
+        return estimate(nuc, n, constants)
+
+    with (mock.patch.object(montecarlo, "_estimate", spy),
+          mock.patch.object(montecarlo, "_LANE_BLOCK", lane_block)):
+        montecarlo.propagate_many(problems, mc)
+    return seen
+
+
+@settings(max_examples=15, deadline=None)
+@given(nuclei=st.lists(st.tuples(st.floats(6.0, 14.0), st.floats(0.2, 1.4),
+                                 st.floats(0.0, 2.0 * math.pi),
+                                 st.floats(-2e4, 2e4), st.integers(2, 3),
+                                 st.floats(0.5, 3.0), st.booleans()),
+                       min_size=1, max_size=4),
+       lane_block=st.integers(8, 300), chunks=st.integers(1, 3), data=st.data())
+def test_pool_lanes_equal_one_nucleus_whole_block_solves(nuclei, lane_block,
+                                                         chunks, data):
+    # nuclei of both kernel shapes share pools in random orders and with
+    # random admission sizes; every lane must end bit for bit as in a solve
+    # of its nucleus alone in one block
+    problems = []
+    for r, theta, phi, a_iso, n_coils, noise, fixed in nuclei:
+        records, coupling = _build(noise, _COILS[:n_coils],
+                                   SphericalPosition(r * ANGSTROM, theta, phi), a_iso)
+        problems.append((records, coupling, a_iso if fixed else None))
+    problems = [problems[k] for k in
+                data.draw(st.permutations(range(len(problems))))]
+    n = 150
+    pooled = _pool_lanes(problems, McConfig(n_samples=n, seed=9,
+                                            parallel_chunks=chunks), lane_block)
+    for problem in problems:
+        key = id(problem[1])
+        alone = _pool_lanes([problem], McConfig(n_samples=n, seed=9), n)
+        assert (key in pooled) == (key in alone)
+        for got, want in zip(pooled.get(key, ()), alone.get(key, ())):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_draws_match_fresh_keyed_generators():

@@ -177,19 +177,16 @@ class XiKernel:
     b_max: float        # Hz, the dipolar strength at MIN_RADIUS
 
     def take(self, keep):
-        """The kernel of the lanes ``keep`` (a mask or indices); a kernel
-        whose constants all lanes share is its own."""
-        return (self if self.consts.ndim == 1
-                else XiKernel(self.consts[:, keep], self.b_max))
+        """The kernel of the lanes ``keep`` (a mask or indices) of a kernel
+        with constants per lane."""
+        return XiKernel(self.consts[:, keep], self.b_max)
 
     @staticmethod
     def join(parts) -> "XiKernel":
-        """One kernel of the lanes of every (kernel, lane count) in ``parts``,
-        side by side in that order; a kernel whose lanes share their
-        constants is widened to its count. One part is its own join."""
+        """One kernel with constants per lane of the lanes of every (kernel,
+        lane count) in ``parts``, side by side in that order; a kernel whose
+        lanes share their constants is widened to its count."""
         parts = list(parts)
-        if len(parts) == 1:
-            return parts[0][0]
         return XiKernel(np.concatenate(
             [np.broadcast_to(k.consts.reshape(len(k.consts), -1),
                              (len(k.consts), m)) for k, m in parts], axis=1),

@@ -10,6 +10,7 @@ rather than absolute frequencies cancel slow drifts of the static field.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -233,57 +234,68 @@ def _secant_update(sec, s, y, y_sharp, ys, update):
         for v, (i, j) in zip(sec, ((0, 0), (0, 1), (1, 1)))], sec)
 
 
+# lanes of the solver's pool: bounds the size of the per-lane arrays
+_LANE_BLOCK = 4096
+
+
 def _join_lanes(batches):
-    """One batch of solver lanes, (kernel, phi, a_iso, phi_box, iso_box),
-    from several side by side in order; starts and boxes may be scalars
-    that all lanes of their batch share. One batch is its own join."""
-    if len(batches) == 1:
-        return batches[0]
+    """Batches of solver lanes, (kernel, phi, a_iso, phi_box, iso_box), side
+    by side in order: every batch's (kernel, lane count), for
+    ``XiKernel.join``, then one array each of phi, a_iso, phi lo, phi hi,
+    a_iso lo and a_iso hi, whose batch values may be shared scalars."""
     sizes = [np.size(b[1]) for b in batches]
 
     def cat(values):
         return np.concatenate([np.broadcast_to(v, (m,)) for v, m in zip(values, sizes)])
 
     kernels, phi, iso, phi_box, iso_box = zip(*batches)
-    return (XiKernel.join(zip(kernels, sizes)), cat(phi), cat(iso),
-            tuple(map(cat, zip(*phi_box))), tuple(map(cat, zip(*iso_box))))
+    return (list(zip(kernels, sizes)), cat(phi), cat(iso),
+            *map(cat, zip(*phi_box)), *map(cat, zip(*iso_box)))
 
 
-def _levenberg_marquardt(kernel=None, phi=(), a_iso=(), phi_box=(), iso_box=(),
-                         *, free_iso: bool, refill=None,
-                         n_lanes: int | None = None) -> _LaneFit:
-    """Box-bounded Levenberg-Marquardt fit of (phi, a_iso) on every lane.
+def _levenberg_marquardt(pieces, *, free_iso: bool) -> _LaneFit:
+    """Box-bounded Levenberg-Marquardt fit of (phi, a_iso) on every lane of
+    a pool.
 
-    ``kernel`` is the ``dynamics.xi_kernel`` of the lanes. a_iso stays at
-    its start unless ``free_iso``, and the kernel then skips its a_iso
-    column. Steps solve the damped normal equations of the kernel's exact
-    Jacobian, plus the lane's secant term where the sum is positive
-    definite, and are clipped to the (lo, hi) boxes; a coordinate on its
+    ``pieces`` lists (count, lanes) pairs; ``lanes(lo, hi)`` gives lanes
+    lo..hi-1 of its piece as (kernel, phi, a_iso, phi_box, iso_box): their
+    ``dynamics.xi_kernel``, starts and (lo, hi) boxes. Lanes are numbered in
+    piece order. The pool starts with _LANE_BLOCK lanes and, whenever fewer
+    than _LANE_BLOCK // 4 still run, tops up to _LANE_BLOCK with the next
+    lanes, splitting a piece where the room ends, so that iterations are not
+    spent on a few slow lanes at a time; new lanes join the batch
+    (``XiKernel.join``) and start in the running lanes' next kernel call.
+
+    a_iso stays at its start unless ``free_iso``, and the kernel then skips
+    its a_iso column. Steps solve the damped normal equations of the
+    kernel's exact Jacobian, plus the lane's secant term where the sum is
+    positive definite, and are clipped to the boxes; a coordinate on its
     bound whose descent points out stays there. Every iteration makes one
     kernel call, at the trial point, whose derivatives are kept when the
     step is accepted. Each lane keeps its own damping, step multiplier and
     iteration count, and stops on its own test or after _LM_MAX_ITER of its
     own iterations; stopped lanes leave the batch, the kernel compacted
-    (``take``) with the other lane arrays.
-
-    The lanes given, if any, are the first of a pool of ``n_lanes``
-    (default: just these). Before every iteration, and before the first
-    when no lanes are given, ``refill(running)`` is called with the number
-    of lanes still running and may return more lanes, in the form of the
-    first five arguments; they join the batch (``XiKernel.join``), and
-    their start point is evaluated in the same kernel call as the next
-    trial point of the lanes already running. Lanes are numbered in order
-    of admission. The arithmetic is per lane, so no lane's result depends
-    on its batch or on when it joined. Lanes with no finite cost at the
-    start come back unchanged.
+    (``take``) with the other lane arrays. The arithmetic is per lane, so no
+    lane's result depends on its batch or on when it joined. Lanes with no
+    finite cost at the start come back unchanged.
     """
-    n = np.size(phi) if n_lanes is None else n_lanes
+    queue = deque((0, count, piece) for count, piece in pieces if count)
+    n = sum(count for _, count, _ in queue)
     fit = _LaneFit(np.empty(n), np.empty(n), np.empty(n), np.zeros(n, dtype=int),
                    np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
     cols = True if free_iso else "phi"
-    # a pool's first lanes come from refill: lanes passed here stay held by
-    # the caller's arguments until the solve ends
-    batch = (kernel, phi, a_iso, phi_box, iso_box) if np.size(phi) else None
+
+    def admit(room):
+        batches = []
+        while room and queue:
+            lo, count, piece = queue.popleft()
+            hi = min(count, lo + room)
+            if hi < count:
+                queue.appendleft((hi, count, piece))
+            batches.append(piece(lo, hi))
+            room -= hi - lo
+        return _join_lanes(batches)
+
     admitted = 0
     idx = np.arange(0)  # the running lanes
     # per running lane: phi, a_iso, cost, damping, step multiplier mu, the
@@ -291,9 +303,9 @@ def _levenberg_marquardt(kernel=None, phi=(), a_iso=(), phi_box=(), iso_box=(),
     # a_iso lo, a_iso hi), then xi and its Jacobian dxi/dphi (and dxi/da_iso)
     lanes = ()
     while True:
-        if batch is None and refill is not None:
-            batch = refill(idx.size)
-        m = 0 if batch is None else np.size(batch[1])
+        batch = (admit(_LANE_BLOCK - idx.size)
+                 if idx.size < _LANE_BLOCK // 4 and queue else None)
+        m = 0 if batch is None else batch[1].size
         if not (m or idx.size):
             return fit
         na = idx.size
@@ -326,9 +338,8 @@ def _levenberg_marquardt(kernel=None, phi=(), a_iso=(), phi_box=(), iso_box=(),
         if m:
             # the new lanes' kernel constants are held once, in the joined
             # kernel, through the call
-            kernel = XiKernel.join([(kernel, na), (batch[0], m)]) if na else batch[0]
-            phi_n, iso_n, *box_n = (np.broadcast_to(v, (m,)).astype(float)
-                                    for v in (*batch[1:3], *batch[3], *batch[4]))
+            kernel = XiKernel.join(([(kernel, na)] if na else []) + batch[0])
+            phi_n, iso_n, *box_n = batch[1:]
             batch = None
             phi_t, iso_t = np.concatenate([phi_t, phi_n]), np.concatenate([iso_t, iso_n])
         # one kernel call: the running lanes' trial points, then the new
@@ -437,15 +448,21 @@ def _check_off_crossing(records, constants):
 
 class _Scan(NamedTuple):
     """One nucleus's grid scan: the xi kernel of its records and the solver
-    lanes its polish starts from, one per grid minimum; its first five
-    fields are those lanes as ``_levenberg_marquardt`` takes them."""
+    lanes its polish starts from, one per grid minimum."""
 
     kernel: XiKernel
     phi: np.ndarray      # rad
     a_iso: np.ndarray    # Hz
-    phi_box: tuple       # (lo, hi), per lane or shared by all
-    iso_box: tuple       # (lo, hi), per lane or shared by all
+    phi_box: tuple       # (lo, hi), per lane
+    iso_box: tuple       # (lo, hi), per lane
     a_iso_fixed: bool
+
+    def lanes(self, lo, hi):
+        """Lanes lo..hi-1 of the polish, as ``_levenberg_marquardt`` takes
+        them."""
+        return (self.kernel, self.phi[lo:hi], self.a_iso[lo:hi],
+                tuple(v[lo:hi] for v in self.phi_box),
+                tuple(v[lo:hi] for v in self.iso_box))
 
 
 # phi rows of the joint (phi, a_iso) grid per kernel call; bounds the size of
@@ -493,7 +510,8 @@ def _scan(records, coupling, fix_a_iso, phi_step_deg, a_iso_step,
         i = _grid_local_minima(profile)
         phi0 = phi_grid[i]
         iso0 = iso_grid[np.argmin(surf[i], axis=1)]
-        phi_box, iso_box = (-np.inf, np.inf), (lo, hi)
+        phi_box = (np.full(phi0.size, -np.inf), np.full(phi0.size, np.inf))
+        iso_box = (np.full(phi0.size, lo), np.full(phi0.size, hi))
     if not np.isfinite(profile).any():
         raise InconsistentInputError(
             f"couplings (a_par, a_perp) = ({coupling.a_par:g}, "
@@ -549,12 +567,25 @@ def _isolate(fn, *args):
         return exc
 
 
-def _groups(keys) -> list[list[int]]:
-    """The positions of equal keys, grouped in order of first appearance."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
+def _solve(jobs) -> list:
+    """The solver's lanes of every (shape, pieces) job, shape being (record
+    count, a_iso free) and pieces the job's (count, lanes) pairs: the jobs of
+    one shape share one ``_levenberg_marquardt`` pool, the pools taken in
+    order of first appearance. Returns each job's _LaneFit, in order, as
+    views into its pool's arrays."""
+    jobs = list(jobs)
+    pools: dict = {}
+    for k, (shape, _) in enumerate(jobs):
+        pools.setdefault(shape, []).append(k)
+    out = [None] * len(jobs)
+    for (_, free_iso), members in pools.items():
+        lm = _levenberg_marquardt([p for k in members for p in jobs[k][1]],
+                                  free_iso=free_iso)
+        end = 0
+        for k in members:
+            start, end = end, end + sum(count for count, _ in jobs[k][1])
+            out[k] = _LaneFit(*(v[start:end] for v in lm))
+    return out
 
 
 def fit_azimuths(problems, *, phi_step_deg: float = DEFAULT_PHI_STEP_DEG,
@@ -566,22 +597,17 @@ def fit_azimuths(problems, *, phi_step_deg: float = DEFAULT_PHI_STEP_DEG,
     SpinlocError or ValueError its fit raised. Each problem is checked and
     grid-scanned on its own; then the grid minima of all problems of one
     kernel shape (record count, and whether a_iso is free) are polished
-    together in one solve, whose lanes do not depend on each other.
+    together in one lane pool (``_solve``), whose lanes do not depend on
+    each other.
     """
     problems = [(list(records), coupling, fix) for records, coupling, fix in problems]
-    scans = [_isolate(_scan, *p, phi_step_deg, a_iso_step, constants)
-             for p in problems]
-    live = [k for k, s in enumerate(scans) if not isinstance(s, Exception)]
-    out = list(scans)
-    for group in _groups((len(problems[k][0]), scans[k].a_iso_fixed) for k in live):
-        members = [live[i] for i in group]
-        sizes = [scans[k].phi.size for k in members]
-        lm = _levenberg_marquardt(
-            *_join_lanes([scans[k][:5] for k in members]),
-            free_iso=not scans[members[0]].a_iso_fixed)
-        for k, end in zip(members, np.cumsum(sizes)):
-            out[k] = _isolate(_finish, scans[k], _LaneFit(
-                *(v[end - scans[k].phi.size:end] for v in lm)))
+    out = [_isolate(_scan, *p, phi_step_deg, a_iso_step, constants)
+           for p in problems]
+    live = [k for k, s in enumerate(out) if not isinstance(s, Exception)]
+    lms = _solve(((len(problems[k][0]), not out[k].a_iso_fixed),
+                  [(out[k].phi.size, out[k].lanes)]) for k in live)
+    for k, lm in zip(live, lms):
+        out[k] = _isolate(_finish, out[k], lm)
     return out
 
 

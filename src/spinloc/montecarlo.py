@@ -12,22 +12,19 @@ The per-sample fit is the point fit's box-bounded Levenberg-Marquardt solver
 (``localize._levenberg_marquardt``, whose NL2SOL secant curvature term lets
 samples at large residuals converge), warm-started at the unperturbed optimum
 on the same lane-wise xi kernel (``dynamics.xi_kernel``), with every
-sample's perturbed fields as its own lane. The lanes form one pool per
-kernel shape (record count, and whether a_iso is free) over all nuclei of a
-``propagate_many`` call: the pool holds at most _LANE_BLOCK lanes, retires
-each lane as it stops, and tops up with the next samples, of the same
-nucleus or the next one, when fewer than a quarter of that still run, so
-solver iterations are not spent on a few slow lanes at a time. Basin hops
-to mirror minima are deliberately not sampled, since degenerate minima are
-reported separately by the fit itself: the box keeps each sample near the
-point fit, and samples that end on its edge are counted in
+sample's perturbed fields as its own lane. The samples of all nuclei of a
+``propagate_many`` call that share a kernel shape (record count, and
+whether a_iso is free) are solved in one lane pool (``localize._solve``),
+which admits them in order as earlier lanes stop. Basin hops to mirror
+minima are deliberately not sampled, since degenerate minima are reported
+separately by the fit itself: the box keeps each sample near the point
+fit, and samples that end on its edge are counted in
 ``SolverStats.at_bound``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,8 +35,7 @@ from .dipole import invert_dipole, invert_many
 from .dynamics import xi_kernel
 from .errors import ConvergenceError, InconsistentInputError
 from .extract import CouplingEstimate, _extract_arrays
-from .localize import (AzimuthFit, _groups, _isolate, _join_lanes, _LaneFit,
-                       _levenberg_marquardt, fit_azimuths)
+from .localize import _LANE_BLOCK, AzimuthFit, _isolate, _LaneFit, _solve, fit_azimuths
 
 _TWO_PI = 2.0 * math.pi
 
@@ -135,8 +131,6 @@ def _recenter(phi: np.ndarray, center: float) -> np.ndarray:
 _PHI_BOX = math.pi / 6.0
 _PHI_BOX_FREE = math.pi / 6.0 + 0.4  # rad
 _ISO_BOX = 140e3                     # Hz
-# lanes of the sample pool: bounds the size of the per-lane arrays
-_LANE_BLOCK = 4096
 # samples drawn from one keyed generator
 _PAGE = 256
 
@@ -188,8 +182,6 @@ class _Nucleus:
 
 
 def _check_inputs(nuc: _Nucleus):
-    if not nuc.records:
-        raise ValueError("need at least one measurement record")
     if nuc.coupling.inputs is None:
         raise ValueError("coupling must carry its raw inputs to propagate")
 
@@ -206,7 +198,10 @@ def _sample_lanes(nuc: _Nucleus, lo: int, hi: int, seed: int, constants):
     ``localize._levenberg_marquardt`` takes them: each sample's perturbed
     fields and splittings in a kernel lane, started at the point fit in its
     search box. The couplings each sample extracts from its drawn lines go
-    to the nucleus's per-sample arrays."""
+    to the nucleus's per-sample arrays. Samples are admitted in order, so
+    once samples 0..hi-1 hold more extraction failures than the gate of
+    ``_estimate`` allows, the nucleus fails whatever its lanes give: they
+    start at NaN and leave the pool at their first kernel evaluation."""
     records, inputs = nuc.records, nuc.coupling.inputs
     draws = _draws(np.arange(lo, hi), seed, 3 + 8 * len(records))
     a_par, a_perp, extracted = _extract_arrays(
@@ -216,6 +211,8 @@ def _sample_lanes(nuc: _Nucleus, lo: int, hi: int, seed: int, constants):
         inputs.tau, nuc.coupling.method)
     nuc.a_par[lo:hi], nuc.a_perp[lo:hi], nuc.extracted[lo:hi] = (
         a_par, a_perp, extracted)
+    hopeless = (hi - np.count_nonzero(nuc.extracted[:hi])
+                > MAX_EXTRACTION_FAILURE_FRACTION * nuc.extracted.size)
 
     # per record: the splitting fp_m1 - fp0, then B0 and dB, all perturbed
     kernel = xi_kernel((
@@ -228,50 +225,10 @@ def _sample_lanes(nuc: _Nucleus, lo: int, hi: int, seed: int, constants):
 
     point, free = nuc.point, nuc.fix_a_iso is None
     phi_box = _PHI_BOX_FREE if free else _PHI_BOX
-    return (kernel, np.full(hi - lo, point.phi),
+    return (kernel, np.full(hi - lo, math.nan if hopeless else point.phi),
             np.full(hi - lo, point.a_iso if free else float(nuc.fix_a_iso)),
             (point.phi - phi_box, point.phi + phi_box),
             (point.a_iso - _ISO_BOX, point.a_iso + _ISO_BOX))
-
-
-def _solve_samples(nuclei: list, mc: McConfig, constants):
-    """Solve the samples of nuclei that share one kernel shape in one lane
-    pool of at most _LANE_BLOCK lanes.
-
-    Samples are admitted in order: nucleus by nucleus, each nucleus's
-    samples in its mc.parallel_chunks chunks, one after another. The pool
-    starts full, and whenever fewer than _LANE_BLOCK // 4 lanes still run
-    it tops up to _LANE_BLOCK with the next samples, of the same nucleus
-    or the next ones. The draws are keyed per page and the solver's
-    arithmetic is per lane, so no sample's result depends on how the
-    admissions fall.
-    """
-    n = mc.n_samples
-    queue = deque()
-    for nuc in nuclei:
-        nuc.a_par, nuc.a_perp = np.empty(n), np.empty(n)
-        nuc.extracted = np.empty(n, dtype=bool)
-        for chunk in np.array_split(np.arange(n), mc.parallel_chunks):
-            if chunk.size:
-                queue.append((nuc, int(chunk[0]), int(chunk[-1]) + 1))
-
-    def admit(running: int):
-        if running >= _LANE_BLOCK // 4 or not queue:
-            return None
-        room, batches = _LANE_BLOCK - running, []
-        while room and queue:
-            nuc, lo, hi = queue.popleft()
-            if hi - lo > room:
-                queue.appendleft((nuc, lo + room, hi))
-                hi = lo + room
-            batches.append(_sample_lanes(nuc, lo, hi, mc.seed, constants))
-            room -= hi - lo
-        return _join_lanes(batches)
-
-    lanes = _levenberg_marquardt(free_iso=nuclei[0].fix_a_iso is None,
-                                 refill=admit, n_lanes=n * len(nuclei))
-    for k, nuc in enumerate(nuclei):
-        nuc.lanes = _LaneFit(*(v[k * n:(k + 1) * n] for v in lanes))
 
 
 def _estimate(nuc: _Nucleus, n: int, constants) -> EstimateResult:
@@ -339,10 +296,11 @@ def propagate_many(problems, mc: McConfig,
 
     Returns one entry per problem, in order: its EstimateResult, or the
     SpinlocError or ValueError that ended it. The passes run over all
-    problems at once: the point fits (``localize.fit_azimuths``, one polish
-    per kernel shape: record count and whether a_iso is free), then one
-    lane pool per kernel shape for the samples, then each problem's gates
-    and intervals. Every result equals that of the problem alone.
+    problems at once: the point fits (``localize.fit_azimuths``), then the
+    samples, each nucleus's in its mc.parallel_chunks chunks one after
+    another (``localize._solve``: one lane pool per kernel shape, record
+    count and whether a_iso is free), then each problem's gates and
+    intervals. Every result equals that of the problem alone.
     """
     nuclei = [_Nucleus(list(records), coupling, fix_a_iso)
               for records, coupling, fix_a_iso in problems]
@@ -355,9 +313,24 @@ def propagate_many(problems, mc: McConfig,
         nuc.error = fit if isinstance(fit, Exception) else _isolate(
             _set_point, nuc, fit, constants)
     live = [nuc for nuc in live if nuc.error is None]
-    for group in _groups((len(nuc.records), nuc.fix_a_iso is None) for nuc in live):
-        _solve_samples([live[i] for i in group], mc, constants)
-    return [nuc.error or _isolate(_estimate, nuc, mc.n_samples, constants)
+    n = mc.n_samples
+    chunks = [(int(c[0]), int(c[-1]) + 1)
+              for c in np.array_split(np.arange(n), mc.parallel_chunks) if c.size]
+
+    def piece(nuc, start, stop):
+        return stop - start, lambda lo, hi: _sample_lanes(
+            nuc, start + lo, start + hi, mc.seed, constants)
+
+    for nuc in live:
+        nuc.a_par, nuc.a_perp = np.empty(n), np.empty(n)
+        nuc.extracted = np.empty(n, dtype=bool)
+    # each nucleus holds the only reference to its lanes, so that
+    # ``_estimate`` releases them
+    for nuc, lanes in zip(live, _solve(
+            ((len(nuc.records), nuc.fix_a_iso is None),
+             [piece(nuc, *chunk) for chunk in chunks]) for nuc in live)):
+        nuc.lanes = lanes
+    return [nuc.error or _isolate(_estimate, nuc, n, constants)
             for nuc in nuclei]
 
 

@@ -23,7 +23,7 @@ from spinloc import (
     save_measurements,
     save_odmr,
 )
-from spinloc import localize, montecarlo
+from spinloc import localize
 from spinloc.calibrate import COIL_FIELD
 from spinloc.cli import main
 
@@ -621,7 +621,7 @@ def _localize_outputs(meas, out, *options):
 
 def test_localize_many_nuclei_equals_each_alone(tmp_path, monkeypatch):
     # a small lane pool makes the Monte Carlo admissions straddle nuclei
-    monkeypatch.setattr(montecarlo, "_LANE_BLOCK", 96)
+    monkeypatch.setattr(localize, "_LANE_BLOCK", 96)
     nuclei = _mixed_measurements(tmp_path)
     meas = tmp_path / "mixed.txt"
     save_measurements(meas, nuclei)

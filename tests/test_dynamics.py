@@ -31,6 +31,7 @@ from spinloc import (
     xi,
     xi_kernel,
 )
+from spinloc.dynamics import XiKernel
 
 GE = 28e9
 GN = 10.705e6
@@ -264,7 +265,8 @@ def test_xi_kernel_derivatives_match_central_differences(site, b0, dbs,
 def test_xi_kernel_take_matches_kernel_of_sliced_lanes(lanes, data):
     # the solver compacts the kernel with take as lanes stop: bit for bit the
     # kernel of the sliced inputs, in all three output forms, for a random
-    # mask and a one-lane block
+    # mask and a one-lane block; and it joins kernels side by side, a kernel
+    # of (3,) fields widened to per-lane constants
     n = len(lanes)
     a_par, a_perp = np.array([secular_couplings(*site) for site, *_ in lanes]).T
     B0 = np.array([lane[1] for lane in lanes]).T
@@ -282,6 +284,16 @@ def test_xi_kernel_take_matches_kernel_of_sliced_lanes(lanes, data):
             np.testing.assert_array_equal(
                 full.take(keep)(phi[keep], iso[keep], derivatives),
                 sliced(phi[keep], iso[keep], derivatives))
+    j = data.draw(st.integers(0, n - 1))
+    shared = xi_kernel([(m[j], b0[:, j], db[:, j]) for m, b0, db in recs],
+                       a_par[j], a_perp[j])
+    cols = np.r_[j, j, np.arange(n)]
+    joined = XiKernel.join([(shared, 2), (full, n)])
+    wide = xi_kernel([(m[cols], b0[:, cols], db[:, cols]) for m, b0, db in recs],
+                     a_par[cols], a_perp[cols])
+    for derivatives in (True, "phi", False):
+        np.testing.assert_array_equal(joined(phi[cols], iso[cols], derivatives),
+                                      wide(phi[cols], iso[cols], derivatives))
     # the a_iso column does not change the other two
     np.testing.assert_array_equal(full(phi, iso, "phi"), full(phi, iso)[:2])
 

@@ -227,8 +227,9 @@ def test_levenberg_marquardt_lanes_end_at_box_minima(r, theta, phi, a_iso,
     iso0 = a_iso + 2e4 * offsets
     phi_box = (phi0 - 0.1, phi0 + 0.1)
     iso_box = (iso0 - 5e3, iso0 + 5e3) if free else (iso0, iso0)
-    fit = _levenberg_marquardt(kernel, phi0, iso0, phi_box, iso_box,
-                               free_iso=free)
+    fit = _levenberg_marquardt([(phi0.size, lambda lo, hi: (
+        kernel, phi0[lo:hi], iso0[lo:hi], tuple(v[lo:hi] for v in phi_box),
+        tuple(v[lo:hi] for v in iso_box)))], free_iso=free)
 
     assert fit.converged.all()
     assert np.all((fit.phi >= phi_box[0]) & (fit.phi <= phi_box[1]))
@@ -263,22 +264,19 @@ def test_levenberg_marquardt_caps_a_late_lane_after_its_own_iterations(monkeypat
                          rec.dB.components) for rec in recs],
                        coupling.a_par, coupling.a_perp)
 
-    def lanes(offsets):
+    def piece(offsets):
         phi0, iso0 = _TRUTH.phi + offsets, _A_ISO + 2e4 * offsets
-        return kernel, phi0, iso0, (phi0 - 1.0, phi0 + 1.0), (iso0 - 3e4, iso0 + 3e4)
+        return offsets.size, lambda lo, hi: (
+            kernel, phi0[lo:hi], iso0[lo:hi], (phi0[lo:hi] - 1.0, phi0[lo:hi] + 1.0),
+            (iso0[lo:hi] - 3e4, iso0[lo:hi] + 3e4))
 
-    late = lanes(np.array([0.3]))
-    alone = _levenberg_marquardt(*late, free_iso=True)
+    late = piece(np.array([0.3]))
+    alone = _levenberg_marquardt([late], free_iso=True)
     assert alone.iterations[0] == 3 and not alone.converged[0]
-    refills = []
-
-    def refill(running):
-        refills.append(running)
-        return late if len(refills) == 2 else None
-
-    fit = _levenberg_marquardt(*lanes(np.array([-0.4, 0.35])), free_iso=True,
-                               refill=refill, n_lanes=3)
-    assert len(refills) > 2
-    assert np.all(fit.iterations[:2] <= 3)
+    # a 4-lane pool: the late lane waits until room is made for it
+    monkeypatch.setattr(localize, "_LANE_BLOCK", 4)
+    fit = _levenberg_marquardt([piece(np.array([-0.4, 0.35, -0.2, 0.25])), late],
+                               free_iso=True)
+    assert np.all(fit.iterations[:4] <= 3)
     for got, want in zip(fit, alone):
-        np.testing.assert_array_equal(got[2:], want)
+        np.testing.assert_array_equal(got[4:], want)

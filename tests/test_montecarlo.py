@@ -129,7 +129,7 @@ def test_seed_determinism_and_chunk_invariance():
 def test_lane_blocks_do_not_change_the_scatter(monkeypatch):
     records, coupling = _build()
     base = propagate(records, coupling, McConfig(n_samples=400, seed=11))
-    monkeypatch.setattr(montecarlo, "_LANE_BLOCK", 64)
+    monkeypatch.setattr(localize, "_LANE_BLOCK", 64)
     for chunks in (1, 4):
         blocked = propagate(records, coupling, McConfig(
             n_samples=400, seed=11, parallel_chunks=chunks))
@@ -139,18 +139,19 @@ def test_lane_blocks_do_not_change_the_scatter(monkeypatch):
 
 
 def _pool_lanes(problems, mc, lane_block):
-    """Each problem's per-sample solver lanes from ``propagate_many`` with a
-    lane pool of ``lane_block``, keyed by the id of its coupling; problems
-    that fail before the samples are solved have none."""
+    """Each problem's point fit and per-sample solver lanes from
+    ``propagate_many`` with a lane pool of ``lane_block``, keyed by the id of
+    its coupling; problems that fail before the samples are solved have
+    none."""
     seen = {}
     estimate = montecarlo._estimate
 
     def spy(nuc, n, constants):
-        seen[id(nuc.coupling)] = nuc.lanes
+        seen[id(nuc.coupling)] = (nuc.fit, nuc.lanes)
         return estimate(nuc, n, constants)
 
     with (mock.patch.object(montecarlo, "_estimate", spy),
-          mock.patch.object(montecarlo, "_LANE_BLOCK", lane_block)):
+          mock.patch.object(localize, "_LANE_BLOCK", lane_block)):
         montecarlo.propagate_many(problems, mc)
     return seen
 
@@ -165,8 +166,9 @@ def _pool_lanes(problems, mc, lane_block):
 def test_pool_lanes_equal_one_nucleus_whole_block_solves(nuclei, lane_block,
                                                          chunks, data):
     # nuclei of both kernel shapes share pools in random orders and with
-    # random admission sizes; every lane must end bit for bit as in a solve
-    # of its nucleus alone in one block
+    # random admission sizes, for the point-fit polishes and the samples;
+    # every point fit and lane must end bit for bit as in a solve of its
+    # nucleus alone in one block
     problems = []
     for r, theta, phi, a_iso, n_coils, noise, fixed in nuclei:
         records, coupling = _build(noise, _COILS[:n_coils],
@@ -181,8 +183,10 @@ def test_pool_lanes_equal_one_nucleus_whole_block_solves(nuclei, lane_block,
         key = id(problem[1])
         alone = _pool_lanes([problem], McConfig(n_samples=n, seed=9), n)
         assert (key in pooled) == (key in alone)
-        for got, want in zip(pooled.get(key, ()), alone.get(key, ())):
-            np.testing.assert_array_equal(got, want)
+        if key in alone:
+            assert pooled[key][0] == alone[key][0]
+            for got, want in zip(pooled[key][1], alone[key][1]):
+                np.testing.assert_array_equal(got, want)
 
 
 def test_draws_match_fresh_keyed_generators():
@@ -303,7 +307,9 @@ def test_hopeless_noise_aborts(monkeypatch):
     records, coupling = _build(noise=80.0)
     mc = McConfig(n_samples=200, seed=1)
     # most failures are frequency triplets that do not extract, and that
-    # gate comes first
+    # gate comes first; past it no sample is iterated
+    seen = _pool_lanes([(records, coupling, None)], mc, 4096)
+    assert not seen[id(coupling)][1].iterations.any()
     with pytest.raises(InconsistentInputError, match="exact transformation"):
         propagate(records, coupling, mc)
     monkeypatch.setattr(montecarlo, "MAX_EXTRACTION_FAILURE_FRACTION", 1.0)

@@ -16,8 +16,9 @@ from .errors import (SpinlocError, FrameError, DomainError,
                      ConvergenceError, ParseError)
 from .core import (PhysicalConstants, DEFAULT_CONSTANTS, GAMMA_N_BAND,
                    Frame, FrameRegistry, default_registry, DEFAULT_REGISTRY,
-                   LAB_FRAME_NAME, SENSOR_FRAME_NAME, Vector3, rotate,
-                   rotation_between, frame_from_axis, load_config, save_config)
+                   LAB_FRAME_NAME, SENSOR_FRAME_NAME, COIL_FIELD, BIAS_FIELD,
+                   Vector3, rotate, rotation_between, frame_from_axis,
+                   load_config, save_config)
 from .dipole import (SphericalPosition, HyperfineModel, dipolar_strength,
                      dipole_tensor, secular_couplings, invert_dipole,
                      invert_many, DftRow, ResidualEntry, ResidualBin,
@@ -26,7 +27,6 @@ from .dynamics import (LOW_FIELD, GENERAL_FIELD, EnhancementTensor,
                        enhancement, enhancement_factor, precession_frequency,
                        xi_kernel, OdmrLinePair, hamiltonian, transition_frequencies,
                        odmr_lines)
-from .signal import TimeTrace, FrequencyEstimate, synth_trace, estimate_frequencies
 from .extract import (EXACT, APPROXIMATE, CouplingInputs, CouplingEstimate,
                       nominal_tau, extract_couplings, rabi_frequency)
 from .localize import (MeasurementRecord, Minimum, AzimuthFit, xi, sum_sq_xi,
@@ -37,10 +37,22 @@ from .localize import (MeasurementRecord, Minimum, AzimuthFit, xi, sum_sq_xi,
 from .montecarlo import (McConfig, PointEstimate, SolverStats, EstimateResult,
                          propagate, propagate_many, Histogram, histogram,
                          circular_mean)
-from .calibrate import (COIL_FIELD, BIAS_FIELD, OdmrEntry, OdmrDataset,
-                        FieldSolution, solve_field, AlignmentReport,
-                        alignment_report)
 from .fileio import (NucleusMeasurements, TruthSpec, TruthNucleus, FieldConfig,
                      NoiseSpec, load_measurements, save_measurements,
-                     load_truth, load_odmr, save_odmr, load_dft_table,
-                     load_trace, save_trace)
+                     load_truth, load_odmr, save_odmr, load_dft_table)
+
+# Field calibration and trace analysis are imported on first use (PEP 562),
+# so that localizing never loads them.
+_LAZY = {**dict.fromkeys(("OdmrEntry", "OdmrDataset", "FieldSolution", "solve_field",
+                          "AlignmentReport", "alignment_report"), "calibrate"),
+         **dict.fromkeys(("TimeTrace", "FrequencyEstimate", "synth_trace",
+                          "estimate_frequencies"), "signal")}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

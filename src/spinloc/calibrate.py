@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_CONSTANTS, DEFAULT_REGISTRY, Frame, FrameRegistry,
-                   LAB_FRAME_NAME, PhysicalConstants, Vector3)
+from .core import (BIAS_FIELD, COIL_FIELD, DEFAULT_CONSTANTS, DEFAULT_REGISTRY,
+                   Frame, FrameRegistry, LAB_FRAME_NAME, PhysicalConstants,
+                   Vector3)
 from .dynamics import OdmrLinePair, transition_frequencies
 from .errors import ConvergenceError, IdentifiabilityError
-
-COIL_FIELD = "coil-field"
-BIAS_FIELD = "bias-field"
 
 _CONDITION_LIMIT = 1e8
 

@@ -24,7 +24,6 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .calibrate import alignment_report, solve_field
 from .core import (DEFAULT_CONSTANTS, DEFAULT_REGISTRY, SENSOR_FRAME_NAME,
                    Vector3, load_config)
 from .dipole import SphericalPosition, dft_residual_map, dipole_tensor, invert_dipole
@@ -39,7 +38,6 @@ from .fileio import (ANGSTROM, DEG, DISPLAY_UNITS, KHZ, MT, SIGMA_F_FLOOR,
 from .localize import (A_ISO_FIX_RADIUS, MeasurementRecord, assemble_position,
                        cost_curve)
 from .montecarlo import CONFIDENCE_LEVELS, McConfig, histogram, propagate_many
-from .signal import estimate_frequencies, synth_trace
 
 CONFIG_ENV_VAR = "SPINLOC_CONFIG"
 
@@ -85,6 +83,8 @@ def _write_report(args, stem: str, report: dict) -> str:
 # calibrate
 
 def cmd_calibrate(args) -> int:
+    from .calibrate import alignment_report, solve_field
+
     constants, registry, prov = _load_environment(args)
     dataset = load_odmr(args.odmr, registry)
     prov["input"] = os.fspath(args.odmr)
@@ -378,6 +378,8 @@ def _lines_from_trace(f_lo: float, f_hi: float, sigma: float, rng):
     The trace carries white noise scaled so the fitted line uncertainty is
     of order sigma; the fitted sigma_f is what gets reported downstream.
     """
+    from .signal import estimate_frequencies, synth_trace
+
     n = 4096
     dt = 1.0 / (5.0 * f_hi)
     trace_seed = int(rng.integers(0, 2 ** 63))

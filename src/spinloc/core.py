@@ -134,6 +134,11 @@ _NV_AXES = {
 LAB_FRAME_NAME = "lab"
 SENSOR_FRAME_NAME = "nv0"
 
+# contexts of an ODMR line set: taken with the switchable coil on, or with
+# the bias field alone
+COIL_FIELD = "coil-field"
+BIAS_FIELD = "bias-field"
+
 
 class FrameRegistry:
     """Mutable name -> Frame mapping with strict lookups."""

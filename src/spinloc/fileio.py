@@ -21,15 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibrate import OdmrDataset, OdmrEntry, COIL_FIELD, BIAS_FIELD
-from .core import DEFAULT_REGISTRY, FrameRegistry, Vector3, SENSOR_FRAME_NAME
+from .core import (BIAS_FIELD, COIL_FIELD, DEFAULT_REGISTRY, SENSOR_FRAME_NAME,
+                   FrameRegistry, Vector3)
 from .dipole import DftRow, ResidualMap
 from .dynamics import OdmrLinePair
 from .errors import ParseError
 from .extract import CouplingInputs
 from .localize import MeasurementRecord
 from .montecarlo import PARAMETERS, Histogram
-from .signal import TimeTrace
 
 FORMAT_VERSION = 1
 
@@ -495,6 +494,8 @@ def load_odmr(path, registry: FrameRegistry = DEFAULT_REGISTRY) -> OdmrDataset:
     frame of ``registry``. The pair's sigma is the mean of the two row
     sigmas.
     """
+    from .calibrate import OdmrDataset, OdmrEntry
+
     rows = []
     for sec, v in _read_sections(path, "odmr", _ODMR):
         if sec.name:
@@ -598,30 +599,7 @@ def save_residual_map(path, rmap: ResidualMap):
 
 
 # ---------------------------------------------------------------------------
-# time traces, scatter and histogram exports
-
-def load_trace(path) -> TimeTrace:
-    """Two or three whitespace-separated columns: time_s signal [sigma]."""
-    rows = []
-    for line_no, line in _lines(path):
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise ParseError(path, line_no, "expected 2 or 3 columns")
-        rows.append(_finite(path, line_no, parts, "bad numbers")
-                    + [0.0] * (3 - len(parts)))
-    if len(rows) < 2:
-        raise ParseError(path, 1, "trace needs at least 2 samples")
-    t, y, s = (np.array(column) for column in zip(*rows))
-    try:
-        return TimeTrace(t=t, y=y, sigma_y=s)
-    except ValueError as exc:
-        raise ParseError(path, 1, str(exc)) from None
-
-
-def save_trace(path, trace: TimeTrace):
-    rows = np.column_stack([trace.t, trace.y, trace.sigma_y])
-    atomic_write_text(path, "# time_s  signal  sigma\n" + _fmt_rows(rows))
-
+# scatter and histogram exports
 
 # scatter rows formatted and written at a time; the text of the whole file
 # is never held in memory

@@ -35,7 +35,18 @@ SPIN_DENSITY_CENTER_OFFSET = 2.29e-10  # m
 A_ISO_FIX_RADIUS = 1.0e-9  # m
 
 DEFAULT_A_ISO_RANGE = (-1.0e5, 1.0e5)  # Hz
-DEFAULT_A_ISO_STEP = 2.5e3             # Hz
+# The joint (phi, a_iso) grid only seeds the polish, which frees a_iso over
+# the whole range, so its a_iso axis need only separate the valleys: put a
+# column near the floor of every phi row. Half a step from the floor costs
+# c (step / 2)^2 more, where c = sum (dxi/da_iso)^2 is the cost's curvature
+# along a_iso. At the polished minima of random geometries over the
+# criterion-5 ranges (r 6-15 A, theta 5-85 deg), with the example's line
+# noise (1.25e5 Hz^2 per record's xi), that excess reaches one noise
+# variance no nearer than 5.4 kHz from the floor, so a 10 kHz step keeps
+# every row's best column within what the data resolve. On 300 such
+# geometries, noisy and noise-free, a 10 kHz grid found the same polished
+# minima as a 0.5 kHz one (a 2.5 kHz grid found one extra shallow minimum).
+DEFAULT_A_ISO_STEP = 10e3              # Hz
 DEFAULT_PHI_STEP_DEG = 0.5
 
 # Below this transverse coil field in every record the cost is flat in phi.
@@ -60,16 +71,81 @@ DEGENERACY_EPSILON = 0.1  # Hz, squared before use
 # multiplier mu (More and Sorensen, SIAM J. Sci. Stat. Comput. 4 (1983)
 # 553): mu starts at 1, doubles after every accepted step with y^T s <= 0
 # and returns to 1 after any other step, and a step taken with mu > 1
-# leaves the damping as it was. A lane stops when a step moves phi and
-# a_iso by under _LM_XTOL_*, when an accepted step lowers the cost by under
-# _LM_FTOL relative (a few rounding units: the cost has stopped falling), or
-# after _LM_MAX_ITER iterations.
+# leaves the damping as it was.
+#
+# A lane stops when a step moves phi and a_iso by under _LM_XTOL_*, when an
+# accepted step lowers the cost by under _LM_FTOL relative (a few rounding
+# units: the cost has stopped falling), or after _LM_MAX_ITER iterations.
+# Point fits stop only so, at rounding level, and each such stop pays for a
+# kernel call that confirms what the step already showed.
+#
+# Monte Carlo samples (_SAMPLE) may also stop when their step is formed,
+# before that call, at the precision their reports can show: the tolerances
+# follow from the accuracy the answer needs (Dennis and Schnabel, Numerical
+# Methods for Unconstrained Optimization and Nonlinear Equations, 1983, sec.
+# 7.2). A sample reaches a report only through the order statistics that
+# end its intervals, whose Monte Carlo standard error exceeds 4e-4 rad in
+# phi and 200 Hz in a_iso on the benchmark nuclei, and every sample stays
+# within 1e-6 rad and 0.01 Hz of its solve at point-fit tolerances. A sample
+# lane stops early when the model's full (undamped) step, its estimate of
+# the distance left, moves phi by at most _LM_SAMPLE_XTOL_PHI and a_iso by
+# at most _LM_SAMPLE_XTOL_ISO, a tenth of those bounds, and the decrease
+# g^T H^-1 g it predicts is at most _LM_RFCTOL of the cost: NL2SOL's
+# relative function convergence test (Dennis, Gay and Welsch 1981) at its
+# default tolerance, max(1e-10, eps^(2/3)). The model is trusted only while
+# it has predicted well: no step multiplier (mu = 1), and damping no higher
+# than at the start, which any poor step raises above 1. In flat a_iso
+# valleys a secant term fitted to a short step can misjudge the distance
+# left by more than the bound.
 _LM_LAMBDA0 = 1e-3
 _LM_LAMBDA_MIN = 1e-6
 _LM_FTOL = 1e-15
 _LM_XTOL_PHI = 1e-9    # rad
 _LM_XTOL_ISO = 1e-4    # Hz
 _LM_MAX_ITER = 50
+_LM_SAMPLE_XTOL_PHI = 1e-7  # rad
+_LM_SAMPLE_XTOL_ISO = 1e-3  # Hz
+_LM_RFCTOL = 1e-10
+
+
+def _over(num, den):
+    """num / den where den > 0, else inf."""
+    return np.divide(num, den, out=np.full(np.broadcast(num, den).shape, np.inf),
+                     where=den > 0.0)
+
+
+class _EarlyStop(NamedTuple):
+    """A lane stops when its step is formed, before the kernel call, if the
+    model's full step moves phi by at most xtol_phi and a_iso by at most
+    xtol_iso and predicts a decrease of at most rfctol of the cost, where
+    the model has predicted well so far."""
+
+    xtol_phi: float  # rad
+    xtol_iso: float  # Hz
+    rfctol: float
+
+    def stops(self, g, h, a_s, b_s, c_s, pin_phi, pin_iso, cost, mult, lam):
+        """The lanes this rule stops, from their gradient / 2 (g, h), the
+        model's Hessian / 2 (a_s, b_s; b_s, c_s), the coordinates held on a
+        bound, cost, step multiplier and damping. The full step is taken
+        over the coordinates not held; its temporaries end here, before the
+        next kernel call."""
+        det = a_s * c_s - b_s * b_s
+        full_phi = np.where(pin_phi, 0.0, np.where(
+            pin_iso, _over(-g, a_s), _over(b_s * h - c_s * g, det)))
+        full_iso = np.where(pin_iso, 0.0, np.where(
+            pin_phi, _over(-h, c_s), _over(b_s * g - a_s * h, det)))
+        short = ((np.abs(full_phi) <= self.xtol_phi)
+                 & (np.abs(full_iso) <= self.xtol_iso))
+        # where the step is short, the decrease g^T H^-1 g it predicts is
+        # -g . step
+        full_phi, full_iso = (np.where(short, v, 0.0) for v in (full_phi, full_iso))
+        return (short & (mult == 1.0) & (lam <= _LM_LAMBDA0)
+                & (-(g * full_phi + h * full_iso) <= self.rfctol * cost))
+
+
+# the stop rule of Monte Carlo samples; point fits have none
+_SAMPLE = _EarlyStop(_LM_SAMPLE_XTOL_PHI, _LM_SAMPLE_XTOL_ISO, _LM_RFCTOL)
 
 
 def _as_sigma3(value, name: str) -> np.ndarray:
@@ -253,7 +329,38 @@ def _join_lanes(batches):
             *map(cat, zip(*phi_box)), *map(cat, zip(*iso_box)))
 
 
-def _levenberg_marquardt(pieces, *, free_iso: bool) -> _LaneFit:
+def _lm_step(lanes, free_iso: bool):
+    """The next step of every lane of a ``_levenberg_marquardt`` batch, as
+    (trial phi, trial a_iso, g, h, a_s, b_s, c_s), with (g, h) the gradient
+    / 2 and (a_s, b_s; b_s, c_s) the model's Hessian / 2, and the flags
+    (pin_phi, pin_iso) of the coordinates held on their bound."""
+    phi, iso, _, lam, mult, sec, *box, res = lanes[:11]
+    jac = lanes[11:]
+    a, g = _dot(jac[0], jac[0]), _dot(jac[0], res)
+    b, h, c = ((_dot(jac[0], jac[1]), _dot(jac[1], res),
+                _dot(jac[1], jac[1])) if free_iso else (0.0, 0.0, 1.0))
+    a_s, b_s, c_s = a + sec[0], b + sec[1], c + sec[2]
+    s11, s12, s22 = np.where((a_s > 0.0) & (a_s * c_s > b_s * b_s), sec, 0.0)
+    a_s, b_s, c_s = a + s11, b + s12, c + s22  # the model's Hessian / 2
+    d1 = a * (1.0 + lam) + s11
+    d1 = np.where(d1 > 0.0, d1, np.inf)
+    d2 = c * (1.0 + lam) + s22
+    d2 = np.where(d2 > 0.0, d2, np.inf)
+    det = d1 * d2 - b_s * b_s
+    det = np.where(det > 0.0, det, np.inf)
+    pin_phi = np.where(g > 0.0, phi <= box[0], phi >= box[1])
+    pin_iso = np.where(h > 0.0, iso <= box[2], iso >= box[3])
+    step_phi = np.where(pin_phi, 0.0, np.where(
+        pin_iso, -g / d1, (b_s * h - d2 * g) / det))
+    step_iso = np.where(pin_iso, 0.0, np.where(
+        pin_phi, -h / d2, (b_s * g - d1 * h) / det))
+    return ((np.clip(phi + mult * step_phi, box[0], box[1]),
+             np.clip(iso + mult * step_iso, box[2], box[3]), g, h, a_s, b_s, c_s),
+            (pin_phi, pin_iso))
+
+
+def _levenberg_marquardt(pieces, *, free_iso: bool,
+                         early: _EarlyStop | None = None) -> _LaneFit:
     """Box-bounded Levenberg-Marquardt fit of (phi, a_iso) on every lane of
     a pool.
 
@@ -273,8 +380,10 @@ def _levenberg_marquardt(pieces, *, free_iso: bool) -> _LaneFit:
     bound whose descent points out stays there. Every iteration makes one
     kernel call, at the trial point, whose derivatives are kept when the
     step is accepted. Each lane keeps its own damping, step multiplier and
-    iteration count, and stops on its own test or after _LM_MAX_ITER of its
-    own iterations; stopped lanes leave the batch, the kernel compacted
+    iteration count, and stops on its own tests or after _LM_MAX_ITER of its
+    own iterations; with an ``early`` rule a lane whose model says it has
+    converged stops when its step is formed, before paying for a kernel
+    call. Stopped lanes leave the batch, the kernel compacted
     (``take``) with the other lane arrays. The arithmetic is per lane, so no
     lane's result depends on its batch or on when it joined. Lanes with no
     finite cost at the start come back unchanged.
@@ -300,41 +409,25 @@ def _levenberg_marquardt(pieces, *, free_iso: bool) -> _LaneFit:
     idx = np.arange(0)  # the running lanes
     # per running lane: phi, a_iso, cost, damping, step multiplier mu, the
     # secant term S (S_phiphi, S_phiiso, S_isoiso), the box (phi lo, phi hi,
-    # a_iso lo, a_iso hi), then xi and its Jacobian dxi/dphi (and dxi/da_iso)
-    lanes = ()
+    # a_iso lo, a_iso hi), then xi and its Jacobian dxi/dphi (and dxi/da_iso);
+    # and its next step: the trial phi and a_iso, the gradient / 2 (g, h) and
+    # the model's Hessian / 2 (a_s, b_s, c_s)
+    lanes = step = ()
+
     while True:
-        batch = (admit(_LANE_BLOCK - idx.size)
-                 if idx.size < _LANE_BLOCK // 4 and queue else None)
-        m = 0 if batch is None else batch[1].size
-        if not (m or idx.size):
-            return fit
         na = idx.size
-        phi_t = iso_t = np.empty(0)
         if na:
             phi, iso, cost, lam, mult, sec, *box, res = lanes[:11]
             jac = lanes[11:]
+            phi_t, iso_t, g, h, a_s, b_s, c_s = step
             fit.iterations[idx] += 1
-
-            a, g = _dot(jac[0], jac[0]), _dot(jac[0], res)
-            b, h, c = ((_dot(jac[0], jac[1]), _dot(jac[1], res),
-                        _dot(jac[1], jac[1])) if free_iso else (0.0, 0.0, 1.0))
-            a_s, b_s, c_s = a + sec[0], b + sec[1], c + sec[2]
-            s11, s12, s22 = np.where((a_s > 0.0) & (a_s * c_s > b_s * b_s), sec, 0.0)
-            a_s, b_s, c_s = a + s11, b + s12, c + s22  # the model's Hessian / 2
-            d1 = a * (1.0 + lam) + s11
-            d1 = np.where(d1 > 0.0, d1, np.inf)
-            d2 = c * (1.0 + lam) + s22
-            d2 = np.where(d2 > 0.0, d2, np.inf)
-            det = d1 * d2 - b_s * b_s
-            det = np.where(det > 0.0, det, np.inf)
-            pin_phi = np.where(g > 0.0, phi <= box[0], phi >= box[1])
-            pin_iso = np.where(h > 0.0, iso <= box[2], iso >= box[3])
-            step_phi = np.where(pin_phi, 0.0, np.where(
-                pin_iso, -g / d1, (b_s * h - d2 * g) / det))
-            step_iso = np.where(pin_iso, 0.0, np.where(
-                pin_phi, -h / d2, (b_s * g - d1 * h) / det))
-            phi_t = np.clip(phi + mult * step_phi, box[0], box[1])
-            iso_t = np.clip(iso + mult * step_iso, box[2], box[3])
+        else:
+            phi_t = iso_t = np.empty(0)
+        batch = (admit(_LANE_BLOCK - na)
+                 if na < _LANE_BLOCK // 4 and queue else None)
+        m = 0 if batch is None else batch[1].size
+        if not (m or na):
+            return fit
         if m:
             # the new lanes' kernel constants are held once, in the joined
             # kernel, through the call
@@ -400,9 +493,14 @@ def _levenberg_marquardt(pieces, *, free_iso: bool) -> _LaneFit:
             done = np.concatenate([done, ~np.isfinite(cost_n)])
             admitted += m
 
-        # lanes that stopped, or ran out of iterations at their best point,
-        # leave the batch
+        # each running lane's next step, then the lanes that stopped, ran
+        # out of iterations at their best point or, by ``early``, need no
+        # further kernel call leave the batch
+        step, pins = _lm_step(lanes, free_iso)
         stop = done | (fit.iterations[idx] >= _LM_MAX_ITER)
+        if early:
+            done = done | early.stops(*step[2:], *pins, lanes[2], lanes[4], lanes[3])
+            stop |= done
         if stop.any():
             fin = idx[stop]
             phi_f, iso_f, cost_f = (v[stop] for v in lanes[:3])
@@ -417,7 +515,8 @@ def _levenberg_marquardt(pieces, *, free_iso: bool) -> _LaneFit:
             # mask copies several times slower
             keep = np.flatnonzero(~stop)
             idx = idx[keep]
-            lanes = tuple(v.take(keep, axis=-1) for v in lanes)
+            lanes, step = (tuple(v.take(keep, axis=-1) if np.ndim(v) else v for v in t)
+                           for t in (lanes, step))
             if idx.size:
                 kernel = kernel.take(keep)
 
@@ -523,8 +622,10 @@ def _scan(records, coupling, fix_a_iso, phi_step_deg, a_iso_step,
 def _finish(scan: _Scan, lm: _LaneFit) -> AzimuthFit:
     """The fit from the polished lanes of a scan: merged minima, the best
     one and its near-degenerate rivals."""
+    # a tiny negative phi would wrap to 2pi itself
     candidates = [(float(c), float(p) % _TWO_PI, float(a))
                   for c, p, a in zip(lm.cost, lm.phi, lm.a_iso)]
+    candidates = [(c, 0.0 if p == _TWO_PI else p, a) for c, p, a in candidates]
 
     # merge refinements that converged to the same point, keeping the best
     merged: list[tuple] = []
@@ -567,12 +668,13 @@ def _isolate(fn, *args):
         return exc
 
 
-def _solve(jobs) -> list:
+def _solve(jobs, early: _EarlyStop | None) -> list:
     """The solver's lanes of every (shape, pieces) job, shape being (record
     count, a_iso free) and pieces the job's (count, lanes) pairs: the jobs of
     one shape share one ``_levenberg_marquardt`` pool, the pools taken in
-    order of first appearance. Returns each job's _LaneFit, in order, as
-    views into its pool's arrays."""
+    order of first appearance, their lanes stopped early by ``early`` (None
+    for point fits). Returns each job's _LaneFit, in order, as views into
+    its pool's arrays."""
     jobs = list(jobs)
     pools: dict = {}
     for k, (shape, _) in enumerate(jobs):
@@ -580,7 +682,7 @@ def _solve(jobs) -> list:
     out = [None] * len(jobs)
     for (_, free_iso), members in pools.items():
         lm = _levenberg_marquardt([p for k in members for p in jobs[k][1]],
-                                  free_iso=free_iso)
+                                  free_iso=free_iso, early=early)
         end = 0
         for k in members:
             start, end = end, end + sum(count for count, _ in jobs[k][1])
@@ -604,8 +706,8 @@ def fit_azimuths(problems, *, phi_step_deg: float = DEFAULT_PHI_STEP_DEG,
     out = [_isolate(_scan, *p, phi_step_deg, a_iso_step, constants)
            for p in problems]
     live = [k for k, s in enumerate(out) if not isinstance(s, Exception)]
-    lms = _solve(((len(problems[k][0]), not out[k].a_iso_fixed),
-                  [(out[k].phi.size, out[k].lanes)]) for k in live)
+    lms = _solve((((len(problems[k][0]), not out[k].a_iso_fixed),
+                   [(out[k].phi.size, out[k].lanes)]) for k in live), None)
     for k, lm in zip(live, lms):
         out[k] = _isolate(_finish, out[k], lm)
     return out

@@ -12,7 +12,8 @@ The per-sample fit is the point fit's box-bounded Levenberg-Marquardt solver
 (``localize._levenberg_marquardt``, whose NL2SOL secant curvature term lets
 samples at large residuals converge), warm-started at the unperturbed optimum
 on the same lane-wise xi kernel (``dynamics.xi_kernel``), with every
-sample's perturbed fields as its own lane. The samples of all nuclei of a
+sample's perturbed fields as its own lane, and stopped at the precision the
+reports can show (``localize._SAMPLE``). The samples of all nuclei of a
 ``propagate_many`` call that share a kernel shape (record count, and
 whether a_iso is free) are solved in one lane pool (``localize._solve``),
 which admits them in order as earlier lanes stop. Basin hops to mirror
@@ -35,7 +36,8 @@ from .dipole import invert_dipole, invert_many
 from .dynamics import xi_kernel
 from .errors import ConvergenceError, InconsistentInputError
 from .extract import CouplingEstimate, _extract_arrays
-from .localize import _LANE_BLOCK, AzimuthFit, _isolate, _LaneFit, _solve, fit_azimuths
+from .localize import (_LANE_BLOCK, _SAMPLE, AzimuthFit, _isolate, _LaneFit, _solve,
+                       fit_azimuths)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -110,8 +112,10 @@ class EstimateResult:
             raise ValueError("scatter must have shape (n, 4)")
         if s.shape[0] != self.n_samples - self.n_failed:
             raise ValueError("scatter length must equal n_samples - n_failed")
-        s = s.copy()
-        s.setflags(write=False)
+        # an array that owns its data read-only is kept; any other is copied
+        if s.flags.writeable or s.base is not None:
+            s = s.copy()
+            s.setflags(write=False)
         object.__setattr__(self, "scatter", s)
 
 
@@ -231,6 +235,25 @@ def _sample_lanes(nuc: _Nucleus, lo: int, hi: int, seed: int, constants):
             (point.a_iso - _ISO_BOX, point.a_iso + _ISO_BOX))
 
 
+def _quantiles(values: np.ndarray, probs) -> np.ndarray:
+    """``np.quantile(values, probs)`` of a finite 1-d array, bit for bit,
+    with numpy's default linear rule written out: the virtual index (n - 1) p
+    between order statistics a and b, and numpy's two-sided interpolation.
+    One partition of ``values`` in place, at numpy's own split points (the
+    ends too, so that tied zeros of either sign land as numpy's do), finds
+    every order statistic; numpy's quantile path, whose first call imports
+    numpy.ma, is never entered."""
+    virtual = (values.size - 1) * np.asarray(probs, dtype=float)
+    lo = np.floor(virtual)
+    t = virtual - lo
+    lo = lo.astype(np.intp)
+    hi = np.minimum(lo + 1, values.size - 1)
+    values.partition(sorted({0, -1, *lo.tolist(), *hi.tolist()}))
+    a, b = values[lo], values[hi]
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1.0 - t), a + diff * t)
+
+
 def _estimate(nuc: _Nucleus, n: int, constants) -> EstimateResult:
     """The gates, intervals and solver counts of a nucleus's solved samples.
     Releases the nucleus's per-sample arrays once the scatter is built."""
@@ -265,14 +288,12 @@ def _estimate(nuc: _Nucleus, n: int, constants) -> EstimateResult:
     scatter = np.empty((n - n_failed, 4))
     for col, values in enumerate((lanes.phi, lanes.a_iso, r, theta)):
         scatter[:, col] = values[good] % _TWO_PI if col == 0 else values[good]
-    # the result copies the scatter: the per-sample arrays go first
+    scatter.setflags(write=False)  # the result keeps it without a copy
     nuc.lanes = nuc.a_par = nuc.a_perp = nuc.extracted = None
     del lanes, extracted, r, theta, good
 
-    # one quantile pass per column, at the lower and upper tail of every
-    # level; phi's are those of its deviations from the circular mean. Each
-    # pass partitions its own contiguous copy in place: on a strided column
-    # np.quantile at four tails holds several copies of it at once.
+    # the lower and upper tail of every level, per column; phi's are those of
+    # its deviations from the circular mean
     tails = [p for lv in CONFIDENCE_LEVELS
              for p in ((1.0 - lv) / 2.0, 1.0 - (1.0 - lv) / 2.0)]
     mu = circular_mean(scatter[:, 0])
@@ -280,7 +301,7 @@ def _estimate(nuc: _Nucleus, n: int, constants) -> EstimateResult:
     for name, col in _COLUMN.items():
         values = (_recenter(scatter[:, 0], mu) if name == "phi"
                   else scatter[:, col].copy())
-        q = np.quantile(values, tails, overwrite_input=True).tolist()
+        q = _quantiles(values, tails).tolist()
         if name == "phi":
             q = [mu + v for v in q]
         ci[name] = {lv: (q[2 * k], q[2 * k + 1])
@@ -327,8 +348,8 @@ def propagate_many(problems, mc: McConfig,
     # each nucleus holds the only reference to its lanes, so that
     # ``_estimate`` releases them
     for nuc, lanes in zip(live, _solve(
-            ((len(nuc.records), nuc.fix_a_iso is None),
-             [piece(nuc, *chunk) for chunk in chunks]) for nuc in live)):
+            (((len(nuc.records), nuc.fix_a_iso is None),
+              [piece(nuc, *chunk) for chunk in chunks]) for nuc in live), _SAMPLE)):
         nuc.lanes = lanes
     return [nuc.error or _isolate(_estimate, nuc, n, constants)
             for nuc in nuclei]

@@ -207,13 +207,15 @@ def test_localize_negative_seed_exits_2(tmp_path, capsys):
 
 
 def test_localize_imports_no_scipy(tmp_path):
-    # scipy serves calibrate and trace-based simulate only; localize must run
-    # without importing any of it
+    # scipy serves calibrate and trace-based simulate only, and so do
+    # spinloc.calibrate and spinloc.signal; localize must run without
+    # importing any of them, or numpy.ma, which numpy's quantile path loads
     root = Path(__file__).resolve().parents[1]
     code = ("import sys\n"
             "from spinloc.cli import main\n"
             "rc = main(['localize', *sys.argv[1:]])\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "             or m in ('numpy.ma', 'spinloc.calibrate', 'spinloc.signal')))\n"
             "sys.exit(rc)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

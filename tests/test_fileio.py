@@ -15,17 +15,14 @@ from spinloc import (
     OdmrDataset,
     OdmrEntry,
     ParseError,
-    TimeTrace,
     Vector3,
     load_dft_table,
     load_measurements,
     load_odmr,
-    load_trace,
     load_truth,
     odmr_lines,
     save_measurements,
     save_odmr,
-    save_trace,
     DEFAULT_REGISTRY,
 )
 from spinloc import fileio
@@ -522,36 +519,6 @@ def test_bytes_that_are_not_utf8_are_reported_at_their_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_trace_round_trip(tmp_path):
-    t = np.arange(64) * 2e-6
-    y = np.sin(2 * np.pi * 3.1e4 * t)
-    trace = TimeTrace(t=t, y=y, sigma_y=np.full(64, 0.05))
-    path = tmp_path / "trace.txt"
-    save_trace(path, trace)
-    back = load_trace(path)
-    np.testing.assert_allclose(back.t, t, rtol=1e-10)
-    np.testing.assert_allclose(back.y, y, atol=1e-10)
-    np.testing.assert_allclose(back.sigma_y, 0.05, rtol=1e-10)
-
-
-def test_trace_two_columns_means_no_sigma(tmp_path):
-    path = _write(tmp_path, "0.0 1.0\n1e-6 0.5\n2e-6 -0.5\n")
-    back = load_trace(path)
-    np.testing.assert_array_equal(back.sigma_y, 0.0)
-
-
-@pytest.mark.parametrize("text,match", [
-    ("0.0\n1e-6\n", "2 or 3 columns"),
-    ("0.0 one\n1e-6 0.5\n", "bad numbers"),
-    ("0 nan\n1e-6 0.5\n2e-6 inf\n", "not finite"),
-    ("0.0 1.0\n", "at least 2 samples"),
-    ("0.0 1.0\n1e-6 0.5\n5e-6 0.1\n", None),  # uneven grid fails validation
-])
-def test_trace_rejects_malformed(tmp_path, text, match):
-    with pytest.raises(ParseError, match=match):
-        load_trace(_write(tmp_path, text))
-
-
 def test_write_json_deterministic(tmp_path):
     path = tmp_path / "out.json"
     write_json(path, {"zeta": 1, "alpha": {"b": 2, "a": [3, 1]}})
@@ -601,8 +568,7 @@ _TABLE_FLOATS = st.one_of(
 def test_table_writers_write_the_fmt_joined_rows(tmp_path, n_rows, n_records,
                                                  data):
     # every cell is _fmt of its value: nan, +-inf, -0.0, subnormals and
-    # magnitudes near the float range in the scatter and the cost curve,
-    # finite values in the time trace
+    # magnitudes near the float range in the scatter and the cost curve
     def table(n_cols):
         cells = data.draw(st.lists(_TABLE_FLOATS, min_size=n_rows * n_cols,
                                    max_size=n_rows * n_cols))
@@ -628,14 +594,6 @@ def test_table_writers_write_the_fmt_joined_rows(tmp_path, n_rows, n_records,
     rows = [[math.degrees(row[0]), *row[1:]] for row in cols.tolist()]
     assert (tmp_path / "curve.tsv").read_text() == text(
         "# phi_deg  abs_xi_Hz_per_record...  sum_sq_Hz2", rows)
-
-    if n_rows >= 2:
-        y = np.nan_to_num(table(1)[:, 0], posinf=1e300, neginf=-1e300)
-        trace = TimeTrace(t=1e-6 * np.arange(n_rows), y=y, sigma_y=np.abs(y))
-        save_trace(tmp_path / "trace.txt", trace)
-        assert (tmp_path / "trace.txt").read_text() == text(
-            "# time_s  signal  sigma",
-            np.column_stack([trace.t, trace.y, trace.sigma_y]).tolist())
 
 
 def test_save_histogram_scales_edges(tmp_path):

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinloc import (
@@ -89,6 +89,50 @@ def test_result_scatter_shape_validation():
     with pytest.raises(ValueError):
         EstimateResult(point=pt, ci={},
                        scatter=np.zeros((5, 4)), n_samples=10, n_failed=0)
+
+
+def test_hand_built_result_owns_a_frozen_copy():
+    # a caller's writable array is copied and frozen; an array that owns its
+    # data read-only, as _estimate builds it, is kept without a copy
+    pt = PointEstimate(1.0, 0.0, 8e-10, 1.0)
+    scatter = np.zeros((3, 4))
+    result = EstimateResult(point=pt, ci={}, scatter=scatter, n_samples=3,
+                            n_failed=0)
+    scatter[0, 0] = 1.0
+    assert result.scatter[0, 0] == 0.0
+    assert not result.scatter.flags.writeable
+    view = result.scatter[:2]
+    assert EstimateResult(point=pt, ci={}, scatter=view, n_samples=2,
+                          n_failed=0).scatter is not view
+    frozen = np.zeros((3, 4))
+    frozen.setflags(write=False)
+    assert EstimateResult(point=pt, ci={}, scatter=frozen, n_samples=3,
+                          n_failed=0).scatter is frozen
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(100, 5000), levels=st.integers(1, 50),
+       tied=st.floats(0.0, 1.0), scale=st.floats(1e-6, 1e6),
+       seed=st.integers(0, 2 ** 32),
+       probs=st.lists(st.floats(0.0, 1.0), max_size=16))
+def test_quantiles_match_numpy_bit_for_bit(n, levels, tied, scale, seed, probs):
+    # columns of distinct values and columns with a share of ties, zeros of
+    # both signs among them, at the reported tails and at random
+    # probabilities; the two sides of numpy's interpolation differ in the
+    # last bit in about one column in a hundred, so each example draws many
+    rng = np.random.default_rng(seed)
+    tails = [p for lv in montecarlo.CONFIDENCE_LEVELS
+             for p in ((1.0 - lv) / 2.0, 1.0 - (1.0 - lv) / 2.0)] + probs
+    for _ in range(20):
+        distinct = rng.normal(size=n) * scale
+        values = distinct.copy()
+        ties = rng.random(n) < tied
+        # rounding gives zeros of both signs
+        values[ties] = np.round(rng.normal(size=ties.sum()) * levels / 50.0) * scale
+        for column in (distinct, values):
+            want = np.quantile(column, tails)
+            got = montecarlo._quantiles(column.copy(), tails)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_coupling_must_carry_inputs_or_sigmas():
@@ -187,6 +231,48 @@ def test_pool_lanes_equal_one_nucleus_whole_block_solves(nuclei, lane_block,
             assert pooled[key][0] == alone[key][0]
             for got, want in zip(pooled[key][1], alone[key][1]):
                 np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=15, deadline=None)
+# a lane whose damping a poor step has raised, where the model misjudges the
+# distance left along a_iso
+@example(r=6.0, theta=1.1, phi=0.9149946909710528, a_iso=-13996.0, n_coils=3,
+         noise=2.203125, fixed=False, seed=75184)
+@given(r=st.floats(6.0, 14.0), theta=st.floats(0.1, 1.45),
+       phi=st.floats(0.0, 2.0 * math.pi), a_iso=st.floats(-2e4, 2e4),
+       n_coils=st.integers(2, 3), noise=st.floats(0.5, 3.0), fixed=st.booleans(),
+       seed=st.integers(0, 2 ** 32))
+def test_sample_lanes_end_near_their_tight_solve(r, theta, phi, a_iso, n_coils,
+                                                 noise, fixed, seed):
+    # samples stop at report precision (localize._SAMPLE): each lane must end
+    # within 1e-6 rad and 0.01 Hz of the same lane solved to the point fit's
+    # tolerances, and no lane may end unconverged or on a bound where that
+    # solve does not. Two records with a_iso free fit two parameters to two
+    # numbers: some of their lanes end where the cost is flat to rounding
+    # over more than 0.01 Hz of a_iso, where any two solves may differ by
+    # more than the bound.
+    assume(fixed or n_coils == 3)
+    records, coupling = _build(noise, _COILS[:n_coils],
+                               SphericalPosition(r * ANGSTROM, theta, phi), a_iso)
+    problem = (records, coupling, a_iso if fixed else None)
+    mc = McConfig(n_samples=300, seed=seed)
+    loose = _pool_lanes([problem], mc, 128)
+    with mock.patch.object(montecarlo, "_SAMPLE", None):
+        tight = _pool_lanes([problem], mc, 128)
+    key = id(coupling)
+    assert (key in loose) == (key in tight)
+    if key not in tight:
+        return
+    (fit, got), (fit_tight, want) = loose[key], tight[key]
+    assert fit == fit_tight
+    ok = np.isfinite(want.cost)
+    np.testing.assert_array_equal(np.isfinite(got.cost), ok)
+    np.testing.assert_allclose(got.phi[ok], want.phi[ok], rtol=0.0, atol=1e-6)
+    np.testing.assert_allclose(got.a_iso[ok], want.a_iso[ok], rtol=0.0, atol=0.01)
+    # the early stop cuts the tight solve's walk short
+    assert np.all(got.iterations <= want.iterations)
+    assert np.all(got.converged[ok] | ~want.converged[ok])
+    np.testing.assert_array_equal(got.at_bound, want.at_bound)
 
 
 def test_draws_match_fresh_keyed_generators():

@@ -228,6 +228,31 @@ def test_localize_imports_no_scipy(tmp_path):
     assert child.stdout.splitlines()[-1] == "[]"
 
 
+def test_package_loads_calibrate_and_signal_on_first_use():
+    # importing spinloc leaves spinloc.calibrate and spinloc.signal unloaded;
+    # their names on the package load them when first read
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "import spinloc\n"
+            "lazy = ('spinloc.calibrate', 'spinloc.signal')\n"
+            "print(sorted(m for m in lazy if m in sys.modules))\n"
+            "from spinloc import TimeTrace, solve_field\n"
+            "from spinloc.calibrate import solve_field as sf\n"
+            "from spinloc.signal import TimeTrace as tt\n"
+            "print(TimeTrace is tt and solve_field is sf)\n"
+            "try:\n"
+            "    spinloc.no_such_name\n"
+            "except AttributeError:\n"
+            "    print('AttributeError')\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == ["[]", "True", "AttributeError"]
+
+
 def test_localize_fits_each_nucleus_once(tmp_path, monkeypatch):
     # the Monte Carlo returns its point fits, all nuclei's from one call;
     # the command must not fit again

@@ -333,3 +333,22 @@ def test_joint_grid_step_finds_the_fine_grid_minima(r, theta_deg, phi, a_iso,
         lane = ((np.abs((lm.phi - m.phi + math.pi) % (2.0 * math.pi) - math.pi) < 1e-12)
                 & (lm.a_iso == m.a_iso))
         assert lane.any() and np.all(lm.iterations[lane] < localize._LM_MAX_ITER)
+
+
+@pytest.mark.parametrize("lane_phi", [-1e-17, -0.0, 2.0 * math.pi, 4.0 * math.pi])
+def test_finish_wraps_the_best_phi_into_zero_to_two_pi(lane_phi):
+    # a polished lane a rounding error below 0 rad, or on a whole turn, is
+    # reported at 0 rad, never at 2 pi
+    pos = SphericalPosition(8.0 * ANGSTROM, math.radians(40.0), 0.0)
+    recs, coupling = _records(pos, 0.0, _COILS), _coupling(pos, 0.0)
+    scan = localize._scan(recs, coupling, None, localize.DEFAULT_PHI_STEP_DEG,
+                          localize.DEFAULT_A_ISO_STEP, DEFAULT_CONSTANTS)
+    one = np.ones(1)
+    lm = localize._LaneFit(phi=np.array([lane_phi]), a_iso=np.zeros(1),
+                           cost=one, iterations=one.astype(int),
+                           converged=one.astype(bool),
+                           at_bound=np.zeros(1, dtype=bool))
+    fit = localize._finish(scan, lm)
+    assert math.copysign(1.0, fit.phi) == 1.0 and fit.phi == 0.0
+    assert [m.phi for m in fit.minima] == [0.0]
+    assert fit.degenerate_minima == (0.0,)

@@ -135,6 +135,23 @@ def test_quantiles_match_numpy_bit_for_bit(n, levels, tied, scale, seed, probs):
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("column", [
+    [3.0],
+    [2.0, -1.0],
+    [0.0, -0.0, 1.0],
+    [5.0, 5.0, 5.0, 5.0],
+], ids=["one", "two", "signed-zeros", "all-tied"])
+def test_quantiles_match_numpy_on_short_columns(column):
+    # the upper order statistic is clamped to the last sample, and both ends
+    # of the probability range are asked for
+    tails = [p for lv in montecarlo.CONFIDENCE_LEVELS
+             for p in ((1.0 - lv) / 2.0, 1.0 - (1.0 - lv) / 2.0)] + [0.0, 0.5, 1.0]
+    values = np.array(column)
+    want = np.quantile(values, tails)
+    got = montecarlo._quantiles(values.copy(), tails)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_coupling_must_carry_inputs_or_sigmas():
     records, coupling = _build()
     bare = CouplingEstimate(coupling.a_par, coupling.a_perp, EXACT)

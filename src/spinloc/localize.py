@@ -45,7 +45,9 @@ DEFAULT_A_ISO_RANGE = (-1.0e5, 1.0e5)  # Hz
 # variance no nearer than 5.4 kHz from the floor, so a 10 kHz step keeps
 # every row's best column within what the data resolve. On 300 such
 # geometries, noisy and noise-free, a 10 kHz grid found the same polished
-# minima as a 0.5 kHz one (a 2.5 kHz grid found one extra shallow minimum).
+# minima as a 0.5 kHz one. With noise a coarser grid can seed a lane that
+# stops at _LM_MAX_ITER short of a minimum, and _finish reports that lane's
+# point as one more near-degenerate minimum.
 DEFAULT_A_ISO_STEP = 10e3              # Hz
 DEFAULT_PHI_STEP_DEG = 0.5
 
@@ -79,17 +81,20 @@ DEGENERACY_EPSILON = 0.1  # Hz, squared before use
 # Point fits stop only so, at rounding level, and each such stop pays for a
 # kernel call that confirms what the step already showed.
 #
-# Monte Carlo samples (_SAMPLE) may also stop when their step is formed,
-# before that call, at the precision their reports can show: the tolerances
-# follow from the accuracy the answer needs (Dennis and Schnabel, Numerical
-# Methods for Unconstrained Optimization and Nonlinear Equations, 1983, sec.
-# 7.2). A sample reaches a report only through the order statistics that
-# end its intervals, whose Monte Carlo standard error exceeds 4e-4 rad in
-# phi and 200 Hz in a_iso on the benchmark nuclei, and every sample stays
-# within 1e-6 rad and 0.01 Hz of its solve at point-fit tolerances. A sample
-# lane stops early when the model's full (undamped) step, its estimate of
-# the distance left, moves phi by at most _LM_SAMPLE_XTOL_PHI and a_iso by
-# at most _LM_SAMPLE_XTOL_ISO, a tenth of those bounds, and the decrease
+# Monte Carlo samples (``sample`` pools) may also stop when their step is
+# formed, before that call, at the precision their reports can show: the
+# tolerances follow from the accuracy the answer needs (Dennis and
+# Schnabel, Numerical Methods for Unconstrained Optimization and Nonlinear
+# Equations, 1983, sec. 7.2). A sample reaches a report only through the
+# order statistics that end its intervals, whose Monte Carlo standard error
+# exceeds 4e-4 rad in phi and 200 Hz in a_iso on the benchmark nuclei, and
+# every sample stays within 1e-6 rad and 0.01 Hz of its solve at point-fit
+# tolerances. One shape is exempt: with two records and a_iso free the cost
+# can be flat to rounding over 0.04 Hz of a_iso, and solves at any
+# tolerance may end that far apart. A sample lane stops early when the
+# model's full (undamped) step, its estimate of the distance left, moves
+# phi by at most _LM_SAMPLE_XTOL_PHI and a_iso by at most
+# _LM_SAMPLE_XTOL_ISO, a tenth of those bounds, and the decrease
 # g^T H^-1 g it predicts is at most _LM_RFCTOL of the cost: NL2SOL's
 # relative function convergence test (Dennis, Gay and Welsch 1981) at its
 # default tolerance, max(1e-10, eps^(2/3)). The model is trusted only while
@@ -114,38 +119,26 @@ def _over(num, den):
                      where=den > 0.0)
 
 
-class _EarlyStop(NamedTuple):
-    """A lane stops when its step is formed, before the kernel call, if the
-    model's full step moves phi by at most xtol_phi and a_iso by at most
-    xtol_iso and predicts a decrease of at most rfctol of the cost, where
-    the model has predicted well so far."""
-
-    xtol_phi: float  # rad
-    xtol_iso: float  # Hz
-    rfctol: float
-
-    def stops(self, g, h, a_s, b_s, c_s, pin_phi, pin_iso, cost, mult, lam):
-        """The lanes this rule stops, from their gradient / 2 (g, h), the
-        model's Hessian / 2 (a_s, b_s; b_s, c_s), the coordinates held on a
-        bound, cost, step multiplier and damping. The full step is taken
-        over the coordinates not held; its temporaries end here, before the
-        next kernel call."""
-        det = a_s * c_s - b_s * b_s
-        full_phi = np.where(pin_phi, 0.0, np.where(
-            pin_iso, _over(-g, a_s), _over(b_s * h - c_s * g, det)))
-        full_iso = np.where(pin_iso, 0.0, np.where(
-            pin_phi, _over(-h, c_s), _over(b_s * g - a_s * h, det)))
-        short = ((np.abs(full_phi) <= self.xtol_phi)
-                 & (np.abs(full_iso) <= self.xtol_iso))
-        # where the step is short, the decrease g^T H^-1 g it predicts is
-        # -g . step
-        full_phi, full_iso = (np.where(short, v, 0.0) for v in (full_phi, full_iso))
-        return (short & (mult == 1.0) & (lam <= _LM_LAMBDA0)
-                & (-(g * full_phi + h * full_iso) <= self.rfctol * cost))
-
-
-# the stop rule of Monte Carlo samples; point fits have none
-_SAMPLE = _EarlyStop(_LM_SAMPLE_XTOL_PHI, _LM_SAMPLE_XTOL_ISO, _LM_RFCTOL)
+def _sample_stops(g, h, a_s, b_s, c_s, pin_phi, pin_iso, cost, mult, lam):
+    """The sample lanes that stop when their step is formed, from their
+    gradient / 2 (g, h), the model's Hessian / 2 (a_s, b_s; b_s, c_s), the
+    coordinates held on a bound, cost, step multiplier and damping: where
+    the model has predicted well so far, its full step over the coordinates
+    not held moves phi by at most _LM_SAMPLE_XTOL_PHI and a_iso by at most
+    _LM_SAMPLE_XTOL_ISO and predicts a decrease of at most _LM_RFCTOL of the
+    cost. The temporaries end here, before the next kernel call."""
+    det = a_s * c_s - b_s * b_s
+    full_phi = np.where(pin_phi, 0.0, np.where(
+        pin_iso, _over(-g, a_s), _over(b_s * h - c_s * g, det)))
+    full_iso = np.where(pin_iso, 0.0, np.where(
+        pin_phi, _over(-h, c_s), _over(b_s * g - a_s * h, det)))
+    short = ((np.abs(full_phi) <= _LM_SAMPLE_XTOL_PHI)
+             & (np.abs(full_iso) <= _LM_SAMPLE_XTOL_ISO))
+    # where the step is short, the decrease g^T H^-1 g it predicts is
+    # -g . step
+    full_phi, full_iso = (np.where(short, v, 0.0) for v in (full_phi, full_iso))
+    return (short & (mult == 1.0) & (lam <= _LM_LAMBDA0)
+            & (-(g * full_phi + h * full_iso) <= _LM_RFCTOL * cost))
 
 
 def _as_sigma3(value, name: str) -> np.ndarray:
@@ -359,8 +352,7 @@ def _lm_step(lanes, free_iso: bool):
             (pin_phi, pin_iso))
 
 
-def _levenberg_marquardt(pieces, *, free_iso: bool,
-                         early: _EarlyStop | None = None) -> _LaneFit:
+def _levenberg_marquardt(pieces, *, free_iso: bool, sample: bool = False) -> _LaneFit:
     """Box-bounded Levenberg-Marquardt fit of (phi, a_iso) on every lane of
     a pool.
 
@@ -381,12 +373,12 @@ def _levenberg_marquardt(pieces, *, free_iso: bool,
     kernel call, at the trial point, whose derivatives are kept when the
     step is accepted. Each lane keeps its own damping, step multiplier and
     iteration count, and stops on its own tests or after _LM_MAX_ITER of its
-    own iterations; with an ``early`` rule a lane whose model says it has
-    converged stops when its step is formed, before paying for a kernel
-    call. Stopped lanes leave the batch, the kernel compacted
-    (``take``) with the other lane arrays. The arithmetic is per lane, so no
-    lane's result depends on its batch or on when it joined. Lanes with no
-    finite cost at the start come back unchanged.
+    own iterations; in a ``sample`` pool a lane whose model says it has
+    converged to report precision stops when its step is formed, before
+    paying for a kernel call. Stopped lanes leave the batch, the kernel
+    compacted (``take``) with the other lane arrays. The arithmetic is per
+    lane, so no lane's result depends on its batch or on when it joined.
+    Lanes with no finite cost at the start come back unchanged.
     """
     queue = deque((0, count, piece) for count, piece in pieces if count)
     n = sum(count for _, count, _ in queue)
@@ -494,12 +486,12 @@ def _levenberg_marquardt(pieces, *, free_iso: bool,
             admitted += m
 
         # each running lane's next step, then the lanes that stopped, ran
-        # out of iterations at their best point or, by ``early``, need no
+        # out of iterations at their best point or, as samples, need no
         # further kernel call leave the batch
         step, pins = _lm_step(lanes, free_iso)
         stop = done | (fit.iterations[idx] >= _LM_MAX_ITER)
-        if early:
-            done = done | early.stops(*step[2:], *pins, lanes[2], lanes[4], lanes[3])
+        if sample:
+            done = done | _sample_stops(*step[2:], *pins, lanes[2], lanes[4], lanes[3])
             stop |= done
         if stop.any():
             fin = idx[stop]
@@ -668,13 +660,13 @@ def _isolate(fn, *args):
         return exc
 
 
-def _solve(jobs, early: _EarlyStop | None) -> list:
+def _solve(jobs, sample: bool) -> list:
     """The solver's lanes of every (shape, pieces) job, shape being (record
     count, a_iso free) and pieces the job's (count, lanes) pairs: the jobs of
     one shape share one ``_levenberg_marquardt`` pool, the pools taken in
-    order of first appearance, their lanes stopped early by ``early`` (None
-    for point fits). Returns each job's _LaneFit, in order, as views into
-    its pool's arrays."""
+    order of first appearance, with the early stop of Monte Carlo samples
+    if ``sample`` (point fits have none). Returns each job's _LaneFit, in
+    order, as views into its pool's arrays."""
     jobs = list(jobs)
     pools: dict = {}
     for k, (shape, _) in enumerate(jobs):
@@ -682,7 +674,7 @@ def _solve(jobs, early: _EarlyStop | None) -> list:
     out = [None] * len(jobs)
     for (_, free_iso), members in pools.items():
         lm = _levenberg_marquardt([p for k in members for p in jobs[k][1]],
-                                  free_iso=free_iso, early=early)
+                                  free_iso=free_iso, sample=sample)
         end = 0
         for k in members:
             start, end = end, end + sum(count for count, _ in jobs[k][1])
@@ -707,7 +699,7 @@ def fit_azimuths(problems, *, phi_step_deg: float = DEFAULT_PHI_STEP_DEG,
            for p in problems]
     live = [k for k, s in enumerate(out) if not isinstance(s, Exception)]
     lms = _solve((((len(problems[k][0]), not out[k].a_iso_fixed),
-                   [(out[k].phi.size, out[k].lanes)]) for k in live), None)
+                   [(out[k].phi.size, out[k].lanes)]) for k in live), False)
     for k, lm in zip(live, lms):
         out[k] = _isolate(_finish, out[k], lm)
     return out

@@ -13,8 +13,8 @@ The per-sample fit is the point fit's box-bounded Levenberg-Marquardt solver
 samples at large residuals converge), warm-started at the unperturbed optimum
 on the same lane-wise xi kernel (``dynamics.xi_kernel``), with every
 sample's perturbed fields as its own lane, and stopped at the precision the
-reports can show (``localize._SAMPLE``). The samples of all nuclei of a
-``propagate_many`` call that share a kernel shape (record count, and
+reports can show (``localize._sample_stops``). The samples of all nuclei of
+a ``propagate_many`` call that share a kernel shape (record count, and
 whether a_iso is free) are solved in one lane pool (``localize._solve``),
 which admits them in order as earlier lanes stop. Basin hops to mirror
 minima are deliberately not sampled, since degenerate minima are reported
@@ -26,7 +26,7 @@ fit, and samples that end on its edge are counted in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,8 +36,7 @@ from .dipole import invert_dipole, invert_many
 from .dynamics import xi_kernel
 from .errors import ConvergenceError, InconsistentInputError
 from .extract import CouplingEstimate, _extract_arrays
-from .localize import (_LANE_BLOCK, _SAMPLE, AzimuthFit, _isolate, _LaneFit, _solve,
-                       fit_azimuths)
+from .localize import _LANE_BLOCK, AzimuthFit, _isolate, _LaneFit, _solve, fit_azimuths
 
 _TWO_PI = 2.0 * math.pi
 
@@ -94,7 +93,9 @@ class EstimateResult:
     when built by hand). ``ci`` maps parameter name -> confidence level
     (CONFIDENCE_LEVELS) -> (low, high). For phi the interval brackets the
     circular spread around the circular mean and its endpoints may fall
-    outside [0, 2pi) so that low < high always holds.
+    outside [0, 2pi) so that low < high always holds. The result keeps its
+    own read-only copy of ``scatter``; ``_estimate`` alone passes ``_adopt``
+    to hand over a read-only array that nothing else holds, without a copy.
     """
 
     point: PointEstimate
@@ -105,15 +106,15 @@ class EstimateResult:
     fit: AzimuthFit | None = None
     solver: SolverStats | None = None
     coupling_sigma: tuple[float, float] | None = None
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt):
         s = np.asarray(self.scatter, dtype=float)
         if s.ndim != 2 or s.shape[1] != 4:
             raise ValueError("scatter must have shape (n, 4)")
         if s.shape[0] != self.n_samples - self.n_failed:
             raise ValueError("scatter length must equal n_samples - n_failed")
-        # an array that owns its data read-only is kept; any other is copied
-        if s.flags.writeable or s.base is not None:
+        if not _adopt:
             s = s.copy()
             s.setflags(write=False)
         object.__setattr__(self, "scatter", s)
@@ -308,7 +309,8 @@ def _estimate(nuc: _Nucleus, n: int, constants) -> EstimateResult:
                     for k, lv in enumerate(CONFIDENCE_LEVELS)}
     return EstimateResult(point=nuc.point, ci=ci, scatter=scatter,
                           n_samples=n, n_failed=n_failed, fit=nuc.fit,
-                          solver=solver, coupling_sigma=coupling_sigma)
+                          solver=solver, coupling_sigma=coupling_sigma,
+                          _adopt=True)
 
 
 def propagate_many(problems, mc: McConfig,
@@ -349,7 +351,7 @@ def propagate_many(problems, mc: McConfig,
     # ``_estimate`` releases them
     for nuc, lanes in zip(live, _solve(
             (((len(nuc.records), nuc.fix_a_iso is None),
-              [piece(nuc, *chunk) for chunk in chunks]) for nuc in live), _SAMPLE)):
+              [piece(nuc, *chunk) for chunk in chunks]) for nuc in live), True)):
         nuc.lanes = lanes
     return [nuc.error or _isolate(_estimate, nuc, n, constants)
             for nuc in nuclei]

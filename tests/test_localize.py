@@ -288,13 +288,15 @@ def _polish(records, coupling, a_iso_step):
     scan = localize._scan(records, coupling, None, localize.DEFAULT_PHI_STEP_DEG,
                           a_iso_step, DEFAULT_CONSTANTS)
     (lm,) = localize._solve([((len(records), True),
-                              [(scan.phi.size, scan.lanes)])], None)
+                              [(scan.phi.size, scan.lanes)])], False)
     return localize._finish(scan, lm), lm
 
 
 @settings(max_examples=40, deadline=None)
 @example(r=6.0, theta_deg=84.875, phi=0.0, a_iso=0.0,
          noise=(0.0, 0.0, 0.0))  # best phi -1e-17 rad
+@example(r=10.0546875, theta_deg=5.7734375, phi=0.0, a_iso=20.0,
+         noise=(6.0, 1.0, 270.0))  # an extra minimum on a capped lane at 10 kHz
 @given(r=st.floats(6.0, 15.0),
        theta_deg=st.one_of(st.floats(5.0, 85.0), st.floats(5.0, 6.0),
                            st.floats(54.2, 55.2), st.floats(84.0, 85.0)),
@@ -305,17 +307,20 @@ def test_joint_grid_step_finds_the_fine_grid_minima(r, theta_deg, phi, a_iso,
                                                     noise):
     # the default a_iso step of the joint grid only seeds the polish: over the
     # criterion-5 ranges, near the axis, the magic angle and the equator
-    # included, it must find the best minimum that a 2.5 kHz grid finds, and
-    # on noise-free records every minimum it finds, none of them at a lane
-    # stopped by the iteration cap. (With noise, about one geometry in 400
-    # has a reported minimum that a capped lane ends on, at 0.5, 2.5 and
-    # 10 kHz steps alike.)
+    # included, it must find the best minimum and the near-degenerate
+    # minima (the report's degenerate_minima) that a 2.5 kHz grid finds.
+    # A minimum that a lane stopped by the iteration cap ends on is not
+    # compared: with noise, about one geometry in 400 reports one, at 0.5,
+    # 2.5 and 10 kHz steps alike, and a coarser step can seed such a lane
+    # where a finer one does not (r 10.05 A, theta 5.77 deg: with 5000
+    # iterations it joins a minimum both steps find). On noise-free records
+    # no reported minimum may end on a capped lane.
     pos = SphericalPosition(r * ANGSTROM, math.radians(theta_deg), phi)
     recs = [dataclasses.replace(rec, fp_m1=rec.fp_m1 + dn) for rec, dn in
             zip(_records(pos, a_iso, _COILS), noise)]
     coupling = _coupling(pos, a_iso)
     fit, lm = _polish(recs, coupling, localize.DEFAULT_A_ISO_STEP)
-    fine, _ = _polish(recs, coupling, 2.5e3)
+    fine, lm_fine = _polish(recs, coupling, 2.5e3)
 
     def same(got, want):
         dphi = abs((got.phi - want.phi + math.pi) % (2.0 * math.pi) - math.pi)
@@ -323,16 +328,23 @@ def test_joint_grid_step_finds_the_fine_grid_minima(r, theta_deg, phi, a_iso,
         assert abs(got.a_iso - want.a_iso) < 1.0
         assert got.residual == pytest.approx(want.residual, rel=1e-9, abs=1e-6)
 
+    def settled(fit, lm):
+        out = []
+        for m in fit.minima:
+            lane = ((np.abs((lm.phi - m.phi + math.pi) % (2.0 * math.pi) - math.pi)
+                     < 1e-12) & (lm.a_iso == m.a_iso))
+            assert lane.any()
+            if np.any(lm.iterations[lane] < localize._LM_MAX_ITER):
+                out.append(m)
+        return out
+
     same(fit, fine)
-    if any(noise):
-        return
-    assert len(fit.minima) == len(fine.minima)
-    for got, want in zip(fit.minima, fine.minima):
-        same(got, want)
-    for m in fit.minima:
-        lane = ((np.abs((lm.phi - m.phi + math.pi) % (2.0 * math.pi) - math.pi) < 1e-12)
-                & (lm.a_iso == m.a_iso))
-        assert lane.any() and np.all(lm.iterations[lane] < localize._LM_MAX_ITER)
+    got, want = settled(fit, lm), settled(fine, lm_fine)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        same(g, w)
+    if not any(noise):
+        assert len(got) == len(fit.minima)
 
 
 @pytest.mark.parametrize("lane_phi", [-1e-17, -0.0, 2.0 * math.pi, 4.0 * math.pi])

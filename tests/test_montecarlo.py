@@ -92,22 +92,23 @@ def test_result_scatter_shape_validation():
 
 
 def test_hand_built_result_owns_a_frozen_copy():
-    # a caller's writable array is copied and frozen; an array that owns its
-    # data read-only, as _estimate builds it, is kept without a copy
+    # every caller's array is copied and frozen, read-only ones too (an
+    # array that owns its data can be made writable again); only
+    # _estimate's, handed over with _adopt, is kept without a copy
     pt = PointEstimate(1.0, 0.0, 8e-10, 1.0)
-    scatter = np.zeros((3, 4))
-    result = EstimateResult(point=pt, ci={}, scatter=scatter, n_samples=3,
-                            n_failed=0)
-    scatter[0, 0] = 1.0
-    assert result.scatter[0, 0] == 0.0
-    assert not result.scatter.flags.writeable
-    view = result.scatter[:2]
-    assert EstimateResult(point=pt, ci={}, scatter=view, n_samples=2,
-                          n_failed=0).scatter is not view
+    for writable in (True, False):
+        scatter = np.zeros((3, 4))
+        scatter.setflags(write=writable)
+        result = EstimateResult(point=pt, ci={}, scatter=scatter, n_samples=3,
+                                n_failed=0)
+        scatter.setflags(write=True)
+        scatter[0, 0] = 1.0
+        assert result.scatter[0, 0] == 0.0
+        assert not result.scatter.flags.writeable
     frozen = np.zeros((3, 4))
     frozen.setflags(write=False)
     assert EstimateResult(point=pt, ci={}, scatter=frozen, n_samples=3,
-                          n_failed=0).scatter is frozen
+                          n_failed=0, _adopt=True).scatter is frozen
 
 
 @settings(max_examples=30, deadline=None)
@@ -261,20 +262,21 @@ def test_pool_lanes_equal_one_nucleus_whole_block_solves(nuclei, lane_block,
        seed=st.integers(0, 2 ** 32))
 def test_sample_lanes_end_near_their_tight_solve(r, theta, phi, a_iso, n_coils,
                                                  noise, fixed, seed):
-    # samples stop at report precision (localize._SAMPLE): each lane must end
-    # within 1e-6 rad and 0.01 Hz of the same lane solved to the point fit's
-    # tolerances, and no lane may end unconverged or on a bound where that
-    # solve does not. Two records with a_iso free fit two parameters to two
-    # numbers: some of their lanes end where the cost is flat to rounding
-    # over more than 0.01 Hz of a_iso, where any two solves may differ by
-    # more than the bound.
+    # samples stop at report precision (localize._sample_stops): each lane
+    # must end within 1e-6 rad and 0.01 Hz of the same lane solved to the
+    # point fit's tolerances, and no lane may end unconverged or on a bound
+    # where that solve does not. Two records with a_iso free fit two
+    # parameters to two numbers: some of their lanes end where the cost is
+    # flat to rounding over more than 0.01 Hz of a_iso, where any two solves
+    # may differ by more than the bound.
     assume(fixed or n_coils == 3)
     records, coupling = _build(noise, _COILS[:n_coils],
                                SphericalPosition(r * ANGSTROM, theta, phi), a_iso)
     problem = (records, coupling, a_iso if fixed else None)
     mc = McConfig(n_samples=300, seed=seed)
     loose = _pool_lanes([problem], mc, 128)
-    with mock.patch.object(montecarlo, "_SAMPLE", None):
+    with mock.patch.object(montecarlo, "_solve",
+                           lambda jobs, sample: localize._solve(jobs, False)):
         tight = _pool_lanes([problem], mc, 128)
     key = id(coupling)
     assert (key in loose) == (key in tight)

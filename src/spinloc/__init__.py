@@ -17,8 +17,7 @@ from .errors import (SpinlocError, FrameError, DomainError,
 from .core import (PhysicalConstants, DEFAULT_CONSTANTS, GAMMA_N_BAND,
                    Frame, FrameRegistry, default_registry, DEFAULT_REGISTRY,
                    LAB_FRAME_NAME, SENSOR_FRAME_NAME, COIL_FIELD, BIAS_FIELD,
-                   Vector3, rotate, rotation_between, frame_from_axis,
-                   load_config, save_config)
+                   Vector3, rotation_between, frame_from_axis, load_config)
 from .dipole import (SphericalPosition, HyperfineModel, dipolar_strength,
                      dipole_tensor, secular_couplings, invert_dipole,
                      invert_many, DftRow, ResidualEntry, ResidualBin,

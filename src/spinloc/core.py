@@ -227,26 +227,8 @@ def rotation_between(frame_from: Frame, frame_to: Frame) -> np.ndarray:
     return frame_to.rotation_to_lab.T @ frame_from.rotation_to_lab
 
 
-def rotate(v: Vector3, to: str, registry: FrameRegistry | None = None) -> Vector3:
-    """Re-express ``v`` in the frame named ``to``. Norm-preserving."""
-    reg = registry if registry is not None else DEFAULT_REGISTRY
-    if v.frame == to:
-        return v
-    R = rotation_between(reg.get(v.frame), reg.get(to))
-    return Vector3(R @ v.components, to)
-
-
 # ---------------------------------------------------------------------------
-# Configuration serialization (YAML; the sections are those load_config reads)
-
-def registry_to_mapping(reg: FrameRegistry) -> dict:
-    out = {}
-    for name in reg.names():
-        if name == LAB_FRAME_NAME:
-            continue
-        out[name] = {"rotation_to_lab": reg.get(name).rotation_to_lab.tolist()}
-    return out
-
+# Configuration reading (YAML)
 
 def registry_from_mapping(mapping: dict | None) -> FrameRegistry:
     """Build a registry from a config mapping; missing entries fall back to the
@@ -312,15 +294,3 @@ def load_config(path) -> tuple[PhysicalConstants, FrameRegistry, dict]:
     except (TypeError, AttributeError) as exc:
         raise ParseError(path, 1, f"malformed config: {exc}") from None
     return constants, registry, raw
-
-
-def save_config(path, constants: PhysicalConstants, registry: FrameRegistry | None = None,
-                extra: dict | None = None):
-    import yaml  # deferred: slow to import
-
-    doc = dict(extra or {})
-    doc["constants"] = {"gamma_n": constants.gamma_n}
-    if registry is not None:
-        doc["frames"] = registry_to_mapping(registry)
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=True)

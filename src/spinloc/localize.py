@@ -345,8 +345,10 @@ def _lm_step(lanes, free_iso: bool):
     pin_iso = np.where(h > 0.0, iso <= box[2], iso >= box[3])
     step_phi = np.where(pin_phi, 0.0, np.where(
         pin_iso, -g / d1, (b_s * h - d2 * g) / det))
+    # a_iso fixed: no a_iso step, not even inf * 0 on a lane whose phi pivot
+    # is not positive
     step_iso = np.where(pin_iso, 0.0, np.where(
-        pin_phi, -h / d2, (b_s * g - d1 * h) / det))
+        pin_phi, -h / d2, (b_s * g - d1 * h) / det)) if free_iso else 0.0
     return ((np.clip(phi + mult * step_phi, box[0], box[1]),
              np.clip(iso + mult * step_iso, box[2], box[3]), g, h, a_s, b_s, c_s),
             (pin_phi, pin_iso))

@@ -10,16 +10,22 @@ the samples are partitioned into chunks and admissions.
 
 The per-sample fit is the point fit's box-bounded Levenberg-Marquardt solver
 (``localize._levenberg_marquardt``, whose NL2SOL secant curvature term lets
-samples at large residuals converge), warm-started at the unperturbed optimum
-on the same lane-wise xi kernel (``dynamics.xi_kernel``), with every
-sample's perturbed fields as its own lane, and stopped at the precision the
-reports can show (``localize._sample_stops``). The samples of all nuclei of
-a ``propagate_many`` call that share a kernel shape (record count, and
-whether a_iso is free) are solved in one lane pool (``localize._solve``),
-which admits them in order as earlier lanes stop. Basin hops to mirror
-minima are deliberately not sampled, since degenerate minima are reported
-separately by the fit itself: the box keeps each sample near the point
-fit, and samples that end on its edge are counted in
+samples at large residuals converge) on the same lane-wise xi kernel
+(``dynamics.xi_kernel``), with every sample's perturbed fields as its own
+lane, and stopped at the precision the reports can show
+(``localize._sample_stops``). Each sample starts at its linear start: the
+unperturbed optimum plus the first-order change that the solver's first
+step would make for its draws, from one sensitivity matrix per nucleus
+(``_slopes``; the linear approximation of nonlinear regression, Bates and
+Watts, Nonlinear Regression Analysis and Its Applications, 1988, ch. 2).
+Where a sample's cost has two minima inside its box, that start can end it
+in the other one than a start at the optimum would. The samples of all
+nuclei of a ``propagate_many`` call that share a kernel shape (record
+count, and whether a_iso is free) are solved in one lane pool
+(``localize._solve``), which admits them in order as earlier lanes stop.
+Basin hops to mirror minima are deliberately not sampled, since degenerate
+minima are reported separately by the fit itself: the box keeps each sample
+near the point fit, and samples that end on its edge are counted in
 ``SolverStats.at_bound``.
 """
 
@@ -33,10 +39,11 @@ import numpy as np
 
 from .core import DEFAULT_CONSTANTS, PhysicalConstants
 from .dipole import invert_dipole, invert_many
-from .dynamics import xi_kernel
+from .dynamics import XiKernel, xi_kernel
 from .errors import ConvergenceError, InconsistentInputError
 from .extract import CouplingEstimate, _extract_arrays
-from .localize import _LANE_BLOCK, AzimuthFit, _isolate, _LaneFit, _solve, fit_azimuths
+from .localize import (_LANE_BLOCK, _LM_LAMBDA0, AzimuthFit, _dot, _isolate, _LaneFit,
+                       _over, _solve, fit_azimuths)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -184,6 +191,9 @@ class _Nucleus:
     a_perp: np.ndarray | None = None
     extracted: np.ndarray | None = None
     lanes: _LaneFit | None = None
+    # the sensitivity of the samples' first solver step to their draws
+    # (``_slopes``)
+    slope: np.ndarray | None = None
 
 
 def _check_inputs(nuc: _Nucleus):
@@ -198,27 +208,17 @@ def _set_point(nuc: _Nucleus, fit: AzimuthFit, constants):
     nuc.point = PointEstimate(fit.phi, fit.a_iso, pos.r, pos.theta)
 
 
-def _sample_lanes(nuc: _Nucleus, lo: int, hi: int, seed: int, constants):
-    """The solver lanes of samples lo..hi-1 of a nucleus, in the form
-    ``localize._levenberg_marquardt`` takes them: each sample's perturbed
-    fields and splittings in a kernel lane, started at the point fit in its
-    search box. The couplings each sample extracts from its drawn lines go
-    to the nucleus's per-sample arrays. Samples are admitted in order, so
-    once samples 0..hi-1 hold more extraction failures than the gate of
-    ``_estimate`` allows, the nucleus fails whatever its lanes give: they
-    start at NaN and leave the pool at their first kernel evaluation."""
+def _lanes(nuc: _Nucleus, draws: np.ndarray, constants):
+    """The xi kernel of a nucleus's inputs moved by ``draws``, one row of
+    3 + 8 x records normals per lane in the draw order of ``propagate``, and
+    the couplings (a_par, a_perp, extracted) that each row's lines
+    extract."""
     records, inputs = nuc.records, nuc.coupling.inputs
-    draws = _draws(np.arange(lo, hi), seed, 3 + 8 * len(records))
     a_par, a_perp, extracted = _extract_arrays(
         inputs.f0 + inputs.sigma_f0 * draws[:, 0],
         inputs.f_m1 + inputs.sigma_f_m1 * draws[:, 1],
         inputs.f_rabi + inputs.sigma_f_rabi * draws[:, 2],
         inputs.tau, nuc.coupling.method)
-    nuc.a_par[lo:hi], nuc.a_perp[lo:hi], nuc.extracted[lo:hi] = (
-        a_par, a_perp, extracted)
-    hopeless = (hi - np.count_nonzero(nuc.extracted[:hi])
-                > MAX_EXTRACTION_FAILURE_FRACTION * nuc.extracted.size)
-
     # per record: the splitting fp_m1 - fp0, then B0 and dB, all perturbed
     kernel = xi_kernel((
         (rec.fp_m1 + rec.sigma_fp_m1 * draws[:, k + 1]
@@ -227,13 +227,113 @@ def _sample_lanes(nuc: _Nucleus, lo: int, hi: int, seed: int, constants):
          rec.dB.components[:, None] + rec.sigma_dB[:, None] * draws[:, k + 5:k + 8].T)
         for k, rec in zip(range(3, 3 + 8 * len(records), 8), records)),
         a_par, a_perp, constants)
+    return kernel, a_par, a_perp, extracted
+
+
+# Central-difference step of the input sensitivities, in sigma units. A
+# central difference of xi misses h^2 xi''' / 6 and carries a rounding
+# error of about eps |f| / h, f ~ 4e5 Hz being the precession frequencies
+# whose difference xi is. On 60 random geometries over the test ranges, S
+# at h = 0.1 and 0.01 differed from S at 1e-3 by up to 1.4e-7 and 1.3e-9 of
+# its largest entry (the h^2 term, about 1.4e-5 h^2), and at h = 1e-4, 1e-5
+# and 1e-6 by up to 2.0e-9, 1.9e-8 and 2.8e-7 (the 1/h term, about
+# 2e-13 / h). Their sum is least near h = 2.5e-3; at h = 1e-3 S is good to
+# about 2e-10 of its largest entry, far below the second-order error of the
+# linear start itself, which the solver removes.
+_SENSITIVITY_STEP = 1e-3
+# A nucleus's linear starts are trusted where they spread, at this many
+# standard deviations, no wider than its sample box. Wider spreads mean the
+# first damped step overshoots a cost that is poorly determined over the
+# box, where it would be rejected in the solver, and linear starts there
+# end in another basin than starts at the point fit for up to 16 % of a
+# nucleus's samples (3546 random geometries over the test ranges at 300
+# samples: 15 geometries above 2 %). With the guard no geometry was above
+# 1.3 %.
+_START_SIGMAS = 2.0
+
+
+def _slopes(nuclei, constants):
+    """Set each nucleus's ``slope``: the (2, 3 + 8 x records) sensitivity S
+    of its solver's first damped step from the point fit to its draws. It
+    is None, and the samples start at the point fit, where S is not finite
+    (a damped matrix with no positive pivot counts as infinite) or where
+    _START_SIGMAS standard deviations of a linear start, the norm of S's phi
+    or a_iso row, reach past the half-width of the sample box.
+
+    With J0 the (phi, a_iso) Jacobian of xi at the point fit and D the
+    central differences dxi / d(draws),
+    S = -(J0^T J0 + _LM_LAMBDA0 diag(J0^T J0))^-1 J0^T D, by phi's row alone
+    when a_iso is fixed: the solver's first step, its secant term still
+    zero, linearized at the point fit. Like the Gauss-Newton matrix, it
+    leaves out the terms that the point fit's residual xi0 brings, here
+    (dJ / d(draws))^T xi0, so it is the first step's derivative exactly
+    only where xi0 vanishes. The nuclei of one kernel shape (record count,
+    a_iso free) join their lanes, draws 0 and +-h e_k for every input k, in
+    one kernel call, each at its own point fit; the lanes do not depend on
+    each other."""
+    shapes: dict = {}
+    for nuc in nuclei:
+        shapes.setdefault((len(nuc.records), nuc.fix_a_iso is None), []).append(nuc)
+    for (n_rec, free), members in shapes.items():
+        n_in = 3 + 8 * n_rec
+        step = _SENSITIVITY_STEP * np.eye(n_in)
+        draws = np.concatenate([np.zeros((1, n_in)), step, -step])
+        m = len(draws)
+        kernel = XiKernel.join((_lanes(nuc, draws, constants)[0], m) for nuc in members)
+        res, *jac = kernel(np.repeat([nuc.point.phi for nuc in members], m),
+                           np.repeat([nuc.point.a_iso for nuc in members], m),
+                           True if free else "phi")
+        for k, nuc in enumerate(members):
+            plus = slice(k * m + 1, k * m + 1 + n_in)
+            minus = slice(k * m + 1 + n_in, (k + 1) * m)
+            d = (res[:, plus] - res[:, minus]) / (2.0 * _SENSITIVITY_STEP)
+            j0 = [j[:, k * m, None] for j in jac]
+            g = [_dot(j, d) for j in j0]
+            d1 = _dot(j0[0], j0[0]) * (1.0 + _LM_LAMBDA0)
+            if free:
+                b = _dot(j0[0], j0[1])
+                d2 = _dot(j0[1], j0[1]) * (1.0 + _LM_LAMBDA0)
+                det = d1 * d2 - b * b
+                slope = np.stack([_over(b * g[1] - d2 * g[0], det),
+                                  _over(b * g[0] - d1 * g[1], det)])
+            else:
+                slope = np.stack([_over(-g[0], d1), np.zeros(n_in)])
+            spread = np.sqrt((slope * slope).sum(axis=1))
+            half = (_PHI_BOX_FREE if free else _PHI_BOX, _ISO_BOX)
+            nuc.slope = (slope if np.isfinite(slope).all()
+                         and (_START_SIGMAS * spread <= half).all() else None)
+
+
+def _sample_lanes(nuc: _Nucleus, lo: int, hi: int, seed: int, constants):
+    """The solver lanes of samples lo..hi-1 of a nucleus, in the form
+    ``localize._levenberg_marquardt`` takes them: each sample's perturbed
+    fields and splittings in a kernel lane, started at its linear start,
+    the point fit plus ``nuc.slope`` times its draws (the point fit itself
+    where the nucleus has no slope), clipped into its search box. The
+    couplings each sample extracts from its drawn lines go to the nucleus's
+    per-sample arrays. Samples are admitted in order, so once samples
+    0..hi-1 hold more extraction failures than the gate of ``_estimate``
+    allows, the nucleus fails whatever its lanes give: they start at NaN and
+    leave the pool at their first kernel evaluation."""
+    draws = _draws(np.arange(lo, hi), seed, 3 + 8 * len(nuc.records))
+    kernel, *per_sample = _lanes(nuc, draws, constants)
+    nuc.a_par[lo:hi], nuc.a_perp[lo:hi], nuc.extracted[lo:hi] = per_sample
+    hopeless = (hi - np.count_nonzero(nuc.extracted[:hi])
+                > MAX_EXTRACTION_FAILURE_FRACTION * nuc.extracted.size)
 
     point, free = nuc.point, nuc.fix_a_iso is None
-    phi_box = _PHI_BOX_FREE if free else _PHI_BOX
-    return (kernel, np.full(hi - lo, math.nan if hopeless else point.phi),
-            np.full(hi - lo, point.a_iso if free else float(nuc.fix_a_iso)),
-            (point.phi - phi_box, point.phi + phi_box),
-            (point.a_iso - _ISO_BOX, point.a_iso + _ISO_BOX))
+    half = _PHI_BOX_FREE if free else _PHI_BOX
+    phi_box = (point.phi - half, point.phi + half)
+    iso_box = (point.a_iso - _ISO_BOX, point.a_iso + _ISO_BOX)
+    phi = np.full(hi - lo, math.nan if hopeless else point.phi)
+    iso = np.full(hi - lo, point.a_iso if free else float(nuc.fix_a_iso))
+    if nuc.slope is not None and not hopeless:
+        # each lane sums over its own row of draws, never with a BLAS
+        # product, so that its start does not depend on the lane block
+        phi = np.clip(phi + _dot(nuc.slope[0][:, None], draws.T), *phi_box)
+        if free:
+            iso = np.clip(iso + _dot(nuc.slope[1][:, None], draws.T), *iso_box)
+    return kernel, phi, iso, phi_box, iso_box
 
 
 def _quantiles(values: np.ndarray, probs) -> np.ndarray:
@@ -319,7 +419,8 @@ def propagate_many(problems, mc: McConfig,
 
     Returns one entry per problem, in order: its EstimateResult, or the
     SpinlocError or ValueError that ended it. The passes run over all
-    problems at once: the point fits (``localize.fit_azimuths``), then the
+    problems at once: the point fits (``localize.fit_azimuths``), then one
+    sensitivity kernel call per kernel shape (``_slopes``), then the
     samples, each nucleus's in its mc.parallel_chunks chunks one after
     another (``localize._solve``: one lane pool per kernel shape, record
     count and whether a_iso is free), then each problem's gates and
@@ -336,6 +437,7 @@ def propagate_many(problems, mc: McConfig,
         nuc.error = fit if isinstance(fit, Exception) else _isolate(
             _set_point, nuc, fit, constants)
     live = [nuc for nuc in live if nuc.error is None]
+    _slopes(live, constants)
     n = mc.n_samples
     chunks = [(int(c[0]), int(c[-1]) + 1)
               for c in np.array_split(np.arange(n), mc.parallel_chunks) if c.size]
@@ -371,9 +473,10 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
     MAX_EXTRACTION_FAILURE_FRACTION of the samples failing the extraction
     raises InconsistentInputError; samples that fail extraction, inversion
     or the fit are dropped and counted, and more than MAX_FAILURE_FRACTION
-    of them aborts. The point fit on the unperturbed inputs warm-starts
-    every sample and is returned as ``result.fit``, so callers need not fit
-    again. The one-problem case of ``propagate_many``.
+    of them aborts. Every sample starts at the point fit on the unperturbed
+    inputs moved by the first-order change its draws make in the solver's
+    first step; the point fit is returned as ``result.fit``, so callers need
+    not fit again. The one-problem case of ``propagate_many``.
     """
     (result,) = propagate_many([(records, coupling, fix_a_iso)], mc, constants)
     if isinstance(result, Exception):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,9 +16,7 @@ from spinloc import (
     default_registry,
     frame_from_axis,
     load_config,
-    rotate,
     rotation_between,
-    save_config,
 )
 
 
@@ -79,9 +78,10 @@ def test_sensor_axis_direction_in_lab():
 
 
 def test_lab_z_seen_from_sensor_frame():
-    v = rotate(Vector3([0.0, 0.0, 1.0]), "nv0")
+    R = rotation_between(DEFAULT_REGISTRY.get("lab"), DEFAULT_REGISTRY.get("nv0"))
     np.testing.assert_allclose(
-        v.components, [-math.sqrt(2.0 / 3.0), 0.0, math.sqrt(1.0 / 3.0)], atol=1e-12)
+        R @ [0.0, 0.0, 1.0], [-math.sqrt(2.0 / 3.0), 0.0, math.sqrt(1.0 / 3.0)],
+        atol=1e-12)
 
 
 def test_orientation_axes_are_tetrahedral():
@@ -139,17 +139,20 @@ _COMPONENT = st.floats(-1e3, 1e3, allow_nan=False)
 @settings(max_examples=100, deadline=None)
 @given(st.tuples(_COMPONENT, _COMPONENT, _COMPONENT), _FRAMES, _FRAMES)
 def test_rotation_round_trip(comps, f1, f2):
-    v = Vector3(np.array(comps), f1)
-    there = rotate(v, f2)
-    back = rotate(there, f1)
-    np.testing.assert_allclose(back.components, v.components, atol=1e-9)
-    assert there.norm() == pytest.approx(v.norm(), abs=1e-9)
-    assert there.frame == f2
+    v = np.array(comps)
+    there = rotation_between(DEFAULT_REGISTRY.get(f1), DEFAULT_REGISTRY.get(f2)) @ v
+    back = rotation_between(DEFAULT_REGISTRY.get(f2), DEFAULT_REGISTRY.get(f1)) @ there
+    np.testing.assert_allclose(back, v, atol=1e-9)
+    assert np.linalg.norm(there) == pytest.approx(np.linalg.norm(v), abs=1e-9)
 
 
 def test_config_round_trip(tmp_path):
+    # every frame of the default registry written as an explicit matrix
     path = tmp_path / "config.yaml"
-    save_config(path, PhysicalConstants(gamma_n=10.71e6), DEFAULT_REGISTRY)
+    frames = {name: {"rotation_to_lab": DEFAULT_REGISTRY.get(name).rotation_to_lab.tolist()}
+              for name in DEFAULT_REGISTRY.names() if name != "lab"}
+    path.write_text(yaml.safe_dump({"constants": {"gamma_n": 10.71e6}, "frames": frames}),
+                    encoding="utf-8")
     constants, registry, raw = load_config(path)
     assert constants.gamma_n == 10.71e6
     assert registry.names() == DEFAULT_REGISTRY.names()

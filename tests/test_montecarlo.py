@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from spinloc import (
     APPROXIMATE,
+    DEFAULT_CONSTANTS,
     EXACT,
     ConvergenceError,
     CouplingEstimate,
@@ -292,6 +293,107 @@ def test_sample_lanes_end_near_their_tight_solve(r, theta, phi, a_iso, n_coils,
     assert np.all(got.iterations <= want.iterations)
     assert np.all(got.converged[ok] | ~want.converged[ok])
     np.testing.assert_array_equal(got.at_bound, want.at_bound)
+
+
+def _solved_from(problem, mc, linear):
+    """The sample starts (rows phi, a_iso) and solver lanes of one problem,
+    both solved at the point fit's tolerances, from the linear starts or,
+    unless ``linear``, from the point fit; None where the point fit
+    fails."""
+    starts = []
+    sample_lanes = montecarlo._sample_lanes
+
+    def spy(nuc, lo, hi, seed, constants):
+        lanes = sample_lanes(nuc, lo, hi, seed, constants)
+        starts.append(np.stack(lanes[1:3]))
+        return lanes
+
+    slopes = montecarlo._slopes if linear else lambda nuclei, constants: None
+    with (mock.patch.object(montecarlo, "_sample_lanes", spy),
+          mock.patch.object(montecarlo, "_slopes", slopes),
+          mock.patch.object(montecarlo, "_solve",
+                            lambda jobs, sample: localize._solve(jobs, False))):
+        seen = _pool_lanes([problem], mc, 128)
+    if id(problem[1]) not in seen:
+        return None
+    return np.concatenate(starts, axis=1), seen[id(problem[1])][1]
+
+
+@settings(max_examples=15, deadline=None)
+# two records with a_iso free, whose point fit has a nearly singular
+# Jacobian (normalized determinant 1.4e-8): the damped step keeps every
+# start finite
+@example(r=7.574518519012633, theta=0.9867213413140664, phi=1.1952229274592552,
+         a_iso=-5063.448037564884, n_coils=2, noise=0.6755775220736009,
+         fixed=False, seed=0)
+# a_iso fixed, with samples that do not extract: the solver's step of their
+# NaN lanes must raise no RuntimeWarning
+@example(r=14.0, theta=0.125, phi=0.0, a_iso=0.0, n_coils=2, noise=2.0,
+         fixed=True, seed=1)
+@given(r=st.floats(6.0, 14.0), theta=st.floats(0.1, 1.45),
+       phi=st.floats(0.0, 2.0 * math.pi), a_iso=st.floats(-2e4, 2e4),
+       n_coils=st.integers(2, 3), noise=st.floats(0.5, 3.0), fixed=st.booleans(),
+       seed=st.integers(0, 2 ** 32))
+def test_linear_starts_end_in_the_minima_of_point_starts(r, theta, phi, a_iso,
+                                                         n_coils, noise, fixed,
+                                                         seed):
+    # every sample solved at the point fit's tolerances from its linear start
+    # and from the point fit: lanes that end in the same minimum (within
+    # 1e-3 rad, and 1 Hz of a_iso, both converged) agree within 1e-6 rad and
+    # 0.1 Hz, and at most 2 % of the lanes end in another minimum, where the
+    # cost has two inside the box. Two records with a_iso free are exempt
+    # from the comparison, as in the test above: their cost can be flat to
+    # rounding over more than the bound.
+    records, coupling = _build(noise, _COILS[:n_coils],
+                               SphericalPosition(r * ANGSTROM, theta, phi), a_iso)
+    problem = (records, coupling, a_iso if fixed else None)
+    mc = McConfig(n_samples=300, seed=seed)
+    linear, point = (_solved_from(problem, mc, lin) for lin in (True, False))
+    assert (linear is None) == (point is None)
+    if linear is None:
+        return
+    (starts, got), (point_starts, want) = linear, point
+    # only the lanes of a nucleus past its extraction gate start at NaN
+    np.testing.assert_array_equal(np.isfinite(starts), np.isfinite(point_starts))
+    if not (fixed or n_coils == 3):
+        return
+    ok = (np.isfinite(got.cost) & np.isfinite(want.cost)
+          & got.converged & want.converged)
+    dphi = np.abs(got.phi - want.phi)[ok]
+    diso = np.abs(got.a_iso - want.a_iso)[ok]
+    same = (dphi <= 1e-3) & (diso <= 1.0)
+    assert np.all(dphi[same] <= 1e-6)
+    assert np.all(diso[same] <= 0.1)
+    assert np.count_nonzero(~same) <= 0.02 * np.count_nonzero(ok)
+
+
+def test_linear_start_is_the_first_damped_step_to_second_order():
+    # at a point fit of zero residual, S . draws is the derivative of each
+    # sample's first damped step from the point fit: shrinking every sigma
+    # 100-fold shrinks the relative gap between the two about 100-fold
+    def gaps(noise):
+        records, coupling = _build(noise)
+        fit = fit_azimuth(records, coupling)
+        # each coil-on line moved onto the model at the point fit
+        records = [dataclasses.replace(rec, fp_m1=rec.fp_m1 - xi)
+                   for rec, xi in zip(records, fit.per_record_xi)]
+        nuc = montecarlo._Nucleus(records, coupling, None)
+        montecarlo._set_point(nuc, fit_azimuth(records, coupling), DEFAULT_CONSTANTS)
+        montecarlo._slopes([nuc], DEFAULT_CONSTANTS)
+        draws = montecarlo._draws(np.arange(300), 3, 3 + 8 * len(records))
+        kernel = montecarlo._lanes(nuc, draws, DEFAULT_CONSTANTS)[0]
+        m = len(draws)
+        phi, iso = np.full(m, nuc.point.phi), np.full(m, nuc.point.a_iso)
+        res, *jac = kernel(phi, iso)
+        wide = np.full(m, np.inf)
+        lanes = (phi, iso, localize._dot(res, res), np.full(m, localize._LM_LAMBDA0),
+                 np.ones(m), np.zeros((3, m)), -wide, wide, -wide, wide, res, *jac)
+        (phi_t, iso_t, *_), _ = localize._lm_step(lanes, True)
+        return [np.linalg.norm(row @ draws.T - step) / np.linalg.norm(step)
+                for row, step in zip(nuc.slope, (phi_t - phi, iso_t - iso))]
+
+    for coarse, fine in zip(gaps(1.0), gaps(0.01)):
+        assert 0.0 < fine * 50.0 <= coarse
 
 
 def test_draws_match_fresh_keyed_generators():

@@ -22,10 +22,9 @@ from .dipole import (SphericalPosition, HyperfineModel, dipolar_strength,
                      dipole_tensor, secular_couplings, invert_dipole,
                      invert_many, DftRow, ResidualEntry, ResidualBin,
                      ResidualMap, dft_residual_map, MIN_RADIUS)
-from .dynamics import (LOW_FIELD, GENERAL_FIELD, EnhancementTensor,
-                       enhancement, enhancement_factor, precession_frequency,
-                       xi_kernel, OdmrLinePair, hamiltonian, transition_frequencies,
-                       odmr_lines)
+from .dynamics import (LOW_FIELD, GENERAL_FIELD, enhancement_factor,
+                       precession_frequency, xi_kernel, OdmrLinePair, hamiltonian,
+                       transition_frequencies, odmr_lines)
 from .extract import (EXACT, APPROXIMATE, CouplingInputs, CouplingEstimate,
                       nominal_tau, extract_couplings, rabi_frequency)
 from .localize import (MeasurementRecord, Minimum, AzimuthFit, xi, sum_sq_xi,

@@ -323,6 +323,14 @@ def simulate_measurements(truth, constants=DEFAULT_CONSTANTS
     rng = np.random.Generator(np.random.Philox(key=truth.seed))
     noise = truth.noise
     zero = Vector3(np.zeros(3), frame)
+
+    def lines(f_lo, f_hi, sigma):
+        """A measured line pair and its sigma, lower line drawn first."""
+        if truth.from_traces:
+            return _lines_from_trace(f_lo, f_hi, sigma, rng)
+        return (f_lo + rng.standard_normal() * sigma,
+                f_hi + rng.standard_normal() * sigma, sigma)
+
     out: dict[str, NucleusMeasurements] = {}
     for nuc in truth.nuclei:
         hf = dipole_tensor(SphericalPosition(nuc.r, nuc.theta, nuc.phi),
@@ -332,14 +340,8 @@ def simulate_measurements(truth, constants=DEFAULT_CONSTANTS
         f_m1 = precession_frequency(B0, zero, hf, -1, constants=constants)
         tau = truth.tau if truth.tau is not None else nominal_tau(f0, f_m1)
         f_rabi = rabi_frequency(f0, hf.a_par, hf.a_perp, tau)
-        if truth.from_traces:
-            f0_m, f_m1_m, s_f = _lines_from_trace(f0, f_m1, noise.sigma_f, rng)
-            f_rabi_m = f_rabi + rng.standard_normal() * noise.sigma_f_rabi
-        else:
-            f0_m = f0 + rng.standard_normal() * noise.sigma_f
-            f_m1_m = f_m1 + rng.standard_normal() * noise.sigma_f
-            f_rabi_m = f_rabi + rng.standard_normal() * noise.sigma_f_rabi
-            s_f = noise.sigma_f
+        f0_m, f_m1_m, s_f = lines(f0, f_m1, noise.sigma_f)
+        f_rabi_m = f_rabi + rng.standard_normal() * noise.sigma_f_rabi
         inputs = CouplingInputs(
             f0=f0_m, f_m1=f_m1_m, f_rabi=f_rabi_m, tau=tau,
             sigma_f0=s_f, sigma_f_m1=s_f, sigma_f_rabi=noise.sigma_f_rabi)
@@ -348,13 +350,7 @@ def simulate_measurements(truth, constants=DEFAULT_CONSTANTS
         for cfg in truth.fields:
             fp0 = precession_frequency(cfg.B0, cfg.dB, hf, 0, constants=constants)
             fp_m1 = precession_frequency(cfg.B0, cfg.dB, hf, -1, constants=constants)
-            if truth.from_traces:
-                fp0_m, fp_m1_m, s_fp = _lines_from_trace(fp0, fp_m1,
-                                                         noise.sigma_fp, rng)
-            else:
-                fp0_m = fp0 + rng.standard_normal() * noise.sigma_fp
-                fp_m1_m = fp_m1 + rng.standard_normal() * noise.sigma_fp
-                s_fp = noise.sigma_fp
+            fp0_m, fp_m1_m, s_fp = lines(fp0, fp_m1, noise.sigma_fp)
             B0_m = cfg.B0.components + rng.standard_normal(3) * noise.sigma_B
             dB_m = cfg.dB.components + rng.standard_normal(3) * noise.sigma_B
             records.append(MeasurementRecord(

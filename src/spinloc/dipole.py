@@ -99,10 +99,6 @@ class HyperfineModel:
     def a_perp(self) -> float:
         return float(math.hypot(self.tensor[0, 2], self.tensor[1, 2]))
 
-    @classmethod
-    def zero(cls) -> "HyperfineModel":
-        return cls(np.zeros((3, 3)))
-
 
 def dipolar_strength(r: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """b(r) = C / r^3 in Hz for r in metres."""

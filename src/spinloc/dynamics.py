@@ -38,28 +38,6 @@ def _check_variant(variant: str):
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
 
-@dataclass(frozen=True)
-class EnhancementTensor:
-    """Dimensionless matrix amplifying the nuclear response to transverse
-    fields; acts on field vectors in the sensor frame. Third row is zero:
-    the axial response is not enhanced."""
-
-    matrix: np.ndarray
-    variant: str
-    m_S: int
-
-    def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
-        if M.shape != (3, 3):
-            raise ValueError(f"matrix must be 3x3, got {M.shape}")
-        if np.abs(M[2]).max() != 0.0:
-            raise ValueError("third row of the enhancement matrix must be zero")
-        _check_variant(self.variant)
-        M = M.copy()
-        M.setflags(write=False)
-        object.__setattr__(self, "matrix", M)
-
-
 def _prefactor(m_S: int, B0z, variant: str, constants: PhysicalConstants):
     """k(m_S) of ``enhancement_factor`` for a float or an array of axial
     fields; NaN where the general form is resonant (gamma_e*B0z = D)."""
@@ -93,17 +71,6 @@ def enhancement_factor(m_S: int, B0z: float = 0.0, variant: str = GENERAL_FIELD,
     return k
 
 
-def enhancement(hf: HyperfineModel, m_S: int, B0z: float = 0.0,
-                variant: str = GENERAL_FIELD,
-                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> EnhancementTensor:
-    """Enhancement matrix alpha(m_S) = k(m_S) * M for the given hyperfine
-    tensor, with M its top two rows (couplings in Hz, so k carries 1/Hz)."""
-    k = enhancement_factor(m_S, B0z, variant, constants)
-    M = np.array(hf.tensor, dtype=float)
-    M[2, :] = 0.0
-    return EnhancementTensor(matrix=k * M, variant=variant, m_S=m_S)
-
-
 def precession_frequency(B0: Vector3, dB: Vector3, hf: HyperfineModel, m_S: int,
                          variant: str = GENERAL_FIELD,
                          constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
@@ -118,8 +85,11 @@ def precession_frequency(B0: Vector3, dB: Vector3, hf: HyperfineModel, m_S: int,
         raise DomainError(f"precession model supports m_S in {{0, -1}}, got {m_S!r}")
     if B0.frame != dB.frame:
         raise FrameError(f"B0 frame {B0.frame!r} differs from dB frame {dB.frame!r}")
-    alpha = enhancement(hf, m_S, B0z=float(B0.components[2]), variant=variant,
-                        constants=constants).matrix
+    # alpha = k(m_S) M, M the hyperfine tensor's top two rows (couplings in
+    # Hz, so k carries 1/Hz): the axial response is not enhanced
+    M = np.array(hf.tensor, dtype=float)
+    M[2] = 0.0
+    alpha = enhancement_factor(m_S, float(B0.components[2]), variant, constants) * M
     gn = constants.gamma_n
     vec = (-gn * B0.components
            - gn * (dB.components + alpha @ dB.components)

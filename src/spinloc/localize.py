@@ -75,6 +75,13 @@ DEGENERACY_EPSILON = 0.1  # Hz, squared before use
 # and returns to 1 after any other step, and a step taken with mu > 1
 # leaves the damping as it was.
 #
+# Every step solves one 2x2 system, (a, b; b, c) step = -(g, h), over the
+# coordinates not held on a bound, in ``_newton``: the damped step, the
+# full step of the sample early stop below, and the Monte Carlo's linear
+# starts. Where a pivot the solve needs is not positive the step is
+# infinite, and the lane stays where it is; its next kernel call then finds
+# a zero step, and the lane stops.
+#
 # A lane stops when a step moves phi and a_iso by under _LM_XTOL_*, when an
 # accepted step lowers the cost by under _LM_FTOL relative (a few rounding
 # units: the cost has stopped falling), or after _LM_MAX_ITER iterations.
@@ -117,28 +124,6 @@ def _over(num, den):
     """num / den where den > 0, else inf."""
     return np.divide(num, den, out=np.full(np.broadcast(num, den).shape, np.inf),
                      where=den > 0.0)
-
-
-def _sample_stops(g, h, a_s, b_s, c_s, pin_phi, pin_iso, cost, mult, lam):
-    """The sample lanes that stop when their step is formed, from their
-    gradient / 2 (g, h), the model's Hessian / 2 (a_s, b_s; b_s, c_s), the
-    coordinates held on a bound, cost, step multiplier and damping: where
-    the model has predicted well so far, its full step over the coordinates
-    not held moves phi by at most _LM_SAMPLE_XTOL_PHI and a_iso by at most
-    _LM_SAMPLE_XTOL_ISO and predicts a decrease of at most _LM_RFCTOL of the
-    cost. The temporaries end here, before the next kernel call."""
-    det = a_s * c_s - b_s * b_s
-    full_phi = np.where(pin_phi, 0.0, np.where(
-        pin_iso, _over(-g, a_s), _over(b_s * h - c_s * g, det)))
-    full_iso = np.where(pin_iso, 0.0, np.where(
-        pin_phi, _over(-h, c_s), _over(b_s * g - a_s * h, det)))
-    short = ((np.abs(full_phi) <= _LM_SAMPLE_XTOL_PHI)
-             & (np.abs(full_iso) <= _LM_SAMPLE_XTOL_ISO))
-    # where the step is short, the decrease g^T H^-1 g it predicts is
-    # -g . step
-    full_phi, full_iso = (np.where(short, v, 0.0) for v in (full_phi, full_iso))
-    return (short & (mult == 1.0) & (lam <= _LM_LAMBDA0)
-            & (-(g * full_phi + h * full_iso) <= _LM_RFCTOL * cost))
 
 
 def _as_sigma3(value, name: str) -> np.ndarray:
@@ -322,36 +307,61 @@ def _join_lanes(batches):
             *map(cat, zip(*phi_box)), *map(cat, zip(*iso_box)))
 
 
-def _lm_step(lanes, free_iso: bool):
+def _normal(jac, res, free_iso: bool):
+    """The normal equations of every lane, J^T J = (a, b; b, c) and
+    J^T r = (g, h), as (a, b, c, g, h), from the Jacobian columns
+    (dxi/dphi, dxi/da_iso) and the residuals r, one row per record; with
+    a_iso fixed, b = h = 0 and c = 1."""
+    a, g = _dot(jac[0], jac[0]), _dot(jac[0], res)
+    if not free_iso:
+        return a, 0.0, 1.0, g, 0.0
+    return a, _dot(jac[0], jac[1]), _dot(jac[1], jac[1]), g, _dot(jac[1], res)
+
+
+def _newton(a, b, c, g, h, pin_phi, pin_iso):
+    """The step (phi, a_iso) that solves (a, b; b, c) step = -(g, h) over
+    the coordinates not pinned, lane-wise: a pinned coordinate's step is 0,
+    and the step is inf where a pivot it needs is not positive."""
+    det = np.where(a > 0.0, a * c - b * b, 0.0)
+    return (np.where(pin_phi, 0.0, np.where(
+                pin_iso, _over(-g, a), _over(b * h - c * g, det))),
+            np.where(pin_iso, 0.0, np.where(
+                pin_phi, _over(-h, c), _over(b * g - a * h, det))))
+
+
+def _lm_step(lanes, free_iso: bool, sample: bool):
     """The next step of every lane of a ``_levenberg_marquardt`` batch, as
     (trial phi, trial a_iso, g, h, a_s, b_s, c_s), with (g, h) the gradient
-    / 2 and (a_s, b_s; b_s, c_s) the model's Hessian / 2, and the flags
-    (pin_phi, pin_iso) of the coordinates held on their bound."""
-    phi, iso, _, lam, mult, sec, *box, res = lanes[:11]
-    jac = lanes[11:]
-    a, g = _dot(jac[0], jac[0]), _dot(jac[0], res)
-    b, h, c = ((_dot(jac[0], jac[1]), _dot(jac[1], res),
-                _dot(jac[1], jac[1])) if free_iso else (0.0, 0.0, 1.0))
+    / 2 and (a_s, b_s; b_s, c_s) the model's Hessian / 2; a lane whose
+    damped step is not finite stays where it is. Also the lanes of a
+    ``sample`` pool that stop when their step is formed (False for other
+    pools): where the model has predicted well so far, its full step over
+    the coordinates not held on a bound moves phi by at most
+    _LM_SAMPLE_XTOL_PHI and a_iso by at most _LM_SAMPLE_XTOL_ISO, and
+    predicts a decrease of at most _LM_RFCTOL of the cost."""
+    phi, iso, cost, lam, mult, sec, *box, res = lanes[:11]
+    a, b, c, g, h = _normal(lanes[11:], res, free_iso)
     a_s, b_s, c_s = a + sec[0], b + sec[1], c + sec[2]
     s11, s12, s22 = np.where((a_s > 0.0) & (a_s * c_s > b_s * b_s), sec, 0.0)
     a_s, b_s, c_s = a + s11, b + s12, c + s22  # the model's Hessian / 2
-    d1 = a * (1.0 + lam) + s11
-    d1 = np.where(d1 > 0.0, d1, np.inf)
-    d2 = c * (1.0 + lam) + s22
-    d2 = np.where(d2 > 0.0, d2, np.inf)
-    det = d1 * d2 - b_s * b_s
-    det = np.where(det > 0.0, det, np.inf)
     pin_phi = np.where(g > 0.0, phi <= box[0], phi >= box[1])
     pin_iso = np.where(h > 0.0, iso <= box[2], iso >= box[3])
-    step_phi = np.where(pin_phi, 0.0, np.where(
-        pin_iso, -g / d1, (b_s * h - d2 * g) / det))
-    # a_iso fixed: no a_iso step, not even inf * 0 on a lane whose phi pivot
-    # is not positive
-    step_iso = np.where(pin_iso, 0.0, np.where(
-        pin_phi, -h / d2, (b_s * g - d1 * h) / det)) if free_iso else 0.0
-    return ((np.clip(phi + mult * step_phi, box[0], box[1]),
-             np.clip(iso + mult * step_iso, box[2], box[3]), g, h, a_s, b_s, c_s),
-            (pin_phi, pin_iso))
+    step_phi, step_iso = _newton(a * (1.0 + lam) + s11, b_s, c * (1.0 + lam) + s22,
+                                 g, h, pin_phi, pin_iso)
+    move = np.isfinite(step_phi) & np.isfinite(step_iso)
+    step = (np.clip(np.where(move, phi + mult * step_phi, phi), box[0], box[1]),
+            np.clip(np.where(move, iso + mult * step_iso, iso), box[2], box[3]),
+            g, h, a_s, b_s, c_s)
+    if not sample:
+        return step, False
+    full_phi, full_iso = _newton(a_s, b_s, c_s, g, h, pin_phi, pin_iso)
+    short = ((np.abs(full_phi) <= _LM_SAMPLE_XTOL_PHI)
+             & (np.abs(full_iso) <= _LM_SAMPLE_XTOL_ISO))
+    # where the step is short, the decrease g^T H^-1 g it predicts is
+    # -g . step
+    full_phi, full_iso = (np.where(short, v, 0.0) for v in (full_phi, full_iso))
+    return step, (short & (mult == 1.0) & (lam <= _LM_LAMBDA0)
+                  & (-(g * full_phi + h * full_iso) <= _LM_RFCTOL * cost))
 
 
 def _levenberg_marquardt(pieces, *, free_iso: bool, sample: bool = False) -> _LaneFit:
@@ -490,11 +500,9 @@ def _levenberg_marquardt(pieces, *, free_iso: bool, sample: bool = False) -> _La
         # each running lane's next step, then the lanes that stopped, ran
         # out of iterations at their best point or, as samples, need no
         # further kernel call leave the batch
-        step, pins = _lm_step(lanes, free_iso)
+        step, early = _lm_step(lanes, free_iso, sample)
+        done = done | early
         stop = done | (fit.iterations[idx] >= _LM_MAX_ITER)
-        if sample:
-            done = done | _sample_stops(*step[2:], *pins, lanes[2], lanes[4], lanes[3])
-            stop |= done
         if stop.any():
             fin = idx[stop]
             phi_f, iso_f, cost_f = (v[stop] for v in lanes[:3])
@@ -558,9 +566,9 @@ class _Scan(NamedTuple):
                 tuple(v[lo:hi] for v in self.iso_box))
 
 
-# phi rows of the joint (phi, a_iso) grid per kernel call; bounds the size of
-# the kernel's per-lane arrays
-_GRID_ROWS = 90
+# grid points per kernel call, 90 phi rows of the default joint grid: bounds
+# the size of the kernel's per-lane arrays
+_GRID_POINTS = 90 * 21
 
 
 def _scan(records, coupling, fix_a_iso, phi_step_deg, a_iso_step,
@@ -576,35 +584,34 @@ def _scan(records, coupling, fix_a_iso, phi_step_deg, a_iso_step,
     _check_identifiable(records)
     _check_off_crossing(records, constants)
 
+    # the (phi, a_iso) grid, with one a_iso column when a_iso is fixed; its
+    # phi profile is the least cost over the a_iso columns of each row
+    kernel = _kernel(records, coupling, constants)
+    phi_grid = np.deg2rad(np.arange(0.0, 360.0, phi_step_deg))
+    lo, hi = DEFAULT_A_ISO_RANGE
+    iso_grid = (np.arange(lo, hi + 0.5 * a_iso_step, a_iso_step)
+                if fix_a_iso is None else np.array([float(fix_a_iso)]))
+    rows = max(1, _GRID_POINTS // iso_grid.size)
+    surf = np.empty((phi_grid.size, iso_grid.size))
+    for k in range(0, phi_grid.size, rows):
+        parts = kernel(phi_grid[k:k + rows, None], iso_grid[None, :],
+                       derivatives=False)
+        surf[k:k + rows] = _dot(parts, parts)
+    surf = np.where(np.isfinite(surf), surf, np.inf)
+    profile = surf.min(axis=1)
+    i = _grid_local_minima(profile)
+    phi0 = phi_grid[i]
+    iso0 = iso_grid[np.argmin(surf[i], axis=1)]
     # every grid minimum is one lane of the polish. With a_iso fixed, phi
     # stays within a grid step of its grid minimum. In the joint fit the
     # coarse a_iso grid can misplace a diagonal valley's phi by more than a
     # step, so there phi (periodic) is left free and a_iso held to its range.
-    kernel = _kernel(records, coupling, constants)
-    phi_grid = np.deg2rad(np.arange(0.0, 360.0, phi_step_deg))
-    if fix_a_iso is not None:
-        parts = kernel(phi_grid, float(fix_a_iso), derivatives=False)
-        profile = _dot(parts, parts)
-        profile = np.where(np.isfinite(profile), profile, np.inf)
-        phi0 = phi_grid[_grid_local_minima(profile)]
-        iso0 = np.full(phi0.size, float(fix_a_iso))
-        step = math.radians(phi_step_deg)
-        phi_box, iso_box = (phi0 - step, phi0 + step), (iso0, iso0)
-    else:
-        lo, hi = DEFAULT_A_ISO_RANGE
-        iso_grid = np.arange(lo, hi + 0.5 * a_iso_step, a_iso_step)
-        surf = np.empty((phi_grid.size, iso_grid.size))
-        for k in range(0, phi_grid.size, _GRID_ROWS):
-            parts = kernel(phi_grid[k:k + _GRID_ROWS, None], iso_grid[None, :],
-                           derivatives=False)
-            surf[k:k + _GRID_ROWS] = _dot(parts, parts)
-        surf = np.where(np.isfinite(surf), surf, np.inf)
-        profile = surf.min(axis=1)
-        i = _grid_local_minima(profile)
-        phi0 = phi_grid[i]
-        iso0 = iso_grid[np.argmin(surf[i], axis=1)]
+    if fix_a_iso is None:
         phi_box = (np.full(phi0.size, -np.inf), np.full(phi0.size, np.inf))
         iso_box = (np.full(phi0.size, lo), np.full(phi0.size, hi))
+    else:
+        step = math.radians(phi_step_deg)
+        phi_box, iso_box = (phi0 - step, phi0 + step), (iso0, iso0)
     if not np.isfinite(profile).any():
         raise InconsistentInputError(
             f"couplings (a_par, a_perp) = ({coupling.a_par:g}, "

@@ -12,8 +12,8 @@ The per-sample fit is the point fit's box-bounded Levenberg-Marquardt solver
 (``localize._levenberg_marquardt``, whose NL2SOL secant curvature term lets
 samples at large residuals converge) on the same lane-wise xi kernel
 (``dynamics.xi_kernel``), with every sample's perturbed fields as its own
-lane, and stopped at the precision the reports can show
-(``localize._sample_stops``). Each sample starts at its linear start: the
+lane, and stopped at the precision the reports can show (the ``sample``
+pools of ``localize._lm_step``). Each sample starts at its linear start: the
 unperturbed optimum plus the first-order change that the solver's first
 step would make for its draws, from one sensitivity matrix per nucleus
 (``_slopes``; the linear approximation of nonlinear regression, Bates and
@@ -42,8 +42,8 @@ from .dipole import invert_dipole, invert_many
 from .dynamics import XiKernel, xi_kernel
 from .errors import ConvergenceError, InconsistentInputError
 from .extract import CouplingEstimate, _extract_arrays
-from .localize import (_LANE_BLOCK, _LM_LAMBDA0, AzimuthFit, _dot, _isolate, _LaneFit,
-                       _over, _solve, fit_azimuths)
+from .localize import (_LANE_BLOCK, _LM_LAMBDA0, AzimuthFit, _dot, _isolate,
+                       _LaneFit, _newton, _normal, _solve, fit_azimuths)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -147,31 +147,27 @@ _ISO_BOX = 140e3                     # Hz
 _PAGE = 256
 
 
-def _draws(idx: np.ndarray, seed: int, n_draws: int) -> np.ndarray:
-    """(len(idx), n_draws) normals for the increasing sample indices idx:
-    sample i's are row i % _PAGE of standard_normal((_PAGE, n_draws)) on
-    Philox keyed [seed, i // _PAGE]. Every page from idx[0]'s to idx[-1]'s
-    is drawn whole into one buffer, by one generator re-keyed per page from
-    a state of Python ints, which its setter converts faster than numpy
-    scalars; consecutive indices, as in every lane block, get a slice of
-    that buffer rather than a copy."""
+def _draws(lo: int, hi: int, seed: int, n_draws: int) -> np.ndarray:
+    """(hi - lo, n_draws) normals for samples lo..hi-1: sample i's are row
+    i % _PAGE of standard_normal((_PAGE, n_draws)) on Philox keyed
+    [seed, i // _PAGE]. Every page from lo's to hi - 1's is drawn whole into
+    one buffer, by one generator re-keyed per page from a state of Python
+    ints, which its setter converts faster than numpy scalars, and the
+    samples' rows are a slice of that buffer."""
     bg = np.random.Philox(key=0)  # re-keyed below; a key >= 2**63 warns here
     rng = np.random.Generator(bg)
     zeros = [0, 0, 0, 0]
     key = [seed, 0]
     state = {"bit_generator": "Philox", "buffer": zeros, "buffer_pos": 4,
              "state": {"counter": zeros, "key": key}, "has_uint32": 0, "uinteger": 0}
-    first, last = int(idx[0]) // _PAGE, int(idx[-1]) // _PAGE
+    first, last = lo // _PAGE, (hi - 1) // _PAGE
     buf = np.empty(((last + 1 - first) * _PAGE, n_draws))
     for page in range(first, last + 1):
         key[1] = page
         bg.state = state
         start = (page - first) * _PAGE
         rng.standard_normal(out=buf[start:start + _PAGE])
-    rows = idx - first * _PAGE
-    if rows[-1] - rows[0] + 1 == len(rows):
-        return buf[rows[0]:rows[-1] + 1]
-    return buf[rows]
+    return buf[lo - first * _PAGE:hi - first * _PAGE]
 
 
 @dataclass(eq=False)
@@ -256,21 +252,21 @@ def _slopes(nuclei, constants):
     """Set each nucleus's ``slope``: the (2, 3 + 8 x records) sensitivity S
     of its solver's first damped step from the point fit to its draws. It
     is None, and the samples start at the point fit, where S is not finite
-    (a damped matrix with no positive pivot counts as infinite) or where
+    (a damped pivot that is not positive gives an infinite step) or where
     _START_SIGMAS standard deviations of a linear start, the norm of S's phi
     or a_iso row, reach past the half-width of the sample box.
 
     With J0 the (phi, a_iso) Jacobian of xi at the point fit and D the
     central differences dxi / d(draws),
-    S = -(J0^T J0 + _LM_LAMBDA0 diag(J0^T J0))^-1 J0^T D, by phi's row alone
-    when a_iso is fixed: the solver's first step, its secant term still
-    zero, linearized at the point fit. Like the Gauss-Newton matrix, it
-    leaves out the terms that the point fit's residual xi0 brings, here
-    (dJ / d(draws))^T xi0, so it is the first step's derivative exactly
-    only where xi0 vanishes. The nuclei of one kernel shape (record count,
-    a_iso free) join their lanes, draws 0 and +-h e_k for every input k, in
-    one kernel call, each at its own point fit; the lanes do not depend on
-    each other."""
+    S = -(J0^T J0 + _LM_LAMBDA0 diag(J0^T J0))^-1 J0^T D, the solver's own
+    step solve (``localize._newton``) with a fixed a_iso pinned: the
+    solver's first step, its secant term still zero, linearized at the
+    point fit. Like the Gauss-Newton matrix, it leaves out the terms that
+    the point fit's residual xi0 brings, here (dJ / d(draws))^T xi0, so it
+    is the first step's derivative exactly only where xi0 vanishes. The
+    nuclei of one kernel shape (record count, a_iso free) join their lanes,
+    draws 0 and +-h e_k for every input k, in one kernel call, each at its
+    own point fit; the lanes do not depend on each other."""
     shapes: dict = {}
     for nuc in nuclei:
         shapes.setdefault((len(nuc.records), nuc.fix_a_iso is None), []).append(nuc)
@@ -287,17 +283,9 @@ def _slopes(nuclei, constants):
             plus = slice(k * m + 1, k * m + 1 + n_in)
             minus = slice(k * m + 1 + n_in, (k + 1) * m)
             d = (res[:, plus] - res[:, minus]) / (2.0 * _SENSITIVITY_STEP)
-            j0 = [j[:, k * m, None] for j in jac]
-            g = [_dot(j, d) for j in j0]
-            d1 = _dot(j0[0], j0[0]) * (1.0 + _LM_LAMBDA0)
-            if free:
-                b = _dot(j0[0], j0[1])
-                d2 = _dot(j0[1], j0[1]) * (1.0 + _LM_LAMBDA0)
-                det = d1 * d2 - b * b
-                slope = np.stack([_over(b * g[1] - d2 * g[0], det),
-                                  _over(b * g[0] - d1 * g[1], det)])
-            else:
-                slope = np.stack([_over(-g[0], d1), np.zeros(n_in)])
+            a, b, c, g, h = _normal([j[:, k * m, None] for j in jac], d, free)
+            slope = np.stack(_newton(a * (1.0 + _LM_LAMBDA0), b, c * (1.0 + _LM_LAMBDA0),
+                                     g, h, False, not free))
             spread = np.sqrt((slope * slope).sum(axis=1))
             half = (_PHI_BOX_FREE if free else _PHI_BOX, _ISO_BOX)
             nuc.slope = (slope if np.isfinite(slope).all()
@@ -315,7 +303,7 @@ def _sample_lanes(nuc: _Nucleus, lo: int, hi: int, seed: int, constants):
     0..hi-1 hold more extraction failures than the gate of ``_estimate``
     allows, the nucleus fails whatever its lanes give: they start at NaN and
     leave the pool at their first kernel evaluation."""
-    draws = _draws(np.arange(lo, hi), seed, 3 + 8 * len(nuc.records))
+    draws = _draws(lo, hi, seed, 3 + 8 * len(nuc.records))
     kernel, *per_sample = _lanes(nuc, draws, constants)
     nuc.a_par[lo:hi], nuc.a_perp[lo:hi], nuc.extracted[lo:hi] = per_sample
     hopeless = (hi - np.count_nonzero(nuc.extracted[:hi])

@@ -364,3 +364,70 @@ def test_finish_wraps_the_best_phi_into_zero_to_two_pi(lane_phi):
     assert math.copysign(1.0, fit.phi) == 1.0 and fit.phi == 0.0
     assert [m.phi for m in fit.minima] == [0.0]
     assert fit.degenerate_minima == (0.0,)
+
+
+@pytest.mark.parametrize("pin_phi,pin_iso",
+                         [(False, False), (True, False), (False, True), (True, True)])
+def test_newton_solves_the_system_over_the_unpinned_coordinates(pin_phi, pin_iso):
+    # the one 2x2 step solve against a dense solve on random positive-definite
+    # systems; a pinned coordinate's step is 0
+    rng = np.random.default_rng(11)
+    m = 500
+    root = rng.standard_normal((m, 2, 2))
+    hess = root @ root.transpose(0, 2, 1) + 0.1 * np.eye(2)
+    grad = rng.standard_normal((m, 2))
+    got = np.stack(localize._newton(hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1],
+                                    grad[:, 0], grad[:, 1], pin_phi, pin_iso), axis=1)
+    free = [k for k, pin in enumerate((pin_phi, pin_iso)) if not pin]
+    want = np.zeros((m, 2))
+    if free:
+        want[:, free] = np.linalg.solve(hess[:, free][:, :, free],
+                                        -grad[:, free, None])[..., 0]
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+    pinned = [k for k, pin in enumerate((pin_phi, pin_iso)) if pin]
+    assert np.all(got[:, pinned] == 0.0)
+
+
+def test_newton_step_is_infinite_where_a_pivot_it_needs_is_not_positive():
+    # (a, b; b, c): a phi pivot that is zero or negative, an indefinite and a
+    # singular matrix, and a NaN entry
+    inf, nan = math.inf, math.nan
+    a = np.array([0.0, -1.0, 1.0, 1.0, nan])
+    b = np.array([0.0, 0.0, 2.0, 1.0, 0.0])
+    c = np.ones(5)
+    phi, iso = localize._newton(a, b, c, 1.0, -2.0, False, False)
+    assert phi.tolist() == [inf] * 5 and iso.tolist() == [inf] * 5
+    # a_iso pinned: only the phi pivot a is needed
+    phi, iso = localize._newton(a, b, c, 1.0, -2.0, False, True)
+    assert phi.tolist() == [inf, inf, -1.0, -1.0, inf] and iso.tolist() == [0.0] * 5
+    # phi pinned: only the a_iso pivot c is needed
+    c = np.array([0.0, -1.0, 1.0, 2.0, nan])
+    phi, iso = localize._newton(a, b, c, 1.0, -2.0, True, False)
+    assert phi.tolist() == [0.0] * 5 and iso.tolist() == [inf, inf, 2.0, 1.0, inf]
+
+
+@settings(max_examples=30, deadline=None)
+@given(r=st.floats(6.0, 15.0), theta=st.floats(0.1, 1.45),
+       phi=st.floats(0.0, 2.0 * math.pi), a_iso=st.floats(-2e4, 2e4),
+       n_coils=st.integers(1, 3))
+def test_fixed_a_iso_scan_is_the_phi_profile(r, theta, phi, a_iso, n_coils):
+    # with a_iso fixed the grid has one a_iso column: the polish starts at
+    # the local minima of the cost over the phi grid, each boxed to a grid
+    # step either side, with a_iso held
+    pos = SphericalPosition(r * ANGSTROM, theta, phi)
+    recs, coupling = _records(pos, a_iso, _COILS[:n_coils]), _coupling(pos, a_iso)
+    step = localize.DEFAULT_PHI_STEP_DEG
+    scan = localize._scan(recs, coupling, a_iso, step, localize.DEFAULT_A_ISO_STEP,
+                          DEFAULT_CONSTANTS)
+    phi_grid = np.deg2rad(np.arange(0.0, 360.0, step))
+    want = phi_grid[localize._grid_local_minima(sum_sq_xi(recs, coupling, phi_grid,
+                                                          a_iso))]
+    assert want.size
+    np.testing.assert_array_equal(scan.phi, want)
+    np.testing.assert_array_equal(scan.a_iso, np.full(want.size, a_iso))
+    for got, edge in zip(scan.phi_box, (want - math.radians(step),
+                                        want + math.radians(step))):
+        np.testing.assert_array_equal(got, edge)
+    for got in scan.iso_box:
+        np.testing.assert_array_equal(got, np.full(want.size, a_iso))
+    assert scan.a_iso_fixed

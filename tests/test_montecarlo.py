@@ -263,13 +263,13 @@ def test_pool_lanes_equal_one_nucleus_whole_block_solves(nuclei, lane_block,
        seed=st.integers(0, 2 ** 32))
 def test_sample_lanes_end_near_their_tight_solve(r, theta, phi, a_iso, n_coils,
                                                  noise, fixed, seed):
-    # samples stop at report precision (localize._sample_stops): each lane
-    # must end within 1e-6 rad and 0.01 Hz of the same lane solved to the
-    # point fit's tolerances, and no lane may end unconverged or on a bound
-    # where that solve does not. Two records with a_iso free fit two
-    # parameters to two numbers: some of their lanes end where the cost is
-    # flat to rounding over more than 0.01 Hz of a_iso, where any two solves
-    # may differ by more than the bound.
+    # samples stop at report precision (the early stop of localize._lm_step
+    # in sample pools): each lane must end within 1e-6 rad and 0.01 Hz of
+    # the same lane solved to the point fit's tolerances, and no lane may
+    # end unconverged or on a bound where that solve does not. Two records
+    # with a_iso free fit two parameters to two numbers: some of their lanes
+    # end where the cost is flat to rounding over more than 0.01 Hz of
+    # a_iso, where any two solves may differ by more than the bound.
     assume(fixed or n_coils == 3)
     records, coupling = _build(noise, _COILS[:n_coils],
                                SphericalPosition(r * ANGSTROM, theta, phi), a_iso)
@@ -380,7 +380,7 @@ def test_linear_start_is_the_first_damped_step_to_second_order():
         nuc = montecarlo._Nucleus(records, coupling, None)
         montecarlo._set_point(nuc, fit_azimuth(records, coupling), DEFAULT_CONSTANTS)
         montecarlo._slopes([nuc], DEFAULT_CONSTANTS)
-        draws = montecarlo._draws(np.arange(300), 3, 3 + 8 * len(records))
+        draws = montecarlo._draws(0, 300, 3, 3 + 8 * len(records))
         kernel = montecarlo._lanes(nuc, draws, DEFAULT_CONSTANTS)[0]
         m = len(draws)
         phi, iso = np.full(m, nuc.point.phi), np.full(m, nuc.point.a_iso)
@@ -388,7 +388,7 @@ def test_linear_start_is_the_first_damped_step_to_second_order():
         wide = np.full(m, np.inf)
         lanes = (phi, iso, localize._dot(res, res), np.full(m, localize._LM_LAMBDA0),
                  np.ones(m), np.zeros((3, m)), -wide, wide, -wide, wide, res, *jac)
-        (phi_t, iso_t, *_), _ = localize._lm_step(lanes, True)
+        (phi_t, iso_t, *_), _ = localize._lm_step(lanes, True, False)
         return [np.linalg.norm(row @ draws.T - step) / np.linalg.norm(step)
                 for row, step in zip(nuc.slope, (phi_t - phi, iso_t - iso))]
 
@@ -398,7 +398,7 @@ def test_linear_start_is_the_first_damped_step_to_second_order():
 
 def test_draws_match_fresh_keyed_generators():
     idx = np.array([0, 1, 57, 4099])
-    draws = montecarlo._draws(idx, 21, 27)
+    draws = montecarlo._draws(0, 4100, 21, 27)[idx]
     for row, i in zip(draws, idx):
         ref = np.random.Generator(
             np.random.Philox(key=[21, int(i) // 256])).standard_normal((256, 27))
@@ -408,9 +408,9 @@ def test_draws_match_fresh_keyed_generators():
 def test_draws_do_not_depend_on_the_block_split():
     # blocks that start or end inside a page draw its rows all the same
     n = 40_000
-    full = montecarlo._draws(np.arange(n), 3, 27)
+    full = montecarlo._draws(0, n, 3, 27)
     for size in (4096, 333, 2000):
-        split = np.concatenate([montecarlo._draws(np.arange(k, min(k + size, n)), 3, 27)
+        split = np.concatenate([montecarlo._draws(k, min(k + size, n), 3, 27)
                                 for k in range(0, n, size)])
         np.testing.assert_array_equal(split, full)
 
@@ -418,10 +418,9 @@ def test_draws_do_not_depend_on_the_block_split():
 def test_draws_take_seeds_up_to_2_64():
     # a seed at or above 2**63 draws without a numpy cast warning and keys
     # its own stream
-    idx = np.array([0, 1])
-    top = montecarlo._draws(idx, 2 ** 64 - 1, 5)
-    assert not np.array_equal(top, montecarlo._draws(idx, 2 ** 63, 5))
-    assert not np.array_equal(top, montecarlo._draws(idx, 0, 5))
+    top = montecarlo._draws(0, 2, 2 ** 64 - 1, 5)
+    assert not np.array_equal(top, montecarlo._draws(0, 2, 2 ** 63, 5))
+    assert not np.array_equal(top, montecarlo._draws(0, 2, 0, 5))
 
 
 def test_solver_stats_count_the_samples():

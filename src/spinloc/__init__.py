@@ -20,11 +20,9 @@ from .core import (PhysicalConstants, DEFAULT_CONSTANTS, GAMMA_N_BAND,
                    Vector3, rotation_between, frame_from_axis, load_config)
 from .dipole import (SphericalPosition, HyperfineModel, dipolar_strength,
                      dipole_tensor, secular_couplings, invert_dipole,
-                     invert_many, DftRow, ResidualEntry, ResidualBin,
-                     ResidualMap, dft_residual_map, MIN_RADIUS)
+                     invert_many, MIN_RADIUS)
 from .dynamics import (LOW_FIELD, GENERAL_FIELD, enhancement_factor,
-                       precession_frequency, xi_kernel, OdmrLinePair, hamiltonian,
-                       transition_frequencies, odmr_lines)
+                       precession_frequency, xi_kernel)
 from .extract import (EXACT, APPROXIMATE, CouplingInputs, CouplingEstimate,
                       nominal_tau, extract_couplings, rabi_frequency)
 from .localize import (MeasurementRecord, Minimum, AzimuthFit, xi, sum_sq_xi,
@@ -35,16 +33,20 @@ from .localize import (MeasurementRecord, Minimum, AzimuthFit, xi, sum_sq_xi,
 from .montecarlo import (McConfig, PointEstimate, SolverStats, EstimateResult,
                          propagate, propagate_many, Histogram, histogram,
                          circular_mean)
-from .fileio import (NucleusMeasurements, TruthSpec, TruthNucleus, FieldConfig,
-                     NoiseSpec, load_measurements, save_measurements,
-                     load_truth, load_odmr, save_odmr, load_dft_table)
+from .fileio import NucleusMeasurements, load_measurements, save_measurements
 
-# Field calibration and trace analysis are imported on first use (PEP 562),
-# so that localizing never loads them.
-_LAZY = {**dict.fromkeys(("OdmrEntry", "OdmrDataset", "FieldSolution", "solve_field",
-                          "AlignmentReport", "alignment_report"), "calibrate"),
+# The modules of the other commands are imported on first use (PEP 562), so
+# that localizing never loads them.
+_LAZY = {**dict.fromkeys(("OdmrLinePair", "hamiltonian", "transition_frequencies",
+                          "odmr_lines", "OdmrEntry", "OdmrDataset", "FieldSolution",
+                          "solve_field", "AlignmentReport", "alignment_report",
+                          "load_odmr", "save_odmr"), "calibrate"),
          **dict.fromkeys(("TimeTrace", "FrequencyEstimate", "synth_trace",
-                          "estimate_frequencies"), "signal")}
+                          "estimate_frequencies"), "signal"),
+         **dict.fromkeys(("TruthSpec", "TruthNucleus", "FieldConfig", "NoiseSpec",
+                          "load_truth"), "simulate"),
+         **dict.fromkeys(("DftRow", "ResidualEntry", "ResidualBin", "ResidualMap",
+                          "dft_residual_map", "load_dft_table"), "dft")}
 
 
 def __getattr__(name):

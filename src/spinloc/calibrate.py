@@ -1,14 +1,17 @@
 """Vector-field calibration from ODMR line sets of several NV orientations.
 
-Each orientation contributes two electron resonance lines; jointly fitting
-all of them pins down the lab-frame field vector. The line positions are
-strictly even under B -> -B (complex conjugation plus a pi rotation maps the
-Hamiltonian of B onto that of -B for every orientation), so the solve
-reports a canonical sign representative and both branch costs.
+Each orientation contributes two electron resonance lines, the transitions
+out of the mostly-|0> level of the spin-1 ground-state Hamiltonian; jointly
+fitting all of them pins down the lab-frame field vector. The line positions
+are strictly even under B -> -B (complex conjugation plus a pi rotation maps
+the Hamiltonian of B onto that of -B for every orientation), so the solve
+reports a canonical sign representative and both branch costs. ODMR line
+files are read and written here, with the schema of ``fileio``.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -17,10 +20,73 @@ import numpy as np
 from .core import (BIAS_FIELD, COIL_FIELD, DEFAULT_CONSTANTS, DEFAULT_REGISTRY,
                    Frame, FrameRegistry, LAB_FRAME_NAME, PhysicalConstants,
                    Vector3)
-from .dynamics import OdmrLinePair, transition_frequencies
-from .errors import ConvergenceError, IdentifiabilityError
+from .errors import ConvergenceError, FrameError, IdentifiabilityError, ParseError
+from .fileio import (_ODMR, FORMAT_VERSION, _check, _check_frame, _finite, _fmt,
+                     _read_sections, atomic_write_text)
 
 _CONDITION_LIMIT = 1e8
+
+# Spin-1 operators in the |+1>, |0>, |-1> basis.
+_SQ2 = 1.0 / math.sqrt(2.0)
+SPIN1_X = _SQ2 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
+SPIN1_Y = _SQ2 * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex)
+SPIN1_Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
+_SZ2 = SPIN1_Z @ SPIN1_Z
+
+
+@dataclass(frozen=True)
+class OdmrLinePair:
+    """The two electron spin resonance frequencies of one NV orientation, Hz."""
+
+    f_minus: float
+    f_plus: float
+
+    def __post_init__(self):
+        if not (0.0 < self.f_minus <= self.f_plus):
+            raise ValueError(
+                f"lines must be positive and ordered, got ({self.f_minus!r}, {self.f_plus!r})")
+
+
+def hamiltonian(B_frame: np.ndarray,
+                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
+    """Ground-state Hamiltonian D*Sz^2 + gamma_e*B.S in Hz, B in the NV frame."""
+    ge = constants.gamma_e
+    H = constants.D * _SZ2 + ge * (B_frame[0] * SPIN1_X + B_frame[1] * SPIN1_Y
+                                   + B_frame[2] * SPIN1_Z)
+    return H
+
+
+def transition_frequencies(B_frame: np.ndarray,
+                           constants: PhysicalConstants = DEFAULT_CONSTANTS
+                           ) -> tuple[float, float]:
+    """The two transitions out of the mostly-|0> eigenstate, ascending, Hz.
+
+    B_frame in the NV frame. No positivity validation; fitting loops may
+    probe unphysical fields transiently.
+    """
+    H = hamiltonian(B_frame, constants)
+    # the Zeeman term is traceless, so the trace pins down the diagonal sum
+    assert abs(np.trace(H).real - 2.0 * constants.D) <= 1e-6 * 2.0 * constants.D
+    evals, evecs = np.linalg.eigh(H)
+    k0 = int(np.argmax(np.abs(evecs[1, :]) ** 2))
+    e0 = evals[k0]
+    t = sorted(float(evals[k] - e0) for k in range(3) if k != k0)
+    return t[0], t[1]
+
+
+def odmr_lines(B: Vector3, frame: Frame,
+               constants: PhysicalConstants = DEFAULT_CONSTANTS) -> OdmrLinePair:
+    """Transition frequencies of one NV orientation in a lab-frame field.
+
+    Rotates B into the orientation's frame, diagonalizes the 3x3 spin-1
+    Hamiltonian, and returns the two transitions out of the mostly-|0>
+    eigenstate, sorted ascending.
+    """
+    if B.frame != LAB_FRAME_NAME:
+        raise FrameError(f"odmr_lines expects a lab-frame field, got frame {B.frame!r}")
+    B_nv = frame.rotation_to_lab.T @ B.components
+    f_minus, f_plus = transition_frequencies(B_nv, constants)
+    return OdmrLinePair(f_minus=f_minus, f_plus=f_plus)
 
 
 @dataclass(frozen=True)
@@ -213,3 +279,61 @@ def alignment_report(solution: FieldSolution, target_frame: Frame | str,
     tilt = float(np.degrees(np.arctan2(transverse, b[2])))
     return AlignmentReport(transverse=transverse, tilt_deg=tilt,
                            passed=transverse < threshold, threshold=threshold)
+
+
+# ---------------------------------------------------------------------------
+# ODMR line files
+
+def load_odmr(path, registry: FrameRegistry = DEFAULT_REGISTRY) -> OdmrDataset:
+    """One data row per resonance: nv_id frame_name f_GHz sigma_MHz.
+
+    Rows are grouped by nv_id; each id needs exactly two rows sharing a
+    frame of ``registry``. The pair's sigma is the mean of the two row
+    sigmas.
+    """
+    rows = []
+    for sec, v in _read_sections(path, "odmr", _ODMR):
+        if sec.name:
+            rows.extend(sec.rows)
+        else:
+            context = v["context"]
+            _check(path, sec, "context", context in (COIL_FIELD, BIAS_FIELD),
+                   f"must be {COIL_FIELD!r} or {BIAS_FIELD!r}")
+    if not rows:
+        raise ParseError(path, 1, "no resonance rows found")
+
+    grouped: dict[str, list] = {}
+    for line_no, raw in rows:
+        parts = raw.split()
+        if len(parts) != 4:
+            raise ParseError(path, line_no,
+                             "expected: nv_id frame_name f_GHz sigma_MHz")
+        _check_frame(path, line_no, parts[1], registry)
+        f_GHz, sigma_MHz = _finite(path, line_no, parts[2:], "bad numbers in row")
+        grouped.setdefault(parts[0], []).append((line_no, parts[1], f_GHz * 1e9,
+                                                 sigma_MHz * 1e6))
+
+    entries = []
+    for nv_id, items in grouped.items():
+        if len(items) != 2:
+            raise ParseError(path, items[0][0],
+                             f"nv {nv_id!r} has {len(items)} lines, expected 2")
+        (line, frame, fa, sa), (line_b, frame_b, fb, sb) = items
+        if frame_b != frame:
+            raise ParseError(path, line_b, f"nv {nv_id!r} rows disagree on frame")
+        try:
+            entries.append(OdmrEntry(frame=frame, lines=OdmrLinePair(*sorted((fa, fb))),
+                                     sigma=0.5 * (sa + sb)))
+        except ValueError as exc:
+            raise ParseError(path, line, str(exc)) from None
+    return OdmrDataset(entries=tuple(entries), context=context)
+
+
+def save_odmr(path, dataset: OdmrDataset, nv_ids=None):
+    ids = nv_ids or [f"NV{k + 1}" for k in range(len(dataset.entries))]
+    lines = ["kind = odmr", f"version = {FORMAT_VERSION}",
+             f"context = {dataset.context}", "", "[lines]"]
+    for nv_id, e in zip(ids, dataset.entries):
+        lines.append(f"{nv_id} {e.frame} {_fmt(e.lines.f_minus / 1e9)} {_fmt(e.sigma / 1e6)}")
+        lines.append(f"{nv_id} {e.frame} {_fmt(e.lines.f_plus / 1e9)} {_fmt(e.sigma / 1e6)}")
+    atomic_write_text(path, "\n".join(lines) + "\n")

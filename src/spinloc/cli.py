@@ -21,28 +21,18 @@ import os
 import sys
 import warnings
 
-import numpy as np
-
 from . import __version__
-from .core import (DEFAULT_CONSTANTS, DEFAULT_REGISTRY, SENSOR_FRAME_NAME,
-                   Vector3, load_config)
-from .dipole import SphericalPosition, dft_residual_map, dipole_tensor, invert_dipole
-from .dynamics import precession_frequency
+from .core import DEFAULT_CONSTANTS, DEFAULT_REGISTRY, SENSOR_FRAME_NAME, load_config
+from .dipole import invert_dipole
 from .errors import ParseError, SpinlocError
-from .extract import CouplingInputs, extract_couplings, nominal_tau, rabi_frequency
-from .fileio import (ANGSTROM, DEG, DISPLAY_UNITS, KHZ, MT, SIGMA_F_FLOOR,
-                     NucleusMeasurements, load_dft_table, load_measurements,
-                     load_odmr, load_truth, save_cost_curve, save_histogram,
-                     save_measurements, save_residual_map, save_scatter,
-                     write_json, write_text)
-from .localize import (A_ISO_FIX_RADIUS, MeasurementRecord, assemble_position,
-                       cost_curve)
+from .extract import extract_couplings
+from .fileio import (ANGSTROM, DEG, DISPLAY_UNITS, KHZ, MT, NucleusMeasurements,
+                     load_measurements, save_cost_curve, save_histogram,
+                     save_measurements, save_scatter, write_json, write_text)
+from .localize import A_ISO_FIX_RADIUS, assemble_position, cost_curve
 from .montecarlo import CONFIDENCE_LEVELS, McConfig, histogram, propagate_many
 
 CONFIG_ENV_VAR = "SPINLOC_CONFIG"
-
-# floor applied when writing field sigmas the record contract requires positive
-_SIGMA_B_FLOOR = 1e-12  # T
 
 _HISTOGRAM_BINS = 48
 
@@ -83,7 +73,7 @@ def _write_report(args, stem: str, report: dict) -> str:
 # calibrate
 
 def cmd_calibrate(args) -> int:
-    from .calibrate import alignment_report, solve_field
+    from .calibrate import alignment_report, load_odmr, solve_field
 
     constants, registry, prov = _load_environment(args)
     dataset = load_odmr(args.odmr, registry)
@@ -182,15 +172,16 @@ def _ci_json(ci: dict) -> dict:
 
 
 def cmd_localize(args) -> int:
+    # reject bad flags up front, before any input is read or output written
+    mc = McConfig(n_samples=args.samples, seed=args.seed,
+                  parallel_chunks=args.parallel)
+    fix_policy = _parse_fix_a_iso(args.fix_a_iso)
     constants, registry, prov = _load_environment(args)
     nuclei = load_measurements(args.measurements, registry)
     prov["input"] = os.fspath(args.measurements)
     prov["input_sha256"] = _sha256(args.measurements)
     os.makedirs(args.out, exist_ok=True)
 
-    mc = McConfig(n_samples=args.samples, seed=args.seed,
-                  parallel_chunks=args.parallel)
-    fix_policy = _parse_fix_a_iso(args.fix_a_iso)  # reject bad flags up front
     # the couplings and a_iso policy of each nucleus, then the point fits and
     # Monte Carlo samples of all of them together, then each one's report
     # entry and files, in file order; a nucleus that fails fails alone
@@ -302,94 +293,9 @@ def _report_one(label: str, nm: NucleusMeasurements, setup, result, args,
 # ---------------------------------------------------------------------------
 # simulate
 
-def simulate_measurements(truth, constants=DEFAULT_CONSTANTS
-                          ) -> dict[str, NucleusMeasurements]:
-    """Forward-model a truth spec into per-nucleus measurement inputs.
-
-    The coil-off pair (f0, f_m1) is evaluated at the first configuration's
-    static field with the coil off; f_rabi follows from the forward slow-
-    oscillation relation at the chosen half-interval. One record is made per
-    field configuration. Noise is drawn from a single counter-based stream
-    keyed by the truth seed, in file order: per nucleus first the three
-    coupling lines (trace-based when from_traces is set), then per record
-    fp0, fp_m1 and the six field components. Equal seeds give identical
-    files regardless of the output path.
-    """
-    frames = {cfg.B0.frame for cfg in truth.fields}
-    if len(frames) != 1:
-        raise ValueError(f"all field configurations must share one frame, "
-                         f"got {sorted(frames)}")
-    frame = frames.pop()
-    rng = np.random.Generator(np.random.Philox(key=truth.seed))
-    noise = truth.noise
-    zero = Vector3(np.zeros(3), frame)
-
-    def lines(f_lo, f_hi, sigma):
-        """A measured line pair and its sigma, lower line drawn first."""
-        if truth.from_traces:
-            return _lines_from_trace(f_lo, f_hi, sigma, rng)
-        return (f_lo + rng.standard_normal() * sigma,
-                f_hi + rng.standard_normal() * sigma, sigma)
-
-    out: dict[str, NucleusMeasurements] = {}
-    for nuc in truth.nuclei:
-        hf = dipole_tensor(SphericalPosition(nuc.r, nuc.theta, nuc.phi),
-                           nuc.a_iso, constants)
-        B0 = truth.fields[0].B0
-        f0 = precession_frequency(B0, zero, hf, 0, constants=constants)
-        f_m1 = precession_frequency(B0, zero, hf, -1, constants=constants)
-        tau = truth.tau if truth.tau is not None else nominal_tau(f0, f_m1)
-        f_rabi = rabi_frequency(f0, hf.a_par, hf.a_perp, tau)
-        f0_m, f_m1_m, s_f = lines(f0, f_m1, noise.sigma_f)
-        f_rabi_m = f_rabi + rng.standard_normal() * noise.sigma_f_rabi
-        inputs = CouplingInputs(
-            f0=f0_m, f_m1=f_m1_m, f_rabi=f_rabi_m, tau=tau,
-            sigma_f0=s_f, sigma_f_m1=s_f, sigma_f_rabi=noise.sigma_f_rabi)
-
-        records = []
-        for cfg in truth.fields:
-            fp0 = precession_frequency(cfg.B0, cfg.dB, hf, 0, constants=constants)
-            fp_m1 = precession_frequency(cfg.B0, cfg.dB, hf, -1, constants=constants)
-            fp0_m, fp_m1_m, s_fp = lines(fp0, fp_m1, noise.sigma_fp)
-            B0_m = cfg.B0.components + rng.standard_normal(3) * noise.sigma_B
-            dB_m = cfg.dB.components + rng.standard_normal(3) * noise.sigma_B
-            records.append(MeasurementRecord(
-                label=cfg.label,
-                f0=inputs.f0, sigma_f0=max(s_f, SIGMA_F_FLOOR),
-                f_m1=inputs.f_m1, sigma_f_m1=max(s_f, SIGMA_F_FLOOR),
-                fp0=fp0_m, sigma_fp0=max(s_fp, SIGMA_F_FLOOR),
-                fp_m1=fp_m1_m, sigma_fp_m1=max(s_fp, SIGMA_F_FLOOR),
-                B0=Vector3(B0_m, frame),
-                sigma_B0=np.full(3, max(noise.sigma_B, _SIGMA_B_FLOOR)),
-                dB=Vector3(dB_m, frame),
-                sigma_dB=np.full(3, max(noise.sigma_B, _SIGMA_B_FLOOR))))
-        out[nuc.label] = NucleusMeasurements(label=nuc.label, inputs=inputs,
-                                             records=tuple(records))
-    return out
-
-
-def _lines_from_trace(f_lo: float, f_hi: float, sigma: float, rng):
-    """Estimate a line pair from a synthesized two-tone trace.
-
-    The trace carries white noise scaled so the fitted line uncertainty is
-    of order sigma; the fitted sigma_f is what gets reported downstream.
-    """
-    from .signal import estimate_frequencies, synth_trace
-
-    n = 4096
-    dt = 1.0 / (5.0 * f_hi)
-    trace_seed = int(rng.integers(0, 2 ** 63))
-    # amplitude noise chosen empirically; 0 sigma still goes through the fit
-    noise_amp = 0.0 if sigma == 0.0 else 0.05
-    trace = synth_trace([(f_lo, 1.0, 0.0), (f_hi, 0.8, 0.4)],
-                        duration=n * dt, dt=dt, noise_sigma=noise_amp,
-                        seed=trace_seed)
-    lo, hi = estimate_frequencies(trace, 2)
-    sigma_f = max(lo.sigma_f, hi.sigma_f, sigma)
-    return lo.f, hi.f, sigma_f
-
-
 def cmd_simulate(args) -> int:
+    from .simulate import load_truth, simulate_measurements
+
     constants, registry, prov = _load_environment(args)
     truth = load_truth(args.truth, registry)
     if args.seed is not None:
@@ -411,6 +317,8 @@ def cmd_simulate(args) -> int:
 # dft-residuals
 
 def cmd_dft_residuals(args) -> int:
+    from .dft import dft_residual_map, load_dft_table, save_residual_map
+
     constants, _, prov = _load_environment(args)
     rows = load_dft_table(args.table)
     prov["input"] = os.fspath(args.table)

@@ -3,7 +3,8 @@
 Maps a nuclear site (r, theta, phi) plus a contact term a_iso to the full
 3x3 hyperfine tensor and the secular coupling scalars (a_par, a_perp), and
 back. All couplings in Hz, distances in metres, angles in radians; file I/O
-converts to Angstrom / kHz / degrees elsewhere.
+converts to Angstrom / kHz / degrees elsewhere. The residuals of this model
+against reference coupling tables are in ``dft``.
 """
 
 from __future__ import annotations
@@ -205,81 +206,3 @@ def invert_many(a_par, a_perp, a_iso=0.0,
     r, theta, b = _site(*np.broadcast_arrays(p, q), constants)
     ok = (b > 0.0) & (r >= MIN_RADIUS)
     return np.where(ok, r, np.nan), np.where(ok, theta, np.nan)
-
-
-# ---------------------------------------------------------------------------
-# Inversion residuals against externally supplied reference site tables
-
-@dataclass(frozen=True)
-class DftRow:
-    """One reference site: couplings (Hz) plus its known geometry (m, rad)."""
-
-    a_par: float
-    a_perp: float
-    r: float
-    theta: float
-    a_iso: float = 0.0
-
-
-@dataclass(frozen=True)
-class ResidualEntry:
-    r_ref: float   # m
-    dr: float      # m, recovered minus reference
-    dtheta: float  # rad, recovered minus hemisphere-folded reference
-
-
-@dataclass(frozen=True)
-class ResidualBin:
-    """Median absolute residuals over reference radii in [r_lo, r_hi)."""
-
-    r_lo: float
-    r_hi: float
-    n_sites: int
-    median_abs_dr: float      # m
-    median_abs_dtheta: float  # rad
-
-
-@dataclass(frozen=True)
-class ResidualMap:
-    entries: tuple[ResidualEntry, ...]
-    bins: tuple[ResidualBin, ...]
-    n_total: int
-    failures: tuple[str, ...]  # one message per row that could not be inverted
-
-
-def dft_residual_map(rows, constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                     bin_width: float = 2e-10) -> ResidualMap:
-    """Invert each row's couplings and compare to its reference geometry.
-
-    Reference theta may lie in either hemisphere; it is folded to [0, pi/2]
-    before differencing since the inversion is hemisphere-blind. Rows that
-    fail to invert are collected with their 1-based row number, never fatal.
-    Residuals are additionally binned by reference radius (``bin_width``
-    slices from 0) and summarized by medians of the absolute values.
-    """
-    entries = []
-    failures = []
-    n_total = 0
-    for row in rows:
-        n_total += 1
-        try:
-            pos = invert_dipole(row.a_par, row.a_perp, row.a_iso, constants)
-        except (DomainError, InconsistentInputError, ValueError) as exc:
-            failures.append(f"row {n_total}: {exc}")
-            continue
-        theta_ref = min(row.theta % math.pi, math.pi - row.theta % math.pi)
-        entries.append(ResidualEntry(r_ref=row.r, dr=pos.r - row.r,
-                                     dtheta=pos.theta - theta_ref))
-
-    bins = []
-    if entries:
-        arr = np.array([(e.r_ref, e.dr, e.dtheta) for e in entries])
-        idx = np.floor(arr[:, 0] / bin_width).astype(int)
-        for k in sorted(set(idx)):
-            sel = arr[idx == k]
-            bins.append(ResidualBin(
-                r_lo=k * bin_width, r_hi=(k + 1) * bin_width, n_sites=sel.shape[0],
-                median_abs_dr=float(np.median(np.abs(sel[:, 1]))),
-                median_abs_dtheta=float(np.median(np.abs(sel[:, 2])))))
-    return ResidualMap(entries=tuple(entries), bins=tuple(bins),
-                       n_total=n_total, failures=tuple(failures))

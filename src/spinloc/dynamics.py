@@ -1,4 +1,4 @@
-"""Forward spin physics: nuclear precession frequencies and ODMR lines.
+"""Forward spin physics: nuclear precession frequencies.
 
 ``precession_frequency`` is the scalar model; ``xi_kernel`` evaluates the
 same model lane-wise over many trial azimuths, contact terms and fields at
@@ -7,7 +7,8 @@ once, with its exact derivatives, for the azimuth fit and the Monte Carlo.
 The electronic spin is S = 1 with zero-field splitting D along its own z
 axis; nuclear precession is modeled at the vector level with the hyperfine
 secular column and the transverse-field enhancement matrix. Everything in
-Hz and tesla; vectors carry frame tags and must agree before use.
+Hz and tesla; vectors carry frame tags and must agree before use. The
+electron resonance (ODMR) lines of field calibration are in ``calibrate``.
 """
 
 from __future__ import annotations
@@ -17,20 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_CONSTANTS, Frame, PhysicalConstants, LAB_FRAME_NAME, Vector3
+from .core import DEFAULT_CONSTANTS, PhysicalConstants, Vector3
 from .errors import DomainError, FrameError
 from .dipole import MIN_RADIUS, HyperfineModel, _invert
 
 LOW_FIELD = "low-field"
 GENERAL_FIELD = "general-field"
 _VARIANTS = (LOW_FIELD, GENERAL_FIELD)
-
-# Spin-1 operators in the |+1>, |0>, |-1> basis.
-_SQ2 = 1.0 / math.sqrt(2.0)
-SPIN1_X = _SQ2 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
-SPIN1_Y = _SQ2 * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex)
-SPIN1_Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
-_SZ2 = SPIN1_Z @ SPIN1_Z
 
 
 def _check_variant(variant: str):
@@ -214,58 +208,3 @@ class XiKernel:
                        (v1x * tz[0] + v1y * tz[1] + v1z * tz[2]) / f1,
                        out=out[2, i, ...])
         return tuple(out) if derivatives else out[0]
-
-
-@dataclass(frozen=True)
-class OdmrLinePair:
-    """The two electron spin resonance frequencies of one NV orientation, Hz."""
-
-    f_minus: float
-    f_plus: float
-
-    def __post_init__(self):
-        if not (0.0 < self.f_minus <= self.f_plus):
-            raise ValueError(
-                f"lines must be positive and ordered, got ({self.f_minus!r}, {self.f_plus!r})")
-
-
-def hamiltonian(B_frame: np.ndarray,
-                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
-    """Ground-state Hamiltonian D*Sz^2 + gamma_e*B.S in Hz, B in the NV frame."""
-    ge = constants.gamma_e
-    H = constants.D * _SZ2 + ge * (B_frame[0] * SPIN1_X + B_frame[1] * SPIN1_Y
-                                   + B_frame[2] * SPIN1_Z)
-    return H
-
-
-def transition_frequencies(B_frame: np.ndarray,
-                           constants: PhysicalConstants = DEFAULT_CONSTANTS
-                           ) -> tuple[float, float]:
-    """The two transitions out of the mostly-|0> eigenstate, ascending, Hz.
-
-    B_frame in the NV frame. No positivity validation; fitting loops may
-    probe unphysical fields transiently.
-    """
-    H = hamiltonian(B_frame, constants)
-    # the Zeeman term is traceless, so the trace pins down the diagonal sum
-    assert abs(np.trace(H).real - 2.0 * constants.D) <= 1e-6 * 2.0 * constants.D
-    evals, evecs = np.linalg.eigh(H)
-    k0 = int(np.argmax(np.abs(evecs[1, :]) ** 2))
-    e0 = evals[k0]
-    t = sorted(float(evals[k] - e0) for k in range(3) if k != k0)
-    return t[0], t[1]
-
-
-def odmr_lines(B: Vector3, frame: Frame,
-               constants: PhysicalConstants = DEFAULT_CONSTANTS) -> OdmrLinePair:
-    """Transition frequencies of one NV orientation in a lab-frame field.
-
-    Rotates B into the orientation's frame, diagonalizes the 3x3 spin-1
-    Hamiltonian, and returns the two transitions out of the mostly-|0>
-    eigenstate, sorted ascending.
-    """
-    if B.frame != LAB_FRAME_NAME:
-        raise FrameError(f"odmr_lines expects a lab-frame field, got frame {B.frame!r}")
-    B_nv = frame.rotation_to_lab.T @ B.components
-    f_minus, f_plus = transition_frequencies(B_nv, constants)
-    return OdmrLinePair(f_minus=f_minus, f_plus=f_plus)

@@ -9,6 +9,10 @@ file order with their shape and default. A key's suffix names its unit,
 mirroring the published tables (kHz, mT, us, Angstrom, degrees); everything
 is converted to SI/rad on load. Parse problems raise ParseError carrying
 path and line number. Writers go through a temp file and an atomic rename.
+
+Every schema table and the one reader are here, with what ``localize``
+reads and writes; the odmr, truth and reference-table readers and writers
+live with the commands that use them (``calibrate``, ``simulate``, ``dft``).
 """
 
 from __future__ import annotations
@@ -21,10 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BIAS_FIELD, COIL_FIELD, DEFAULT_REGISTRY, SENSOR_FRAME_NAME,
-                   FrameRegistry, Vector3)
-from .dipole import DftRow, ResidualMap
-from .dynamics import OdmrLinePair
+from .core import (COIL_FIELD, DEFAULT_REGISTRY, SENSOR_FRAME_NAME, FrameRegistry,
+                   Vector3)
 from .errors import ParseError
 from .extract import CouplingInputs
 from .localize import MeasurementRecord
@@ -398,204 +400,6 @@ def save_measurements(path, nuclei: dict[str, NucleusMeasurements]):
                 dict(vars(rec), B0=rec.B0.components, dB=rec.dB.components,
                      frame=rec.B0.frame))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# truth files (synthetic-data generator input)
-
-@dataclass(frozen=True)
-class TruthNucleus:
-    label: str
-    r: float      # m
-    theta: float  # rad
-    phi: float    # rad
-    a_iso: float  # Hz
-
-
-@dataclass(frozen=True)
-class FieldConfig:
-    label: str
-    B0: Vector3
-    dB: Vector3
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    sigma_f: float = 0.0       # Hz, coil-off precession lines
-    sigma_f_rabi: float = 0.0  # Hz
-    sigma_fp: float = 0.0      # Hz, coil-on precession lines
-    sigma_B: float = 0.0       # T, every field component
-
-
-@dataclass(frozen=True)
-class TruthSpec:
-    nuclei: tuple
-    fields: tuple
-    noise: NoiseSpec = NoiseSpec()
-    seed: int = 0
-    tau: float | None = None   # s; None means tuned per nucleus
-    from_traces: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "nuclei", tuple(self.nuclei))
-        object.__setattr__(self, "fields", tuple(self.fields))
-
-
-def load_truth(path, registry: FrameRegistry = DEFAULT_REGISTRY) -> TruthSpec:
-    """Parse a truth file; every [fields] section names a frame of
-    ``registry``, the same one."""
-    nuclei: list[TruthNucleus] = []
-    fields: list[FieldConfig] = []
-    options: dict = {}
-    for sec, v in _read_sections(path, "truth", _TRUTH):
-        if sec.name == "nucleus":
-            _check(path, sec, "r_A", v["r"] > 0.0, "must be positive")
-            _check(path, sec, "theta_deg", 0.0 <= v["theta"] <= math.pi / 2.0,
-                   "must lie in [0, 90]")
-            nuclei.append(TruthNucleus(sec.args[0],
-                                       **dict(v, phi=v["phi"] % (2 * math.pi))))
-        elif sec.name == "fields":
-            _check_frame(path, _frame_line(sec), v["frame"], registry)
-            if fields and v["frame"] != fields[0].B0.frame:
-                raise ParseError(path, sec.line,
-                                 f"frame {v['frame']!r} differs from "
-                                 f"{fields[0].B0.frame!r}; all field "
-                                 "configurations must share one frame")
-            fields.append(FieldConfig(sec.args[0], Vector3(v["B0"], v["frame"]),
-                                      Vector3(v["dB"], v["frame"])))
-        elif sec.name == "noise":
-            for key in sec.values:
-                _check(path, sec, key, v[_field_unit(key)[0]] >= 0.0,
-                       "must be non-negative")
-            options["noise"] = NoiseSpec(**v)
-        elif sec.name == "options":
-            _check(path, sec, "seed", v["seed"].removeprefix("-").isdecimal(),
-                   f"must be an integer, got {v['seed']!r}")
-            _check(path, sec, "tau_us", v["tau"] is None or v["tau"] > 0.0,
-                   "must be positive")
-            _check(path, sec, "from_traces", v["from_traces"] in ("yes", "no"),
-                   "must be 'yes' or 'no'")
-            options.update(seed=int(v["seed"]), tau=v["tau"],
-                           from_traces=v["from_traces"] == "yes")
-    if not nuclei:
-        raise ParseError(path, 1, "no [nucleus] sections found")
-    if not fields:
-        raise ParseError(path, 1, "no [fields] sections found")
-    return TruthSpec(nuclei=tuple(nuclei), fields=tuple(fields), **options)
-
-
-# ---------------------------------------------------------------------------
-# ODMR line files
-
-def load_odmr(path, registry: FrameRegistry = DEFAULT_REGISTRY) -> OdmrDataset:
-    """One data row per resonance: nv_id frame_name f_GHz sigma_MHz.
-
-    Rows are grouped by nv_id; each id needs exactly two rows sharing a
-    frame of ``registry``. The pair's sigma is the mean of the two row
-    sigmas.
-    """
-    from .calibrate import OdmrDataset, OdmrEntry
-
-    rows = []
-    for sec, v in _read_sections(path, "odmr", _ODMR):
-        if sec.name:
-            rows.extend(sec.rows)
-        else:
-            context = v["context"]
-            _check(path, sec, "context", context in (COIL_FIELD, BIAS_FIELD),
-                   f"must be {COIL_FIELD!r} or {BIAS_FIELD!r}")
-    if not rows:
-        raise ParseError(path, 1, "no resonance rows found")
-
-    grouped: dict[str, list] = {}
-    for line_no, raw in rows:
-        parts = raw.split()
-        if len(parts) != 4:
-            raise ParseError(path, line_no,
-                             "expected: nv_id frame_name f_GHz sigma_MHz")
-        _check_frame(path, line_no, parts[1], registry)
-        f_GHz, sigma_MHz = _finite(path, line_no, parts[2:], "bad numbers in row")
-        grouped.setdefault(parts[0], []).append((line_no, parts[1], f_GHz * 1e9,
-                                                 sigma_MHz * 1e6))
-
-    entries = []
-    for nv_id, items in grouped.items():
-        if len(items) != 2:
-            raise ParseError(path, items[0][0],
-                             f"nv {nv_id!r} has {len(items)} lines, expected 2")
-        (line, frame, fa, sa), (line_b, frame_b, fb, sb) = items
-        if frame_b != frame:
-            raise ParseError(path, line_b, f"nv {nv_id!r} rows disagree on frame")
-        try:
-            entries.append(OdmrEntry(frame=frame, lines=OdmrLinePair(*sorted((fa, fb))),
-                                     sigma=0.5 * (sa + sb)))
-        except ValueError as exc:
-            raise ParseError(path, line, str(exc)) from None
-    return OdmrDataset(entries=tuple(entries), context=context)
-
-
-def save_odmr(path, dataset: OdmrDataset, nv_ids=None):
-    ids = nv_ids or [f"NV{k + 1}" for k in range(len(dataset.entries))]
-    lines = ["kind = odmr", f"version = {FORMAT_VERSION}",
-             f"context = {dataset.context}", "", "[lines]"]
-    for nv_id, e in zip(ids, dataset.entries):
-        lines.append(f"{nv_id} {e.frame} {_fmt(e.lines.f_minus / 1e9)} {_fmt(e.sigma / 1e6)}")
-        lines.append(f"{nv_id} {e.frame} {_fmt(e.lines.f_plus / 1e9)} {_fmt(e.sigma / 1e6)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# reference coupling tables and residual maps
-
-def load_dft_table(path) -> list[DftRow]:
-    """Whitespace-separated table with a header row naming the columns.
-
-    The columns are those of _DFT_COLUMNS, a_iso_kHz optional, in any order;
-    extra columns are rejected. The header may sit in a comment.
-    """
-    header = None
-    rows = []
-    for line_no, s in _lines(path, header_comment=True):
-        parts = s.split()
-        if header is None:
-            header = parts
-            missing = [c for c, (_, default) in _DFT_COLUMNS.items()
-                       if default is _REQUIRED and c not in header]
-            if missing:
-                raise ParseError(path, line_no, f"header missing columns {missing}")
-            extra = [c for c in header if c not in _DFT_COLUMNS]
-            if extra:
-                raise ParseError(path, line_no, f"unknown columns {extra}")
-            if len(set(header)) != len(header):
-                raise ParseError(path, line_no, "duplicate column in header")
-            continue
-        if len(parts) != len(header):
-            raise ParseError(path, line_no,
-                             f"expected {len(header)} fields, got {len(parts)}")
-        vals = dict(zip(header, _finite(path, line_no, parts, "bad numbers in row")))
-        row = {}
-        for column, (_, default) in _DFT_COLUMNS.items():
-            name, unit = _field_unit(column)
-            row[name] = vals[column] * unit if column in vals else default
-        if row["a_perp"] < 0.0:
-            raise ParseError(path, line_no, "a_perp_kHz must be non-negative")
-        rows.append(DftRow(**row))
-    if header is None:
-        raise ParseError(path, 1, "empty table: no header row")
-    return rows
-
-
-def save_residual_map(path, rmap: ResidualMap):
-    entries = [[e.r_ref / ANGSTROM, e.dr / ANGSTROM, math.degrees(e.dtheta)]
-               for e in rmap.entries]
-    bins = [[b.r_lo / ANGSTROM, b.r_hi / ANGSTROM, b.n_sites,
-             b.median_abs_dr / ANGSTROM, math.degrees(b.median_abs_dtheta)]
-            for b in rmap.bins]
-    atomic_write_text(path, "# r_A  dr_A  dtheta_deg\n"
-                      + _fmt_rows(np.reshape(entries, (-1, 3))) + "\n# binned medians: "
-                      "r_lo_A  r_hi_A  n_sites  median_abs_dr_A  median_abs_dtheta_deg\n"
-                      + _fmt_rows(np.reshape(bins, (-1, 5)))
-                      + "".join(f"# failed {msg}\n" for msg in rmap.failures))
 
 
 # ---------------------------------------------------------------------------

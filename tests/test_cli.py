@@ -206,16 +206,28 @@ def test_localize_negative_seed_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [("--fix-a-iso", "bogus"), ("--samples", "5")])
+def test_localize_bad_flag_exits_2_before_writing(tmp_path, capsys, flags):
+    # flags are checked before the input is read or --out is created
+    example = Path(__file__).resolve().parents[1] / "data" / "measurements_example.txt"
+    out = tmp_path / "out"
+    rc = main(["localize", str(example), *flags, "--out", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_localize_imports_no_scipy(tmp_path):
-    # scipy serves calibrate and trace-based simulate only, and so do
-    # spinloc.calibrate and spinloc.signal; localize must run without
-    # importing any of them, or numpy.ma, which numpy's quantile path loads
+    # scipy serves calibrate and trace-based simulate only; localize must run
+    # without importing it, numpy.ma (which numpy's quantile path loads), or
+    # the modules of the other commands
     root = Path(__file__).resolve().parents[1]
     code = ("import sys\n"
             "from spinloc.cli import main\n"
             "rc = main(['localize', *sys.argv[1:]])\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-            "             or m in ('numpy.ma', 'spinloc.calibrate', 'spinloc.signal')))\n"
+            "             or m in ('numpy.ma', 'spinloc.calibrate', 'spinloc.signal',\n"
+            "                      'spinloc.simulate', 'spinloc.dft')))\n"
             "sys.exit(rc)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -228,18 +240,35 @@ def test_localize_imports_no_scipy(tmp_path):
     assert child.stdout.splitlines()[-1] == "[]"
 
 
+# the package names that live in a module loaded on first use, by module
+_LAZY_NAMES = {
+    "calibrate": ("OdmrLinePair", "hamiltonian", "transition_frequencies",
+                  "odmr_lines", "OdmrEntry", "OdmrDataset", "FieldSolution",
+                  "solve_field", "AlignmentReport", "alignment_report",
+                  "load_odmr", "save_odmr"),
+    "signal": ("TimeTrace", "FrequencyEstimate", "synth_trace",
+               "estimate_frequencies"),
+    "simulate": ("TruthSpec", "TruthNucleus", "FieldConfig", "NoiseSpec",
+                 "load_truth"),
+    "dft": ("DftRow", "ResidualEntry", "ResidualBin", "ResidualMap",
+            "dft_residual_map", "load_dft_table"),
+}
+
+
 def test_package_loads_calibrate_and_signal_on_first_use():
-    # importing spinloc leaves spinloc.calibrate and spinloc.signal unloaded;
-    # their names on the package load them when first read
+    # importing spinloc leaves the modules of calibrate, signal, simulate and
+    # dft unloaded; their names on the package load them when first read and
+    # are the objects of those modules
     root = Path(__file__).resolve().parents[1]
-    code = ("import sys\n"
+    code = ("import importlib, sys\n"
             "import spinloc\n"
-            "lazy = ('spinloc.calibrate', 'spinloc.signal')\n"
-            "print(sorted(m for m in lazy if m in sys.modules))\n"
+            f"names = {_LAZY_NAMES!r}\n"
+            "print(sorted(f'spinloc.{m}' for m in names\n"
+            "             if f'spinloc.{m}' in sys.modules))\n"
             "from spinloc import TimeTrace, solve_field\n"
-            "from spinloc.calibrate import solve_field as sf\n"
-            "from spinloc.signal import TimeTrace as tt\n"
-            "print(TimeTrace is tt and solve_field is sf)\n"
+            "print(all(getattr(spinloc, n)\n"
+            "          is getattr(importlib.import_module(f'spinloc.{m}'), n)\n"
+            "          for m, ns in names.items() for n in ns))\n"
             "try:\n"
             "    spinloc.no_such_name\n"
             "except AttributeError:\n"

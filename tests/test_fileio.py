@@ -27,11 +27,10 @@ from spinloc import (
 )
 from spinloc import fileio
 from spinloc.cli import main
-from spinloc.dipole import ResidualBin, ResidualEntry, ResidualMap
+from spinloc.dft import ResidualBin, ResidualEntry, ResidualMap, save_residual_map
 from spinloc.fileio import (
     save_cost_curve,
     save_histogram,
-    save_residual_map,
     save_scatter,
     write_json,
 )

@@ -122,9 +122,8 @@ class XiKernel:
     """Called on broadcasting (phi, a_iso) lane arrays, inverts the couplings
     at a_iso (``dipole._invert``) and gives each record's xi, measured minus
     predicted coil-on splitting with the model of ``precession_frequency``,
-    stacked over records, with dxi/dphi and dxi/da_iso from the same pass.
-    ``derivatives="phi"`` gives xi and dxi/dphi alone, for fits with a_iso
-    fixed, and ``derivatives=False`` xi alone, for grid scans. Lanes whose
+    stacked over records, with dxi/dphi and dxi/da_iso from the same pass;
+    ``derivatives=False`` gives xi alone, for grid scans. Lanes whose
     couplings do not invert, or at the level crossing, come out NaN.
 
     With n the unit vector to the site, b the dipolar strength and
@@ -167,7 +166,6 @@ class XiKernel:
         az = (h * nx, h * ny, h * ct + e)  # A e_z
         if derivatives:  # 3u = 3b dn/dphi, with u_z = 0 and d = 0
             u_phi = (-bb * ny, bb * nx)
-        if derivatives is True:
             # the site follows a_iso along a_par - a_iso = b(3cos^2 - 1),
             # a_perp = 3b sin cos: the 2x2 system has determinant
             # 3b(1 + cos^2) > 0, so b and theta move smoothly everywhere
@@ -180,7 +178,7 @@ class XiKernel:
             tz = (u_iso[0] * ct + nx * u_iso[2], u_iso[1] * ct + ny * u_iso[2],
                   2.0 * u_iso[2] * ct + d)  # T e_z
         recs = consts[2:].reshape((len(consts) - 2) // 9, 9, *consts.shape[1:])
-        out = np.empty((1 + bool(derivatives) + (derivatives is True), len(recs),
+        out = np.empty((3 if derivatives else 1, len(recs),
                         *np.broadcast_shapes(nx.shape, consts.shape[1:])))
         for i, (meas, cx, cy, cz, qx, qy, qz, k0, k1) in enumerate(recs):
             s = nx * qx + ny * qy + ct * qz
@@ -201,10 +199,9 @@ class XiKernel:
             np.add(s * (u_phi[0] * wx + u_phi[1] * wy)
                    + (u_phi[0] * qx + u_phi[1] * qy) * nw,
                    ct * (v1x * u_phi[0] + v1y * u_phi[1]) / f1, out=out[1, i, ...])
-            if derivatives is True:
-                np.add(s * (u_iso[0] * wx + u_iso[1] * wy)
-                       + (u_iso[0] * qx + u_iso[1] * qy + u_iso[2] * qz) * nw
-                       + d * (qx * wx + qy * wy),
-                       (v1x * tz[0] + v1y * tz[1] + v1z * tz[2]) / f1,
-                       out=out[2, i, ...])
+            np.add(s * (u_iso[0] * wx + u_iso[1] * wy)
+                   + (u_iso[0] * qx + u_iso[1] * qy + u_iso[2] * qz) * nw
+                   + d * (qx * wx + qy * wy),
+                   (v1x * tz[0] + v1y * tz[1] + v1z * tz[2]) / f1,
+                   out=out[2, i, ...])
         return tuple(out) if derivatives else out[0]

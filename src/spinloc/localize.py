@@ -46,8 +46,8 @@ DEFAULT_A_ISO_RANGE = (-1.0e5, 1.0e5)  # Hz
 # every row's best column within what the data resolve. On 300 such
 # geometries, noisy and noise-free, a 10 kHz grid found the same polished
 # minima as a 0.5 kHz one. With noise a coarser grid can seed a lane that
-# stops at _LM_MAX_ITER short of a minimum, and _finish reports that lane's
-# point as one more near-degenerate minimum.
+# stops at _LM_MAX_ITER short of a minimum, which _finish then reports only
+# if it is the best.
 DEFAULT_A_ISO_STEP = 10e3              # Hz
 DEFAULT_PHI_STEP_DEG = 0.5
 
@@ -293,29 +293,29 @@ _LANE_BLOCK = 4096
 
 
 def _join_lanes(batches):
-    """Batches of solver lanes, (kernel, phi, a_iso, phi_box, iso_box), side
-    by side in order: every batch's (kernel, lane count), for
+    """Batches of solver lanes, (kernel, phi, a_iso, phi_box, iso_box,
+    fixed), side by side in order: every batch's (kernel, lane count), for
     ``XiKernel.join``, then one array each of phi, a_iso, phi lo, phi hi,
-    a_iso lo and a_iso hi, whose batch values may be shared scalars."""
+    a_iso lo, a_iso hi and fixed, whose batch values may be shared scalars."""
     sizes = [np.size(b[1]) for b in batches]
 
     def cat(values):
         return np.concatenate([np.broadcast_to(v, (m,)) for v, m in zip(values, sizes)])
 
-    kernels, phi, iso, phi_box, iso_box = zip(*batches)
+    kernels, phi, iso, phi_box, iso_box, fixed = zip(*batches)
     return (list(zip(kernels, sizes)), cat(phi), cat(iso),
-            *map(cat, zip(*phi_box)), *map(cat, zip(*iso_box)))
+            *map(cat, zip(*phi_box)), *map(cat, zip(*iso_box)), cat(fixed))
 
 
-def _normal(jac, res, free_iso: bool):
+def _normal(jac, res, fixed):
     """The normal equations of every lane, J^T J = (a, b; b, c) and
     J^T r = (g, h), as (a, b, c, g, h), from the Jacobian columns
-    (dxi/dphi, dxi/da_iso) and the residuals r, one row per record; with
-    a_iso fixed, b = h = 0 and c = 1."""
-    a, g = _dot(jac[0], jac[0]), _dot(jac[0], res)
-    if not free_iso:
-        return a, 0.0, 1.0, g, 0.0
-    return a, _dot(jac[0], jac[1]), _dot(jac[1], jac[1]), g, _dot(jac[1], res)
+    (dxi/dphi, dxi/da_iso) and the residuals r, one row per record. The
+    lanes ``fixed`` hold a_iso: their zeroed a_iso column gives b = h = 0,
+    and c is set to 1 in place."""
+    a, b, c = _dot(jac[0], jac[0]), _dot(jac[0], jac[1]), _dot(jac[1], jac[1])
+    c[fixed] = 1.0
+    return a, b, c, _dot(jac[0], res), _dot(jac[1], res)
 
 
 def _newton(a, b, c, g, h, pin_phi, pin_iso):
@@ -329,7 +329,7 @@ def _newton(a, b, c, g, h, pin_phi, pin_iso):
                 pin_phi, _over(-h, c), _over(b * g - a * h, det))))
 
 
-def _lm_step(lanes, free_iso: bool, sample: bool):
+def _lm_step(lanes, sample: bool):
     """The next step of every lane of a ``_levenberg_marquardt`` batch, as
     (trial phi, trial a_iso, g, h, a_s, b_s, c_s), with (g, h) the gradient
     / 2 and (a_s, b_s; b_s, c_s) the model's Hessian / 2; a lane whose
@@ -339,8 +339,8 @@ def _lm_step(lanes, free_iso: bool, sample: bool):
     the coordinates not held on a bound moves phi by at most
     _LM_SAMPLE_XTOL_PHI and a_iso by at most _LM_SAMPLE_XTOL_ISO, and
     predicts a decrease of at most _LM_RFCTOL of the cost."""
-    phi, iso, cost, lam, mult, sec, *box, res = lanes[:11]
-    a, b, c, g, h = _normal(lanes[11:], res, free_iso)
+    phi, iso, cost, lam, mult, sec, *box, fixed, res = lanes[:12]
+    a, b, c, g, h = _normal(lanes[12:], res, fixed)
     a_s, b_s, c_s = a + sec[0], b + sec[1], c + sec[2]
     s11, s12, s22 = np.where((a_s > 0.0) & (a_s * c_s > b_s * b_s), sec, 0.0)
     a_s, b_s, c_s = a + s11, b + s12, c + s22  # the model's Hessian / 2
@@ -364,39 +364,40 @@ def _lm_step(lanes, free_iso: bool, sample: bool):
                   & (-(g * full_phi + h * full_iso) <= _LM_RFCTOL * cost))
 
 
-def _levenberg_marquardt(pieces, *, free_iso: bool, sample: bool = False) -> _LaneFit:
+def _levenberg_marquardt(pieces, *, sample: bool = False) -> _LaneFit:
     """Box-bounded Levenberg-Marquardt fit of (phi, a_iso) on every lane of
     a pool.
 
     ``pieces`` lists (count, lanes) pairs; ``lanes(lo, hi)`` gives lanes
-    lo..hi-1 of its piece as (kernel, phi, a_iso, phi_box, iso_box): their
-    ``dynamics.xi_kernel``, starts and (lo, hi) boxes. Lanes are numbered in
-    piece order. The pool starts with _LANE_BLOCK lanes and, whenever fewer
-    than _LANE_BLOCK // 4 still run, tops up to _LANE_BLOCK with the next
-    lanes, splitting a piece where the room ends, so that iterations are not
-    spent on a few slow lanes at a time; new lanes join the batch
-    (``XiKernel.join``) and start in the running lanes' next kernel call.
+    lo..hi-1 of its piece as (kernel, phi, a_iso, phi_box, iso_box, fixed):
+    their ``dynamics.xi_kernel``, starts, (lo, hi) boxes and whether a_iso
+    is fixed. Lanes are numbered in piece order. The pool starts with
+    _LANE_BLOCK lanes and, whenever fewer than _LANE_BLOCK // 4 still run,
+    tops up to _LANE_BLOCK with the next lanes, splitting a piece where the
+    room ends, so that iterations are not spent on a few slow lanes at a
+    time; new lanes join the batch (``XiKernel.join``) and start in the
+    running lanes' next kernel call.
 
-    a_iso stays at its start unless ``free_iso``, and the kernel then skips
-    its a_iso column. Steps solve the damped normal equations of the
-    kernel's exact Jacobian, plus the lane's secant term where the sum is
-    positive definite, and are clipped to the boxes; a coordinate on its
-    bound whose descent points out stays there. Every iteration makes one
-    kernel call, at the trial point, whose derivatives are kept when the
-    step is accepted. Each lane keeps its own damping, step multiplier and
-    iteration count, and stops on its own tests or after _LM_MAX_ITER of its
-    own iterations; in a ``sample`` pool a lane whose model says it has
-    converged to report precision stops when its step is formed, before
-    paying for a kernel call. Stopped lanes leave the batch, the kernel
-    compacted (``take``) with the other lane arrays. The arithmetic is per
-    lane, so no lane's result depends on its batch or on when it joined.
-    Lanes with no finite cost at the start come back unchanged.
+    A fixed lane keeps a_iso at its start: right after every kernel call
+    its a_iso column is zeroed in place. Steps solve the damped normal
+    equations of the kernel's exact Jacobian, plus the lane's secant term
+    where the sum is positive definite, and are clipped to the boxes; a
+    coordinate on its bound whose descent points out stays there. Every
+    iteration makes one kernel call, at the trial point, whose derivatives
+    are kept when the step is accepted. Each lane keeps its own damping,
+    step multiplier and iteration count, and stops on its own tests or
+    after _LM_MAX_ITER of its own iterations; in a ``sample`` pool a lane
+    whose model says it has converged to report precision stops when its
+    step is formed, before paying for a kernel call. Stopped lanes leave
+    the batch, the kernel compacted (``take``) with the other lane arrays.
+    The arithmetic is per lane, so no lane's result depends on its batch
+    or on when it joined. Lanes with no finite cost at the start come back
+    unchanged.
     """
     queue = deque((0, count, piece) for count, piece in pieces if count)
     n = sum(count for _, count, _ in queue)
     fit = _LaneFit(np.empty(n), np.empty(n), np.empty(n), np.zeros(n, dtype=int),
                    np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
-    cols = True if free_iso else "phi"
 
     def admit(room):
         batches = []
@@ -413,7 +414,7 @@ def _levenberg_marquardt(pieces, *, free_iso: bool, sample: bool = False) -> _La
     idx = np.arange(0)  # the running lanes
     # per running lane: phi, a_iso, cost, damping, step multiplier mu, the
     # secant term S (S_phiphi, S_phiiso, S_isoiso), the box (phi lo, phi hi,
-    # a_iso lo, a_iso hi), then xi and its Jacobian dxi/dphi (and dxi/da_iso);
+    # a_iso lo, a_iso hi), whether a_iso is fixed, then xi and its Jacobian;
     # and its next step: the trial phi and a_iso, the gradient / 2 (g, h) and
     # the model's Hessian / 2 (a_s, b_s, c_s)
     lanes = step = ()
@@ -421,12 +422,12 @@ def _levenberg_marquardt(pieces, *, free_iso: bool, sample: bool = False) -> _La
     while True:
         na = idx.size
         if na:
-            phi, iso, cost, lam, mult, sec, *box, res = lanes[:11]
-            jac = lanes[11:]
+            phi, iso, cost, lam, mult, sec, *box, fixed, res = lanes[:12]
+            jac = lanes[12:]
             phi_t, iso_t, g, h, a_s, b_s, c_s = step
             fit.iterations[idx] += 1
         else:
-            phi_t = iso_t = np.empty(0)
+            phi_t, iso_t, fixed = np.empty(0), np.empty(0), np.empty(0, dtype=bool)
         batch = (admit(_LANE_BLOCK - na)
                  if na < _LANE_BLOCK // 4 and queue else None)
         m = 0 if batch is None else batch[1].size
@@ -436,12 +437,13 @@ def _levenberg_marquardt(pieces, *, free_iso: bool, sample: bool = False) -> _La
             # the new lanes' kernel constants are held once, in the joined
             # kernel, through the call
             kernel = XiKernel.join(([(kernel, na)] if na else []) + batch[0])
-            phi_n, iso_n, *box_n = batch[1:]
+            phi_n, iso_n, *box_n, fixed_n = batch[1:]
             batch = None
             phi_t, iso_t = np.concatenate([phi_t, phi_n]), np.concatenate([iso_t, iso_n])
         # one kernel call: the running lanes' trial points, then the new
         # lanes' start points
-        res_t, *jac_t = kernel(phi_t, iso_t, cols)
+        res_t, *jac_t = kernel(phi_t, iso_t)
+        jac_t[1][:, np.concatenate([fixed, fixed_n]) if m else fixed] = 0.0
         cost_t = _dot(res_t, res_t)
 
         done = np.zeros(0, dtype=bool)
@@ -485,11 +487,11 @@ def _levenberg_marquardt(pieces, *, free_iso: bool, sample: bool = False) -> _La
                 np.where(accept, new, old) for new, old in
                 zip((phi_t[:na], iso_t[:na], cost_r, res_r, *jac_r),
                     (phi, iso, cost, res, *jac)))
-            lanes = (phi, iso, cost, lam, mult, sec, *box, res, *jac)
+            lanes = (phi, iso, cost, lam, mult, sec, *box, fixed, res, *jac)
         if m:
             cost_n = cost_t[na:]
             new = (phi_n, iso_n, cost_n, np.full(m, _LM_LAMBDA0), np.ones(m),
-                   np.zeros((3, m)), *box_n, res_t[:, na:],
+                   np.zeros((3, m)), *box_n, fixed_n, res_t[:, na:],
                    *(j[:, na:] for j in jac_t))
             lanes = (tuple(np.concatenate([u, v], axis=-1)
                            for u, v in zip(lanes, new)) if na else new)
@@ -500,18 +502,17 @@ def _levenberg_marquardt(pieces, *, free_iso: bool, sample: bool = False) -> _La
         # each running lane's next step, then the lanes that stopped, ran
         # out of iterations at their best point or, as samples, need no
         # further kernel call leave the batch
-        step, early = _lm_step(lanes, free_iso, sample)
+        step, early = _lm_step(lanes, sample)
         done = done | early
         stop = done | (fit.iterations[idx] >= _LM_MAX_ITER)
         if stop.any():
             fin = idx[stop]
             phi_f, iso_f, cost_f = (v[stop] for v in lanes[:3])
-            box = [v[stop] for v in lanes[6:10]]
+            *box, fixed_f = (v[stop] for v in lanes[6:11])
             fit.phi[fin], fit.a_iso[fin], fit.cost[fin] = phi_f, iso_f, cost_f
             fit.converged[fin] = done[stop]
-            on_edge = (phi_f == box[0]) | (phi_f == box[1])
-            if free_iso:
-                on_edge |= (iso_f == box[2]) | (iso_f == box[3])
+            on_edge = ((phi_f == box[0]) | (phi_f == box[1])
+                       | (~fixed_f & ((iso_f == box[2]) | (iso_f == box[3]))))
             fit.at_bound[fin] = on_edge & np.isfinite(cost_f)
             # integer takes: on a lane axis of a few thousand, a boolean
             # mask copies several times slower
@@ -563,7 +564,7 @@ class _Scan(NamedTuple):
         them."""
         return (self.kernel, self.phi[lo:hi], self.a_iso[lo:hi],
                 tuple(v[lo:hi] for v in self.phi_box),
-                tuple(v[lo:hi] for v in self.iso_box))
+                tuple(v[lo:hi] for v in self.iso_box), self.a_iso_fixed)
 
 
 # grid points per kernel call, 90 phi rows of the default joint grid: bounds
@@ -622,30 +623,33 @@ def _scan(records, coupling, fix_a_iso, phi_step_deg, a_iso_step,
 
 def _finish(scan: _Scan, lm: _LaneFit) -> AzimuthFit:
     """The fit from the polished lanes of a scan: merged minima, the best
-    one and its near-degenerate rivals."""
+    one and its near-degenerate rivals. A lane that the iteration cap
+    stopped is no minimum, unless it is the best."""
     # a tiny negative phi would wrap to 2pi itself
-    candidates = [(float(c), float(p) % _TWO_PI, float(a))
-                  for c, p, a in zip(lm.cost, lm.phi, lm.a_iso)]
-    candidates = [(c, 0.0 if p == _TWO_PI else p, a) for c, p, a in candidates]
+    candidates = [(float(c), float(p) % _TWO_PI, float(a), bool(ok))
+                  for c, p, a, ok in zip(lm.cost, lm.phi, lm.a_iso, lm.converged)]
+    candidates = [(c, 0.0 if p == _TWO_PI else p, a, ok) for c, p, a, ok in candidates]
 
     # merge refinements that converged to the same point, keeping the best
     merged: list[tuple] = []
-    for cost, phi, iso in sorted(candidates):
+    for cost, phi, iso, ok in sorted(candidates):
         dup = False
-        for mc, mp, mi in merged:
+        for mc, mp, mi, _ in merged:
             dphi = abs((phi - mp + math.pi) % _TWO_PI - math.pi)
             if dphi < 1e-3 and abs(iso - mi) < max(1.0, 1e-6 * abs(mi)):
                 dup = True
                 break
         if not dup:
-            merged.append((cost, phi, iso))
+            merged.append((cost, phi, iso, ok))
 
     best_cost = merged[0][0]
     near = [m for m in merged if m[0] <= best_cost * (1.0 + 1e-9) + 1e-18]
-    best_cost, best_phi, best_iso = min(near, key=lambda m: m[1])
+    best = min(near, key=lambda m: m[1])
+    best_cost, best_phi, best_iso, _ = best
 
     eps2 = DEGENERACY_EPSILON ** 2
-    keep = [m for m in merged if m[0] <= DEGENERACY_FACTOR * best_cost + eps2]
+    keep = [m for m in merged if (m[3] or m is best)
+            and m[0] <= DEGENERACY_FACTOR * best_cost + eps2]
     keep.sort(key=lambda m: m[1])
     minima = tuple(Minimum(phi=m[1], a_iso=m[2], residual=math.sqrt(m[0]))
                    for m in keep)
@@ -670,20 +674,20 @@ def _isolate(fn, *args):
 
 
 def _solve(jobs, sample: bool) -> list:
-    """The solver's lanes of every (shape, pieces) job, shape being (record
-    count, a_iso free) and pieces the job's (count, lanes) pairs: the jobs of
-    one shape share one ``_levenberg_marquardt`` pool, the pools taken in
-    order of first appearance, with the early stop of Monte Carlo samples
-    if ``sample`` (point fits have none). Returns each job's _LaneFit, in
-    order, as views into its pool's arrays."""
+    """The solver's lanes of every (record count, pieces) job, pieces being
+    the job's (count, lanes) pairs: the jobs of one record count share one
+    ``_levenberg_marquardt`` pool, fixed and free a_iso alike, the pools
+    taken in order of first appearance, with the early stop of Monte Carlo
+    samples if ``sample`` (point fits have none). Returns each job's
+    _LaneFit, in order, as views into its pool's arrays."""
     jobs = list(jobs)
     pools: dict = {}
-    for k, (shape, _) in enumerate(jobs):
-        pools.setdefault(shape, []).append(k)
+    for k, (n_records, _) in enumerate(jobs):
+        pools.setdefault(n_records, []).append(k)
     out = [None] * len(jobs)
-    for (_, free_iso), members in pools.items():
+    for members in pools.values():
         lm = _levenberg_marquardt([p for k in members for p in jobs[k][1]],
-                                  free_iso=free_iso, sample=sample)
+                                  sample=sample)
         end = 0
         for k in members:
             start, end = end, end + sum(count for count, _ in jobs[k][1])
@@ -698,17 +702,16 @@ def fit_azimuths(problems, *, phi_step_deg: float = DEFAULT_PHI_STEP_DEG,
 
     Returns one entry per problem, in order: its AzimuthFit, or the
     SpinlocError or ValueError its fit raised. Each problem is checked and
-    grid-scanned on its own; then the grid minima of all problems of one
-    kernel shape (record count, and whether a_iso is free) are polished
-    together in one lane pool (``_solve``), whose lanes do not depend on
-    each other.
+    grid-scanned on its own; then the grid minima of all problems with one
+    record count, fixed and free a_iso alike, are polished together in one
+    lane pool (``_solve``), whose lanes do not depend on each other.
     """
     problems = [(list(records), coupling, fix) for records, coupling, fix in problems]
     out = [_isolate(_scan, *p, phi_step_deg, a_iso_step, constants)
            for p in problems]
     live = [k for k, s in enumerate(out) if not isinstance(s, Exception)]
-    lms = _solve((((len(problems[k][0]), not out[k].a_iso_fixed),
-                   [(out[k].phi.size, out[k].lanes)]) for k in live), False)
+    lms = _solve(((len(problems[k][0]), [(out[k].phi.size, out[k].lanes)])
+                  for k in live), False)
     for k, lm in zip(live, lms):
         out[k] = _isolate(_finish, out[k], lm)
     return out

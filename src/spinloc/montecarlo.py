@@ -20,9 +20,9 @@ step would make for its draws, from one sensitivity matrix per nucleus
 Watts, Nonlinear Regression Analysis and Its Applications, 1988, ch. 2).
 Where a sample's cost has two minima inside its box, that start can end it
 in the other one than a start at the optimum would. The samples of all
-nuclei of a ``propagate_many`` call that share a kernel shape (record
-count, and whether a_iso is free) are solved in one lane pool
-(``localize._solve``), which admits them in order as earlier lanes stop.
+nuclei of a ``propagate_many`` call that share a record count are solved in
+one lane pool (``localize._solve``), a fixed a_iso pinned lane by lane,
+which admits them in order as earlier lanes stop.
 Basin hops to mirror minima are deliberately not sampled, since degenerate
 minima are reported separately by the fit itself: the box keeps each sample
 near the point fit, and samples that end on its edge are counted in
@@ -264,30 +264,31 @@ def _slopes(nuclei, constants):
     point fit. Like the Gauss-Newton matrix, it leaves out the terms that
     the point fit's residual xi0 brings, here (dJ / d(draws))^T xi0, so it
     is the first step's derivative exactly only where xi0 vanishes. The
-    nuclei of one kernel shape (record count, a_iso free) join their lanes,
-    draws 0 and +-h e_k for every input k, in one kernel call, each at its
-    own point fit; the lanes do not depend on each other."""
-    shapes: dict = {}
+    nuclei of one record count join their lanes, draws 0 and +-h e_k for
+    every input k, in one kernel call, each at its own point fit; the
+    lanes do not depend on each other."""
+    counts: dict = {}
     for nuc in nuclei:
-        shapes.setdefault((len(nuc.records), nuc.fix_a_iso is None), []).append(nuc)
-    for (n_rec, free), members in shapes.items():
+        counts.setdefault(len(nuc.records), []).append(nuc)
+    for n_rec, members in counts.items():
         n_in = 3 + 8 * n_rec
         step = _SENSITIVITY_STEP * np.eye(n_in)
         draws = np.concatenate([np.zeros((1, n_in)), step, -step])
         m = len(draws)
         kernel = XiKernel.join((_lanes(nuc, draws, constants)[0], m) for nuc in members)
         res, *jac = kernel(np.repeat([nuc.point.phi for nuc in members], m),
-                           np.repeat([nuc.point.a_iso for nuc in members], m),
-                           True if free else "phi")
+                           np.repeat([nuc.point.a_iso for nuc in members], m))
+        jac[1][:, np.repeat([nuc.fix_a_iso is not None for nuc in members], m)] = 0.0
         for k, nuc in enumerate(members):
+            fixed = nuc.fix_a_iso is not None
             plus = slice(k * m + 1, k * m + 1 + n_in)
             minus = slice(k * m + 1 + n_in, (k + 1) * m)
             d = (res[:, plus] - res[:, minus]) / (2.0 * _SENSITIVITY_STEP)
-            a, b, c, g, h = _normal([j[:, k * m, None] for j in jac], d, free)
+            a, b, c, g, h = _normal([j[:, k * m, None] for j in jac], d, fixed)
             slope = np.stack(_newton(a * (1.0 + _LM_LAMBDA0), b, c * (1.0 + _LM_LAMBDA0),
-                                     g, h, False, not free))
+                                     g, h, False, fixed))
             spread = np.sqrt((slope * slope).sum(axis=1))
-            half = (_PHI_BOX_FREE if free else _PHI_BOX, _ISO_BOX)
+            half = (_PHI_BOX if fixed else _PHI_BOX_FREE, _ISO_BOX)
             nuc.slope = (slope if np.isfinite(slope).all()
                          and (_START_SIGMAS * spread <= half).all() else None)
 
@@ -321,7 +322,7 @@ def _sample_lanes(nuc: _Nucleus, lo: int, hi: int, seed: int, constants):
         phi = np.clip(phi + _dot(nuc.slope[0][:, None], draws.T), *phi_box)
         if free:
             iso = np.clip(iso + _dot(nuc.slope[1][:, None], draws.T), *iso_box)
-    return kernel, phi, iso, phi_box, iso_box
+    return kernel, phi, iso, phi_box, iso_box, not free
 
 
 def _quantiles(values: np.ndarray, probs) -> np.ndarray:
@@ -408,11 +409,11 @@ def propagate_many(problems, mc: McConfig,
     Returns one entry per problem, in order: its EstimateResult, or the
     SpinlocError or ValueError that ended it. The passes run over all
     problems at once: the point fits (``localize.fit_azimuths``), then one
-    sensitivity kernel call per kernel shape (``_slopes``), then the
+    sensitivity kernel call per record count (``_slopes``), then the
     samples, each nucleus's in its mc.parallel_chunks chunks one after
-    another (``localize._solve``: one lane pool per kernel shape, record
-    count and whether a_iso is free), then each problem's gates and
-    intervals. Every result equals that of the problem alone.
+    another (``localize._solve``: one lane pool per record count, fixed and
+    free a_iso alike), then each problem's gates and intervals. Every
+    result equals that of the problem alone.
     """
     nuclei = [_Nucleus(list(records), coupling, fix_a_iso)
               for records, coupling, fix_a_iso in problems]
@@ -440,8 +441,8 @@ def propagate_many(problems, mc: McConfig,
     # each nucleus holds the only reference to its lanes, so that
     # ``_estimate`` releases them
     for nuc, lanes in zip(live, _solve(
-            (((len(nuc.records), nuc.fix_a_iso is None),
-              [piece(nuc, *chunk) for chunk in chunks]) for nuc in live), True)):
+            ((len(nuc.records), [piece(nuc, *chunk) for chunk in chunks])
+             for nuc in live), True)):
         nuc.lanes = lanes
     return [nuc.error or _isolate(_estimate, nuc, n, constants)
             for nuc in nuclei]

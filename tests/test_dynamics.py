@@ -254,7 +254,7 @@ def test_xi_kernel_derivatives_match_central_differences(site, b0, dbs,
        data=st.data())
 def test_xi_kernel_take_matches_kernel_of_sliced_lanes(lanes, data):
     # the solver compacts the kernel with take as lanes stop: bit for bit the
-    # kernel of the sliced inputs, in all three output forms, for a random
+    # kernel of the sliced inputs, in both output forms, for a random
     # mask and a one-lane block; and it joins kernels side by side, a kernel
     # of (3,) fields widened to per-lane constants
     n = len(lanes)
@@ -270,7 +270,7 @@ def test_xi_kernel_take_matches_kernel_of_sliced_lanes(lanes, data):
     for keep in (mask, one):
         sliced = xi_kernel([(m[keep], b0[:, keep], db[:, keep])
                             for m, b0, db in recs], a_par[keep], a_perp[keep])
-        for derivatives in (True, "phi", False):
+        for derivatives in (True, False):
             np.testing.assert_array_equal(
                 full.take(keep)(phi[keep], iso[keep], derivatives),
                 sliced(phi[keep], iso[keep], derivatives))
@@ -281,11 +281,11 @@ def test_xi_kernel_take_matches_kernel_of_sliced_lanes(lanes, data):
     joined = XiKernel.join([(shared, 2), (full, n)])
     wide = xi_kernel([(m[cols], b0[:, cols], db[:, cols]) for m, b0, db in recs],
                      a_par[cols], a_perp[cols])
-    for derivatives in (True, "phi", False):
+    for derivatives in (True, False):
         np.testing.assert_array_equal(joined(phi[cols], iso[cols], derivatives),
                                       wide(phi[cols], iso[cols], derivatives))
-    # the a_iso column does not change the other two
-    np.testing.assert_array_equal(full(phi, iso, "phi"), full(phi, iso)[:2])
+    # xi alone is the first row of xi with its derivatives
+    np.testing.assert_array_equal(full(phi, iso, False), full(phi, iso)[0])
 
 
 def test_xi_kernel_resonant_lane_is_nan():

@@ -214,7 +214,8 @@ def test_assemble_position_applies_axial_offset():
 def test_levenberg_marquardt_lanes_end_at_box_minima(r, theta, phi, a_iso,
                                                      noise, free):
     # noisy splittings so the minima carry a residual; lanes start on and off
-    # the truth, some with the minimum outside their box
+    # the truth, some with the minimum outside their box; the lanes of the
+    # drawn kind are solved alone, then in one pool with those of the other
     pos = SphericalPosition(r * ANGSTROM, theta, phi)
     recs = [dataclasses.replace(rec, fp_m1=rec.fp_m1 + dn) for rec, dn in
             zip(_records(pos, a_iso, _COILS), noise)]
@@ -226,31 +227,43 @@ def test_levenberg_marquardt_lanes_end_at_box_minima(r, theta, phi, a_iso,
     phi0 = phi + offsets
     iso0 = a_iso + 2e4 * offsets
     phi_box = (phi0 - 0.1, phi0 + 0.1)
-    iso_box = (iso0 - 5e3, iso0 + 5e3) if free else (iso0, iso0)
-    fit = _levenberg_marquardt([(phi0.size, lambda lo, hi: (
-        kernel, phi0[lo:hi], iso0[lo:hi], tuple(v[lo:hi] for v in phi_box),
-        tuple(v[lo:hi] for v in iso_box)))], free_iso=free)
 
-    assert fit.converged.all()
-    assert np.all((fit.phi >= phi_box[0]) & (fit.phi <= phi_box[1]))
-    assert np.all((fit.a_iso >= iso_box[0]) & (fit.a_iso <= iso_box[1]))
-    np.testing.assert_allclose(fit.cost, sum_sq_xi(recs, coupling, fit.phi,
-                                                   fit.a_iso), rtol=1e-12)
-    edge = (fit.phi == phi_box[0]) | (fit.phi == phi_box[1])
-    if free:
-        edge |= (fit.a_iso == iso_box[0]) | (fit.a_iso == iso_box[1])
-    else:
-        np.testing.assert_array_equal(fit.a_iso, iso0)
-    np.testing.assert_array_equal(fit.at_bound, edge)
-    probes = [(1e-4, 0.0), (-1e-4, 0.0)]
-    if free:
-        probes += [(0.0, 10.0), (0.0, -10.0)]
-    for d_phi, d_iso in probes:
-        p, a = fit.phi + d_phi, fit.a_iso + d_iso
-        inside = ((p >= phi_box[0]) & (p <= phi_box[1])
-                  & (a >= iso_box[0]) & (a <= iso_box[1]))
-        probe_cost = sum_sq_xi(recs, coupling, p, a)
-        assert np.all(fit.cost[inside] <= probe_cost[inside]), (d_phi, d_iso)
+    def iso_box(free):
+        return (iso0 - 5e3, iso0 + 5e3) if free else (iso0, iso0)
+
+    def piece(free):
+        return phi0.size, lambda lo, hi: (
+            kernel, phi0[lo:hi], iso0[lo:hi], tuple(v[lo:hi] for v in phi_box),
+            tuple(v[lo:hi] for v in iso_box(free)), not free)
+
+    def check(fit, free):
+        iso_lo, iso_hi = iso_box(free)
+        assert fit.converged.all()
+        assert np.all((fit.phi >= phi_box[0]) & (fit.phi <= phi_box[1]))
+        assert np.all((fit.a_iso >= iso_lo) & (fit.a_iso <= iso_hi))
+        np.testing.assert_allclose(fit.cost, sum_sq_xi(recs, coupling, fit.phi,
+                                                       fit.a_iso), rtol=1e-12)
+        edge = (fit.phi == phi_box[0]) | (fit.phi == phi_box[1])
+        if free:
+            edge |= (fit.a_iso == iso_lo) | (fit.a_iso == iso_hi)
+        else:
+            np.testing.assert_array_equal(fit.a_iso, iso0)
+        np.testing.assert_array_equal(fit.at_bound, edge)
+        probes = [(1e-4, 0.0), (-1e-4, 0.0)]
+        if free:
+            probes += [(0.0, 10.0), (0.0, -10.0)]
+        for d_phi, d_iso in probes:
+            p, a = fit.phi + d_phi, fit.a_iso + d_iso
+            inside = ((p >= phi_box[0]) & (p <= phi_box[1])
+                      & (a >= iso_lo) & (a <= iso_hi))
+            probe_cost = sum_sq_xi(recs, coupling, p, a)
+            assert np.all(fit.cost[inside] <= probe_cost[inside]), (d_phi, d_iso)
+
+    check(_levenberg_marquardt([piece(free)]), free)
+    mixed = _levenberg_marquardt([piece(not free), piece(free)])
+    for part, kind in ((slice(None, phi0.size), not free),
+                       (slice(phi0.size, None), free)):
+        check(localize._LaneFit(*(v[part] for v in mixed)), kind)
 
 
 def test_levenberg_marquardt_caps_a_late_lane_after_its_own_iterations(monkeypatch):
@@ -268,28 +281,37 @@ def test_levenberg_marquardt_caps_a_late_lane_after_its_own_iterations(monkeypat
         phi0, iso0 = _TRUTH.phi + offsets, _A_ISO + 2e4 * offsets
         return offsets.size, lambda lo, hi: (
             kernel, phi0[lo:hi], iso0[lo:hi], (phi0[lo:hi] - 1.0, phi0[lo:hi] + 1.0),
-            (iso0[lo:hi] - 3e4, iso0[lo:hi] + 3e4))
+            (iso0[lo:hi] - 3e4, iso0[lo:hi] + 3e4), False)
 
     late = piece(np.array([0.3]))
-    alone = _levenberg_marquardt([late], free_iso=True)
+    alone = _levenberg_marquardt([late])
     assert alone.iterations[0] == 3 and not alone.converged[0]
     # a 4-lane pool: the late lane waits until room is made for it
     monkeypatch.setattr(localize, "_LANE_BLOCK", 4)
-    fit = _levenberg_marquardt([piece(np.array([-0.4, 0.35, -0.2, 0.25])), late],
-                               free_iso=True)
+    fit = _levenberg_marquardt([piece(np.array([-0.4, 0.35, -0.2, 0.25])), late])
     assert np.all(fit.iterations[:4] <= 3)
     for got, want in zip(fit, alone):
         np.testing.assert_array_equal(got[4:], want)
 
 
+def _on_converged_lanes(fit, lm):
+    """Whether every reported minimum of a fit ends on a converged lane."""
+    for m in fit.minima:
+        lane = ((np.abs((lm.phi - m.phi + math.pi) % (2.0 * math.pi) - math.pi)
+                 < 1e-12) & (lm.a_iso == m.a_iso))
+        if not (lane.any() and lm.converged[lane].all()):
+            return False
+    return True
+
+
 def _polish(records, coupling, a_iso_step):
     """fit_azimuth's joint fit at an a_iso grid step, with its polished
-    lanes."""
+    lanes and its scan."""
     scan = localize._scan(records, coupling, None, localize.DEFAULT_PHI_STEP_DEG,
                           a_iso_step, DEFAULT_CONSTANTS)
-    (lm,) = localize._solve([((len(records), True),
-                              [(scan.phi.size, scan.lanes)])], False)
-    return localize._finish(scan, lm), lm
+    (lm,) = localize._solve([(len(records), [(scan.phi.size, scan.lanes)])],
+                            False)
+    return localize._finish(scan, lm), lm, scan
 
 
 @settings(max_examples=40, deadline=None)
@@ -309,18 +331,17 @@ def test_joint_grid_step_finds_the_fine_grid_minima(r, theta_deg, phi, a_iso,
     # criterion-5 ranges, near the axis, the magic angle and the equator
     # included, it must find the best minimum and the near-degenerate
     # minima (the report's degenerate_minima) that a 2.5 kHz grid finds.
-    # A minimum that a lane stopped by the iteration cap ends on is not
-    # compared: with noise, about one geometry in 400 reports one, at 0.5,
-    # 2.5 and 10 kHz steps alike, and a coarser step can seed such a lane
-    # where a finer one does not (r 10.05 A, theta 5.77 deg: with 5000
-    # iterations it joins a minimum both steps find). On noise-free records
-    # no reported minimum may end on a capped lane.
+    # A coarser step can seed a lane that the iteration cap stops short of
+    # a minimum where a finer one does not (r 10.05 A, theta 5.77 deg: with
+    # 5000 iterations it joins a minimum both steps find); such a lane is
+    # no reported minimum unless it is the best. On noise-free records no
+    # reported minimum may end on a capped lane.
     pos = SphericalPosition(r * ANGSTROM, math.radians(theta_deg), phi)
     recs = [dataclasses.replace(rec, fp_m1=rec.fp_m1 + dn) for rec, dn in
             zip(_records(pos, a_iso, _COILS), noise)]
     coupling = _coupling(pos, a_iso)
-    fit, lm = _polish(recs, coupling, localize.DEFAULT_A_ISO_STEP)
-    fine, lm_fine = _polish(recs, coupling, 2.5e3)
+    fit, lm, _ = _polish(recs, coupling, localize.DEFAULT_A_ISO_STEP)
+    fine, _, _ = _polish(recs, coupling, 2.5e3)
 
     def same(got, want):
         dphi = abs((got.phi - want.phi + math.pi) % (2.0 * math.pi) - math.pi)
@@ -328,23 +349,29 @@ def test_joint_grid_step_finds_the_fine_grid_minima(r, theta_deg, phi, a_iso,
         assert abs(got.a_iso - want.a_iso) < 1.0
         assert got.residual == pytest.approx(want.residual, rel=1e-9, abs=1e-6)
 
-    def settled(fit, lm):
-        out = []
-        for m in fit.minima:
-            lane = ((np.abs((lm.phi - m.phi + math.pi) % (2.0 * math.pi) - math.pi)
-                     < 1e-12) & (lm.a_iso == m.a_iso))
-            assert lane.any()
-            if np.any(lm.iterations[lane] < localize._LM_MAX_ITER):
-                out.append(m)
-        return out
-
     same(fit, fine)
-    got, want = settled(fit, lm), settled(fine, lm_fine)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
+    assert len(fit.minima) == len(fine.minima)
+    for g, w in zip(fit.minima, fine.minima):
         same(g, w)
     if not any(noise):
-        assert len(got) == len(fit.minima)
+        assert _on_converged_lanes(fit, lm)
+
+
+def test_a_capped_lane_is_a_minimum_only_when_it_is_the_best():
+    # here the 10 kHz grid seeds a lane that the iteration cap stops at
+    # 347.5 deg, short of the 344.4 deg minimum: every reported minimum
+    # must end on a converged lane. With every lane taken as capped, the
+    # best alone is reported.
+    pos = SphericalPosition(10.0546875 * ANGSTROM, math.radians(5.7734375), 0.0)
+    recs = [dataclasses.replace(rec, fp_m1=rec.fp_m1 + dn) for rec, dn in
+            zip(_records(pos, 20.0, _COILS), (6.0, 1.0, 270.0))]
+    fit, lm, scan = _polish(recs, _coupling(pos, 20.0), localize.DEFAULT_A_ISO_STEP)
+    assert not lm.converged.all()
+    assert _on_converged_lanes(fit, lm)
+    capped = localize._finish(scan, lm._replace(converged=np.zeros_like(lm.converged)))
+    assert (capped.phi, capped.a_iso, capped.residual) == (fit.phi, fit.a_iso,
+                                                           fit.residual)
+    assert [m.phi for m in capped.minima] == [fit.phi]
 
 
 @pytest.mark.parametrize("lane_phi", [-1e-17, -0.0, 2.0 * math.pi, 4.0 * math.pi])

@@ -220,25 +220,29 @@ def _pool_lanes(problems, mc, lane_block):
 
 
 @settings(max_examples=15, deadline=None)
+# a fixed and a free nucleus of one record count: one shared pool
+@example(nuclei=[(8.0, 0.9, 1.0, 5e3, 3, 1.0, True),
+                 (10.0, 0.6, 4.0, -5e3, 3, 1.0, False)],
+         lane_block=40, chunks=2, order=[1, 0, 2, 3])
 @given(nuclei=st.lists(st.tuples(st.floats(6.0, 14.0), st.floats(0.2, 1.4),
                                  st.floats(0.0, 2.0 * math.pi),
                                  st.floats(-2e4, 2e4), st.integers(2, 3),
                                  st.floats(0.5, 3.0), st.booleans()),
                        min_size=1, max_size=4),
-       lane_block=st.integers(8, 300), chunks=st.integers(1, 3), data=st.data())
+       lane_block=st.integers(8, 300), chunks=st.integers(1, 3),
+       order=st.permutations(range(4)))
 def test_pool_lanes_equal_one_nucleus_whole_block_solves(nuclei, lane_block,
-                                                         chunks, data):
-    # nuclei of both kernel shapes share pools in random orders and with
-    # random admission sizes, for the point-fit polishes and the samples;
-    # every point fit and lane must end bit for bit as in a solve of its
-    # nucleus alone in one block
+                                                         chunks, order):
+    # nuclei of either record count, with fixed and free a_iso, share pools
+    # in random orders and with random admission sizes, for the point-fit
+    # polishes and the samples; every point fit and lane must end bit for
+    # bit as in a solve of its nucleus alone in one block
     problems = []
     for r, theta, phi, a_iso, n_coils, noise, fixed in nuclei:
         records, coupling = _build(noise, _COILS[:n_coils],
                                    SphericalPosition(r * ANGSTROM, theta, phi), a_iso)
         problems.append((records, coupling, a_iso if fixed else None))
-    problems = [problems[k] for k in
-                data.draw(st.permutations(range(len(problems))))]
+    problems = [problems[k] for k in order if k < len(problems)]
     n = 150
     pooled = _pool_lanes(problems, McConfig(n_samples=n, seed=9,
                                             parallel_chunks=chunks), lane_block)
@@ -387,8 +391,9 @@ def test_linear_start_is_the_first_damped_step_to_second_order():
         res, *jac = kernel(phi, iso)
         wide = np.full(m, np.inf)
         lanes = (phi, iso, localize._dot(res, res), np.full(m, localize._LM_LAMBDA0),
-                 np.ones(m), np.zeros((3, m)), -wide, wide, -wide, wide, res, *jac)
-        (phi_t, iso_t, *_), _ = localize._lm_step(lanes, True, False)
+                 np.ones(m), np.zeros((3, m)), -wide, wide, -wide, wide,
+                 np.zeros(m, dtype=bool), res, *jac)
+        (phi_t, iso_t, *_), _ = localize._lm_step(lanes, False)
         return [np.linalg.norm(row @ draws.T - step) / np.linalg.norm(step)
                 for row, step in zip(nuc.slope, (phi_t - phi, iso_t - iso))]
 

@@ -288,34 +288,31 @@ def _secant_update(sec, s, y, y_sharp, ys, update):
         for v, (i, j) in zip(sec, ((0, 0), (0, 1), (1, 1)))], sec)
 
 
-# lanes of the solver's pool: bounds the size of the per-lane arrays
+# lanes per kernel call, pool or grid scan: bounds every call's per-lane arrays
 _LANE_BLOCK = 4096
 
 
 def _join_lanes(batches):
-    """Batches of solver lanes, (kernel, phi, a_iso, phi_box, iso_box,
-    fixed), side by side in order: every batch's (kernel, lane count), for
+    """Batches of solver lanes, (kernel, phi, a_iso, phi_box, iso_box), side
+    by side in order: every batch's (kernel, lane count), for
     ``XiKernel.join``, then one array each of phi, a_iso, phi lo, phi hi,
-    a_iso lo, a_iso hi and fixed, whose batch values may be shared scalars."""
+    a_iso lo and a_iso hi, whose batch values may be shared scalars."""
     sizes = [np.size(b[1]) for b in batches]
 
     def cat(values):
         return np.concatenate([np.broadcast_to(v, (m,)) for v, m in zip(values, sizes)])
 
-    kernels, phi, iso, phi_box, iso_box, fixed = zip(*batches)
+    kernels, phi, iso, phi_box, iso_box = zip(*batches)
     return (list(zip(kernels, sizes)), cat(phi), cat(iso),
-            *map(cat, zip(*phi_box)), *map(cat, zip(*iso_box)), cat(fixed))
+            *map(cat, zip(*phi_box)), *map(cat, zip(*iso_box)))
 
 
-def _normal(jac, res, fixed):
+def _normal(jac, res):
     """The normal equations of every lane, J^T J = (a, b; b, c) and
     J^T r = (g, h), as (a, b, c, g, h), from the Jacobian columns
-    (dxi/dphi, dxi/da_iso) and the residuals r, one row per record. The
-    lanes ``fixed`` hold a_iso: their zeroed a_iso column gives b = h = 0,
-    and c is set to 1 in place."""
-    a, b, c = _dot(jac[0], jac[0]), _dot(jac[0], jac[1]), _dot(jac[1], jac[1])
-    c[fixed] = 1.0
-    return a, b, c, _dot(jac[0], res), _dot(jac[1], res)
+    (dxi/dphi, dxi/da_iso) and the residuals r, one row per record."""
+    return (_dot(jac[0], jac[0]), _dot(jac[0], jac[1]), _dot(jac[1], jac[1]),
+            _dot(jac[0], res), _dot(jac[1], res))
 
 
 def _newton(a, b, c, g, h, pin_phi, pin_iso):
@@ -333,16 +330,19 @@ def _lm_step(lanes, sample: bool):
     """The next step of every lane of a ``_levenberg_marquardt`` batch, as
     (trial phi, trial a_iso, g, h, a_s, b_s, c_s), with (g, h) the gradient
     / 2 and (a_s, b_s; b_s, c_s) the model's Hessian / 2; a lane whose
-    damped step is not finite stays where it is. Also the lanes of a
-    ``sample`` pool that stop when their step is formed (False for other
-    pools): where the model has predicted well so far, its full step over
-    the coordinates not held on a bound moves phi by at most
+    damped step is not finite stays where it is. The model adds the secant
+    term where the sum is positive definite or, on a lane that holds a_iso
+    (an a_iso box of zero width), where its phi pivot is positive. Also the
+    lanes of a ``sample`` pool that stop when their step is formed (False
+    for other pools): where the model has predicted well so far, its full
+    step over the coordinates not held on a bound moves phi by at most
     _LM_SAMPLE_XTOL_PHI and a_iso by at most _LM_SAMPLE_XTOL_ISO, and
     predicts a decrease of at most _LM_RFCTOL of the cost."""
-    phi, iso, cost, lam, mult, sec, *box, fixed, res = lanes[:12]
-    a, b, c, g, h = _normal(lanes[12:], res, fixed)
+    phi, iso, cost, lam, mult, sec, *box, res = lanes[:11]
+    a, b, c, g, h = _normal(lanes[11:], res)
     a_s, b_s, c_s = a + sec[0], b + sec[1], c + sec[2]
-    s11, s12, s22 = np.where((a_s > 0.0) & (a_s * c_s > b_s * b_s), sec, 0.0)
+    held = box[2] == box[3]
+    s11, s12, s22 = np.where((a_s > 0.0) & (held | (a_s * c_s > b_s * b_s)), sec, 0.0)
     a_s, b_s, c_s = a + s11, b + s12, c + s22  # the model's Hessian / 2
     pin_phi = np.where(g > 0.0, phi <= box[0], phi >= box[1])
     pin_iso = np.where(h > 0.0, iso <= box[2], iso >= box[3])
@@ -369,20 +369,18 @@ def _levenberg_marquardt(pieces, *, sample: bool = False) -> _LaneFit:
     a pool.
 
     ``pieces`` lists (count, lanes) pairs; ``lanes(lo, hi)`` gives lanes
-    lo..hi-1 of its piece as (kernel, phi, a_iso, phi_box, iso_box, fixed):
-    their ``dynamics.xi_kernel``, starts, (lo, hi) boxes and whether a_iso
-    is fixed. Lanes are numbered in piece order. The pool starts with
-    _LANE_BLOCK lanes and, whenever fewer than _LANE_BLOCK // 4 still run,
-    tops up to _LANE_BLOCK with the next lanes, splitting a piece where the
-    room ends, so that iterations are not spent on a few slow lanes at a
-    time; new lanes join the batch (``XiKernel.join``) and start in the
-    running lanes' next kernel call.
+    lo..hi-1 of its piece as (kernel, phi, a_iso, phi_box, iso_box): their
+    ``dynamics.xi_kernel``, starts and (lo, hi) boxes. Lanes are numbered in
+    piece order. The pool starts with _LANE_BLOCK lanes and, whenever fewer
+    than _LANE_BLOCK // 4 still run, tops up to _LANE_BLOCK with the next
+    lanes, splitting a piece where the room ends, so that iterations are not
+    spent on a few slow lanes at a time; new lanes join the batch
+    (``XiKernel.join``) and start in the running lanes' next kernel call.
 
-    A fixed lane keeps a_iso at its start: right after every kernel call
-    its a_iso column is zeroed in place. Steps solve the damped normal
-    equations of the kernel's exact Jacobian, plus the lane's secant term
-    where the sum is positive definite, and are clipped to the boxes; a
-    coordinate on its bound whose descent points out stays there. Every
+    Steps solve the damped normal equations of the kernel's exact Jacobian,
+    plus the lane's secant term (``_lm_step``), and are clipped to the
+    boxes; a coordinate on its bound whose descent points out stays there,
+    so a lane whose a_iso box has zero width holds a_iso fixed. Every
     iteration makes one kernel call, at the trial point, whose derivatives
     are kept when the step is accepted. Each lane keeps its own damping,
     step multiplier and iteration count, and stops on its own tests or
@@ -414,7 +412,7 @@ def _levenberg_marquardt(pieces, *, sample: bool = False) -> _LaneFit:
     idx = np.arange(0)  # the running lanes
     # per running lane: phi, a_iso, cost, damping, step multiplier mu, the
     # secant term S (S_phiphi, S_phiiso, S_isoiso), the box (phi lo, phi hi,
-    # a_iso lo, a_iso hi), whether a_iso is fixed, then xi and its Jacobian;
+    # a_iso lo, a_iso hi), then xi and its Jacobian;
     # and its next step: the trial phi and a_iso, the gradient / 2 (g, h) and
     # the model's Hessian / 2 (a_s, b_s, c_s)
     lanes = step = ()
@@ -422,12 +420,12 @@ def _levenberg_marquardt(pieces, *, sample: bool = False) -> _LaneFit:
     while True:
         na = idx.size
         if na:
-            phi, iso, cost, lam, mult, sec, *box, fixed, res = lanes[:12]
-            jac = lanes[12:]
+            phi, iso, cost, lam, mult, sec, *box, res = lanes[:11]
+            jac = lanes[11:]
             phi_t, iso_t, g, h, a_s, b_s, c_s = step
             fit.iterations[idx] += 1
         else:
-            phi_t, iso_t, fixed = np.empty(0), np.empty(0), np.empty(0, dtype=bool)
+            phi_t, iso_t = np.empty(0), np.empty(0)
         batch = (admit(_LANE_BLOCK - na)
                  if na < _LANE_BLOCK // 4 and queue else None)
         m = 0 if batch is None else batch[1].size
@@ -437,13 +435,12 @@ def _levenberg_marquardt(pieces, *, sample: bool = False) -> _LaneFit:
             # the new lanes' kernel constants are held once, in the joined
             # kernel, through the call
             kernel = XiKernel.join(([(kernel, na)] if na else []) + batch[0])
-            phi_n, iso_n, *box_n, fixed_n = batch[1:]
+            phi_n, iso_n, *box_n = batch[1:]
             batch = None
             phi_t, iso_t = np.concatenate([phi_t, phi_n]), np.concatenate([iso_t, iso_n])
         # one kernel call: the running lanes' trial points, then the new
         # lanes' start points
         res_t, *jac_t = kernel(phi_t, iso_t)
-        jac_t[1][:, np.concatenate([fixed, fixed_n]) if m else fixed] = 0.0
         cost_t = _dot(res_t, res_t)
 
         done = np.zeros(0, dtype=bool)
@@ -487,11 +484,11 @@ def _levenberg_marquardt(pieces, *, sample: bool = False) -> _LaneFit:
                 np.where(accept, new, old) for new, old in
                 zip((phi_t[:na], iso_t[:na], cost_r, res_r, *jac_r),
                     (phi, iso, cost, res, *jac)))
-            lanes = (phi, iso, cost, lam, mult, sec, *box, fixed, res, *jac)
+            lanes = (phi, iso, cost, lam, mult, sec, *box, res, *jac)
         if m:
             cost_n = cost_t[na:]
             new = (phi_n, iso_n, cost_n, np.full(m, _LM_LAMBDA0), np.ones(m),
-                   np.zeros((3, m)), *box_n, fixed_n, res_t[:, na:],
+                   np.zeros((3, m)), *box_n, res_t[:, na:],
                    *(j[:, na:] for j in jac_t))
             lanes = (tuple(np.concatenate([u, v], axis=-1)
                            for u, v in zip(lanes, new)) if na else new)
@@ -508,11 +505,11 @@ def _levenberg_marquardt(pieces, *, sample: bool = False) -> _LaneFit:
         if stop.any():
             fin = idx[stop]
             phi_f, iso_f, cost_f = (v[stop] for v in lanes[:3])
-            *box, fixed_f = (v[stop] for v in lanes[6:11])
+            box = [v[stop] for v in lanes[6:10]]
             fit.phi[fin], fit.a_iso[fin], fit.cost[fin] = phi_f, iso_f, cost_f
             fit.converged[fin] = done[stop]
             on_edge = ((phi_f == box[0]) | (phi_f == box[1])
-                       | (~fixed_f & ((iso_f == box[2]) | (iso_f == box[3]))))
+                       | ((box[2] < box[3]) & ((iso_f == box[2]) | (iso_f == box[3]))))
             fit.at_bound[fin] = on_edge & np.isfinite(cost_f)
             # integer takes: on a lane axis of a few thousand, a boolean
             # mask copies several times slower
@@ -561,15 +558,10 @@ class _Scan(NamedTuple):
 
     def lanes(self, lo, hi):
         """Lanes lo..hi-1 of the polish, as ``_levenberg_marquardt`` takes
-        them."""
+        them; a fixed a_iso is held by its box of zero width."""
         return (self.kernel, self.phi[lo:hi], self.a_iso[lo:hi],
                 tuple(v[lo:hi] for v in self.phi_box),
-                tuple(v[lo:hi] for v in self.iso_box), self.a_iso_fixed)
-
-
-# grid points per kernel call, 90 phi rows of the default joint grid: bounds
-# the size of the kernel's per-lane arrays
-_GRID_POINTS = 90 * 21
+                tuple(v[lo:hi] for v in self.iso_box))
 
 
 def _scan(records, coupling, fix_a_iso, phi_step_deg, a_iso_step,
@@ -592,7 +584,7 @@ def _scan(records, coupling, fix_a_iso, phi_step_deg, a_iso_step,
     lo, hi = DEFAULT_A_ISO_RANGE
     iso_grid = (np.arange(lo, hi + 0.5 * a_iso_step, a_iso_step)
                 if fix_a_iso is None else np.array([float(fix_a_iso)]))
-    rows = max(1, _GRID_POINTS // iso_grid.size)
+    rows = max(1, _LANE_BLOCK // iso_grid.size)
     surf = np.empty((phi_grid.size, iso_grid.size))
     for k in range(0, phi_grid.size, rows):
         parts = kernel(phi_grid[k:k + rows, None], iso_grid[None, :],

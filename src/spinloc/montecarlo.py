@@ -21,8 +21,8 @@ Watts, Nonlinear Regression Analysis and Its Applications, 1988, ch. 2).
 Where a sample's cost has two minima inside its box, that start can end it
 in the other one than a start at the optimum would. The samples of all
 nuclei of a ``propagate_many`` call that share a record count are solved in
-one lane pool (``localize._solve``), a fixed a_iso pinned lane by lane,
-which admits them in order as earlier lanes stop.
+one lane pool (``localize._solve``), a fixed a_iso held by an a_iso box of
+zero width, which admits them in order as earlier lanes stop.
 Basin hops to mirror minima are deliberately not sampled, since degenerate
 minima are reported separately by the fit itself: the box keeps each sample
 near the point fit, and samples that end on its edge are counted in
@@ -136,10 +136,10 @@ def _recenter(phi: np.ndarray, center: float) -> np.ndarray:
     return (np.asarray(phi) - center + math.pi) % _TWO_PI - math.pi
 
 
-# Sample search box around the point fit: phi +-_PHI_BOX (+-_PHI_BOX_FREE
-# when a_iso is free) and a_iso +-_ISO_BOX. Samples whose minimum lies
-# outside stay on its edge, counted as at_bound, rather than hop to a
-# farther basin.
+# Sample search box around the point fit (``_half_box``): phi +-_PHI_BOX
+# (+-_PHI_BOX_FREE when a_iso is free) and a_iso +-_ISO_BOX when it is free.
+# Samples whose minimum lies outside stay on its edge, counted as at_bound,
+# rather than hop to a farther basin.
 _PHI_BOX = math.pi / 6.0
 _PHI_BOX_FREE = math.pi / 6.0 + 0.4  # rad
 _ISO_BOX = 140e3                     # Hz
@@ -248,6 +248,11 @@ _SENSITIVITY_STEP = 1e-3
 _START_SIGMAS = 2.0
 
 
+def _half_box(nuc: _Nucleus) -> tuple:
+    """The half-widths (phi, a_iso) of a nucleus's sample box."""
+    return (_PHI_BOX_FREE, _ISO_BOX) if nuc.fix_a_iso is None else (_PHI_BOX, 0.0)
+
+
 def _slopes(nuclei, constants):
     """Set each nucleus's ``slope``: the (2, 3 + 8 x records) sensitivity S
     of its solver's first damped step from the point fit to its draws. It
@@ -259,9 +264,9 @@ def _slopes(nuclei, constants):
     With J0 the (phi, a_iso) Jacobian of xi at the point fit and D the
     central differences dxi / d(draws),
     S = -(J0^T J0 + _LM_LAMBDA0 diag(J0^T J0))^-1 J0^T D, the solver's own
-    step solve (``localize._newton``) with a fixed a_iso pinned: the
-    solver's first step, its secant term still zero, linearized at the
-    point fit. Like the Gauss-Newton matrix, it leaves out the terms that
+    step solve (``localize._newton``) with a_iso pinned where its sample box
+    has zero width: the solver's first step, its secant term still zero,
+    linearized at the point fit. Like the Gauss-Newton matrix, it leaves out the terms that
     the point fit's residual xi0 brings, here (dJ / d(draws))^T xi0, so it
     is the first step's derivative exactly only where xi0 vanishes. The
     nuclei of one record count join their lanes, draws 0 and +-h e_k for
@@ -278,17 +283,15 @@ def _slopes(nuclei, constants):
         kernel = XiKernel.join((_lanes(nuc, draws, constants)[0], m) for nuc in members)
         res, *jac = kernel(np.repeat([nuc.point.phi for nuc in members], m),
                            np.repeat([nuc.point.a_iso for nuc in members], m))
-        jac[1][:, np.repeat([nuc.fix_a_iso is not None for nuc in members], m)] = 0.0
         for k, nuc in enumerate(members):
-            fixed = nuc.fix_a_iso is not None
+            half = _half_box(nuc)
             plus = slice(k * m + 1, k * m + 1 + n_in)
             minus = slice(k * m + 1 + n_in, (k + 1) * m)
             d = (res[:, plus] - res[:, minus]) / (2.0 * _SENSITIVITY_STEP)
-            a, b, c, g, h = _normal([j[:, k * m, None] for j in jac], d, fixed)
+            a, b, c, g, h = _normal([j[:, k * m, None] for j in jac], d)
             slope = np.stack(_newton(a * (1.0 + _LM_LAMBDA0), b, c * (1.0 + _LM_LAMBDA0),
-                                     g, h, False, fixed))
+                                     g, h, False, half[1] == 0.0))
             spread = np.sqrt((slope * slope).sum(axis=1))
-            half = (_PHI_BOX if fixed else _PHI_BOX_FREE, _ISO_BOX)
             nuc.slope = (slope if np.isfinite(slope).all()
                          and (_START_SIGMAS * spread <= half).all() else None)
 
@@ -298,31 +301,30 @@ def _sample_lanes(nuc: _Nucleus, lo: int, hi: int, seed: int, constants):
     ``localize._levenberg_marquardt`` takes them: each sample's perturbed
     fields and splittings in a kernel lane, started at its linear start,
     the point fit plus ``nuc.slope`` times its draws (the point fit itself
-    where the nucleus has no slope), clipped into its search box. The
-    couplings each sample extracts from its drawn lines go to the nucleus's
-    per-sample arrays. Samples are admitted in order, so once samples
-    0..hi-1 hold more extraction failures than the gate of ``_estimate``
-    allows, the nucleus fails whatever its lanes give: they start at NaN and
-    leave the pool at their first kernel evaluation."""
+    where the nucleus has no slope), clipped into its search box
+    (``_half_box``). The couplings each sample extracts from its drawn lines
+    go to the nucleus's per-sample arrays. Once samples 0..i hold more
+    extraction failures than the gate of ``_estimate`` allows, the nucleus
+    fails whatever its lanes give: lane i starts at NaN, wherever admission
+    splits the samples, and leaves the pool at its first kernel call."""
     draws = _draws(lo, hi, seed, 3 + 8 * len(nuc.records))
     kernel, *per_sample = _lanes(nuc, draws, constants)
     nuc.a_par[lo:hi], nuc.a_perp[lo:hi], nuc.extracted[lo:hi] = per_sample
-    hopeless = (hi - np.count_nonzero(nuc.extracted[:hi])
-                > MAX_EXTRACTION_FAILURE_FRACTION * nuc.extracted.size)
+    # per lane i, the extraction failures of samples 0..i
+    failures = lo - np.count_nonzero(nuc.extracted[:lo]) + np.cumsum(~nuc.extracted[lo:hi])
+    hopeless = failures > MAX_EXTRACTION_FAILURE_FRACTION * nuc.extracted.size
 
-    point, free = nuc.point, nuc.fix_a_iso is None
-    half = _PHI_BOX_FREE if free else _PHI_BOX
-    phi_box = (point.phi - half, point.phi + half)
-    iso_box = (point.a_iso - _ISO_BOX, point.a_iso + _ISO_BOX)
-    phi = np.full(hi - lo, math.nan if hopeless else point.phi)
-    iso = np.full(hi - lo, point.a_iso if free else float(nuc.fix_a_iso))
-    if nuc.slope is not None and not hopeless:
+    point, (half_phi, half_iso) = nuc.point, _half_box(nuc)
+    phi_box = (point.phi - half_phi, point.phi + half_phi)
+    iso_box = (point.a_iso - half_iso, point.a_iso + half_iso)
+    phi = np.where(hopeless, math.nan, point.phi)
+    iso = np.full(hi - lo, point.a_iso)
+    if nuc.slope is not None:
         # each lane sums over its own row of draws, never with a BLAS
         # product, so that its start does not depend on the lane block
         phi = np.clip(phi + _dot(nuc.slope[0][:, None], draws.T), *phi_box)
-        if free:
-            iso = np.clip(iso + _dot(nuc.slope[1][:, None], draws.T), *iso_box)
-    return kernel, phi, iso, phi_box, iso_box, not free
+        iso = np.clip(iso + _dot(nuc.slope[1][:, None], draws.T), *iso_box)
+    return kernel, phi, iso, phi_box, iso_box
 
 
 def _quantiles(values: np.ndarray, probs) -> np.ndarray:

@@ -234,7 +234,7 @@ def test_levenberg_marquardt_lanes_end_at_box_minima(r, theta, phi, a_iso,
     def piece(free):
         return phi0.size, lambda lo, hi: (
             kernel, phi0[lo:hi], iso0[lo:hi], tuple(v[lo:hi] for v in phi_box),
-            tuple(v[lo:hi] for v in iso_box(free)), not free)
+            tuple(v[lo:hi] for v in iso_box(free)))
 
     def check(fit, free):
         iso_lo, iso_hi = iso_box(free)
@@ -281,7 +281,7 @@ def test_levenberg_marquardt_caps_a_late_lane_after_its_own_iterations(monkeypat
         phi0, iso0 = _TRUTH.phi + offsets, _A_ISO + 2e4 * offsets
         return offsets.size, lambda lo, hi: (
             kernel, phi0[lo:hi], iso0[lo:hi], (phi0[lo:hi] - 1.0, phi0[lo:hi] + 1.0),
-            (iso0[lo:hi] - 3e4, iso0[lo:hi] + 3e4), False)
+            (iso0[lo:hi] - 3e4, iso0[lo:hi] + 3e4))
 
     late = piece(np.array([0.3]))
     alone = _levenberg_marquardt([late])
@@ -431,6 +431,27 @@ def test_newton_step_is_infinite_where_a_pivot_it_needs_is_not_positive():
     c = np.array([0.0, -1.0, 1.0, 2.0, nan])
     phi, iso = localize._newton(a, b, c, 1.0, -2.0, True, False)
     assert phi.tolist() == [0.0] * 5 and iso.tolist() == [inf, inf, 2.0, 1.0, inf]
+
+
+def test_a_held_lane_takes_its_secant_term_where_its_phi_pivot_is_positive():
+    # two lanes with J^T J = 1, secant term (1, 3, 0) and gradient / 2
+    # (0.5, -0.25): their model (2, 3; 3, 1) is not positive definite, but
+    # its phi pivot is. The lane whose a_iso box has zero width holds a_iso
+    # and steps phi by -g / (a (1 + lambda) + S_phiphi); the free lane drops
+    # its secant term and takes the damped 2x2 step.
+    one, lam = np.ones(2), 1e-3
+    wide = np.full(2, 1e5)
+    lanes = (np.zeros(2), np.zeros(2), one, np.full(2, lam), one,
+             np.array([one, 3.0 * one, 0.0 * one]), -wide, wide,
+             np.array([0.0, -1e5]), np.array([0.0, 1e5]),
+             np.array([[0.5, 0.5], [-0.25, -0.25]]),
+             np.array([one, 0.0 * one]), np.array([0.0 * one, one]))
+    (phi_t, iso_t, *_), early = localize._lm_step(lanes, False)
+    assert early is False
+    assert phi_t[0] == pytest.approx(-0.5 / ((1.0 + lam) + 1.0), rel=1e-12)
+    assert iso_t[0] == 0.0
+    assert phi_t[1] == pytest.approx(-0.5 / (1.0 + lam), rel=1e-12)
+    assert iso_t[1] == pytest.approx(0.25 / (1.0 + lam), rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

@@ -261,6 +261,10 @@ def test_pool_lanes_equal_one_nucleus_whole_block_solves(nuclei, lane_block,
 # distance left along a_iso
 @example(r=6.0, theta=1.1, phi=0.9149946909710528, a_iso=-13996.0, n_coils=3,
          noise=2.203125, fixed=False, seed=75184)
+# a nucleus past its extraction gate: which lanes start at NaN must not
+# depend on where admission splits its samples
+@example(r=12.5, theta=0.1015625, phi=0.0, a_iso=0.0, n_coils=3, noise=2.75,
+         fixed=False, seed=332)
 @given(r=st.floats(6.0, 14.0), theta=st.floats(0.1, 1.45),
        phi=st.floats(0.0, 2.0 * math.pi), a_iso=st.floats(-2e4, 2e4),
        n_coils=st.integers(2, 3), noise=st.floats(0.5, 3.0), fixed=st.booleans(),
@@ -392,7 +396,7 @@ def test_linear_start_is_the_first_damped_step_to_second_order():
         wide = np.full(m, np.inf)
         lanes = (phi, iso, localize._dot(res, res), np.full(m, localize._LM_LAMBDA0),
                  np.ones(m), np.zeros((3, m)), -wide, wide, -wide, wide,
-                 np.zeros(m, dtype=bool), res, *jac)
+                 res, *jac)
         (phi_t, iso_t, *_), _ = localize._lm_step(lanes, False)
         return [np.linalg.norm(row @ draws.T - step) / np.linalg.norm(step)
                 for row, step in zip(nuc.slope, (phi_t - phi, iso_t - iso))]
@@ -520,7 +524,18 @@ def test_hopeless_noise_aborts(monkeypatch):
     # most failures are frequency triplets that do not extract, and that
     # gate comes first; past it no sample is iterated
     seen = _pool_lanes([(records, coupling, None)], mc, 4096)
-    assert not seen[id(coupling)][1].iterations.any()
+    lanes = seen[id(coupling)][1]
+    draws = montecarlo._draws(0, mc.n_samples, mc.seed, 3 + 8 * len(records))
+    extracted = montecarlo._lanes(montecarlo._Nucleus(records, coupling, None),
+                                  draws, DEFAULT_CONSTANTS)[3]
+    past = np.cumsum(~extracted) > (montecarlo.MAX_EXTRACTION_FAILURE_FRACTION
+                                    * mc.n_samples)
+    assert past.any()
+    assert not lanes.iterations[np.argmax(past):].any()
+    # which lanes start past the gate does not depend on the admission split
+    small = _pool_lanes([(records, coupling, None)], mc, 16)[id(coupling)][1]
+    for got, want in zip(small, lanes):
+        np.testing.assert_array_equal(got, want)
     with pytest.raises(InconsistentInputError, match="exact transformation"):
         propagate(records, coupling, mc)
     monkeypatch.setattr(montecarlo, "MAX_EXTRACTION_FAILURE_FRACTION", 1.0)

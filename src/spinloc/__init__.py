@@ -25,11 +25,9 @@ from .dynamics import (LOW_FIELD, GENERAL_FIELD, enhancement_factor,
                        precession_frequency, xi_kernel)
 from .extract import (EXACT, APPROXIMATE, CouplingInputs, CouplingEstimate,
                       nominal_tau, extract_couplings, rabi_frequency)
-from .localize import (MeasurementRecord, Minimum, AzimuthFit, xi, sum_sq_xi,
+from .localize import (MeasurementRecord, Minimum, AzimuthFit, xi,
                        CostCurve, cost_curve, fit_azimuth, fit_azimuths,
-                       LocalizedPosition,
-                       assemble_position, SPIN_DENSITY_CENTER_OFFSET,
-                       A_ISO_FIX_RADIUS)
+                       SPIN_DENSITY_CENTER_OFFSET, A_ISO_FIX_RADIUS)
 from .montecarlo import (McConfig, PointEstimate, SolverStats, EstimateResult,
                          propagate, propagate_many, Histogram, histogram,
                          circular_mean)

@@ -21,8 +21,8 @@ from .core import (BIAS_FIELD, COIL_FIELD, DEFAULT_CONSTANTS, DEFAULT_REGISTRY,
                    Frame, FrameRegistry, LAB_FRAME_NAME, PhysicalConstants,
                    Vector3)
 from .errors import ConvergenceError, FrameError, IdentifiabilityError, ParseError
-from .fileio import (_ODMR, FORMAT_VERSION, _check, _check_frame, _finite, _fmt,
-                     _read_sections, atomic_write_text)
+from .fileio import (_ODMR, FORMAT_VERSION, _check, _check_frame, _finite,
+                     _fmt_rows, _read_sections, atomic_write_text)
 
 _CONDITION_LIMIT = 1e8
 
@@ -334,6 +334,7 @@ def save_odmr(path, dataset: OdmrDataset, nv_ids=None):
     lines = ["kind = odmr", f"version = {FORMAT_VERSION}",
              f"context = {dataset.context}", "", "[lines]"]
     for nv_id, e in zip(ids, dataset.entries):
-        lines.append(f"{nv_id} {e.frame} {_fmt(e.lines.f_minus / 1e9)} {_fmt(e.sigma / 1e6)}")
-        lines.append(f"{nv_id} {e.frame} {_fmt(e.lines.f_plus / 1e9)} {_fmt(e.sigma / 1e6)}")
+        rows = np.array([[e.lines.f_minus, e.sigma], [e.lines.f_plus, e.sigma]])
+        lines += [f"{nv_id} {e.frame} {row}"
+                  for row in _fmt_rows(rows / [1e9, 1e6]).splitlines()]
     atomic_write_text(path, "\n".join(lines) + "\n")

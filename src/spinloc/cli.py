@@ -23,13 +23,13 @@ import warnings
 
 from . import __version__
 from .core import DEFAULT_CONSTANTS, DEFAULT_REGISTRY, SENSOR_FRAME_NAME, load_config
-from .dipole import invert_dipole
+from .dipole import SphericalPosition, invert_dipole
 from .errors import ParseError, SpinlocError
 from .extract import extract_couplings
 from .fileio import (ANGSTROM, DEG, DISPLAY_UNITS, KHZ, MT, NucleusMeasurements,
                      load_measurements, save_cost_curve, save_histogram,
                      save_measurements, save_scatter, write_json, write_text)
-from .localize import A_ISO_FIX_RADIUS, assemble_position, cost_curve
+from .localize import A_ISO_FIX_RADIUS, SPIN_DENSITY_CENTER_OFFSET, cost_curve
 from .montecarlo import CONFIDENCE_LEVELS, McConfig, histogram, propagate_many
 
 CONFIG_ENV_VAR = "SPINLOC_CONFIG"
@@ -243,7 +243,6 @@ def _report_one(label: str, nm: NucleusMeasurements, setup, result, args,
     est, _, mode, why = setup
     ci_in = nm.inputs
     fit = result.fit
-    pos = assemble_position(est, fit, constants=constants)
 
     curve = cost_curve(nm.records, est, a_iso=fit.a_iso, constants=constants)
     save_cost_curve(os.path.join(args.out, f"cost_curve_{label}.tsv"), curve)
@@ -254,6 +253,8 @@ def _report_one(label: str, nm: NucleusMeasurements, setup, result, args,
                        hist, scale=scale, unit=unit)
 
     point = _display(**result.point._asdict())
+    pos = SphericalPosition(result.point.r, result.point.theta, result.point.phi)
+    cart = pos.cartesian()
     entry = {
         "a_par_kHz": est.a_par / KHZ,
         "a_perp_kHz": est.a_perp / KHZ,
@@ -270,11 +271,11 @@ def _report_one(label: str, nm: NucleusMeasurements, setup, result, args,
         "n_failed": result.n_failed,
         "solver": result.solver._asdict(),
         "position": {
-            **_display(r=pos.position.r, theta=pos.position.theta,
-                       phi=pos.position.phi),
-            "cartesian_A": [c / ANGSTROM for c in pos.cartesian],
-            "cartesian_offset_A": [c / ANGSTROM for c in pos.cartesian_offset],
-            "z_offset_A": pos.z_offset / ANGSTROM,
+            **_display(r=pos.r, theta=pos.theta, phi=pos.phi),
+            "cartesian_A": (cart / ANGSTROM).tolist(),
+            "cartesian_offset_A": ((cart + [0.0, 0.0, SPIN_DENSITY_CENTER_OFFSET])
+                                   / ANGSTROM).tolist(),
+            "z_offset_A": SPIN_DENSITY_CENTER_OFFSET / ANGSTROM,
         },
     }
     if ci_in.sigma_f0 > 0.0 or ci_in.sigma_f_m1 > 0.0 or ci_in.sigma_f_rabi > 0.0:

@@ -40,10 +40,7 @@ def _prefactor(m_S: int, B0z, variant: str, constants: PhysicalConstants):
     if variant == LOW_FIELD:
         return pre * ge / (gn * D)
     denom = D * D - (ge * B0z) ** 2
-    if isinstance(denom, np.ndarray):
-        denom = np.where(np.abs(denom) < 1e-9 * D * D, np.nan, denom)
-    elif abs(denom) < 1e-9 * D * D:  # one field for all lanes: skip np.where
-        return math.nan
+    denom = np.where(np.abs(denom) < 1e-9 * D * D, np.nan, denom)
     return (pre * D + m_S * ge * B0z) / denom * ge / gn
 
 
@@ -62,7 +59,7 @@ def enhancement_factor(m_S: int, B0z: float = 0.0, variant: str = GENERAL_FIELD,
     if math.isnan(k):
         raise DomainError(
             f"general-field enhancement diverges at gamma_e*B0z = D (B0z={B0z:g} T)")
-    return k
+    return float(k)
 
 
 def precession_frequency(B0: Vector3, dB: Vector3, hf: HyperfineModel, m_S: int,

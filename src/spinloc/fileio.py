@@ -105,12 +105,18 @@ def _field_unit(key: str):
 
 @contextlib.contextmanager
 def _atomic_open(path):
-    """Text handle on a temp file that replaces ``path`` on a clean exit."""
+    """Text handle on a temp file that replaces ``path`` on a clean exit and
+    is removed on any exception, which is then re-raised."""
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def atomic_write_text(path, text: str):
@@ -149,18 +155,10 @@ def _text_value(value) -> str:
     return value if isinstance(value, str) else json.dumps(value, sort_keys=True)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def _fmt_rows(rows: np.ndarray) -> str:
-    """The lines of a 2-D array, _fmt-formatted, in one % operation."""
+    """The lines of a 2-D array, each cell %.12g-formatted, in one % operation."""
     line = " ".join(["%.12g"] * rows.shape[1]) + "\n"
     return line * len(rows) % tuple(rows.ravel().tolist())
-
-
-def _fmt_vec(v) -> str:
-    return " ".join(_fmt(c) for c in np.asarray(v, dtype=float))
 
 
 def _section_lines(head: str, schema: dict, values: dict) -> list[str]:
@@ -171,7 +169,7 @@ def _section_lines(head: str, schema: dict, values: dict) -> list[str]:
         name, unit = _field_unit(key)
         value = values[name]
         if shape:
-            value = (_fmt if shape == 1 else _fmt_vec)(value / unit)
+            value = _fmt_rows(np.reshape(value / unit, (1, -1))).rstrip("\n")
         lines.append(f"{key} = {value}")
     return lines
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import DEFAULT_CONSTANTS, SENSOR_FRAME_NAME, PhysicalConstants, Vector3
-from .dipole import SphericalPosition, dipole_tensor, invert_dipole
+from .dipole import dipole_tensor, invert_dipole
 from .dynamics import (GENERAL_FIELD, XiKernel, enhancement_factor,
                        precession_frequency, xi_kernel)
 from .errors import (FrameError, IdentifiabilityError, InconsistentInputError,
@@ -238,13 +238,6 @@ def _kernel(records, coupling, constants):
                      coupling.a_par, coupling.a_perp, constants)
 
 
-def sum_sq_xi(records, coupling, phi, a_iso,
-              constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Summed squared cost over records, broadcast over (phi, a_iso)."""
-    parts = _kernel(records, coupling, constants)(phi, a_iso, derivatives=False)
-    return _dot(parts, parts)
-
-
 @dataclass(frozen=True)
 class CostCurve:
     phi: np.ndarray            # rad
@@ -259,7 +252,7 @@ def cost_curve(records, coupling, a_iso: float = 0.0,
     phi = np.deg2rad(np.arange(0.0, 360.0, phi_step_deg))
     parts = _kernel(records, coupling, constants)(phi, a_iso, derivatives=False)
     return CostCurve(phi=phi, per_record=np.abs(parts),
-                     total=np.sum(parts ** 2, axis=0))
+                     total=_dot(parts, parts))
 
 
 class _LaneFit(NamedTuple):
@@ -731,33 +724,3 @@ def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = N
     if isinstance(fit, Exception):
         raise fit
     return fit
-
-
-@dataclass(frozen=True)
-class LocalizedPosition:
-    """Full 3D location assembled from couplings plus the azimuth fit."""
-
-    position: SphericalPosition
-    cartesian: np.ndarray         # m, origin at the electron site
-    cartesian_offset: np.ndarray  # m, z shifted by z_offset (reporting only)
-    z_offset: float
-
-    def __post_init__(self):
-        for name in ("cartesian", "cartesian_offset"):
-            v = np.asarray(getattr(self, name), dtype=float).copy()
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-
-
-def assemble_position(coupling: CouplingEstimate, fit: AzimuthFit,
-                      constants: PhysicalConstants = DEFAULT_CONSTANTS
-                      ) -> LocalizedPosition:
-    """(r, theta) from the inversion at the fitted a_iso, phi from the fit;
-    the offset position is shifted by SPIN_DENSITY_CENTER_OFFSET."""
-    pos = invert_dipole(coupling.a_par, coupling.a_perp, fit.a_iso,
-                        constants).with_phi(fit.phi)
-    cart = pos.cartesian()
-    z_offset = np.array([0.0, 0.0, SPIN_DENSITY_CENTER_OFFSET])
-    return LocalizedPosition(position=pos, cartesian=cart,
-                             cartesian_offset=cart + z_offset,
-                             z_offset=SPIN_DENSITY_CENTER_OFFSET)

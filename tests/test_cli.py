@@ -96,6 +96,25 @@ def test_simulate_localize_noiseless_recovers_truth(tmp_path):
     assert len(curve_header.split()) == 2 + 3  # phi, three records, total
 
 
+def test_localize_position_is_the_point_with_the_axial_offset(tmp_path):
+    meas = _run_simulate(tmp_path)
+    out = tmp_path / "loc"
+    assert main(["localize", str(meas), "--samples", "200", "--seed", "5",
+                 "--out", str(out)]) == 0
+    entry = json.loads((out / "report.json").read_text())["nuclei"]["C1"]
+    point, pos = entry["point"], entry["position"]
+    for key in ("r_A", "theta_deg", "phi_deg"):
+        assert pos[key] == point[key]
+    site = SphericalPosition(point["r_A"] * 1e-10, math.radians(point["theta_deg"]),
+                             math.radians(point["phi_deg"]))
+    np.testing.assert_allclose(pos["cartesian_A"], site.cartesian() / 1e-10,
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(np.subtract(pos["cartesian_offset_A"],
+                                           pos["cartesian_A"]),
+                               [0.0, 0.0, 2.29], atol=1e-12)
+    assert pos["z_offset_A"] == pytest.approx(2.29, rel=1e-15)
+
+
 def test_simulate_seed_controls_output(tmp_path):
     noise = "[noise]\nsigma_f_kHz = 0.02\nsigma_fp_kHz = 0.05\nsigma_B_mT = 0.002\n\n"
     truth = _truth_file(tmp_path, noise=noise, options="[options]\nseed = 7\n")

@@ -93,7 +93,9 @@ def test_general_enhancement_reduces_at_zero_field():
 def test_general_enhancement_hand_value():
     B0z = 9.502e-3
     expected = (1.0 * ZFS - GE * B0z) / (ZFS ** 2 - (GE * B0z) ** 2) * GE / GN
-    assert enhancement_factor(-1, B0z) == pytest.approx(expected, rel=1e-14)
+    k = enhancement_factor(-1, B0z)
+    assert k == pytest.approx(expected, rel=1e-14)
+    assert type(k) is float  # not a numpy scalar
 
 
 def test_enhancement_resonance_guard():

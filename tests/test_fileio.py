@@ -555,6 +555,30 @@ def test_save_scatter_blocks_do_not_change_the_file(tmp_path, monkeypatch):
     assert empty.read_text() == lines[0] + "\n"
 
 
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path,
+                                                                 monkeypatch):
+    # the second block's formatting is interrupted after the header and the
+    # first block reached the temp file
+    path = tmp_path / "scatter.tsv"
+    save_scatter(path, np.ones((2, 4)))
+    old = path.read_bytes()
+    blocks = []
+
+    def interrupted(rows):
+        blocks.append(rows)
+        if len(blocks) == 2:
+            raise KeyboardInterrupt
+        return fmt_rows(rows)
+
+    fmt_rows = fileio._fmt_rows
+    monkeypatch.setattr(fileio, "_SCATTER_BLOCK", 3)
+    monkeypatch.setattr(fileio, "_fmt_rows", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        save_scatter(path, np.zeros((7, 4)))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["scatter.tsv"]
+
+
 _TABLE_FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2e-309,
@@ -566,7 +590,7 @@ _TABLE_FLOATS = st.one_of(
 @given(n_rows=st.integers(0, 6), n_records=st.integers(1, 3), data=st.data())
 def test_table_writers_write_the_fmt_joined_rows(tmp_path, n_rows, n_records,
                                                  data):
-    # every cell is _fmt of its value: nan, +-inf, -0.0, subnormals and
+    # every cell is its value formatted .12g: nan, +-inf, -0.0, subnormals and
     # magnitudes near the float range in the scatter and the cost curve
     def table(n_cols):
         cells = data.draw(st.lists(_TABLE_FLOATS, min_size=n_rows * n_cols,
@@ -574,7 +598,8 @@ def test_table_writers_write_the_fmt_joined_rows(tmp_path, n_rows, n_records,
         return np.array(cells, dtype=float).reshape(n_rows, n_cols)
 
     def text(header, rows):
-        return "".join([header + "\n"] + [" ".join(map(fileio._fmt, row)) + "\n"
+        return "".join([header + "\n"] + [" ".join(format(float(v), ".12g")
+                                                    for v in row) + "\n"
                                           for row in rows])
 
     scatter = table(4)

@@ -15,16 +15,13 @@ from spinloc import (
     IdentifiabilityError,
     InconsistentInputError,
     MeasurementRecord,
-    SPIN_DENSITY_CENTER_OFFSET,
     SphericalPosition,
     Vector3,
-    assemble_position,
     cost_curve,
     dipole_tensor,
     fit_azimuth,
     precession_frequency,
     secular_couplings,
-    sum_sq_xi,
     xi,
 )
 from spinloc import localize
@@ -66,6 +63,13 @@ def _coupling(pos, a_iso):
     return CouplingEstimate(a_par=a_par, a_perp=a_perp, method=EXACT)
 
 
+def _sum_sq_xi(records, coupling, phi, a_iso):
+    # the kernel's summed squared xi, broadcast over (phi, a_iso)
+    parts = localize._kernel(records, coupling, DEFAULT_CONSTANTS)(
+        phi, a_iso, derivatives=False)
+    return localize._dot(parts, parts)
+
+
 def test_record_validation():
     recs = _records(_TRUTH, _A_ISO, _COILS)
     good = recs[0]
@@ -96,7 +100,7 @@ def test_vectorized_cost_matches_scalar():
     for phi_deg, iso in ((10.0, 0.0), (238.0, 9e3), (301.5, -4e3)):
         phi = math.radians(phi_deg)
         direct = sum(xi(rec, coupling, phi, iso) ** 2 for rec in recs)
-        assert float(sum_sq_xi(recs, coupling, phi, iso)) == pytest.approx(
+        assert float(_sum_sq_xi(recs, coupling, phi, iso)) == pytest.approx(
             direct, rel=1e-12)
 
 
@@ -191,20 +195,6 @@ def test_cost_curve_structure():
     assert dphi <= math.radians(1.0)
 
 
-def test_assemble_position_applies_axial_offset():
-    recs = _records(_TRUTH, _A_ISO, _COILS)
-    coupling = _coupling(_TRUTH, _A_ISO)
-    fit = fit_azimuth(recs, coupling, fix_a_iso=_A_ISO)
-    loc = assemble_position(coupling, fit)
-    assert loc.position.r == pytest.approx(_TRUTH.r, rel=1e-9)
-    assert loc.position.theta == pytest.approx(_TRUTH.theta, abs=1e-9)
-    assert loc.position.phi == pytest.approx(_TRUTH.phi, abs=1e-6)
-    np.testing.assert_allclose(
-        loc.cartesian_offset - loc.cartesian,
-        [0.0, 0.0, SPIN_DENSITY_CENTER_OFFSET], atol=1e-18)
-    np.testing.assert_allclose(loc.cartesian, _TRUTH.cartesian(), atol=1e-16)
-
-
 @settings(max_examples=40, deadline=None)
 @example(r=14.0, theta=1.390625, phi=0.0, a_iso=0.0,
          noise=(0.0, -291.0, -37.0), free=True)
@@ -241,8 +231,8 @@ def test_levenberg_marquardt_lanes_end_at_box_minima(r, theta, phi, a_iso,
         assert fit.converged.all()
         assert np.all((fit.phi >= phi_box[0]) & (fit.phi <= phi_box[1]))
         assert np.all((fit.a_iso >= iso_lo) & (fit.a_iso <= iso_hi))
-        np.testing.assert_allclose(fit.cost, sum_sq_xi(recs, coupling, fit.phi,
-                                                       fit.a_iso), rtol=1e-12)
+        np.testing.assert_allclose(fit.cost, _sum_sq_xi(recs, coupling, fit.phi,
+                                                        fit.a_iso), rtol=1e-12)
         edge = (fit.phi == phi_box[0]) | (fit.phi == phi_box[1])
         if free:
             edge |= (fit.a_iso == iso_lo) | (fit.a_iso == iso_hi)
@@ -256,7 +246,7 @@ def test_levenberg_marquardt_lanes_end_at_box_minima(r, theta, phi, a_iso,
             p, a = fit.phi + d_phi, fit.a_iso + d_iso
             inside = ((p >= phi_box[0]) & (p <= phi_box[1])
                       & (a >= iso_lo) & (a <= iso_hi))
-            probe_cost = sum_sq_xi(recs, coupling, p, a)
+            probe_cost = _sum_sq_xi(recs, coupling, p, a)
             assert np.all(fit.cost[inside] <= probe_cost[inside]), (d_phi, d_iso)
 
     check(_levenberg_marquardt([piece(free)]), free)
@@ -468,8 +458,8 @@ def test_fixed_a_iso_scan_is_the_phi_profile(r, theta, phi, a_iso, n_coils):
     scan = localize._scan(recs, coupling, a_iso, step, localize.DEFAULT_A_ISO_STEP,
                           DEFAULT_CONSTANTS)
     phi_grid = np.deg2rad(np.arange(0.0, 360.0, step))
-    want = phi_grid[localize._grid_local_minima(sum_sq_xi(recs, coupling, phi_grid,
-                                                          a_iso))]
+    cost = _sum_sq_xi(recs, coupling, phi_grid, a_iso)
+    want = phi_grid[localize._grid_local_minima(cost)]
     assert want.size
     np.testing.assert_array_equal(scan.phi, want)
     np.testing.assert_array_equal(scan.a_iso, np.full(want.size, a_iso))

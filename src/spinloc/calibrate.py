@@ -21,8 +21,9 @@ from .core import (BIAS_FIELD, COIL_FIELD, DEFAULT_CONSTANTS, DEFAULT_REGISTRY,
                    Frame, FrameRegistry, LAB_FRAME_NAME, PhysicalConstants,
                    Vector3)
 from .errors import ConvergenceError, FrameError, IdentifiabilityError, ParseError
-from .fileio import (_ODMR, FORMAT_VERSION, _check, _check_frame, _finite,
-                     _fmt_rows, _read_sections, atomic_write_text)
+from .fileio import (_ODMR, _ODMR_COLUMNS, FORMAT_VERSION, _check, _check_frame,
+                     _field_unit, _finite, _fmt_rows, _in_columns, _read_sections,
+                     atomic_write_text)
 
 _CONDITION_LIMIT = 1e8
 
@@ -264,7 +265,7 @@ def solve_field(dataset: OdmrDataset, initial_guess: Vector3 | None = None,
 @dataclass(frozen=True)
 class AlignmentReport:
     transverse: float  # T, in the target frame
-    tilt_deg: float
+    tilt: float        # rad, of the field from the target frame's axis
     passed: bool
     threshold: float   # T
 
@@ -276,8 +277,7 @@ def alignment_report(solution: FieldSolution, target_frame: Frame | str,
     fr = target_frame if isinstance(target_frame, Frame) else registry.get(target_frame)
     b = fr.rotation_to_lab.T @ solution.B.components
     transverse = float(np.hypot(b[0], b[1]))
-    tilt = float(np.degrees(np.arctan2(transverse, b[2])))
-    return AlignmentReport(transverse=transverse, tilt_deg=tilt,
+    return AlignmentReport(transverse=transverse, tilt=float(np.arctan2(transverse, b[2])),
                            passed=transverse < threshold, threshold=threshold)
 
 
@@ -309,9 +309,9 @@ def load_odmr(path, registry: FrameRegistry = DEFAULT_REGISTRY) -> OdmrDataset:
             raise ParseError(path, line_no,
                              "expected: nv_id frame_name f_GHz sigma_MHz")
         _check_frame(path, line_no, parts[1], registry)
-        f_GHz, sigma_MHz = _finite(path, line_no, parts[2:], "bad numbers in row")
-        grouped.setdefault(parts[0], []).append((line_no, parts[1], f_GHz * 1e9,
-                                                 sigma_MHz * 1e6))
+        f, sigma = (v * _field_unit(c)[1] for v, c in zip(
+            _finite(path, line_no, parts[2:], "bad numbers in row"), _ODMR_COLUMNS))
+        grouped.setdefault(parts[0], []).append((line_no, parts[1], f, sigma))
 
     entries = []
     for nv_id, items in grouped.items():
@@ -336,5 +336,5 @@ def save_odmr(path, dataset: OdmrDataset, nv_ids=None):
     for nv_id, e in zip(ids, dataset.entries):
         rows = np.array([[e.lines.f_minus, e.sigma], [e.lines.f_plus, e.sigma]])
         lines += [f"{nv_id} {e.frame} {row}"
-                  for row in _fmt_rows(rows / [1e9, 1e6]).splitlines()]
+                  for row in _fmt_rows(_in_columns(_ODMR_COLUMNS, rows)).splitlines()]
     atomic_write_text(path, "\n".join(lines) + "\n")

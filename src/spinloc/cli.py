@@ -26,7 +26,7 @@ from .core import DEFAULT_CONSTANTS, DEFAULT_REGISTRY, SENSOR_FRAME_NAME, load_c
 from .dipole import SphericalPosition, invert_dipole
 from .errors import ParseError, SpinlocError
 from .extract import extract_couplings
-from .fileio import (ANGSTROM, DEG, DISPLAY_UNITS, KHZ, MT, NucleusMeasurements,
+from .fileio import (ANGSTROM, KHZ, PARAMETER_COLUMNS, NucleusMeasurements, in_units,
                      load_measurements, save_cost_curve, save_histogram,
                      save_measurements, save_scatter, write_json, write_text)
 from .localize import A_ISO_FIX_RADIUS, SPIN_DENSITY_CENTER_OFFSET, cost_curve
@@ -76,42 +76,45 @@ def cmd_calibrate(args) -> int:
     from .calibrate import alignment_report, load_odmr, solve_field
 
     constants, registry, prov = _load_environment(args)
+    if args.target not in registry:
+        raise ValueError(f"--target: unknown frame {args.target!r}; registered: "
+                         f"{registry.names()}")
     dataset = load_odmr(args.odmr, registry)
     prov["input"] = os.fspath(args.odmr)
     prov["input_sha256"] = _sha256(args.odmr)
     sol = solve_field(dataset, registry=registry, constants=constants)
     align = alignment_report(sol, args.target, registry=registry)
 
-    report = {
+    report = in_units({
         "kind": "field-solution",
         "version": 1,
         "context": dataset.context,
         "frame": sol.B.frame,
-        "B_mT": [c / MT for c in sol.B.components],
-        "sigma_B_mT": [s / MT for s in sol.sigma],
-        "residuals_MHz": [r / 1e6 for r in sol.residuals],
-        "rms_residual_MHz": sol.rms_residual / 1e6,
+        "B_mT": sol.B.components,
+        "sigma_B_mT": sol.sigma,
+        "residuals_MHz": sol.residuals,
+        "rms_residual_MHz": sol.rms_residual,
         "branch_costs": list(sol.branch_costs),
         "condition": sol.condition,
-        "alignment": {
+        "alignment": in_units({
             "frame": args.target,
-            "transverse_uT": align.transverse / 1e-6,
-            "tilt_deg": align.tilt_deg,
-            "threshold_uT": align.threshold / 1e-6,
+            "transverse_uT": align.transverse,
+            "tilt_deg": align.tilt,
+            "threshold_uT": align.threshold,
             "passed": align.passed,
-        },
+        }),
         "provenance": prov,
-    }
+    })
     os.makedirs(args.out, exist_ok=True)
     out_path = _write_report(args, "field_solution", report)
     bx, by, bz = report["B_mT"]
     print(f"B ({sol.B.frame} frame) = ({bx:+.4f}, {by:+.4f}, {bz:+.4f}) mT, "
-          f"|B| = {sol.B.norm() / MT:.4f} mT")
+          f"|B| = {math.hypot(bx, by, bz):.4f} mT")
     print(f"rms residual = {report['rms_residual_MHz']:.4f} MHz, "
           f"condition = {sol.condition:.3g}")
     print(f"alignment with {args.target}: transverse = "
           f"{report['alignment']['transverse_uT']:.2f} uT, "
-          f"tilt = {align.tilt_deg:.4f} deg, "
+          f"tilt = {report['alignment']['tilt_deg']:.4f} deg, "
           f"{'pass' if align.passed else 'FAIL'}")
     print(f"wrote {out_path}")
     return 0
@@ -147,28 +150,8 @@ def _resolve_fix_a_iso(policy, a_par: float, a_perp: float, constants):
         r0 = invert_dipole(a_par, a_perp, 0.0, constants).r
     except (SpinlocError, ValueError):
         return None, "free", "auto: couplings need a contact term"
-    if r0 > A_ISO_FIX_RADIUS:
-        return 0.0, "fixed", f"auto: r at zero contact = {r0 / ANGSTROM:.2f} A"
-    return None, "free", f"auto: r at zero contact = {r0 / ANGSTROM:.2f} A"
-
-
-def _display(**values) -> dict:
-    """Monte Carlo parameters in SI -> {"<name>_<unit>": display value}."""
-    out = {}
-    for name, value in values.items():
-        scale, unit = DISPLAY_UNITS[name]
-        out[f"{name}_{unit}"] = value / scale
-    return out
-
-
-def _ci_json(ci: dict) -> dict:
-    """rad/Hz/m intervals -> display units, levels as percent-string keys."""
-    out = {}
-    for name, levels in ci.items():
-        s, unit = DISPLAY_UNITS[name]
-        out[f"{name}_{unit}"] = {f"{100.0 * level:g}": [lo / s, hi / s]
-                                 for level, (lo, hi) in levels.items()}
-    return out
+    why = f"auto: r at zero contact = {r0 / ANGSTROM:.2f} A"
+    return (0.0, "fixed", why) if r0 > A_ISO_FIX_RADIUS else (None, "free", why)
 
 
 def cmd_localize(args) -> int:
@@ -247,43 +230,41 @@ def _report_one(label: str, nm: NucleusMeasurements, setup, result, args,
     curve = cost_curve(nm.records, est, a_iso=fit.a_iso, constants=constants)
     save_cost_curve(os.path.join(args.out, f"cost_curve_{label}.tsv"), curve)
     save_scatter(os.path.join(args.out, f"scatter_{label}.tsv"), result.scatter)
-    for name, (scale, unit) in DISPLAY_UNITS.items():
+    for name, column in PARAMETER_COLUMNS.items():
         hist = histogram(result.scatter, name, _HISTOGRAM_BINS)
         save_histogram(os.path.join(args.out, f"histogram_{name}_{label}.tsv"),
-                       hist, scale=scale, unit=unit)
+                       hist, column)
 
-    point = _display(**result.point._asdict())
     pos = SphericalPosition(result.point.r, result.point.theta, result.point.phi)
     cart = pos.cartesian()
     entry = {
-        "a_par_kHz": est.a_par / KHZ,
-        "a_perp_kHz": est.a_perp / KHZ,
+        "a_par_kHz": est.a_par,
+        "a_perp_kHz": est.a_perp,
         "a_iso_mode": mode,
         "a_iso_note": why,
-        "fit": {
-            **_display(phi=fit.phi, a_iso=fit.a_iso),
-            "residual_Hz": fit.residual,
-            "degenerate_minima_deg": [v / DEG for v in fit.degenerate_minima],
-        },
-        "point": point,
-        "ci": _ci_json(result.ci),
+        "fit": in_units({"phi_deg": fit.phi, "a_iso_kHz": fit.a_iso,
+                         "residual_Hz": fit.residual,
+                         "degenerate_minima_deg": fit.degenerate_minima}),
+        "point": in_units({PARAMETER_COLUMNS[name]: value
+                           for name, value in result.point._asdict().items()}),
+        "ci": in_units({PARAMETER_COLUMNS[name]: {f"{100.0 * level:g}": bounds
+                                                  for level, bounds in levels.items()}
+                        for name, levels in result.ci.items()}),
         "n_samples": result.n_samples,
         "n_failed": result.n_failed,
         "solver": result.solver._asdict(),
-        "position": {
-            **_display(r=pos.r, theta=pos.theta, phi=pos.phi),
-            "cartesian_A": (cart / ANGSTROM).tolist(),
-            "cartesian_offset_A": ((cart + [0.0, 0.0, SPIN_DENSITY_CENTER_OFFSET])
-                                   / ANGSTROM).tolist(),
-            "z_offset_A": SPIN_DENSITY_CENTER_OFFSET / ANGSTROM,
-        },
+        "position": in_units({
+            "r_A": pos.r, "theta_deg": pos.theta, "phi_deg": pos.phi,
+            "cartesian_A": cart,
+            "cartesian_offset_A": cart + [0.0, 0.0, SPIN_DENSITY_CENTER_OFFSET],
+            "z_offset_A": SPIN_DENSITY_CENTER_OFFSET}),
     }
     if ci_in.sigma_f0 > 0.0 or ci_in.sigma_f_m1 > 0.0 or ci_in.sigma_f_rabi > 0.0:
-        s_par, s_perp = result.coupling_sigma
-        entry["sigma_a_par_kHz"] = s_par / KHZ
-        entry["sigma_a_perp_kHz"] = s_perp / KHZ
-    print(f"{label}: a_par = {est.a_par / KHZ:.3f} kHz, "
-          f"a_perp = {est.a_perp / KHZ:.3f} kHz, "
+        entry["sigma_a_par_kHz"], entry["sigma_a_perp_kHz"] = result.coupling_sigma
+    entry = in_units(entry)
+    point = entry["point"]
+    print(f"{label}: a_par = {entry['a_par_kHz']:.3f} kHz, "
+          f"a_perp = {entry['a_perp_kHz']:.3f} kHz, "
           f"r = {point['r_A']:.3f} A, theta = {point['theta_deg']:.2f} deg, "
           f"phi = {point['phi_deg']:.2f} deg, "
           f"a_iso = {point['a_iso_kHz']:.2f} kHz "
@@ -318,7 +299,7 @@ def cmd_simulate(args) -> int:
 # dft-residuals
 
 def cmd_dft_residuals(args) -> int:
-    from .dft import dft_residual_map, load_dft_table, save_residual_map
+    from .dft import BIN_COLUMNS, dft_residual_map, load_dft_table, save_residual_map
 
     constants, _, prov = _load_environment(args)
     rows = load_dft_table(args.table)
@@ -334,19 +315,15 @@ def cmd_dft_residuals(args) -> int:
         "n_total": rmap.n_total,
         "n_failed": len(rmap.failures),
         "failures": list(rmap.failures),
-        "bins": [{"r_lo_A": b.r_lo / ANGSTROM, "r_hi_A": b.r_hi / ANGSTROM,
-                  "n_sites": b.n_sites,
-                  "median_abs_dr_A": b.median_abs_dr / ANGSTROM,
-                  "median_abs_dtheta_deg": math.degrees(b.median_abs_dtheta)}
-                 for b in rmap.bins],
+        "bins": [in_units(dict(zip(BIN_COLUMNS, dataclasses.astuple(b)))) for b in rmap.bins],
         "provenance": prov,
     }
     report_path = _write_report(args, "dft_residuals", report)
-    for b in rmap.bins:
-        print(f"r in [{b.r_lo / ANGSTROM:5.2f}, {b.r_hi / ANGSTROM:5.2f}) A: "
-              f"{b.n_sites:4d} sites, median |dr| = "
-              f"{b.median_abs_dr / ANGSTROM:.3f} A, median |dtheta| = "
-              f"{math.degrees(b.median_abs_dtheta):.3f} deg")
+    for b in report["bins"]:
+        print(f"r in [{b['r_lo_A']:5.2f}, {b['r_hi_A']:5.2f}) A: "
+              f"{b['n_sites']:4d} sites, median |dr| = "
+              f"{b['median_abs_dr_A']:.3f} A, median |dtheta| = "
+              f"{b['median_abs_dtheta_deg']:.3f} deg")
     if rmap.failures:
         print(f"{len(rmap.failures)}/{rmap.n_total} rows not invertible",
               file=sys.stderr)

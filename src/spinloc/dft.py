@@ -9,15 +9,15 @@ the residual maps, with the column table of ``fileio``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .core import DEFAULT_CONSTANTS, PhysicalConstants
 from .dipole import invert_dipole
 from .errors import DomainError, InconsistentInputError, ParseError
-from .fileio import (_DFT_COLUMNS, _REQUIRED, ANGSTROM, _field_unit, _finite,
-                     _fmt_rows, _lines, atomic_write_text)
+from .fileio import (_DFT_COLUMNS, _REQUIRED, _field_unit, _finite, _lines,
+                     _table_text, atomic_write_text)
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,12 @@ class ResidualBin:
     median_abs_dtheta: float  # rad
 
 
+# the columns of the residual map's two tables, in the order of the fields of
+# ResidualEntry and of ResidualBin; the second names the report's bin keys
+ENTRY_COLUMNS = ("r_A", "dr_A", "dtheta_deg")
+BIN_COLUMNS = ("r_lo_A", "r_hi_A", "n_sites", "median_abs_dr_A", "median_abs_dtheta_deg")
+
+
 @dataclass(frozen=True)
 class ResidualMap:
     entries: tuple[ResidualEntry, ...]
@@ -67,6 +73,8 @@ def dft_residual_map(rows, constants: PhysicalConstants = DEFAULT_CONSTANTS,
     Residuals are additionally binned by reference radius (``bin_width``
     slices from 0) and summarized by medians of the absolute values.
     """
+    if not (bin_width > 0.0 and math.isfinite(bin_width)):
+        raise ValueError(f"bin width must be positive and finite, got {bin_width!r} m")
     entries = []
     failures = []
     n_total = 0
@@ -134,13 +142,7 @@ def load_dft_table(path) -> list[DftRow]:
 
 
 def save_residual_map(path, rmap: ResidualMap):
-    entries = [[e.r_ref / ANGSTROM, e.dr / ANGSTROM, math.degrees(e.dtheta)]
-               for e in rmap.entries]
-    bins = [[b.r_lo / ANGSTROM, b.r_hi / ANGSTROM, b.n_sites,
-             b.median_abs_dr / ANGSTROM, math.degrees(b.median_abs_dtheta)]
-            for b in rmap.bins]
-    atomic_write_text(path, "# r_A  dr_A  dtheta_deg\n"
-                      + _fmt_rows(np.reshape(entries, (-1, 3))) + "\n# binned medians: "
-                      "r_lo_A  r_hi_A  n_sites  median_abs_dr_A  median_abs_dtheta_deg\n"
-                      + _fmt_rows(np.reshape(bins, (-1, 5)))
+    atomic_write_text(path, _table_text(ENTRY_COLUMNS, list(map(astuple, rmap.entries)))
+                      + "\n" + _table_text(BIN_COLUMNS, list(map(astuple, rmap.bins)),
+                                           "binned medians: ")
                       + "".join(f"# failed {msg}\n" for msg in rmap.failures))

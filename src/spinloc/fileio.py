@@ -6,9 +6,10 @@ data rows where a format calls for them. `#` starts a comment anywhere. A
 section (name and labels) appears at most once per file. The schema tables
 below are the grammar of each file kind: they list every section's keys in
 file order with their shape and default. A key's suffix names its unit,
-mirroring the published tables (kHz, mT, us, Angstrom, degrees); everything
-is converted to SI/rad on load. Parse problems raise ParseError carrying
-path and line number. Writers go through a temp file and an atomic rename.
+mirroring the published tables (kHz, mT, us, Angstrom, degrees); values are
+converted to SI/rad on load and, by report key or column, back on output.
+Parse problems raise ParseError carrying path and line number. Writers go
+through a temp file and an atomic rename.
 
 Every schema table and the one reader are here, with what ``localize``
 reads and writes; the odmr, truth and reference-table readers and writers
@@ -34,18 +35,14 @@ from .montecarlo import PARAMETERS, Histogram
 
 FORMAT_VERSION = 1
 
-KHZ = 1e3
-MT = 1e-3
-US = 1e-6
-ANGSTROM = 1e-10
-DEG = math.pi / 180.0
+# SI value of one unit, keyed by the unit suffix of a file key, report key or
+# column; the one place where a unit's SI value is written
+_UNITS = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9, "uT": 1e-6, "mT": 1e-3,
+          "us": 1e-6, "A": 1e-10, "deg": math.pi / 180.0}
+KHZ, ANGSTROM = _UNITS["kHz"], _UNITS["A"]  # of the flags given in these units
 
-# SI value of one unit, keyed by the unit suffix of a file key or column
-_UNITS = {"kHz": KHZ, "mT": MT, "us": US, "A": ANGSTROM, "deg": DEG}
-
-# display unit of each Monte Carlo parameter: (SI value of one unit, name)
-DISPLAY_UNITS = {name: (_UNITS[unit], unit)
-                 for name, unit in zip(PARAMETERS, ("deg", "kHz", "A", "deg"))}
+# the report key and table column of each Monte Carlo parameter
+PARAMETER_COLUMNS = dict(zip(PARAMETERS, ("phi_deg", "a_iso_kHz", "r_A", "theta_deg")))
 
 # floor of the line sigmas a MeasurementRecord requires positive
 SIGMA_F_FLOOR = 1e-6  # Hz
@@ -86,6 +83,7 @@ _TRUTH = {
 
 # one row per resonance: nv_id frame_name f_GHz sigma_MHz
 _ODMR = {"": (0, {**_HEADER, "context": (0, COIL_FIELD)}), "lines": (0, None)}
+_ODMR_COLUMNS = ("f_GHz", "sigma_MHz")
 
 # the columns of a reference coupling table, in any order
 _DFT_COLUMNS = {"a_par_kHz": _NUMBER, "a_perp_kHz": _NUMBER, "a_iso_kHz": (1, 0.0),
@@ -98,6 +96,30 @@ def _field_unit(key: str):
     """(field name, SI value of one unit) of a file key or column."""
     name, _, suffix = key.rpartition("_")
     return (name, _UNITS[suffix]) if suffix in _UNITS else (key, 1.0)
+
+
+def in_units(block: dict) -> dict:
+    """A report block built in SI, with the number, numbers or level map under
+    each unit-suffixed key divided by that unit's SI value. Other values are
+    kept: each nested block is converted on its own, never one keyed by labels."""
+    out = dict(block)
+    for key, value in block.items():
+        name, unit = _field_unit(key)
+        if name != key:
+            out[key] = ({k: np.divide(v, unit).tolist() for k, v in value.items()}
+                        if isinstance(value, dict) else np.divide(value, unit).tolist())
+    return out
+
+
+def _in_columns(columns, rows) -> np.ndarray:
+    """SI rows with each column divided by the SI value of its name's unit."""
+    return (np.reshape(np.asarray(rows, dtype=float), (-1, len(columns)))
+            / [_field_unit(c)[1] for c in columns])
+
+
+def _table_text(columns, rows, title: str = "") -> str:
+    """``# <title><columns>`` and the SI rows in the columns' units."""
+    return f"# {title}{'  '.join(columns)}\n" + _fmt_rows(_in_columns(columns, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -409,30 +431,26 @@ _SCATTER_BLOCK = 4096
 
 
 def save_scatter(path, scatter: np.ndarray):
-    """Columns PARAMETERS in DISPLAY_UNITS (phi_deg, a_iso_kHz, r_A,
-    theta_deg); one row per sample."""
-    header = "# " + "  ".join(f"{name}_{unit}"
-                              for name, (_, unit) in DISPLAY_UNITS.items())
-    scale = [s for s, _ in DISPLAY_UNITS.values()]
-    rows = np.asarray(scatter, dtype=float) / scale
+    """Columns PARAMETER_COLUMNS, one row per sample."""
+    columns = tuple(PARAMETER_COLUMNS.values())
+    rows = _in_columns(columns, scatter)
     with _atomic_open(path) as fh:
-        fh.write(header + "\n")
+        fh.write("# " + "  ".join(columns) + "\n")
         for k in range(0, len(rows), _SCATTER_BLOCK):
             fh.write(_fmt_rows(rows[k:k + _SCATTER_BLOCK]))
 
 
-def save_histogram(path, hist: Histogram, scale: float = 1.0, unit: str = ""):
-    """Rows of edge_low edge_high count, with edges divided by ``scale``."""
-    suffix = f"_{unit}" if unit else ""
-    rows = np.column_stack([hist.edges[:-1] / scale, hist.edges[1:] / scale,
-                            hist.counts])
-    atomic_write_text(path, f"# edge_low{suffix}  edge_high{suffix}  count\n"
-                      + _fmt_rows(rows))
+def save_histogram(path, hist: Histogram, column: str):
+    """Rows of edge_low edge_high count, the edges in the unit of ``column``."""
+    suffix = column[len(_field_unit(column)[0]):]
+    atomic_write_text(path, _table_text(
+        (f"edge_low{suffix}", f"edge_high{suffix}", "count"),
+        np.column_stack([hist.edges[:-1], hist.edges[1:], hist.counts])))
 
 
 def save_cost_curve(path, curve):
     """phi_deg, one |xi| column per record (Hz), then the summed square."""
-    rows = np.column_stack([np.degrees(curve.phi), curve.per_record.T,
+    rows = np.column_stack([_in_columns(["phi_deg"], curve.phi), curve.per_record.T,
                             curve.total])
     atomic_write_text(path, "# phi_deg  abs_xi_Hz_per_record...  sum_sq_Hz2\n"
                       + _fmt_rows(rows))

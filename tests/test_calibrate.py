@@ -126,7 +126,7 @@ def test_alignment_report_values():
     sol = solve_field(_dataset(B_lab, context=BIAS_FIELD))
     rep = alignment_report(sol, "nv0")
     assert rep.transverse == pytest.approx(60e-6, rel=1e-6)
-    assert rep.tilt_deg == pytest.approx(
+    assert math.degrees(rep.tilt) == pytest.approx(
         math.degrees(math.atan2(60e-6, 9.502e-3)), rel=1e-6)
     assert rep.threshold == 50e-6
     assert not rep.passed

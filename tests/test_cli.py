@@ -474,6 +474,14 @@ def test_calibrate_single_orientation_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_calibrate_unknown_target_exits_2_before_writing(tmp_path, capsys):
+    path = _odmr_file(tmp_path, [0.2e-3, -0.1e-3, 9.4e-3])
+    out = tmp_path / "cal"
+    assert main(["calibrate", str(path), "--target", "nope", "--out", str(out)]) == 2
+    assert "unknown frame 'nope'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_malformed_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("kind = odmr\nversion = 1\n[lines]\nNV1 nv0 2.9\n")
@@ -513,6 +521,15 @@ def test_dft_residuals(tmp_path, capsys):
         assert b["median_abs_dr_A"] < 1e-6
         assert b["median_abs_dtheta_deg"] < 1e-6
     assert (out / "dft_residuals.tsv").exists()
+
+
+@pytest.mark.parametrize("width", ["0", "-1", "nan", "inf"])
+def test_dft_residuals_bad_bin_width_exits_2_before_writing(tmp_path, capsys, width):
+    out = tmp_path / "res"
+    assert main(["dft-residuals", str(_dft_table_file(tmp_path)),
+                 f"--bin-width={width}", "--out", str(out)]) == 2
+    assert "bin width" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_via_environment(tmp_path, monkeypatch):
@@ -719,6 +736,21 @@ def test_localize_many_nuclei_equals_each_alone(tmp_path, monkeypatch):
         assert failures.get(label) == single["failures"].get(label)
         assert single_files == {name: blob for name, blob in files.items()
                                 if name.endswith(f"_{label}.tsv")}
+
+
+@pytest.mark.parametrize("label", ["X_A", "x_deg"])
+def test_localize_entry_does_not_depend_on_a_unit_suffixed_label(tmp_path, label):
+    # the report converts each block by its keys' unit suffixes, never the
+    # blocks keyed by nucleus labels
+    root = Path(__file__).resolve().parents[1]
+    c1 = load_measurements(root / "data" / "measurements_example.txt")["C1"]
+    entries = []
+    for name in ("X1", label):
+        meas = tmp_path / f"{name}.txt"
+        save_measurements(meas, {name: replace(c1, label=name)})
+        _, report, _ = _localize_outputs(meas, tmp_path / name)
+        entries.append(report["nuclei"][name])
+    assert entries[0] == entries[1]
 
 
 def test_localize_many_nuclei_bit_identical_across_parallel(tmp_path):

@@ -29,6 +29,7 @@ from spinloc import fileio
 from spinloc.cli import main
 from spinloc.dft import ResidualBin, ResidualEntry, ResidualMap, save_residual_map
 from spinloc.fileio import (
+    in_units,
     save_cost_curve,
     save_histogram,
     save_scatter,
@@ -603,7 +604,7 @@ def test_table_writers_write_the_fmt_joined_rows(tmp_path, n_rows, n_records,
                                           for row in rows])
 
     scatter = table(4)
-    scale = [s for s, _ in fileio.DISPLAY_UNITS.values()]
+    scale = [fileio._field_unit(c)[1] for c in fileio.PARAMETER_COLUMNS.values()]
     with np.errstate(over="ignore"):
         save_scatter(tmp_path / "scatter.tsv", scatter)
         rows = (scatter / scale).tolist()
@@ -615,7 +616,7 @@ def test_table_writers_write_the_fmt_joined_rows(tmp_path, n_rows, n_records,
                       total=cols[:, -1])
     with np.errstate(over="ignore"):
         save_cost_curve(tmp_path / "curve.tsv", curve)
-    rows = [[math.degrees(row[0]), *row[1:]] for row in cols.tolist()]
+    rows = [[row[0] / fileio._UNITS["deg"], *row[1:]] for row in cols.tolist()]
     assert (tmp_path / "curve.tsv").read_text() == text(
         "# phi_deg  abs_xi_Hz_per_record...  sum_sq_Hz2", rows)
 
@@ -624,11 +625,29 @@ def test_save_histogram_scales_edges(tmp_path):
     hist = Histogram(edges=np.array([0.0, 1e3, 2e3]),
                      counts=np.array([4, 7]), circular=False)
     path = tmp_path / "hist.txt"
-    save_histogram(path, hist, scale=1e3, unit="kHz")
+    save_histogram(path, hist, "a_iso_kHz")
     lines = path.read_text().splitlines()
     assert "edge_low_kHz" in lines[0]
     assert lines[1].split() == ["0", "1", "4"]
     assert lines[2].split() == ["1", "2", "7"]
+
+
+def test_in_units_converts_only_unit_suffixed_keys():
+    solver = {"max_iterations": 3}
+    block = in_units({"n_samples": 40000, "passed": True, "frame": "nv0",
+                      "solver": solver, "residual_Hz": 2.5, "z_offset_A": 3e-10,
+                      "B_mT": np.array([1e-3, -2e-3]), "minima_deg": (),
+                      "phi_deg": {"68.27": [0.0, math.pi / 2], "95": (-math.pi, 0.0)}})
+    assert type(block["n_samples"]) is int and block["n_samples"] == 40000
+    assert block["passed"] is True
+    assert block["frame"] == "nv0"
+    assert block["solver"] is solver
+    assert block["residual_Hz"] == 2.5
+    assert block["z_offset_A"] == pytest.approx(3.0)
+    assert block["B_mT"] == pytest.approx([1.0, -2.0])
+    assert block["minima_deg"] == []
+    assert block["phi_deg"] == {"68.27": pytest.approx([0.0, 90.0]),
+                                "95": pytest.approx([-180.0, 0.0])}
 
 
 def test_save_residual_map_layout(tmp_path):

@@ -11,12 +11,14 @@ in both report formats, ``localize`` at ``--samples 4000 --seed 3`` under
 ``--fix-a-iso auto``, ``0`` and ``free`` in both report formats. Every
 file a command writes is compared byte for byte, and so are its exit
 status, standard output and standard error (with the source path replaced
-by a placeholder). The first differing file is printed, and the exit
-status is 1 if any file differs, 0 if none does. Standard library only.
+by a placeholder). Every differing file is printed, a JSON file with the
+first key path at which the two differ, and the exit status is 1 if any
+file differs, 0 if none does. Standard library only.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -72,6 +74,41 @@ def _outputs(src: Path, work: Path) -> dict[str, bytes]:
     return files
 
 
+def _first_difference(old, new, path="$"):
+    """The key path of the first place where two JSON values differ, keys in
+    sorted order, with the two values there; None where they are equal."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            if key not in old or key not in new:
+                return f"{path}.{key} is only in {'old' if key in old else 'new'}"
+            found = _first_difference(old[key], new[key], f"{path}.{key}")
+            if found:
+                return found
+        return None
+    if isinstance(old, list) and isinstance(new, list):
+        for k, (a, b) in enumerate(zip(old, new)):
+            found = _first_difference(a, b, f"{path}[{k}]")
+            if found:
+                return found
+        return (None if len(old) == len(new)
+                else f"{path} has {len(old)} items, then {len(new)}")
+    return None if old == new else f"{path}: {old!r}, then {new!r}"
+
+
+def _describe(name: str, old, new) -> str:
+    """One line naming a differing file, with a JSON file's first
+    difference."""
+    if old is None or new is None:
+        return f"  {name}: only in {'new' if old is None else 'old'}"
+    if not name.endswith(".json"):
+        return f"  {name}"
+    try:
+        old, new = json.loads(old), json.loads(new)
+    except ValueError:
+        return f"  {name}: not JSON"
+    return f"  {name}: {_first_difference(old, new) or 'same value, other bytes'}"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -83,8 +120,9 @@ def main(argv=None) -> int:
     differ = [name for name in sorted(old.keys() | new.keys())
               if old.get(name) != new.get(name)]
     if differ:
-        print(f"differs: {differ[0]} ({len(differ)} of "
-              f"{len(old.keys() | new.keys())} files differ)")
+        print(f"{len(differ)} of {len(old.keys() | new.keys())} files differ:")
+        for name in differ:
+            print(_describe(name, old.get(name), new.get(name)))
         return 1
     print(f"identical: {len(old)} files")
     return 0

@@ -141,17 +141,19 @@ def _parse_fix_a_iso(policy: str):
 
 
 def _resolve_fix_a_iso(policy, a_par: float, a_perp: float, constants):
-    """Parsed policy -> (fix value or None, 'fixed'|'free', why)."""
+    """Parsed policy -> (fix value or None, its report fields in SI)."""
     if policy == "free":
-        return None, "free", "forced free"
+        return None, {"a_iso_mode": "free", "a_iso_note": "forced free"}
     if policy != "auto":
-        return policy, "fixed", "fixed by flag"
+        return policy, {"a_iso_mode": "fixed", "a_iso_note": "fixed by flag"}
     try:
         r0 = invert_dipole(a_par, a_perp, 0.0, constants).r
     except (SpinlocError, ValueError):
-        return None, "free", "auto: couplings need a contact term"
-    why = f"auto: r at zero contact = {r0 / ANGSTROM:.2f} A"
-    return (0.0, "fixed", why) if r0 > A_ISO_FIX_RADIUS else (None, "free", why)
+        return None, {"a_iso_mode": "free",
+                      "a_iso_note": "auto: couplings need a contact term"}
+    fix = 0.0 if r0 > A_ISO_FIX_RADIUS else None
+    return fix, {"a_iso_mode": "free" if fix is None else "fixed",
+                 "a_iso_note": "auto: r at zero contact", "r_zero_contact_A": r0}
 
 
 def cmd_localize(args) -> int:
@@ -180,7 +182,7 @@ def cmd_localize(args) -> int:
                 outcomes[label] = exc
     outcomes.update(zip(setups, propagate_many(
         [(nuclei[label].records, est, fix)
-         for label, (est, fix, _, _) in setups.items()], mc, constants)))
+         for label, (est, fix, _) in setups.items()], mc, constants)))
 
     results: dict[str, dict] = {}
     failures: dict[str, str] = {}
@@ -213,7 +215,7 @@ def cmd_localize(args) -> int:
 
 
 def _setup_one(nm: NucleusMeasurements, constants, fix_policy):
-    """(couplings with their inputs, a_iso fix or None, mode, why)."""
+    """(couplings with their inputs, a_iso fix or None, a_iso report fields)."""
     ci_in = nm.inputs
     est = extract_couplings(ci_in.f0, ci_in.f_m1, ci_in.f_rabi, ci_in.tau)
     est = dataclasses.replace(est, inputs=ci_in)
@@ -223,7 +225,7 @@ def _setup_one(nm: NucleusMeasurements, constants, fix_policy):
 
 def _report_one(label: str, nm: NucleusMeasurements, setup, result, args,
                 constants) -> dict:
-    est, _, mode, why = setup
+    est, _, a_iso_fields = setup
     ci_in = nm.inputs
     fit = result.fit
 
@@ -240,8 +242,7 @@ def _report_one(label: str, nm: NucleusMeasurements, setup, result, args,
     entry = {
         "a_par_kHz": est.a_par,
         "a_perp_kHz": est.a_perp,
-        "a_iso_mode": mode,
-        "a_iso_note": why,
+        **a_iso_fields,
         "fit": in_units({"phi_deg": fit.phi, "a_iso_kHz": fit.a_iso,
                          "residual_Hz": fit.residual,
                          "degenerate_minima_deg": fit.degenerate_minima}),
@@ -268,7 +269,7 @@ def _report_one(label: str, nm: NucleusMeasurements, setup, result, args,
           f"r = {point['r_A']:.3f} A, theta = {point['theta_deg']:.2f} deg, "
           f"phi = {point['phi_deg']:.2f} deg, "
           f"a_iso = {point['a_iso_kHz']:.2f} kHz "
-          f"({mode}), {result.n_failed}/{result.n_samples} samples failed")
+          f"({entry['a_iso_mode']}), {result.n_failed}/{result.n_samples} samples failed")
     return entry
 
 

@@ -76,14 +76,14 @@ def nominal_tau(f0: float, f_m1: float) -> float:
 def _extract_arrays(f0, f_m1, f_rabi, tau, method):
     """Lane-wise extraction over broadcast frequency arrays.
 
-    Returns (a_par, a_perp, ok). ok is the one validity rule: f0, f_m1 and
-    f_rabi positive and, for the exact method, neither precession phase a
-    multiple of pi and a non-negative square-root argument
-    f_m1^2 - (f0+a_par)^2. a_perp is NaN where the exact method fails.
+    Returns (a_par, a_perp), a_perp NaN wherever the one validity rule
+    fails: f0, f_m1 and f_rabi positive and, for the exact method, neither
+    precession phase a multiple of pi and a non-negative square-root
+    argument f_m1^2 - (f0+a_par)^2.
     """
     ok = (f0 > 0.0) & (f_m1 > 0.0) & (f_rabi > 0.0)
     if method == APPROXIMATE:
-        return f_m1 - f0, math.pi * f_rabi, ok
+        return f_m1 - f0, np.where(ok, math.pi * f_rabi, np.nan)
     spacing = 2.0 * tau
     c0 = np.cos(math.pi * f0 * spacing)
     s0 = np.sin(math.pi * f0 * spacing)
@@ -97,7 +97,7 @@ def _extract_arrays(f0, f_m1, f_rabi, tau, method):
         arg = f_m1 ** 2 - (f0 + a_par) ** 2
         ok &= arg >= 0.0
         a_perp = np.sqrt(np.where(ok, arg, np.nan))
-    return a_par, a_perp, ok
+    return a_par, a_perp
 
 
 def extract_couplings(f0: float, f_m1: float, f_rabi: float, tau: float,
@@ -121,9 +121,9 @@ def extract_couplings(f0: float, f_m1: float, f_rabi: float, tau: float,
     if method not in (EXACT, APPROXIMATE):
         raise ValueError(f"method must be {EXACT!r} or {APPROXIMATE!r}, got {method!r}")
 
-    a_par, a_perp, ok = _extract_arrays(
+    a_par, a_perp = _extract_arrays(
         np.float64(f0), np.float64(f_m1), np.float64(f_rabi), tau, method)
-    if not ok:
+    if math.isnan(a_perp):
         # the inputs are positive, so the exact transformation failed
         spacing = 2.0 * tau
         if min(abs(math.sin(math.pi * f * spacing)) for f in (f0, f_m1)) < _SINGULAR_SIN:

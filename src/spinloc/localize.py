@@ -198,10 +198,8 @@ class AzimuthFit:
     phi: float                  # rad, in [0, 2pi)
     a_iso: float                # Hz (the fixed value when fix_a_iso was given)
     residual: float             # Hz, sqrt(sum xi^2) at the optimum
-    per_record_xi: tuple        # Hz, signed, one per record
     degenerate_minima: tuple    # rad, phis of all near-degenerate minima
     minima: tuple = field(default_factory=tuple)  # full Minimum detail
-    a_iso_fixed: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.phi < _TWO_PI):
@@ -256,6 +254,8 @@ def cost_curve(records, coupling, a_iso: float = 0.0,
 
 
 class _LaneFit(NamedTuple):
+    a_par: np.ndarray       # Hz, the lane's couplings (rows 0 and 1 of
+    a_perp: np.ndarray      # Hz, its kernel's constants)
     phi: np.ndarray         # rad
     a_iso: np.ndarray       # Hz
     cost: np.ndarray        # Hz^2, summed squared xi
@@ -383,11 +383,12 @@ def _levenberg_marquardt(pieces, *, sample: bool = False) -> _LaneFit:
     the batch, the kernel compacted (``take``) with the other lane arrays.
     The arithmetic is per lane, so no lane's result depends on its batch
     or on when it joined. Lanes with no finite cost at the start come back
-    unchanged.
+    unchanged. Each lane's record carries its couplings, taken from its
+    kernel when it stops.
     """
     queue = deque((0, count, piece) for count, piece in pieces if count)
     n = sum(count for _, count, _ in queue)
-    fit = _LaneFit(np.empty(n), np.empty(n), np.empty(n), np.zeros(n, dtype=int),
+    fit = _LaneFit(*np.empty((5, n)), np.zeros(n, dtype=int),
                    np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
 
     def admit(room):
@@ -500,6 +501,7 @@ def _levenberg_marquardt(pieces, *, sample: bool = False) -> _LaneFit:
             phi_f, iso_f, cost_f = (v[stop] for v in lanes[:3])
             box = [v[stop] for v in lanes[6:10]]
             fit.phi[fin], fit.a_iso[fin], fit.cost[fin] = phi_f, iso_f, cost_f
+            fit.a_par[fin], fit.a_perp[fin] = kernel.consts[:2, stop]
             fit.converged[fin] = done[stop]
             on_edge = ((phi_f == box[0]) | (phi_f == box[1])
                        | ((box[2] < box[3]) & ((iso_f == box[2]) | (iso_f == box[3]))))
@@ -547,7 +549,6 @@ class _Scan(NamedTuple):
     a_iso: np.ndarray    # Hz
     phi_box: tuple       # (lo, hi), per lane
     iso_box: tuple       # (lo, hi), per lane
-    a_iso_fixed: bool
 
     def lanes(self, lo, hi):
         """Lanes lo..hi-1 of the polish, as ``_levenberg_marquardt`` takes
@@ -603,7 +604,7 @@ def _scan(records, coupling, fix_a_iso, phi_step_deg, a_iso_step,
             f"couplings (a_par, a_perp) = ({coupling.a_par:g}, "
             f"{coupling.a_perp:g}) Hz invert to a point dipole at no contact "
             "term of the fit")
-    return _Scan(kernel, phi0, iso0, phi_box, iso_box, fix_a_iso is not None)
+    return _Scan(kernel, phi0, iso0, phi_box, iso_box)
 
 
 def _finish(scan: _Scan, lm: _LaneFit) -> AzimuthFit:
@@ -639,14 +640,10 @@ def _finish(scan: _Scan, lm: _LaneFit) -> AzimuthFit:
     minima = tuple(Minimum(phi=m[1], a_iso=m[2], residual=math.sqrt(m[0]))
                    for m in keep)
 
-    per_xi = tuple(float(v) for v in scan.kernel(best_phi, best_iso,
-                                                 derivatives=False))
     return AzimuthFit(phi=best_phi, a_iso=best_iso,
                       residual=math.sqrt(best_cost),
-                      per_record_xi=per_xi,
                       degenerate_minima=tuple(m.phi for m in minima),
-                      minima=minima,
-                      a_iso_fixed=scan.a_iso_fixed)
+                      minima=minima)
 
 
 def _isolate(fn, *args):

@@ -27,6 +27,12 @@ Basin hops to mirror minima are deliberately not sampled, since degenerate
 minima are reported separately by the fit itself: the box keeps each sample
 near the point fit, and samples that end on its edge are counted in
 ``SolverStats.at_bound``.
+
+Each sample's one record is its solver lane (``localize._LaneFit``): the
+couplings its lines extract and its fit. Lines that do not extract give a
+NaN a_perp, which stays NaN through the kernel, the cost and the inversion
+like any other failure; ``_estimate`` reads every outcome from the lanes and
+applies each gate once.
 """
 
 from __future__ import annotations
@@ -181,11 +187,7 @@ class _Nucleus:
     error: Exception | None = None
     fit: AzimuthFit | None = None
     point: PointEstimate | None = None
-    # per sample: the couplings extracted from its drawn lines, whether they
-    # extracted, and the solver's outcome
-    a_par: np.ndarray | None = None
-    a_perp: np.ndarray | None = None
-    extracted: np.ndarray | None = None
+    # per sample: its couplings and the solver's outcome
     lanes: _LaneFit | None = None
     # the sensitivity of the samples' first solver step to their draws
     # (``_slopes``)
@@ -204,26 +206,25 @@ def _set_point(nuc: _Nucleus, fit: AzimuthFit, constants):
     nuc.point = PointEstimate(fit.phi, fit.a_iso, pos.r, pos.theta)
 
 
-def _lanes(nuc: _Nucleus, draws: np.ndarray, constants):
+def _lanes(nuc: _Nucleus, draws: np.ndarray, constants) -> XiKernel:
     """The xi kernel of a nucleus's inputs moved by ``draws``, one row of
-    3 + 8 x records normals per lane in the draw order of ``propagate``, and
-    the couplings (a_par, a_perp, extracted) that each row's lines
-    extract."""
+    3 + 8 x records normals per lane in the draw order of ``propagate``, at
+    the couplings that each row's lines extract: a lane whose lines do not
+    extract has a NaN a_perp, and with it a NaN xi."""
     records, inputs = nuc.records, nuc.coupling.inputs
-    a_par, a_perp, extracted = _extract_arrays(
+    a_par, a_perp = _extract_arrays(
         inputs.f0 + inputs.sigma_f0 * draws[:, 0],
         inputs.f_m1 + inputs.sigma_f_m1 * draws[:, 1],
         inputs.f_rabi + inputs.sigma_f_rabi * draws[:, 2],
         inputs.tau, nuc.coupling.method)
     # per record: the splitting fp_m1 - fp0, then B0 and dB, all perturbed
-    kernel = xi_kernel((
+    return xi_kernel((
         (rec.fp_m1 + rec.sigma_fp_m1 * draws[:, k + 1]
          - (rec.fp0 + rec.sigma_fp0 * draws[:, k]),
          rec.B0.components[:, None] + rec.sigma_B0[:, None] * draws[:, k + 2:k + 5].T,
          rec.dB.components[:, None] + rec.sigma_dB[:, None] * draws[:, k + 5:k + 8].T)
         for k, rec in zip(range(3, 3 + 8 * len(records), 8), records)),
         a_par, a_perp, constants)
-    return kernel, a_par, a_perp, extracted
 
 
 # Central-difference step of the input sensitivities, in sigma units. A
@@ -280,7 +281,7 @@ def _slopes(nuclei, constants):
         step = _SENSITIVITY_STEP * np.eye(n_in)
         draws = np.concatenate([np.zeros((1, n_in)), step, -step])
         m = len(draws)
-        kernel = XiKernel.join((_lanes(nuc, draws, constants)[0], m) for nuc in members)
+        kernel = XiKernel.join((_lanes(nuc, draws, constants), m) for nuc in members)
         res, *jac = kernel(np.repeat([nuc.point.phi for nuc in members], m),
                            np.repeat([nuc.point.a_iso for nuc in members], m))
         for k, nuc in enumerate(members):
@@ -302,29 +303,19 @@ def _sample_lanes(nuc: _Nucleus, lo: int, hi: int, seed: int, constants):
     fields and splittings in a kernel lane, started at its linear start,
     the point fit plus ``nuc.slope`` times its draws (the point fit itself
     where the nucleus has no slope), clipped into its search box
-    (``_half_box``). The couplings each sample extracts from its drawn lines
-    go to the nucleus's per-sample arrays. Once samples 0..i hold more
-    extraction failures than the gate of ``_estimate`` allows, the nucleus
-    fails whatever its lanes give: lane i starts at NaN, wherever admission
-    splits the samples, and leaves the pool at its first kernel call."""
+    (``_half_box``). A sample whose drawn lines do not extract has no
+    finite cost at its start, and the solver returns it unchanged."""
     draws = _draws(lo, hi, seed, 3 + 8 * len(nuc.records))
-    kernel, *per_sample = _lanes(nuc, draws, constants)
-    nuc.a_par[lo:hi], nuc.a_perp[lo:hi], nuc.extracted[lo:hi] = per_sample
-    # per lane i, the extraction failures of samples 0..i
-    failures = lo - np.count_nonzero(nuc.extracted[:lo]) + np.cumsum(~nuc.extracted[lo:hi])
-    hopeless = failures > MAX_EXTRACTION_FAILURE_FRACTION * nuc.extracted.size
-
     point, (half_phi, half_iso) = nuc.point, _half_box(nuc)
     phi_box = (point.phi - half_phi, point.phi + half_phi)
     iso_box = (point.a_iso - half_iso, point.a_iso + half_iso)
-    phi = np.where(hopeless, math.nan, point.phi)
-    iso = np.full(hi - lo, point.a_iso)
+    phi, iso = np.full(hi - lo, point.phi), np.full(hi - lo, point.a_iso)
     if nuc.slope is not None:
         # each lane sums over its own row of draws, never with a BLAS
         # product, so that its start does not depend on the lane block
         phi = np.clip(phi + _dot(nuc.slope[0][:, None], draws.T), *phi_box)
         iso = np.clip(iso + _dot(nuc.slope[1][:, None], draws.T), *iso_box)
-    return kernel, phi, iso, phi_box, iso_box
+    return _lanes(nuc, draws, constants), phi, iso, phi_box, iso_box
 
 
 def _quantiles(values: np.ndarray, probs) -> np.ndarray:
@@ -348,23 +339,23 @@ def _quantiles(values: np.ndarray, probs) -> np.ndarray:
 
 def _estimate(nuc: _Nucleus, n: int, constants) -> EstimateResult:
     """The gates, intervals and solver counts of a nucleus's solved samples.
-    Releases the nucleus's per-sample arrays once the scatter is built."""
-    n_unextracted = int(n - nuc.extracted.sum())
+    Releases the nucleus's lanes once the scatter is built."""
+    lanes, extracted = nuc.lanes, np.isfinite(nuc.lanes.a_perp)
+    n_unextracted = int(n - extracted.sum())
     if n_unextracted > MAX_EXTRACTION_FAILURE_FRACTION * n:
         raise InconsistentInputError(
             f"{n_unextracted}/{n} samples failed the exact transformation; "
             "input uncertainties are too large for these frequencies")
-    lanes, extracted = nuc.lanes, nuc.extracted
     # inverted a lane block at a time: the temporaries of one inversion of
     # every sample would set the peak memory of a run
     r, theta = np.empty(n), np.empty(n)
     for k in range(0, n, _LANE_BLOCK):
         block = slice(k, k + _LANE_BLOCK)
-        r[block], theta[block] = invert_many(nuc.a_par[block], nuc.a_perp[block],
+        r[block], theta[block] = invert_many(lanes.a_par[block], lanes.a_perp[block],
                                              lanes.a_iso[block], constants)
-    # failed samples: couplings that do not extract or invert, or a resonant
-    # enhancement denominator
-    good = extracted & np.isfinite(lanes.cost) & np.isfinite(r)
+    # failed samples: couplings that do not extract (a NaN a_perp, and so a
+    # NaN cost) or invert, or a resonant enhancement denominator
+    good = np.isfinite(lanes.cost) & np.isfinite(r)
     n_failed = int(n - good.sum())
     if n_failed > MAX_FAILURE_FRACTION * n:
         raise ConvergenceError(
@@ -375,13 +366,13 @@ def _estimate(nuc: _Nucleus, n: int, constants) -> EstimateResult:
     solver = SolverStats(max_iterations=int(lanes.iterations[good].max()),
                          unconverged=int((~lanes.converged[good]).sum()),
                          at_bound=int(lanes.at_bound[good].sum()))
-    coupling_sigma = (float(np.std(nuc.a_par[extracted], ddof=1)),
-                      float(np.std(nuc.a_perp[extracted], ddof=1)))
+    coupling_sigma = (float(np.std(lanes.a_par[extracted], ddof=1)),
+                      float(np.std(lanes.a_perp[extracted], ddof=1)))
     scatter = np.empty((n - n_failed, 4))
     for col, values in enumerate((lanes.phi, lanes.a_iso, r, theta)):
         scatter[:, col] = values[good] % _TWO_PI if col == 0 else values[good]
     scatter.setflags(write=False)  # the result keeps it without a copy
-    nuc.lanes = nuc.a_par = nuc.a_perp = nuc.extracted = None
+    nuc.lanes = None
     del lanes, extracted, r, theta, good
 
     # the lower and upper tail of every level, per column; phi's are those of
@@ -437,9 +428,6 @@ def propagate_many(problems, mc: McConfig,
         return stop - start, lambda lo, hi: _sample_lanes(
             nuc, start + lo, start + hi, mc.seed, constants)
 
-    for nuc in live:
-        nuc.a_par, nuc.a_perp = np.empty(n), np.empty(n)
-        nuc.extracted = np.empty(n, dtype=bool)
     # each nucleus holds the only reference to its lanes, so that
     # ``_estimate`` releases them
     for nuc, lanes in zip(live, _solve(
@@ -460,8 +448,8 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
     then per record fp0, fp_m1, B0x, B0y, B0z, dBx, dBy, dBz. Sample i
     takes row i % _PAGE of the (_PAGE, draws) normals of a generator keyed
     by (seed, i // _PAGE), so any partition into chunks and lane pool
-    admissions produces the same scatter. More than
-    MAX_EXTRACTION_FAILURE_FRACTION of the samples failing the extraction
+    admissions produces the same scatter. Once all samples are solved, more
+    than MAX_EXTRACTION_FAILURE_FRACTION of them failing the extraction
     raises InconsistentInputError; samples that fail extraction, inversion
     or the fit are dropped and counted, and more than MAX_FAILURE_FRACTION
     of them aborts. Every sample starts at the point fit on the unperturbed

@@ -18,6 +18,8 @@ from spinloc import (
     SphericalPosition,
     Vector3,
     dipole_tensor,
+    extract_couplings,
+    invert_dipole,
     load_measurements,
     odmr_lines,
     save_measurements,
@@ -26,6 +28,7 @@ from spinloc import (
 from spinloc import localize
 from spinloc.calibrate import COIL_FIELD
 from spinloc.cli import main
+from spinloc.fileio import ANGSTROM
 
 TRUTH_NUCLEUS = """\
 [nucleus C1]
@@ -216,6 +219,22 @@ def test_localize_uninvertible_fixed_contact_is_a_failure(tmp_path, capsys):
     assert report["nuclei"] == {}
     assert "C1" in report["failures"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_localize_auto_reports_the_radius_at_zero_contact(tmp_path):
+    # the radius that decides the auto a_iso policy is a number under a
+    # unit-suffixed key; the note names the rule and holds no number
+    example = Path(__file__).resolve().parents[1] / "data" / "measurements_example.txt"
+    out = tmp_path / "loc"
+    assert main(["localize", str(example), "--samples", "200", "--fix-a-iso", "auto",
+                 "--out", str(out)]) == 0
+    entry = json.loads((out / "report.json").read_text())["nuclei"]["C1"]
+    inputs = load_measurements(example)["C1"].inputs
+    est = extract_couplings(inputs.f0, inputs.f_m1, inputs.f_rabi, inputs.tau)
+    r0 = invert_dipole(est.a_par, est.a_perp, 0.0).r
+    assert entry["r_zero_contact_A"] == r0 / ANGSTROM
+    assert entry["a_iso_note"].startswith("auto:")
+    assert not re.search(r"\d", entry["a_iso_note"])
 
 
 def test_localize_negative_seed_exits_2(tmp_path, capsys):

@@ -16,6 +16,7 @@ from spinloc import (
     nominal_tau,
     rabi_frequency,
 )
+from spinloc.extract import _extract_arrays
 
 
 def test_nominal_tau():
@@ -116,6 +117,17 @@ def test_inconsistent_triplet_rejected():
     # direction cosine beyond 1; no real coupling pair reproduces that
     with pytest.raises(InconsistentInputError):
         extract_couplings(80e3, 85e3, 1e3, 5e-6)
+
+
+def test_approximate_arrays_give_nan_a_perp_where_a_line_is_not_positive():
+    # the approximate formulas hold for any line, so only the validity rule
+    # marks the lanes whose lines are not all positive
+    f0 = np.array([100e3, -1.0, 100e3, 100e3, 0.0])
+    f_m1 = np.array([110e3, 110e3, 0.0, 110e3, 110e3])
+    f_rabi = np.array([10e3, 10e3, 10e3, -5.0, 10e3])
+    a_par, a_perp = _extract_arrays(f0, f_m1, f_rabi, 2e-6, APPROXIMATE)
+    np.testing.assert_array_equal(a_par, f_m1 - f0)
+    np.testing.assert_array_equal(a_perp, [math.pi * 10e3] + [math.nan] * 4)
 
 
 def test_rabi_forward_guards():

@@ -34,6 +34,7 @@ from spinloc import (
     secular_couplings,
 )
 from spinloc import localize, montecarlo
+from spinloc.extract import _extract_arrays
 
 ANGSTROM = 1e-10
 
@@ -261,8 +262,8 @@ def test_pool_lanes_equal_one_nucleus_whole_block_solves(nuclei, lane_block,
 # distance left along a_iso
 @example(r=6.0, theta=1.1, phi=0.9149946909710528, a_iso=-13996.0, n_coils=3,
          noise=2.203125, fixed=False, seed=75184)
-# a nucleus past its extraction gate: which lanes start at NaN must not
-# depend on where admission splits its samples
+# a nucleus past its extraction gate, whose samples that extract are solved
+# all the same
 @example(r=12.5, theta=0.1015625, phi=0.0, a_iso=0.0, n_coils=3, noise=2.75,
          fixed=False, seed=332)
 @given(r=st.floats(6.0, 14.0), theta=st.floats(0.1, 1.45),
@@ -383,13 +384,15 @@ def test_linear_start_is_the_first_damped_step_to_second_order():
         records, coupling = _build(noise)
         fit = fit_azimuth(records, coupling)
         # each coil-on line moved onto the model at the point fit
-        records = [dataclasses.replace(rec, fp_m1=rec.fp_m1 - xi)
-                   for rec, xi in zip(records, fit.per_record_xi)]
+        xi = localize._kernel(records, coupling, DEFAULT_CONSTANTS)(
+            fit.phi, fit.a_iso, derivatives=False)
+        records = [dataclasses.replace(rec, fp_m1=rec.fp_m1 - v)
+                   for rec, v in zip(records, xi)]
         nuc = montecarlo._Nucleus(records, coupling, None)
         montecarlo._set_point(nuc, fit_azimuth(records, coupling), DEFAULT_CONSTANTS)
         montecarlo._slopes([nuc], DEFAULT_CONSTANTS)
         draws = montecarlo._draws(0, 300, 3, 3 + 8 * len(records))
-        kernel = montecarlo._lanes(nuc, draws, DEFAULT_CONSTANTS)[0]
+        kernel = montecarlo._lanes(nuc, draws, DEFAULT_CONSTANTS)
         m = len(draws)
         phi, iso = np.full(m, nuc.point.phi), np.full(m, nuc.point.a_iso)
         res, *jac = kernel(phi, iso)
@@ -522,25 +525,47 @@ def test_hopeless_noise_aborts(monkeypatch):
     records, coupling = _build(noise=80.0)
     mc = McConfig(n_samples=200, seed=1)
     # most failures are frequency triplets that do not extract, and that
-    # gate comes first; past it no sample is iterated
-    seen = _pool_lanes([(records, coupling, None)], mc, 4096)
-    lanes = seen[id(coupling)][1]
-    draws = montecarlo._draws(0, mc.n_samples, mc.seed, 3 + 8 * len(records))
-    extracted = montecarlo._lanes(montecarlo._Nucleus(records, coupling, None),
-                                  draws, DEFAULT_CONSTANTS)[3]
-    past = np.cumsum(~extracted) > (montecarlo.MAX_EXTRACTION_FAILURE_FRACTION
-                                    * mc.n_samples)
-    assert past.any()
-    assert not lanes.iterations[np.argmax(past):].any()
-    # which lanes start past the gate does not depend on the admission split
-    small = _pool_lanes([(records, coupling, None)], mc, 16)[id(coupling)][1]
-    for got, want in zip(small, lanes):
-        np.testing.assert_array_equal(got, want)
+    # gate comes first
+    lanes = _pool_lanes([(records, coupling, None)], mc, 4096)[id(coupling)][1]
+    extracted = np.isfinite(lanes.a_perp)
+    assert (np.count_nonzero(~extracted)
+            > montecarlo.MAX_EXTRACTION_FAILURE_FRACTION * mc.n_samples)
     with pytest.raises(InconsistentInputError, match="exact transformation"):
         propagate(records, coupling, mc)
     monkeypatch.setattr(montecarlo, "MAX_EXTRACTION_FAILURE_FRACTION", 1.0)
     with pytest.raises(ConvergenceError):
         propagate(records, coupling, mc)
+
+
+@pytest.mark.parametrize("chunks", [1, 3])
+@pytest.mark.parametrize("lane_block", [16, 4096])
+@pytest.mark.parametrize("noise,past_gate", [(40.0, False), (50.0, True)])
+def test_pool_lanes_carry_each_samples_couplings(noise, past_gate, lane_block,
+                                                  chunks):
+    # the published line noise scaled up until some drawn triplets do not
+    # extract: each sample's lane holds the couplings of its own draws, bit
+    # for bit, with a NaN a_perp where the extraction's validity rule
+    # fails, below and past the extraction gate alike
+    records, coupling = _build(noise=noise)
+    mc = McConfig(n_samples=200, seed=0, parallel_chunks=chunks)
+    lanes = _pool_lanes([(records, coupling, None)], mc, lane_block)[id(coupling)][1]
+    inputs = coupling.inputs
+    draws = montecarlo._draws(0, mc.n_samples, mc.seed, 3 + 8 * len(records))
+    a_par, a_perp = _extract_arrays(inputs.f0 + inputs.sigma_f0 * draws[:, 0],
+                                    inputs.f_m1 + inputs.sigma_f_m1 * draws[:, 1],
+                                    inputs.f_rabi + inputs.sigma_f_rabi * draws[:, 2],
+                                    inputs.tau, EXACT)
+    np.testing.assert_array_equal(lanes.a_par, a_par)
+    np.testing.assert_array_equal(lanes.a_perp, a_perp)
+    n_unextracted = np.count_nonzero(np.isnan(a_perp))
+    gate = montecarlo.MAX_EXTRACTION_FAILURE_FRACTION * mc.n_samples
+    assert 0 < n_unextracted and (n_unextracted > gate) == past_gate
+    # a sample that does not extract has no cost and is never iterated
+    assert not np.isfinite(lanes.cost[np.isnan(a_perp)]).any()
+    assert not lanes.iterations[np.isnan(a_perp)].any()
+    if past_gate:
+        with pytest.raises(InconsistentInputError, match="exact transformation"):
+            propagate(records, coupling, mc)
 
 
 def test_coupling_sigma_scales_linearly_with_input_noise():

@@ -8,7 +8,11 @@ Each argument is a checkout (a directory holding ``src/spinloc``) or its
 same relative paths, ``spinloc simulate``, ``calibrate``, ``dft-residuals``
 and ``localize`` on the example files: ``calibrate`` and ``dft-residuals``
 in both report formats, ``localize`` at ``--samples 4000 --seed 3`` under
-``--fix-a-iso auto``, ``0`` and ``free`` in both report formats. Every
+``--fix-a-iso auto``, ``0`` and ``free`` in both report formats. It also
+writes its own truth file of four nuclei under the example's three coil
+fields, two of them beyond 10 A, and runs ``simulate`` on it and
+``localize --samples 4000 --seed 3 --fix-a-iso auto`` on the result, so
+that one lane pool solves fixed and free a_iso samples together. Every
 file a command writes is compared byte for byte, and so are its exit
 status, standard output and standard error (with the source path replaced
 by a placeholder). Every differing file is printed, a JSON file with the
@@ -28,6 +32,11 @@ from pathlib import Path
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
+# (label, r_A, theta_deg, phi_deg, a_iso_kHz): the last two lie beyond the
+# 10 A at which ``--fix-a-iso auto`` fixes a_iso = 0
+MULTI_NUCLEI = (("N1", 7.5, 40, 100, 12), ("N2", 9.0, 70, 300, -6),
+                ("N3", 11.5, 35, 20, 0), ("N4", 13.0, 65, 190, 0))
+
 
 def _runs():
     """(name, spinloc arguments) of every run, outputs under ``out/<name>``."""
@@ -42,7 +51,21 @@ def _runs():
                          ["localize", "data/measurements_example.txt",
                           "--samples", "4000", "--seed", "3",
                           "--fix-a-iso", fix, "--format", fmt]))
+    runs += [("simulate_multi", ["simulate", "data/truth_multi.txt"]),
+             ("localize_multi", ["localize", "out/simulate_multi/measurements.txt",
+                                 "--samples", "4000", "--seed", "3",
+                                 "--fix-a-iso", "auto"])]
     return runs
+
+
+def _multi_truth() -> str:
+    """The example truth file with its one nucleus replaced by
+    MULTI_NUCLEI, under the same fields, noise and seed."""
+    text = (DATA / "truth_example.txt").read_text()
+    nuclei = "".join(f"[nucleus {label}]\nr_A = {r}\ntheta_deg = {theta}\n"
+                     f"phi_deg = {phi}\na_iso_kHz = {a_iso}\n\n"
+                     for label, r, theta, phi, a_iso in MULTI_NUCLEI)
+    return "kind = truth\nversion = 1\n\n" + nuclei + text[text.index("[fields"):]
 
 
 def _src(tree: str) -> Path:
@@ -57,6 +80,7 @@ def _outputs(src: Path, work: Path) -> dict[str, bytes]:
     """{relative path: bytes} of every file the runs write, plus each run's
     exit status and output streams."""
     shutil.copytree(DATA, work / "data")
+    (work / "data" / "truth_multi.txt").write_text(_multi_truth())
     env = {k: v for k, v in os.environ.items() if k != "SPINLOC_CONFIG"}
     env["PYTHONPATH"] = str(src)
     files = {}

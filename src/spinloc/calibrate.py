@@ -147,13 +147,14 @@ def _resolve_frames(dataset: OdmrDataset, registry: FrameRegistry) -> list[Frame
     return [registry.get(e.frame) for e in dataset.entries]
 
 
-def _weighted_residuals(B_lab: np.ndarray, dataset: OdmrDataset, frames,
-                        constants: PhysicalConstants) -> np.ndarray:
+def _line_residuals(B_lab: np.ndarray, dataset: OdmrDataset, frames,
+                    constants: PhysicalConstants) -> np.ndarray:
+    """Measured minus model of each line, two per entry (Hz)."""
     out = np.empty(2 * len(frames))
     for k, (entry, fr) in enumerate(zip(dataset.entries, frames)):
         t_lo, t_hi = transition_frequencies(fr.rotation_to_lab.T @ B_lab, constants)
-        out[2 * k] = (t_lo - entry.lines.f_minus) / entry.sigma
-        out[2 * k + 1] = (t_hi - entry.lines.f_plus) / entry.sigma
+        out[2 * k] = entry.lines.f_minus - t_lo
+        out[2 * k + 1] = entry.lines.f_plus - t_hi
     return out
 
 
@@ -209,8 +210,10 @@ def solve_field(dataset: OdmrDataset, initial_guess: Vector3 | None = None,
         warnings.warn("only two orientations: field is determined but with "
                       "inflated uncertainty", stacklevel=2)
 
+    sigmas = np.repeat([e.sigma for e in dataset.entries], 2)
+
     def fun(B):
-        return _weighted_residuals(B, dataset, frames, constants)
+        return -_line_residuals(B, dataset, frames, constants) / sigmas
 
     seeds = _linear_seeds(dataset, frames, constants)
     if initial_guess is not None:
@@ -250,11 +253,7 @@ def solve_field(dataset: OdmrDataset, initial_guess: Vector3 | None = None,
     cov = np.linalg.inv(J.T @ J)
     sigma = np.sqrt(np.diag(cov))
 
-    raw = np.empty(2 * len(frames))
-    for k, (entry, fr) in enumerate(zip(dataset.entries, frames)):
-        t_lo, t_hi = transition_frequencies(fr.rotation_to_lab.T @ res.x, constants)
-        raw[2 * k] = entry.lines.f_minus - t_lo
-        raw[2 * k + 1] = entry.lines.f_plus - t_hi
+    raw = _line_residuals(res.x, dataset, frames, constants)
     return FieldSolution(B=Vector3(res.x, LAB_FRAME_NAME), sigma=sigma,
                          residuals=raw,
                          rms_residual=float(np.sqrt(np.mean(raw ** 2))),

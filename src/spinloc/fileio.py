@@ -44,9 +44,6 @@ KHZ, ANGSTROM = _UNITS["kHz"], _UNITS["A"]  # of the flags given in these units
 # the report key and table column of each Monte Carlo parameter
 PARAMETER_COLUMNS = dict(zip(PARAMETERS, ("phi_deg", "a_iso_kHz", "r_A", "theta_deg")))
 
-# floor of the line sigmas a MeasurementRecord requires positive
-SIGMA_F_FLOOR = 1e-6  # Hz
-
 
 # ---------------------------------------------------------------------------
 # schemas: each maps a section's keys, in file order, to (shape, default).
@@ -364,7 +361,6 @@ def _no_extra_keys(path, sec: _Section, allowed):
 class NucleusMeasurements:
     """One nucleus's raw coupling inputs and its coil-configuration records."""
 
-    label: str
     inputs: CouplingInputs
     records: tuple
 
@@ -392,12 +388,10 @@ def load_measurements(path, registry: FrameRegistry = DEFAULT_REGISTRY
                 if nucleus not in inputs:
                     raise ParseError(path, sec.line,
                                      f"record for unknown nucleus {nucleus!r}")
-                ci, frame = inputs[nucleus], v.pop("frame")
+                frame = v.pop("frame")
                 _check_frame(path, _frame_line(sec), frame, registry)
                 records[nucleus].append(MeasurementRecord(
                     label=label,
-                    f0=ci.f0, sigma_f0=max(ci.sigma_f0, SIGMA_F_FLOOR),
-                    f_m1=ci.f_m1, sigma_f_m1=max(ci.sigma_f_m1, SIGMA_F_FLOOR),
                     **dict(v, B0=Vector3(v["B0"], frame), dB=Vector3(v["dB"], frame))))
         except ValueError as exc:
             raise ParseError(path, sec.line, str(exc)) from None
@@ -406,7 +400,7 @@ def load_measurements(path, registry: FrameRegistry = DEFAULT_REGISTRY
     for label in inputs:
         if not records[label]:
             raise ParseError(path, 1, f"nucleus {label!r} has no [record] sections")
-    return {label: NucleusMeasurements(label, ci, records[label])
+    return {label: NucleusMeasurements(ci, records[label])
             for label, ci in inputs.items()}
 
 

@@ -143,16 +143,13 @@ def _as_sigma3(value, name: str) -> np.ndarray:
 class MeasurementRecord:
     """One coil configuration's observations for one nucleus.
 
-    f0/f_m1 are the coil-off precession frequencies, fp0/fp_m1 the coil-on
-    ones; B0 and dB are the calibrated static and switchable field vectors in
-    the sensor frame with per-component 1-sigma uncertainties. All Hz / T.
+    fp0/fp_m1 are the coil-on precession frequencies; B0 and dB are the
+    calibrated static and switchable field vectors in the sensor frame with
+    per-component 1-sigma uncertainties. All Hz / T. The nucleus's coil-off
+    lines, which give its couplings, are its ``CouplingInputs``.
     """
 
     label: str
-    f0: float
-    sigma_f0: float
-    f_m1: float
-    sigma_f_m1: float
     fp0: float
     sigma_fp0: float
     fp_m1: float
@@ -163,12 +160,7 @@ class MeasurementRecord:
     sigma_dB: np.ndarray
 
     def __post_init__(self):
-        # f_m1 may sit below f0 when a_par < 0; only positivity is required
-        if not (self.f0 > 0.0 and self.f_m1 > 0.0):
-            raise ValueError(
-                f"{self.label}: need positive f0 and f_m1, got "
-                f"({self.f0!r}, {self.f_m1!r})")
-        for name in ("sigma_f0", "sigma_f_m1", "sigma_fp0", "sigma_fp_m1"):
+        for name in ("sigma_fp0", "sigma_fp_m1"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{self.label}: {name} must be positive")
         if self.B0.frame != self.dB.frame:
@@ -607,7 +599,7 @@ def _scan(records, coupling, fix_a_iso, phi_step_deg, a_iso_step,
     return _Scan(kernel, phi0, iso0, phi_box, iso_box)
 
 
-def _finish(scan: _Scan, lm: _LaneFit) -> AzimuthFit:
+def _finish(lm: _LaneFit) -> AzimuthFit:
     """The fit from the polished lanes of a scan: merged minima, the best
     one and its near-degenerate rivals. A lane that the iteration cap
     stopped is no minimum, unless it is the best."""
@@ -695,7 +687,7 @@ def fit_azimuths(problems, *, phi_step_deg: float = DEFAULT_PHI_STEP_DEG,
     lms = _solve(((len(problems[k][0]), [(out[k].phi.size, out[k].lanes)])
                   for k in live), False)
     for k, lm in zip(live, lms):
-        out[k] = _isolate(_finish, out[k], lm)
+        out[k] = _isolate(_finish, lm)
     return out
 
 

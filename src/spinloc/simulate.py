@@ -19,11 +19,13 @@ from .dipole import SphericalPosition, dipole_tensor
 from .dynamics import precession_frequency
 from .errors import ParseError
 from .extract import CouplingInputs, nominal_tau, rabi_frequency
-from .fileio import (_TRUTH, SIGMA_F_FLOOR, NucleusMeasurements, _check,
-                     _check_frame, _field_unit, _frame_line, _read_sections)
+from .fileio import (_TRUTH, NucleusMeasurements, _check, _check_frame,
+                     _field_unit, _frame_line, _read_sections)
 from .localize import MeasurementRecord
 
-# floor applied when writing field sigmas the record contract requires positive
+# floors applied when writing the coil-on line and field sigmas that the
+# record contract requires positive
+_SIGMA_F_FLOOR = 1e-6   # Hz
 _SIGMA_B_FLOOR = 1e-12  # T
 
 
@@ -161,16 +163,13 @@ def simulate_measurements(truth, constants=DEFAULT_CONSTANTS
             dB_m = cfg.dB.components + rng.standard_normal(3) * noise.sigma_B
             records.append(MeasurementRecord(
                 label=cfg.label,
-                f0=inputs.f0, sigma_f0=max(s_f, SIGMA_F_FLOOR),
-                f_m1=inputs.f_m1, sigma_f_m1=max(s_f, SIGMA_F_FLOOR),
-                fp0=fp0_m, sigma_fp0=max(s_fp, SIGMA_F_FLOOR),
-                fp_m1=fp_m1_m, sigma_fp_m1=max(s_fp, SIGMA_F_FLOOR),
+                fp0=fp0_m, sigma_fp0=max(s_fp, _SIGMA_F_FLOOR),
+                fp_m1=fp_m1_m, sigma_fp_m1=max(s_fp, _SIGMA_F_FLOOR),
                 B0=Vector3(B0_m, frame),
                 sigma_B0=np.full(3, max(noise.sigma_B, _SIGMA_B_FLOOR)),
                 dB=Vector3(dB_m, frame),
                 sigma_dB=np.full(3, max(noise.sigma_B, _SIGMA_B_FLOOR))))
-        out[nuc.label] = NucleusMeasurements(label=nuc.label, inputs=inputs,
-                                             records=tuple(records))
+        out[nuc.label] = NucleusMeasurements(inputs=inputs, records=tuple(records))
     return out
 
 

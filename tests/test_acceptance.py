@@ -67,17 +67,12 @@ def _circ_deg(a, b):
     return abs((a - b + 180.0) % 360.0 - 180.0)
 
 
-def _model_record(label, hf, dB, *, sigma_f=1e-6, sigma_fp=1e-6,
-                  sigma_B=1e-12):
+def _model_record(label, hf, dB, *, sigma_fp=1e-6, sigma_B=1e-12):
     """Noise-free record for hyperfine model ``hf`` under one coil field."""
     B0 = Vector3(B0_VEC, "nv0")
     dBv = Vector3(dB, "nv0")
     return MeasurementRecord(
         label=label,
-        f0=precession_frequency(B0, Vector3(np.zeros(3), "nv0"), hf, 0),
-        sigma_f0=sigma_f,
-        f_m1=precession_frequency(B0, Vector3(np.zeros(3), "nv0"), hf, -1),
-        sigma_f_m1=sigma_f,
         fp0=precession_frequency(B0, dBv, hf, 0),
         sigma_fp0=sigma_fp,
         fp_m1=precession_frequency(B0, dBv, hf, -1),
@@ -152,8 +147,6 @@ def test_criterion_4_azimuth_from_single_coil():
     t0 = time.perf_counter()
     record = MeasurementRecord(
         label="cfg1",
-        f0=101.7e3, sigma_f0=100.0,
-        f_m1=114.2e3, sigma_f_m1=100.0,
         fp0=88.3e3, sigma_fp0=300.0,
         fp_m1=103.2e3, sigma_fp_m1=200.0,
         B0=Vector3(B0_VEC, "nv0"), sigma_B0=np.full(3, 15e-6),
@@ -231,7 +224,6 @@ def _noisy_inputs_and_records(rep, scale=1.0, n_draws_noise=True):
         dBv = Vector3(c, "nv0")
         records.append(MeasurementRecord(
             label=f"coil{k}",
-            f0=inputs.f0, sigma_f0=sf, f_m1=inputs.f_m1, sigma_f_m1=sf,
             fp0=precession_frequency(B0, dBv, hf, 0) + noise() * sfp0,
             sigma_fp0=sfp0,
             fp_m1=precession_frequency(B0, dBv, hf, -1) + noise() * sfp1,

@@ -15,6 +15,7 @@ from spinloc import (
     DEFAULT_REGISTRY,
     OdmrDataset,
     OdmrEntry,
+    ParseError,
     SphericalPosition,
     Vector3,
     dipole_tensor,
@@ -672,6 +673,31 @@ def test_measurement_record_with_unknown_frame_is_a_parse_error(tmp_path, capsys
     assert "'nv7'" in report["failures"]["C1"]
 
 
+@pytest.mark.parametrize("section,old,new,message", [
+    ("[nucleus C1]", "f0_kHz = 101.700575171", "f0_kHz = 0", "need f0 > 0"),
+    ("[record C1 coil2]", "sigma_fp0_kHz = 0.25\nfp_m1_kHz = 122.7",
+     "sigma_fp0_kHz = 0\nfp_m1_kHz = 122.7", "coil2: sigma_fp0 must be positive"),
+])
+def test_measurements_value_out_of_range_is_a_parse_error(tmp_path, capsys, section,
+                                                          old, new, message):
+    # a finite value that the nucleus's inputs or a record reject is
+    # malformed input, reported at the line of its section
+    text = (Path(__file__).resolve().parents[1] / "data"
+            / "measurements_example.txt").read_text()
+    text, _ = _with_line(text, old, new)
+    line = text[:text.index(section)].count("\n") + 1
+    path = tmp_path / "measurements.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message) as exc:
+        load_measurements(path)
+    assert exc.value.line == line
+    argv = ["localize", str(path), "--samples", "200", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{line}: " in err and message in err
+    assert "Traceback" not in err
+
+
 def test_truth_fields_with_unknown_frame_is_a_parse_error(tmp_path, capsys):
     truth = _truth_file(tmp_path)
     text, line = _with_line(truth.read_text(), "[fields coil2]\n",
@@ -766,7 +792,7 @@ def test_localize_entry_does_not_depend_on_a_unit_suffixed_label(tmp_path, label
     entries = []
     for name in ("X1", label):
         meas = tmp_path / f"{name}.txt"
-        save_measurements(meas, {name: replace(c1, label=name)})
+        save_measurements(meas, {name: c1})
         _, report, _ = _localize_outputs(meas, tmp_path / name)
         entries.append(report["nuclei"][name])
     assert entries[0] == entries[1]

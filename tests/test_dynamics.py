@@ -149,8 +149,7 @@ def _coupling(site):
 
 def _record(b0, db, splitting):
     return MeasurementRecord(
-        label="p", f0=1e5, sigma_f0=1.0, f_m1=1e5, sigma_f_m1=1.0,
-        fp0=1e5, sigma_fp0=1.0, fp_m1=1e5 + splitting, sigma_fp_m1=1.0,
+        label="p", fp0=1e5, sigma_fp0=1.0, fp_m1=1e5 + splitting, sigma_fp_m1=1.0,
         B0=Vector3(np.asarray(b0), "nv0"), sigma_B0=1e-6,
         dB=Vector3(np.asarray(db), "nv0"), sigma_dB=1e-6)
 

@@ -68,8 +68,7 @@ def _build(noise=1.0, coils=_COILS, truth=_TRUTH, a_iso=_A_ISO):
     for k, db in enumerate(coils):
         dB = Vector3(np.asarray(db), "nv0")
         records.append(MeasurementRecord(
-            label=f"cfg{k}", f0=f0, sigma_f0=noise * 100.0,
-            f_m1=f_m1, sigma_f_m1=noise * 100.0,
+            label=f"cfg{k}",
             fp0=precession_frequency(B0, dB, hf, 0), sigma_fp0=noise * 300.0,
             fp_m1=precession_frequency(B0, dB, hf, -1), sigma_fp_m1=noise * 200.0,
             B0=B0, sigma_B0=noise * 15e-6, dB=dB, sigma_dB=noise * 15e-6))
@@ -468,8 +467,7 @@ def test_scatter_matches_per_sample_reference_fits():
             B0 = rec.B0.components + rec.sigma_B0 * draws[k + 2:k + 5]
             dB = rec.dB.components + rec.sigma_dB * draws[k + 5:k + 8]
             perturbed.append(MeasurementRecord(
-                label=rec.label, f0=rec.f0, sigma_f0=rec.sigma_f0,
-                f_m1=rec.f_m1, sigma_f_m1=rec.sigma_f_m1,
+                label=rec.label,
                 fp0=rec.fp0 + rec.sigma_fp0 * draws[k],
                 sigma_fp0=rec.sigma_fp0,
                 fp_m1=rec.fp_m1 + rec.sigma_fp_m1 * draws[k + 1],

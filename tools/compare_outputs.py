@@ -12,10 +12,12 @@ in both report formats, ``localize`` at ``--samples 4000 --seed 3`` under
 writes its own truth file of four nuclei under the example's three coil
 fields, two of them beyond 10 A, and runs ``simulate`` on it and
 ``localize --samples 4000 --seed 3 --fix-a-iso auto`` on the result, so
-that one lane pool solves fixed and free a_iso samples together. Every
-file a command writes is compared byte for byte, and so are its exit
-status, standard output and standard error (with the source path replaced
-by a placeholder). Every differing file is printed, a JSON file with the
+that one lane pool solves fixed and free a_iso samples together. On the
+example truth file with every ``[noise]`` sigma 0, the one input on which
+``simulate`` writes its sigma floors, it runs ``simulate`` and ``localize
+--samples 4000 --seed 3`` as well. Every file a command writes is compared
+byte for byte, and so are its exit status, standard output and standard
+error (with the source path replaced by a placeholder). Every differing file is printed, a JSON file with the
 first key path at which the two differ, and the exit status is 1 if any
 file differs, 0 if none does. Standard library only.
 """
@@ -54,7 +56,10 @@ def _runs():
     runs += [("simulate_multi", ["simulate", "data/truth_multi.txt"]),
              ("localize_multi", ["localize", "out/simulate_multi/measurements.txt",
                                  "--samples", "4000", "--seed", "3",
-                                 "--fix-a-iso", "auto"])]
+                                 "--fix-a-iso", "auto"]),
+             ("simulate_exact", ["simulate", "data/truth_exact.txt"]),
+             ("localize_exact", ["localize", "out/simulate_exact/measurements.txt",
+                                 "--samples", "4000", "--seed", "3"])]
     return runs
 
 
@@ -66,6 +71,18 @@ def _multi_truth() -> str:
                      f"phi_deg = {phi}\na_iso_kHz = {a_iso}\n\n"
                      for label, r, theta, phi, a_iso in MULTI_NUCLEI)
     return "kind = truth\nversion = 1\n\n" + nuclei + text[text.index("[fields"):]
+
+
+def _exact_truth() -> str:
+    """The example truth file with every key of its [noise] section 0."""
+    lines, section = [], ""
+    for line in (DATA / "truth_example.txt").read_text().splitlines():
+        if line.startswith("["):
+            section = line
+        elif section == "[noise]" and "=" in line:
+            line = line.partition("=")[0] + "= 0"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 def _src(tree: str) -> Path:
@@ -81,6 +98,7 @@ def _outputs(src: Path, work: Path) -> dict[str, bytes]:
     exit status and output streams."""
     shutil.copytree(DATA, work / "data")
     (work / "data" / "truth_multi.txt").write_text(_multi_truth())
+    (work / "data" / "truth_exact.txt").write_text(_exact_truth())
     env = {k: v for k, v in os.environ.items() if k != "SPINLOC_CONFIG"}
     env["PYTHONPATH"] = str(src)
     files = {}

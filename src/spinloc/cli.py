@@ -158,8 +158,9 @@ def _resolve_fix_a_iso(policy, a_par: float, a_perp: float, constants):
 
 def cmd_localize(args) -> int:
     # reject bad flags up front, before any input is read or output written
-    mc = McConfig(n_samples=args.samples, seed=args.seed,
-                  parallel_chunks=args.parallel)
+    if args.parallel < 1:
+        raise ValueError(f"--parallel must be positive, got {args.parallel!r}")
+    mc = McConfig(n_samples=args.samples, seed=args.seed)
     fix_policy = _parse_fix_a_iso(args.fix_a_iso)
     constants, registry, prov = _load_environment(args)
     nuclei = load_measurements(args.measurements, registry)
@@ -365,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=40_000,
                    help="Monte Carlo sample count")
     p.add_argument("--parallel", type=int, default=1,
-                   help="sample chunks, run one after another (results "
-                        "identical for any value)")
+                   help="accepted for compatibility; has no effect "
+                        "(must be positive)")
     p.add_argument("--fix-a-iso", default="auto", metavar="VALUE",
                    help="'auto' (default), 'free', or a fixed contact term "
                         "in kHz")

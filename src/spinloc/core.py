@@ -233,10 +233,14 @@ def rotation_between(frame_from: Frame, frame_to: Frame) -> np.ndarray:
 def registry_from_mapping(mapping: dict | None) -> FrameRegistry:
     """Build a registry from a config mapping; missing entries fall back to the
     default NV frames. Entries may give either ``axis`` (crystal-coordinate
-    integer triple) or an explicit ``rotation_to_lab`` matrix."""
+    integer triple) or an explicit ``rotation_to_lab`` matrix; the lab frame
+    is fixed and takes none."""
     reg = default_registry()
     if not mapping:
         return reg
+    if LAB_FRAME_NAME in mapping:
+        raise ValueError(f"frame {LAB_FRAME_NAME!r} is the reference frame and "
+                         "cannot be configured")
     merged = FrameRegistry([Frame(LAB_FRAME_NAME, np.eye(3))])
     names = set(reg.names()) | set(mapping)
     for name in sorted(names - {LAB_FRAME_NAME}):
@@ -287,10 +291,10 @@ def load_config(path) -> tuple[PhysicalConstants, FrameRegistry, dict]:
             kwargs["gamma_n"] = float(cdict.pop("gamma_n"))
         for key, val in cdict.items():
             if not hasattr(PhysicalConstants, key):
-                raise ValueError(f"unknown constant {key!r} in {path}")
+                raise ValueError(f"unknown constant {key!r}")
             kwargs[key] = float(val)  # fixed constants: accepted only if identical
         constants = PhysicalConstants(**kwargs)
         registry = registry_from_mapping(raw.get("frames"))
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, ValueError) as exc:
         raise ParseError(path, 1, f"malformed config: {exc}") from None
     return constants, registry, raw

@@ -374,15 +374,21 @@ def load_measurements(path, registry: FrameRegistry = DEFAULT_REGISTRY
 
     Returns nuclei in file order. Records must name a previously declared
     nucleus and a frame of ``registry``; every nucleus needs at least one
-    record.
+    record. A nucleus label names output files, so it may not contain
+    ``/`` or ``\\``.
     """
     inputs: dict[str, CouplingInputs] = {}
     records: dict[str, list] = {}
     for sec, v in _read_sections(path, "measurements", _MEASUREMENTS):
         try:
             if sec.name == "nucleus":
-                inputs[sec.args[0]] = CouplingInputs(**v)
-                records[sec.args[0]] = []
+                (nucleus,) = sec.args
+                if "/" in nucleus or "\\" in nucleus:
+                    raise ParseError(path, sec.line,
+                                     f"nucleus label {nucleus!r} contains a path "
+                                     "separator; it names the nucleus's output files")
+                inputs[nucleus] = CouplingInputs(**v)
+                records[nucleus] = []
             elif sec.name == "record":
                 nucleus, label = sec.args
                 if nucleus not in inputs:

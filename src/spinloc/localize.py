@@ -648,23 +648,22 @@ def _isolate(fn, *args):
 
 
 def _solve(jobs, sample: bool) -> list:
-    """The solver's lanes of every (record count, pieces) job, pieces being
-    the job's (count, lanes) pairs: the jobs of one record count share one
-    ``_levenberg_marquardt`` pool, fixed and free a_iso alike, the pools
-    taken in order of first appearance, with the early stop of Monte Carlo
-    samples if ``sample`` (point fits have none). Returns each job's
-    _LaneFit, in order, as views into its pool's arrays."""
+    """The solver's lanes of every (record count, lane count, lanes) job,
+    whose (lane count, lanes) is one ``_levenberg_marquardt`` piece: the
+    jobs of one record count share one pool, fixed and free a_iso alike,
+    the pools taken in order of first appearance, with the early stop of
+    Monte Carlo samples if ``sample`` (point fits have none). Returns each
+    job's _LaneFit, in order, as views into its pool's arrays."""
     jobs = list(jobs)
     pools: dict = {}
-    for k, (n_records, _) in enumerate(jobs):
+    for k, (n_records, _, _) in enumerate(jobs):
         pools.setdefault(n_records, []).append(k)
     out = [None] * len(jobs)
     for members in pools.values():
-        lm = _levenberg_marquardt([p for k in members for p in jobs[k][1]],
-                                  sample=sample)
+        lm = _levenberg_marquardt([jobs[k][1:] for k in members], sample=sample)
         end = 0
         for k in members:
-            start, end = end, end + sum(count for count, _ in jobs[k][1])
+            start, end = end, end + jobs[k][1]
             out[k] = _LaneFit(*(v[start:end] for v in lm))
     return out
 
@@ -684,7 +683,7 @@ def fit_azimuths(problems, *, phi_step_deg: float = DEFAULT_PHI_STEP_DEG,
     out = [_isolate(_scan, *p, phi_step_deg, a_iso_step, constants)
            for p in problems]
     live = [k for k, s in enumerate(out) if not isinstance(s, Exception)]
-    lms = _solve(((len(problems[k][0]), [(out[k].phi.size, out[k].lanes)])
+    lms = _solve(((len(problems[k][0]), out[k].phi.size, out[k].lanes)
                   for k in live), False)
     for k, lm in zip(live, lms):
         out[k] = _isolate(_finish, lm)

@@ -6,7 +6,7 @@ scatter point. Sampling is keyed per page of _PAGE consecutive sample
 indices with a counter-based generator: sample i takes row i % _PAGE of its
 page's draws, whatever admission draws the page. With the numerics below
 strictly elementwise per sample, the result is bit-identical no matter how
-the samples are partitioned into chunks and admissions.
+the lane pool splits the samples into admissions.
 
 The per-sample fit is the point fit's box-bounded Levenberg-Marquardt solver
 (``localize._levenberg_marquardt``, whose NL2SOL secant curvature term lets
@@ -84,15 +84,12 @@ class SolverStats(NamedTuple):
 class McConfig:
     n_samples: int = 40_000
     seed: int = 0
-    parallel_chunks: int = 1  # chunks admitted in turn; never change the result
 
     def __post_init__(self):
         if self.n_samples < 100:
             raise ValueError(f"n_samples must be at least 100, got {self.n_samples!r}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
-        if self.parallel_chunks < 1:
-            raise ValueError("parallel_chunks must be positive")
 
 
 @dataclass(frozen=True)
@@ -403,10 +400,9 @@ def propagate_many(problems, mc: McConfig,
     SpinlocError or ValueError that ended it. The passes run over all
     problems at once: the point fits (``localize.fit_azimuths``), then one
     sensitivity kernel call per record count (``_slopes``), then the
-    samples, each nucleus's in its mc.parallel_chunks chunks one after
-    another (``localize._solve``: one lane pool per record count, fixed and
-    free a_iso alike), then each problem's gates and intervals. Every
-    result equals that of the problem alone.
+    samples, one job per nucleus (``localize._solve``: one lane pool per
+    record count, fixed and free a_iso alike), then each problem's gates
+    and intervals. Every result equals that of the problem alone.
     """
     nuclei = [_Nucleus(list(records), coupling, fix_a_iso)
               for records, coupling, fix_a_iso in problems]
@@ -421,18 +417,14 @@ def propagate_many(problems, mc: McConfig,
     live = [nuc for nuc in live if nuc.error is None]
     _slopes(live, constants)
     n = mc.n_samples
-    chunks = [(int(c[0]), int(c[-1]) + 1)
-              for c in np.array_split(np.arange(n), mc.parallel_chunks) if c.size]
 
-    def piece(nuc, start, stop):
-        return stop - start, lambda lo, hi: _sample_lanes(
-            nuc, start + lo, start + hi, mc.seed, constants)
+    def job(nuc):
+        return len(nuc.records), n, lambda lo, hi: _sample_lanes(
+            nuc, lo, hi, mc.seed, constants)
 
     # each nucleus holds the only reference to its lanes, so that
     # ``_estimate`` releases them
-    for nuc, lanes in zip(live, _solve(
-            ((len(nuc.records), [piece(nuc, *chunk) for chunk in chunks])
-             for nuc in live), True)):
+    for nuc, lanes in zip(live, _solve(map(job, live), True)):
         nuc.lanes = lanes
     return [nuc.error or _isolate(_estimate, nuc, n, constants)
             for nuc in nuclei]
@@ -447,7 +439,7 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
     Per-sample draw order is fixed and documented: first f0, f_m1, f_rabi,
     then per record fp0, fp_m1, B0x, B0y, B0z, dBx, dBy, dBz. Sample i
     takes row i % _PAGE of the (_PAGE, draws) normals of a generator keyed
-    by (seed, i // _PAGE), so any partition into chunks and lane pool
+    by (seed, i // _PAGE), so any split of the samples into lane pool
     admissions produces the same scatter. Once all samples are solved, more
     than MAX_EXTRACTION_FAILURE_FRACTION of them failing the extraction
     raises InconsistentInputError; samples that fail extraction, inversion

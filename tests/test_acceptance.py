@@ -9,7 +9,6 @@ test_criterion_1 and test_criterion_2.
 """
 
 import dataclasses
-import json
 import math
 import time
 

@@ -245,7 +245,8 @@ def test_localize_negative_seed_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [("--fix-a-iso", "bogus"), ("--samples", "5")])
+@pytest.mark.parametrize("flags", [("--fix-a-iso", "bogus"), ("--samples", "5"),
+                                   ("--parallel", "0")])
 def test_localize_bad_flag_exits_2_before_writing(tmp_path, capsys, flags):
     # flags are checked before the input is read or --out is created
     example = Path(__file__).resolve().parents[1] / "data" / "measurements_example.txt"
@@ -584,6 +585,9 @@ def test_config_rejects_out_of_band_gamma_n(tmp_path, capsys):
     ("constants: [1, 2]\n", 1),
     ("constants: ab\n", 1),
     ("frames: {nv1: 5}\n", 1),
+    ("constants: {gamma_n: abc}\n", 1),
+    ("frames: {nvX: {axis: abc}}\n", 1),
+    ("frames: {lab: {axis: [1, 1, 1]}}\n", 1),
 ])
 def test_malformed_config_is_a_parse_error(tmp_path, capsys, text, line):
     cfg = tmp_path / "config.yaml"
@@ -595,6 +599,7 @@ def test_malformed_config_is_a_parse_error(tmp_path, capsys, text, line):
     err = capsys.readouterr().err
     assert f"{cfg}:{line}:" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_bytes_that_are_not_utf8_are_a_parse_error(tmp_path, capsys):

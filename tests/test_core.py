@@ -11,6 +11,7 @@ from spinloc import (
     DEFAULT_REGISTRY,
     Frame,
     FrameError,
+    ParseError,
     PhysicalConstants,
     Vector3,
     default_registry,
@@ -165,7 +166,7 @@ def test_config_round_trip(tmp_path):
 def test_config_rejects_unknown_constant(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text("constants:\n  speed_of_light: 3.0e8\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match=":1: malformed config: unknown constant"):
         load_config(path)
 
 

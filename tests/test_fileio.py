@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from spinloc import (
     BIAS_FIELD,
     COIL_FIELD,
-    CouplingInputs,
-    MeasurementRecord,
     OdmrDataset,
     OdmrEntry,
     ParseError,
@@ -159,6 +157,10 @@ BAD_MEASUREMENTS = [
      3, None),  # validation failure surfaces at the section line
     (MEAS_HEADER + _nucleus_block() + _record_block() + _record_block(),
      20, "duplicate section \\[record C1 cfg1\\]"),
+    (MEAS_HEADER + _nucleus_block("a/b") + _record_block("a/b"),
+     3, "'a/b' contains a path separator"),
+    (MEAS_HEADER + _nucleus_block("a\\b") + _record_block("a\\b"),
+     3, "contains a path separator"),
 ]
 
 

@@ -286,8 +286,7 @@ def _polish(records, coupling, a_iso_step):
     lanes."""
     scan = localize._scan(records, coupling, None, localize.DEFAULT_PHI_STEP_DEG,
                           a_iso_step, DEFAULT_CONSTANTS)
-    (lm,) = localize._solve([(len(records), [(scan.phi.size, scan.lanes)])],
-                            False)
+    (lm,) = localize._solve([(len(records), scan.phi.size, scan.lanes)], False)
     return localize._finish(lm), lm
 
 

@@ -78,8 +78,6 @@ def _build(noise=1.0, coils=_COILS, truth=_TRUTH, a_iso=_A_ISO):
 def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(n_samples=50)
-    with pytest.raises(ValueError):
-        McConfig(parallel_chunks=0)
     for seed in (-1, 1 << 64):
         with pytest.raises(ValueError):
             McConfig(seed=seed)
@@ -176,12 +174,11 @@ def test_point_estimate_matches_direct_fit():
     assert result.point.phi == pytest.approx(_TRUTH.phi, abs=5e-3)
 
 
-def test_seed_determinism_and_chunk_invariance():
+def test_seed_determinism():
     records, coupling = _build()
     base = McConfig(n_samples=400, seed=11)
     r1 = propagate(records, coupling, base)
-    r2 = propagate(records, coupling, McConfig(n_samples=400, seed=11,
-                                               parallel_chunks=4))
+    r2 = propagate(records, coupling, McConfig(n_samples=400, seed=11))
     np.testing.assert_array_equal(r1.scatter, r2.scatter)
     assert r1.ci == r2.ci
     assert r1.coupling_sigma == r2.coupling_sigma
@@ -193,12 +190,10 @@ def test_lane_blocks_do_not_change_the_scatter(monkeypatch):
     records, coupling = _build()
     base = propagate(records, coupling, McConfig(n_samples=400, seed=11))
     monkeypatch.setattr(localize, "_LANE_BLOCK", 64)
-    for chunks in (1, 4):
-        blocked = propagate(records, coupling, McConfig(
-            n_samples=400, seed=11, parallel_chunks=chunks))
-        np.testing.assert_array_equal(blocked.scatter, base.scatter)
-        assert blocked.solver == base.solver
-        assert blocked.ci == base.ci
+    blocked = propagate(records, coupling, McConfig(n_samples=400, seed=11))
+    np.testing.assert_array_equal(blocked.scatter, base.scatter)
+    assert blocked.solver == base.solver
+    assert blocked.ci == base.ci
 
 
 def _pool_lanes(problems, mc, lane_block):
@@ -223,16 +218,15 @@ def _pool_lanes(problems, mc, lane_block):
 # a fixed and a free nucleus of one record count: one shared pool
 @example(nuclei=[(8.0, 0.9, 1.0, 5e3, 3, 1.0, True),
                  (10.0, 0.6, 4.0, -5e3, 3, 1.0, False)],
-         lane_block=40, chunks=2, order=[1, 0, 2, 3])
+         lane_block=40, order=[1, 0, 2, 3])
 @given(nuclei=st.lists(st.tuples(st.floats(6.0, 14.0), st.floats(0.2, 1.4),
                                  st.floats(0.0, 2.0 * math.pi),
                                  st.floats(-2e4, 2e4), st.integers(2, 3),
                                  st.floats(0.5, 3.0), st.booleans()),
                        min_size=1, max_size=4),
-       lane_block=st.integers(8, 300), chunks=st.integers(1, 3),
-       order=st.permutations(range(4)))
+       lane_block=st.integers(8, 300), order=st.permutations(range(4)))
 def test_pool_lanes_equal_one_nucleus_whole_block_solves(nuclei, lane_block,
-                                                         chunks, order):
+                                                         order):
     # nuclei of either record count, with fixed and free a_iso, share pools
     # in random orders and with random admission sizes, for the point-fit
     # polishes and the samples; every point fit and lane must end bit for
@@ -244,8 +238,7 @@ def test_pool_lanes_equal_one_nucleus_whole_block_solves(nuclei, lane_block,
         problems.append((records, coupling, a_iso if fixed else None))
     problems = [problems[k] for k in order if k < len(problems)]
     n = 150
-    pooled = _pool_lanes(problems, McConfig(n_samples=n, seed=9,
-                                            parallel_chunks=chunks), lane_block)
+    pooled = _pool_lanes(problems, McConfig(n_samples=n, seed=9), lane_block)
     for problem in problems:
         key = id(problem[1])
         alone = _pool_lanes([problem], McConfig(n_samples=n, seed=9), n)
@@ -535,17 +528,15 @@ def test_hopeless_noise_aborts(monkeypatch):
         propagate(records, coupling, mc)
 
 
-@pytest.mark.parametrize("chunks", [1, 3])
 @pytest.mark.parametrize("lane_block", [16, 4096])
 @pytest.mark.parametrize("noise,past_gate", [(40.0, False), (50.0, True)])
-def test_pool_lanes_carry_each_samples_couplings(noise, past_gate, lane_block,
-                                                  chunks):
+def test_pool_lanes_carry_each_samples_couplings(noise, past_gate, lane_block):
     # the published line noise scaled up until some drawn triplets do not
     # extract: each sample's lane holds the couplings of its own draws, bit
     # for bit, with a NaN a_perp where the extraction's validity rule
     # fails, below and past the extraction gate alike
     records, coupling = _build(noise=noise)
-    mc = McConfig(n_samples=200, seed=0, parallel_chunks=chunks)
+    mc = McConfig(n_samples=200, seed=0)
     lanes = _pool_lanes([(records, coupling, None)], mc, lane_block)[id(coupling)][1]
     inputs = coupling.inputs
     draws = montecarlo._draws(0, mc.n_samples, mc.seed, 3 + 8 * len(records))

@@ -12,7 +12,8 @@ in both report formats, ``localize`` at ``--samples 4000 --seed 3`` under
 writes its own truth file of four nuclei under the example's three coil
 fields, two of them beyond 10 A, and runs ``simulate`` on it and
 ``localize --samples 4000 --seed 3 --fix-a-iso auto`` on the result, so
-that one lane pool solves fixed and free a_iso samples together. On the
+that one lane pool solves fixed and free a_iso samples together, once with
+the default ``--parallel`` and once with ``--parallel 3``. On the
 example truth file with every ``[noise]`` sigma 0, the one input on which
 ``simulate`` writes its sigma floors, it runs ``simulate`` and ``localize
 --samples 4000 --seed 3`` as well. Every file a command writes is compared
@@ -57,6 +58,9 @@ def _runs():
              ("localize_multi", ["localize", "out/simulate_multi/measurements.txt",
                                  "--samples", "4000", "--seed", "3",
                                  "--fix-a-iso", "auto"]),
+             ("localize_multi_parallel3",
+              ["localize", "out/simulate_multi/measurements.txt", "--samples", "4000",
+               "--seed", "3", "--fix-a-iso", "auto", "--parallel", "3"]),
              ("simulate_exact", ["simulate", "data/truth_exact.txt"]),
              ("localize_exact", ["localize", "out/simulate_exact/measurements.txt",
                                  "--samples", "4000", "--seed", "3"])]

@@ -234,7 +234,9 @@ class _Section:
 
 def _read_sections(path, kind: str, layout: dict):
     """(section, field values) of each section of a ``kind`` file, in file
-    order and the header first, as the layout of that kind prescribes."""
+    order and the header first, as the layout of that kind prescribes. A
+    nucleus label names output files, so it may not contain ``/`` or
+    ``\\``."""
     sections = [_Section(line=1, name="", args=[])]
     for line_no, s in _lines(path):
         current = sections[-1]
@@ -277,7 +279,12 @@ def _read_sections(path, kind: str, layout: dict):
         if len(sec.args) != n_labels:
             raise ParseError(path, sec.line,
                              f"[{sec.name}] needs {_LABEL_COUNTS[n_labels]}")
-        yield sec, _read_section(path, sec, schema)
+        values = _read_section(path, sec, schema)
+        if sec.name == "nucleus" and ("/" in sec.args[0] or "\\" in sec.args[0]):
+            raise ParseError(path, sec.line,
+                             f"nucleus label {sec.args[0]!r} contains a path "
+                             "separator; it names the nucleus's output files")
+        yield sec, values
 
 
 def _read_section(path, sec: _Section, schema) -> dict:
@@ -374,8 +381,7 @@ def load_measurements(path, registry: FrameRegistry = DEFAULT_REGISTRY
 
     Returns nuclei in file order. Records must name a previously declared
     nucleus and a frame of ``registry``; every nucleus needs at least one
-    record. A nucleus label names output files, so it may not contain
-    ``/`` or ``\\``.
+    record. Nucleus labels are checked as ``_read_sections`` does.
     """
     inputs: dict[str, CouplingInputs] = {}
     records: dict[str, list] = {}
@@ -383,10 +389,6 @@ def load_measurements(path, registry: FrameRegistry = DEFAULT_REGISTRY
         try:
             if sec.name == "nucleus":
                 (nucleus,) = sec.args
-                if "/" in nucleus or "\\" in nucleus:
-                    raise ParseError(path, sec.line,
-                                     f"nucleus label {nucleus!r} contains a path "
-                                     "separator; it names the nucleus's output files")
                 inputs[nucleus] = CouplingInputs(**v)
                 records[nucleus] = []
             elif sec.name == "record":

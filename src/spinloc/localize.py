@@ -273,7 +273,9 @@ def _secant_update(sec, s, y, y_sharp, ys, update):
         for v, (i, j) in zip(sec, ((0, 0), (0, 1), (1, 1)))], sec)
 
 
-# lanes per kernel call, pool or grid scan: bounds every call's per-lane arrays
+# lanes per kernel call of the lane pool, and per inversion block of the
+# Monte Carlo estimate: bounds their per-lane arrays. A grid scan, 720 x 21
+# lanes without derivatives at the default steps, is one call.
 _LANE_BLOCK = 4096
 
 
@@ -570,12 +572,8 @@ def _scan(records, coupling, fix_a_iso, phi_step_deg, a_iso_step,
     lo, hi = DEFAULT_A_ISO_RANGE
     iso_grid = (np.arange(lo, hi + 0.5 * a_iso_step, a_iso_step)
                 if fix_a_iso is None else np.array([float(fix_a_iso)]))
-    rows = max(1, _LANE_BLOCK // iso_grid.size)
-    surf = np.empty((phi_grid.size, iso_grid.size))
-    for k in range(0, phi_grid.size, rows):
-        parts = kernel(phi_grid[k:k + rows, None], iso_grid[None, :],
-                       derivatives=False)
-        surf[k:k + rows] = _dot(parts, parts)
+    parts = kernel(phi_grid[:, None], iso_grid[None, :], derivatives=False)
+    surf = _dot(parts, parts)
     surf = np.where(np.isfinite(surf), surf, np.inf)
     profile = surf.min(axis=1)
     i = _grid_local_minima(profile)

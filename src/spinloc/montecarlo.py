@@ -16,13 +16,15 @@ lane, and stopped at the precision the reports can show (the ``sample``
 pools of ``localize._lm_step``). Each sample starts at its linear start: the
 unperturbed optimum plus the first-order change that the solver's first
 step would make for its draws, from one sensitivity matrix per nucleus
-(``_slopes``; the linear approximation of nonlinear regression, Bates and
-Watts, Nonlinear Regression Analysis and Its Applications, 1988, ch. 2).
-Where a sample's cost has two minima inside its box, that start can end it
-in the other one than a start at the optimum would. The samples of all
-nuclei of a ``propagate_many`` call that share a record count are solved in
-one lane pool (``localize._solve``), a fixed a_iso held by an a_iso box of
-zero width, which admits them in order as earlier lanes stop.
+(``_slope``, one kernel call on the nucleus's own lanes; the linear
+approximation of nonlinear regression, Bates and Watts, Nonlinear
+Regression Analysis and Its Applications, 1988, ch. 2), zero where that
+start is not trusted. Where a sample's cost has two minima inside its box,
+that start can end it in the other one than a start at the optimum would.
+The lane pool (``localize._solve``) alone groups and blocks lanes: the
+samples of all nuclei of a ``propagate_many`` call that share a record
+count are solved in one pool, a fixed a_iso held by an a_iso box of zero
+width, which admits them in order as earlier lanes stop.
 Basin hops to mirror minima are deliberately not sampled, since degenerate
 minima are reported separately by the fit itself: the box keeps each sample
 near the point fit, and samples that end on its edge are counted in
@@ -187,7 +189,7 @@ class _Nucleus:
     # per sample: its couplings and the solver's outcome
     lanes: _LaneFit | None = None
     # the sensitivity of the samples' first solver step to their draws
-    # (``_slopes``)
+    # (``_slope``), zero where the samples start at the point fit
     slope: np.ndarray | None = None
 
 
@@ -251,13 +253,13 @@ def _half_box(nuc: _Nucleus) -> tuple:
     return (_PHI_BOX_FREE, _ISO_BOX) if nuc.fix_a_iso is None else (_PHI_BOX, 0.0)
 
 
-def _slopes(nuclei, constants):
-    """Set each nucleus's ``slope``: the (2, 3 + 8 x records) sensitivity S
-    of its solver's first damped step from the point fit to its draws. It
-    is None, and the samples start at the point fit, where S is not finite
-    (a damped pivot that is not positive gives an infinite step) or where
-    _START_SIGMAS standard deviations of a linear start, the norm of S's phi
-    or a_iso row, reach past the half-width of the sample box.
+def _slope(nuc: _Nucleus, constants) -> np.ndarray:
+    """The (2, 3 + 8 x records) sensitivity S of a nucleus's first damped
+    solver step from its point fit to its draws. S is zero, and the samples
+    start at the point fit, where it is not finite (a damped pivot that is
+    not positive gives an infinite step) or where _START_SIGMAS standard
+    deviations of a linear start, the norm of S's phi or a_iso row, reach
+    past the half-width of the sample box.
 
     With J0 the (phi, a_iso) Jacobian of xi at the point fit and D the
     central differences dxi / d(draws),
@@ -266,52 +268,41 @@ def _slopes(nuclei, constants):
     has zero width: the solver's first step, its secant term still zero,
     linearized at the point fit. Like the Gauss-Newton matrix, it leaves out the terms that
     the point fit's residual xi0 brings, here (dJ / d(draws))^T xi0, so it
-    is the first step's derivative exactly only where xi0 vanishes. The
-    nuclei of one record count join their lanes, draws 0 and +-h e_k for
-    every input k, in one kernel call, each at its own point fit; the
-    lanes do not depend on each other."""
-    counts: dict = {}
-    for nuc in nuclei:
-        counts.setdefault(len(nuc.records), []).append(nuc)
-    for n_rec, members in counts.items():
-        n_in = 3 + 8 * n_rec
-        step = _SENSITIVITY_STEP * np.eye(n_in)
-        draws = np.concatenate([np.zeros((1, n_in)), step, -step])
-        m = len(draws)
-        kernel = XiKernel.join((_lanes(nuc, draws, constants), m) for nuc in members)
-        res, *jac = kernel(np.repeat([nuc.point.phi for nuc in members], m),
-                           np.repeat([nuc.point.a_iso for nuc in members], m))
-        for k, nuc in enumerate(members):
-            half = _half_box(nuc)
-            plus = slice(k * m + 1, k * m + 1 + n_in)
-            minus = slice(k * m + 1 + n_in, (k + 1) * m)
-            d = (res[:, plus] - res[:, minus]) / (2.0 * _SENSITIVITY_STEP)
-            a, b, c, g, h = _normal([j[:, k * m, None] for j in jac], d)
-            slope = np.stack(_newton(a * (1.0 + _LM_LAMBDA0), b, c * (1.0 + _LM_LAMBDA0),
-                                     g, h, False, half[1] == 0.0))
-            spread = np.sqrt((slope * slope).sum(axis=1))
-            nuc.slope = (slope if np.isfinite(slope).all()
-                         and (_START_SIGMAS * spread <= half).all() else None)
+    is the first step's derivative exactly only where xi0 vanishes. One
+    kernel call gives xi and J0 on the lanes of draws 0 and +-h e_k for
+    every input k, all at the point fit."""
+    n_in = 3 + 8 * len(nuc.records)
+    step = _SENSITIVITY_STEP * np.eye(n_in)
+    draws = np.concatenate([np.zeros((1, n_in)), step, -step])
+    m, half = len(draws), _half_box(nuc)
+    res, *jac = _lanes(nuc, draws, constants)(np.full(m, nuc.point.phi),
+                                              np.full(m, nuc.point.a_iso))
+    d = (res[:, 1:1 + n_in] - res[:, 1 + n_in:]) / (2.0 * _SENSITIVITY_STEP)
+    a, b, c, g, h = _normal([j[:, 0, None] for j in jac], d)
+    slope = np.stack(_newton(a * (1.0 + _LM_LAMBDA0), b, c * (1.0 + _LM_LAMBDA0),
+                             g, h, False, half[1] == 0.0))
+    spread = np.sqrt((slope * slope).sum(axis=1))
+    if np.isfinite(slope).all() and (_START_SIGMAS * spread <= half).all():
+        return slope
+    return np.zeros_like(slope)
 
 
 def _sample_lanes(nuc: _Nucleus, lo: int, hi: int, seed: int, constants):
     """The solver lanes of samples lo..hi-1 of a nucleus, in the form
     ``localize._levenberg_marquardt`` takes them: each sample's perturbed
     fields and splittings in a kernel lane, started at its linear start,
-    the point fit plus ``nuc.slope`` times its draws (the point fit itself
-    where the nucleus has no slope), clipped into its search box
-    (``_half_box``). A sample whose drawn lines do not extract has no
-    finite cost at its start, and the solver returns it unchanged."""
+    the point fit plus ``nuc.slope`` times its draws, clipped into its
+    search box (``_half_box``); a zero slope starts every sample at the
+    point fit itself, bit for bit. A sample whose drawn lines do not extract
+    has no finite cost at its start, and the solver returns it unchanged."""
     draws = _draws(lo, hi, seed, 3 + 8 * len(nuc.records))
     point, (half_phi, half_iso) = nuc.point, _half_box(nuc)
     phi_box = (point.phi - half_phi, point.phi + half_phi)
     iso_box = (point.a_iso - half_iso, point.a_iso + half_iso)
-    phi, iso = np.full(hi - lo, point.phi), np.full(hi - lo, point.a_iso)
-    if nuc.slope is not None:
-        # each lane sums over its own row of draws, never with a BLAS
-        # product, so that its start does not depend on the lane block
-        phi = np.clip(phi + _dot(nuc.slope[0][:, None], draws.T), *phi_box)
-        iso = np.clip(iso + _dot(nuc.slope[1][:, None], draws.T), *iso_box)
+    # each lane sums over its own row of draws, never with a BLAS product,
+    # so that its start does not depend on the lane block
+    phi = np.clip(point.phi + _dot(nuc.slope[0][:, None], draws.T), *phi_box)
+    iso = np.clip(point.a_iso + _dot(nuc.slope[1][:, None], draws.T), *iso_box)
     return _lanes(nuc, draws, constants), phi, iso, phi_box, iso_box
 
 
@@ -399,10 +390,10 @@ def propagate_many(problems, mc: McConfig,
     Returns one entry per problem, in order: its EstimateResult, or the
     SpinlocError or ValueError that ended it. The passes run over all
     problems at once: the point fits (``localize.fit_azimuths``), then one
-    sensitivity kernel call per record count (``_slopes``), then the
-    samples, one job per nucleus (``localize._solve``: one lane pool per
-    record count, fixed and free a_iso alike), then each problem's gates
-    and intervals. Every result equals that of the problem alone.
+    sensitivity kernel call per nucleus (``_slope``), then the samples, one
+    job per nucleus (``localize._solve``: one lane pool per record count,
+    fixed and free a_iso alike), then each problem's gates and intervals.
+    Every result equals that of the problem alone.
     """
     nuclei = [_Nucleus(list(records), coupling, fix_a_iso)
               for records, coupling, fix_a_iso in problems]
@@ -415,7 +406,8 @@ def propagate_many(problems, mc: McConfig,
         nuc.error = fit if isinstance(fit, Exception) else _isolate(
             _set_point, nuc, fit, constants)
     live = [nuc for nuc in live if nuc.error is None]
-    _slopes(live, constants)
+    for nuc in live:
+        nuc.slope = _slope(nuc, constants)
     n = mc.n_samples
 
     def job(nuc):
@@ -446,7 +438,8 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
     or the fit are dropped and counted, and more than MAX_FAILURE_FRACTION
     of them aborts. Every sample starts at the point fit on the unperturbed
     inputs moved by the first-order change its draws make in the solver's
-    first step; the point fit is returned as ``result.fit``, so callers need
+    first step, or not moved where that change is not trusted (``_slope``);
+    the point fit is returned as ``result.fit``, so callers need
     not fit again. The one-problem case of ``propagate_many``.
     """
     (result,) = propagate_many([(records, coupling, fix_a_iso)], mc, constants)

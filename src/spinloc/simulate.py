@@ -95,13 +95,16 @@ def load_truth(path, registry: FrameRegistry = DEFAULT_REGISTRY) -> TruthSpec:
                        "must be non-negative")
             options["noise"] = NoiseSpec(**v)
         elif sec.name == "options":
-            _check(path, sec, "seed", v["seed"].removeprefix("-").isdecimal(),
-                   f"must be an integer, got {v['seed']!r}")
+            # Philox takes a key in [0, 2**128), which has at most 39 digits
+            seed = v["seed"].lstrip("0") or "0"
+            _check(path, sec, "seed", v["seed"].isdecimal() and len(seed) <= 39
+                   and int(seed) < 1 << 128,
+                   f"must be an integer in [0, 2**128), got {v['seed']!r}")
             _check(path, sec, "tau_us", v["tau"] is None or v["tau"] > 0.0,
                    "must be positive")
             _check(path, sec, "from_traces", v["from_traces"] in ("yes", "no"),
                    "must be 'yes' or 'no'")
-            options.update(seed=int(v["seed"]), tau=v["tau"],
+            options.update(seed=int(seed), tau=v["tau"],
                            from_traces=v["from_traces"] == "yes")
     if not nuclei:
         raise ParseError(path, 1, "no [nucleus] sections found")

@@ -236,6 +236,9 @@ def test_truth_defaults(tmp_path):
     (("theta_deg = 58", "theta_deg = 120"), 6, "lie in \\[0, 90\\]"),
     (("from_traces = yes", "from_traces = maybe"), 23, "'yes' or 'no'"),
     (("seed = 42", "seed = 1.5"), 21, "must be an integer"),
+    (("seed = 42", "seed = -1"), 21, "must be an integer"),
+    (("seed = 42", f"seed = {2 ** 128}"), 21, "must be an integer"),
+    (("[nucleus C1]", "[nucleus a/b]"), 4, "path separator"),
     (("phi_deg = 370   # wraps", "phi_deg = 370\nmass = 13"), 8, "unknown key"),
     (("tau_us = 4.5", "tau_us = nan"), 22, "not finite"),
     (("tau_us = 4.5", "tau_us = -4.5"), 22, "must be positive"),

@@ -25,7 +25,7 @@ from spinloc import (
     xi,
 )
 from spinloc import localize
-from spinloc.dynamics import xi_kernel
+from spinloc.dynamics import XiKernel, xi_kernel
 from spinloc.localize import _levenberg_marquardt
 
 ANGSTROM = 1e-10
@@ -331,6 +331,24 @@ def test_joint_grid_step_finds_the_fine_grid_minima(r, theta_deg, phi, a_iso,
         same(g, w)
     if not any(noise):
         assert _on_converged_lanes(fit, lm)
+
+
+def test_grid_scan_is_one_kernel_call_whatever_the_lane_block(monkeypatch):
+    # the lane block bounds the pool alone: a joint grid of 720 x 21 lanes
+    # is scanned in one call even where the pool takes 8 lanes
+    calls = []
+    call = XiKernel.__call__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return call(self, *args, **kwargs)
+
+    monkeypatch.setattr(localize, "_LANE_BLOCK", 8)
+    monkeypatch.setattr(XiKernel, "__call__", counted)
+    localize._scan(_records(_TRUTH, _A_ISO, _COILS), _coupling(_TRUTH, _A_ISO), None,
+                   localize.DEFAULT_PHI_STEP_DEG, localize.DEFAULT_A_ISO_STEP,
+                   DEFAULT_CONSTANTS)
+    assert len(calls) == 1
 
 
 def test_a_capped_lane_is_a_minimum_only_when_it_is_the_best():

@@ -309,9 +309,10 @@ def _solved_from(problem, mc, linear):
         starts.append(np.stack(lanes[1:3]))
         return lanes
 
-    slopes = montecarlo._slopes if linear else lambda nuclei, constants: None
+    slope = (montecarlo._slope if linear else
+             lambda nuc, constants: np.zeros((2, 3 + 8 * len(nuc.records))))
     with (mock.patch.object(montecarlo, "_sample_lanes", spy),
-          mock.patch.object(montecarlo, "_slopes", slopes),
+          mock.patch.object(montecarlo, "_slope", slope),
           mock.patch.object(montecarlo, "_solve",
                             lambda jobs, sample: localize._solve(jobs, False))):
         seen = _pool_lanes([problem], mc, 128)
@@ -382,7 +383,7 @@ def test_linear_start_is_the_first_damped_step_to_second_order():
                    for rec, v in zip(records, xi)]
         nuc = montecarlo._Nucleus(records, coupling, None)
         montecarlo._set_point(nuc, fit_azimuth(records, coupling), DEFAULT_CONSTANTS)
-        montecarlo._slopes([nuc], DEFAULT_CONSTANTS)
+        nuc.slope = montecarlo._slope(nuc, DEFAULT_CONSTANTS)
         draws = montecarlo._draws(0, 300, 3, 3 + 8 * len(records))
         kernel = montecarlo._lanes(nuc, draws, DEFAULT_CONSTANTS)
         m = len(draws)
@@ -398,6 +399,22 @@ def test_linear_start_is_the_first_damped_step_to_second_order():
 
     for coarse, fine in zip(gaps(1.0), gaps(0.01)):
         assert 0.0 < fine * 50.0 <= coarse
+
+
+def test_near_axis_samples_start_at_the_point_fit_bit_for_bit():
+    # near the axis the linear starts would spread past the sample box: the
+    # slope is zero, and every start is the point fit itself, sign of zero
+    # and all
+    truth = SphericalPosition(11.0 * ANGSTROM, math.radians(8.0), math.radians(300.0))
+    records, coupling = _build(truth=truth, a_iso=-8e3)
+    nuc = montecarlo._Nucleus(records, coupling, -8e3)
+    montecarlo._set_point(nuc, fit_azimuth(records, coupling, -8e3), DEFAULT_CONSTANTS)
+    nuc.slope = montecarlo._slope(nuc, DEFAULT_CONSTANTS)
+    assert nuc.slope.shape == (2, 3 + 8 * len(records))
+    assert not nuc.slope.any()
+    _, phi, iso, _, _ = montecarlo._sample_lanes(nuc, 0, 300, 5, DEFAULT_CONSTANTS)
+    assert phi.tobytes() == np.full(300, nuc.point.phi).tobytes()
+    assert iso.tobytes() == np.full(300, nuc.point.a_iso).tobytes()
 
 
 def test_draws_match_fresh_keyed_generators():

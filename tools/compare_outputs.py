@@ -9,10 +9,11 @@ same relative paths, ``spinloc simulate``, ``calibrate``, ``dft-residuals``
 and ``localize`` on the example files: ``calibrate`` and ``dft-residuals``
 in both report formats, ``localize`` at ``--samples 4000 --seed 3`` under
 ``--fix-a-iso auto``, ``0`` and ``free`` in both report formats. It also
-writes its own truth file of four nuclei under the example's three coil
-fields, two of them beyond 10 A, and runs ``simulate`` on it and
-``localize --samples 4000 --seed 3 --fix-a-iso auto`` on the result, so
-that one lane pool solves fixed and free a_iso samples together, once with
+writes its own truth file of five nuclei under the example's three coil
+fields, three of them beyond 10 A and one near the axis, and runs
+``simulate`` on it and ``localize --samples 4000 --seed 3 --fix-a-iso
+auto`` on the result, so that one lane pool solves fixed and free a_iso
+samples together, samples at linear starts and at the point fit, once with
 the default ``--parallel`` and once with ``--parallel 3``. On the
 example truth file with every ``[noise]`` sigma 0, the one input on which
 ``simulate`` writes its sigma floors, it runs ``simulate`` and ``localize
@@ -35,10 +36,12 @@ from pathlib import Path
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
-# (label, r_A, theta_deg, phi_deg, a_iso_kHz): the last two lie beyond the
-# 10 A at which ``--fix-a-iso auto`` fixes a_iso = 0
+# (label, r_A, theta_deg, phi_deg, a_iso_kHz): the last three lie beyond the
+# 10 A at which ``--fix-a-iso auto`` fixes a_iso = 0; N5, near the axis,
+# has a zero sensitivity matrix, so its samples start at the point fit
 MULTI_NUCLEI = (("N1", 7.5, 40, 100, 12), ("N2", 9.0, 70, 300, -6),
-                ("N3", 11.5, 35, 20, 0), ("N4", 13.0, 65, 190, 0))
+                ("N3", 11.5, 35, 20, 0), ("N4", 13.0, 65, 190, 0),
+                ("N5", 11.0, 8, 300, -8))
 
 
 def _runs():

@@ -225,8 +225,8 @@ def solve_field(dataset: OdmrDataset, initial_guess: Vector3 | None = None,
     for seed in seeds:
         try:
             res = least_squares(fun, seed, method="lm", xtol=1e-15, ftol=1e-15)
-        except Exception:
-            continue
+        except (ValueError, np.linalg.LinAlgError):
+            continue  # residuals not finite at this seed
         cost = 2.0 * res.cost
         if best is None or cost < best[0]:
             best = (cost, res)

@@ -49,7 +49,7 @@ def _load_environment(args):
     """Config file -> (constants, registry, provenance dict)."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if path:
-        constants, registry, _ = load_config(path)
+        constants, registry = load_config(path)
         prov = {"config": os.fspath(path), "config_sha256": _sha256(path)}
     else:
         constants, registry = DEFAULT_CONSTANTS, DEFAULT_REGISTRY
@@ -126,10 +126,8 @@ def cmd_calibrate(args) -> int:
 def _parse_fix_a_iso(policy: str):
     """Flag text -> 'auto' | 'free' | contact value in Hz."""
     text = policy.strip().lower()
-    if text in ("free", "none"):
-        return "free"
-    if text == "auto":
-        return "auto"
+    if text in ("free", "auto"):
+        return text
     try:
         value = float(text)
     except ValueError:

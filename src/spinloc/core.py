@@ -9,17 +9,12 @@ External file formats use kHz / mT / degrees and convert at the boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import FrameError, ParseError
-
-MU0 = 4e-7 * math.pi        # vacuum permeability, T*m/A
-HBAR = 1.054e-34            # reduced Planck constant, J*s
-GAMMA_E = 28e9              # electron gyromagnetic ratio, Hz/T
-GAMMA_N_DEFAULT = 10.705e6  # 13C gyromagnetic ratio, Hz/T
-ZFS_D = 2.87e9              # NV ground-state zero-field splitting, Hz
 
 GAMMA_N_BAND = (10.6e6, 10.8e6)  # admissible range for the nuclear ratio, Hz/T
 
@@ -31,20 +26,16 @@ class PhysicalConstants:
     """Constants used by the model.
 
     Only ``gamma_n`` is adjustable (within ``GAMMA_N_BAND``); the other values
-    are part of the model definition and must not be changed.
+    are part of the model definition.
     """
 
-    mu0: float = MU0          # T*m/A
-    hbar: float = HBAR        # J*s
-    gamma_e: float = GAMMA_E  # Hz/T
-    gamma_n: float = GAMMA_N_DEFAULT  # Hz/T
-    D: float = ZFS_D          # Hz
+    mu0: ClassVar[float] = 4e-7 * math.pi  # vacuum permeability, T*m/A
+    hbar: ClassVar[float] = 1.054e-34      # reduced Planck constant, J*s
+    gamma_e: ClassVar[float] = 28e9        # electron gyromagnetic ratio, Hz/T
+    D: ClassVar[float] = 2.87e9            # NV ground-state zero-field splitting, Hz
+    gamma_n: float = 10.705e6              # 13C gyromagnetic ratio, Hz/T
 
     def __post_init__(self):
-        for name, fixed in (("mu0", MU0), ("hbar", HBAR),
-                            ("gamma_e", GAMMA_E), ("D", ZFS_D)):
-            if getattr(self, name) != fixed:
-                raise ValueError(f"{name} is fixed at {fixed!r} and cannot be overridden")
         lo, hi = GAMMA_N_BAND
         if not (lo <= self.gamma_n <= hi):
             raise ValueError(
@@ -256,15 +247,14 @@ def registry_from_mapping(mapping: dict | None) -> FrameRegistry:
     return merged
 
 
-def load_config(path) -> tuple[PhysicalConstants, FrameRegistry, dict]:
+def load_config(path) -> tuple[PhysicalConstants, FrameRegistry]:
     """Read a YAML config file.
 
-    Returns (constants, frame registry, raw mapping). Recognized sections:
-    ``constants`` (only gamma_n may differ from the built-in values) and
-    ``frames``. Other sections are passed through untouched for the pipeline
-    layer. Bytes that are not UTF-8, text that is not YAML, or sections of
-    the wrong shape raise ParseError (at the line of the bad byte or of the
-    YAML error where it has one).
+    Returns (constants, frame registry). The two sections are ``constants``,
+    whose one key is ``gamma_n``, and ``frames``. Any other section or
+    constant, bytes that are not UTF-8, text that is not YAML, or sections
+    of the wrong shape raise ParseError (at the line of the bad byte or of
+    the YAML error where it has one, else at line 1).
     """
     import yaml  # deferred: slow to import
 
@@ -282,19 +272,21 @@ def load_config(path) -> tuple[PhysicalConstants, FrameRegistry, dict]:
                          f"not valid YAML: {problem}") from None
     if not isinstance(raw, dict):
         raise ParseError(path, 1, "top level of config must be a mapping")
-    if not isinstance(raw.get("constants") or {}, dict):
+    for key in raw:
+        if key not in ("constants", "frames"):
+            raise ParseError(path, 1, f"unknown config section {key!r}; the "
+                             "sections are 'constants' and 'frames'")
+    cdict = raw.get("constants") or {}
+    if not isinstance(cdict, dict):
         raise ParseError(path, 1, "malformed config: constants must be a mapping")
+    for key in cdict:
+        if key != "gamma_n":
+            what = "fixed" if key in PhysicalConstants.__annotations__ else "unknown"
+            raise ParseError(path, 1, f"malformed config: {what} constant {key!r}; "
+                             "gamma_n is the only one a config sets")
     try:
-        cdict = dict(raw.get("constants") or {})
-        kwargs = {}
-        if "gamma_n" in cdict:
-            kwargs["gamma_n"] = float(cdict.pop("gamma_n"))
-        for key, val in cdict.items():
-            if not hasattr(PhysicalConstants, key):
-                raise ValueError(f"unknown constant {key!r}")
-            kwargs[key] = float(val)  # fixed constants: accepted only if identical
-        constants = PhysicalConstants(**kwargs)
+        constants = PhysicalConstants(**{k: float(v) for k, v in cdict.items()})
         registry = registry_from_mapping(raw.get("frames"))
     except (TypeError, AttributeError, ValueError) as exc:
         raise ParseError(path, 1, f"malformed config: {exc}") from None
-    return constants, registry, raw
+    return constants, registry

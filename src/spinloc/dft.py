@@ -135,6 +135,8 @@ def load_dft_table(path) -> list[DftRow]:
             row[name] = vals[column] * unit if column in vals else default
         if row["a_perp"] < 0.0:
             raise ParseError(path, line_no, "a_perp_kHz must be non-negative")
+        if row["r"] <= 0.0:
+            raise ParseError(path, line_no, "r_A must be positive")
         rows.append(DftRow(**row))
     if header is None:
         raise ParseError(path, 1, "empty table: no header row")

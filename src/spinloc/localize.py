@@ -201,16 +201,15 @@ class AzimuthFit:
 
 
 def xi(record: MeasurementRecord, coupling: CouplingEstimate, phi: float,
-       a_iso: float = 0.0, variant: str = GENERAL_FIELD,
-       constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+       a_iso: float = 0.0, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Signed cost contribution of one record at trial (phi, a_iso), in Hz.
 
     Positive when the measured coil-on splitting exceeds the predicted one.
     """
     pos = invert_dipole(coupling.a_par, coupling.a_perp, a_iso, constants)
     hf = dipole_tensor(pos.with_phi(phi), a_iso, constants)
-    th0 = precession_frequency(record.B0, record.dB, hf, 0, variant, constants)
-    th_m1 = precession_frequency(record.B0, record.dB, hf, -1, variant, constants)
+    th0, th_m1 = (precession_frequency(record.B0, record.dB, hf, m_S, GENERAL_FIELD,
+                                       constants) for m_S in (0, -1))
     return record.measured_difference - (th_m1 - th0)
 
 
@@ -576,13 +575,19 @@ def _scan(records, coupling, fix_a_iso, phi_step_deg, a_iso_step,
     surf = _dot(parts, parts)
     surf = np.where(np.isfinite(surf), surf, np.inf)
     profile = surf.min(axis=1)
-    i = _grid_local_minima(profile)
-    phi0 = phi_grid[i]
-    iso0 = iso_grid[np.argmin(surf[i], axis=1)]
-    # every grid minimum is one lane of the polish. With a_iso fixed, phi
-    # stays within a grid step of its grid minimum. In the joint fit the
-    # coarse a_iso grid can misplace a diagonal valley's phi by more than a
-    # step, so there phi (periodic) is left free and a_iso held to its range.
+    # one lane of the polish at every local minimum along a_iso of each
+    # profile-minimum row: the row's least column alone can sit in a
+    # valley whose polished floor is not the best one
+    k = _grid_local_minima(profile)
+    rows = surf[k]
+    edge = np.full((len(k), 1), np.inf)
+    i, j = np.nonzero((rows < np.hstack([edge, rows[:, :-1]]))
+                      & (rows <= np.hstack([rows[:, 1:], edge])))
+    phi0, iso0 = phi_grid[k][i], iso_grid[j]
+    # With a_iso fixed, phi stays within a grid step of its grid minimum. In
+    # the joint fit the coarse a_iso grid can misplace a diagonal valley's
+    # phi by more than a step, so there phi (periodic) is left free and
+    # a_iso held to its range.
     if fix_a_iso is None:
         phi_box = (np.full(phi0.size, -np.inf), np.full(phi0.size, np.inf))
         iso_box = (np.full(phi0.size, lo), np.full(phi0.size, hi))
@@ -697,7 +702,8 @@ def fit_azimuth(records, coupling: CouplingEstimate, fix_a_iso: float | None = N
     Dense grid scan first: the landscape generically has two symmetric
     near-degenerate minima per configuration, so a local solver alone is not
     trustworthy. Every grid-level local minimum of the phi profile (after
-    minimizing over the a_iso axis in the joint case) is polished locally;
+    minimizing over the a_iso axis in the joint case) is polished locally,
+    from each local minimum along a_iso of its row;
     minima within DEGENERACY_FACTOR of the global cost are reported.
     Ties on cost (within 1e-9 relative) resolve to the smallest phi so the
     result does not depend on evaluation order. Records must give their

@@ -28,28 +28,24 @@ _MIN_POWER_RATIO = 0.01
 
 @dataclass(frozen=True)
 class TimeTrace:
-    """Uniformly sampled signal with optional per-point noise levels."""
+    """Uniformly sampled signal."""
 
     t: np.ndarray
     y: np.ndarray
-    sigma_y: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        s = np.asarray(self.sigma_y, dtype=float)
         if t.ndim != 1 or len(t) < 2:
             raise ValueError("need a 1-d time grid with at least 2 samples")
-        if y.shape != t.shape or s.shape != t.shape:
-            raise ValueError("t, y and sigma_y must have equal lengths")
+        if y.shape != t.shape:
+            raise ValueError("t and y must have equal lengths")
         dt = np.diff(t)
         if dt.min() <= 0.0:
             raise ValueError("time grid must be strictly increasing")
         if (dt.max() - dt.min()) > 1e-9 * dt.mean():
             raise ValueError("time grid must be uniform to 1e-9 relative")
-        if np.any(s < 0.0):
-            raise ValueError("sigma_y must be non-negative")
-        for name, arr in (("t", t), ("y", y), ("sigma_y", s)):
+        for name, arr in (("t", t), ("y", y)):
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -108,7 +104,7 @@ def synth_trace(components, duration: float, dt: float, noise_sigma: float = 0.0
     if noise_sigma > 0.0:
         rng = np.random.Generator(np.random.Philox(key=int(seed) % (1 << 64)))
         y = y + noise_sigma * rng.standard_normal(n)
-    return TimeTrace(t=t, y=y, sigma_y=np.full(n, float(noise_sigma)))
+    return TimeTrace(t=t, y=y)
 
 
 def _pick_peaks(power: np.ndarray, n_wanted: int) -> list[int]:
@@ -140,8 +136,7 @@ def _parabolic_refine(power: np.ndarray, i: int) -> float:
     return i + 0.5 * (a - c) / denom
 
 
-def estimate_frequencies(trace: TimeTrace, n_components: int,
-                         max_nfev: int = 2000) -> list[FrequencyEstimate]:
+def estimate_frequencies(trace: TimeTrace, n_components: int) -> list[FrequencyEstimate]:
     """Fit n_components cosines to the trace; estimates sorted by frequency.
 
     The periodogram seeds frequencies; the nonlinear fit then uses the
@@ -195,7 +190,7 @@ def estimate_frequencies(trace: TimeTrace, n_components: int,
     from scipy.optimize import least_squares  # deferred: slow to import
 
     x0 = np.concatenate([f_seed, ab])
-    res = least_squares(residual, x0, method="lm", max_nfev=max_nfev,
+    res = least_squares(residual, x0, method="lm", max_nfev=2000,
                         xtol=1e-15, ftol=1e-15)
     if not res.success and res.status <= 0:
         raise ConvergenceError(f"sinusoid fit did not converge: {res.message}")

@@ -4,10 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from spinloc import calibrate
 from spinloc import (
     BIAS_FIELD,
     COIL_FIELD,
     DEFAULT_REGISTRY,
+    ConvergenceError,
     IdentifiabilityError,
     OdmrDataset,
     OdmrEntry,
@@ -111,6 +113,23 @@ def test_initial_guess_frame_checked():
         solve_field(_dataset(B), initial_guess=Vector3(B, "nv0"))
     sol = solve_field(_dataset(B), initial_guess=Vector3(B, "lab"))
     np.testing.assert_allclose(sol.B.components, B, rtol=1e-9)
+
+
+def test_seed_failures_skip_only_non_finite_residuals(monkeypatch):
+    # a seed whose residuals are not finite is skipped; a fault in the line
+    # model is no failure to converge and propagates
+    dataset = _dataset([1.0e-3, -0.5e-3, 2.2e-3])
+    monkeypatch.setattr(calibrate, "transition_frequencies",
+                        lambda B, constants: (math.nan, math.nan))
+    with pytest.raises(ConvergenceError, match="from any seed"):
+        solve_field(dataset)
+
+    def broken(B, constants):
+        raise TypeError("bad line model")
+
+    monkeypatch.setattr(calibrate, "transition_frequencies", broken)
+    with pytest.raises(TypeError, match="bad line model"):
+        solve_field(dataset)
 
 
 def test_strongly_tilted_field_found_from_sign_enumeration():

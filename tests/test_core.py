@@ -37,12 +37,12 @@ def test_gamma_n_band_enforced():
 
 
 def test_fixed_constants_reject_overrides():
-    with pytest.raises(ValueError):
+    # gamma_n is the one field; the others are constants of the class
+    with pytest.raises(TypeError):
         PhysicalConstants(D=2.88e9)
-    with pytest.raises(ValueError):
-        PhysicalConstants(gamma_e=28.1e9)
-    # restating the built-in value verbatim is allowed
-    assert PhysicalConstants(D=2.87e9).D == 2.87e9
+    with pytest.raises(TypeError):
+        PhysicalConstants(gamma_e=28e9)
+    assert PhysicalConstants(gamma_n=10.75e6).D == PhysicalConstants.D == 2.87e9
 
 
 def test_frame_rejects_non_rotation():
@@ -154,13 +154,12 @@ def test_config_round_trip(tmp_path):
               for name in DEFAULT_REGISTRY.names() if name != "lab"}
     path.write_text(yaml.safe_dump({"constants": {"gamma_n": 10.71e6}, "frames": frames}),
                     encoding="utf-8")
-    constants, registry, raw = load_config(path)
+    constants, registry = load_config(path)
     assert constants.gamma_n == 10.71e6
     assert registry.names() == DEFAULT_REGISTRY.names()
     np.testing.assert_allclose(
         registry.get("nv270").rotation_to_lab,
         DEFAULT_REGISTRY.get("nv270").rotation_to_lab, atol=1e-15)
-    assert "constants" in raw
 
 
 def test_config_rejects_unknown_constant(tmp_path):
@@ -170,10 +169,26 @@ def test_config_rejects_unknown_constant(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("constant:\n  gamma_n: 10.6e6\n", "unknown config section 'constant'"),
+    ("pipeline:\n  samples: 10\n", "unknown config section 'pipeline'"),
+    ("constants:\n  D: 2.87e9\n", "malformed config: fixed constant 'D'"),
+    ("constants:\n  gamma_n: 10.6e6\n  hbar: 1.054e-34\n",
+     "malformed config: fixed constant 'hbar'"),
+], ids=("misspelled_section", "other_section", "fixed_D", "fixed_hbar"))
+def test_config_rejects_other_sections_and_constants(tmp_path, text, message):
+    # a config holds gamma_n and frames and nothing else: a misspelled
+    # section or a restated fixed constant is an error, not a no-op
+    path = tmp_path / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=f":1: {message}"):
+        load_config(path)
+
+
 def test_config_frame_from_axis(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text("frames:\n  probe:\n    axis: [1, -1, -1]\n", encoding="utf-8")
-    _, registry, _ = load_config(path)
+    _, registry = load_config(path)
     # same axis as the built-in nv270 orientation
     np.testing.assert_allclose(
         registry.get("probe").rotation_to_lab,

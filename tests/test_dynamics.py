@@ -174,7 +174,7 @@ def _scalar_xi(rec, coupling, phi, a_iso):
     """localize.xi in the general field, NaN where the couplings do not
     invert."""
     try:
-        return xi(rec, coupling, float(phi), float(a_iso), GENERAL_FIELD)
+        return xi(rec, coupling, float(phi), float(a_iso))
     except SpinlocError:
         return math.nan
 

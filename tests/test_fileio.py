@@ -372,6 +372,8 @@ def test_dft_table_header_without_comment_and_no_iso(tmp_path):
     ("# a_par_kHz a_perp_kHz r_A theta_deg\n1 2 3 4\n\n1 -2 3 4\n",
      "non-negative", 4),
     ("a_par_kHz a_perp_kHz r_A theta_deg r_A\n1 2 3 4 5\n", "duplicate column", 1),
+    ("a_par_kHz a_perp_kHz r_A theta_deg\n1 2 3 4\n1 2 -5 4\n", "r_A must be positive", 3),
+    ("a_par_kHz a_perp_kHz r_A theta_deg\n1 2 0 4\n", "r_A must be positive", 2),
 ])
 def test_dft_table_rejects_malformed(tmp_path, text, match, line):
     with pytest.raises(ParseError, match=match) as exc:

@@ -295,6 +295,8 @@ def _polish(records, coupling, a_iso_step):
          noise=(0.0, 0.0, 0.0))  # best phi -1e-17 rad
 @example(r=10.0546875, theta_deg=5.7734375, phi=0.0, a_iso=20.0,
          noise=(6.0, 1.0, 270.0))  # an extra minimum on a capped lane at 10 kHz
+@example(r=8.4375, theta_deg=42.0, phi=0.939453125, a_iso=0.0,
+         noise=(0.0, 216.0, 0.0))  # the best floor off the row's least column
 @given(r=st.floats(6.0, 15.0),
        theta_deg=st.one_of(st.floats(5.0, 85.0), st.floats(5.0, 6.0),
                            st.floats(54.2, 55.2), st.floats(84.0, 85.0)),

@@ -2,6 +2,7 @@ import re
 import shlex
 from pathlib import Path
 
+from spinloc import load_config
 from spinloc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,3 +29,13 @@ def test_readme_commands_run(tmp_path, monkeypatch):
         if "--out" in argv:
             del argv[argv.index("--out"):argv.index("--out") + 2]
         assert main(argv + ["--out", str(tmp_path / str(k))]) == 0, argv
+
+
+def test_readme_config_example_loads(tmp_path):
+    # the documented config is one the reader accepts, with the frame it adds
+    (block,) = re.findall(r"```yaml\n(.*?)```", README.read_text(), flags=re.S)
+    path = tmp_path / "config.yaml"
+    path.write_text(block)
+    constants, registry = load_config(path)
+    assert constants.gamma_n == 10.6e6
+    assert "probe" in registry

@@ -21,11 +21,11 @@ def _two_tone(noise=0.0, seed=0):
 
 def test_trace_validation():
     with pytest.raises(ValueError):
-        TimeTrace(t=[0.0], y=[1.0], sigma_y=[0.0])
+        TimeTrace(t=[0.0], y=[1.0])
     with pytest.raises(ValueError):
-        TimeTrace(t=[0.0, 1.0, 0.5], y=[0.0, 0.0, 0.0], sigma_y=[0.0, 0.0, 0.0])
+        TimeTrace(t=[0.0, 1.0, 0.5], y=[0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        TimeTrace(t=[0.0, 1.0, 2.5], y=[0.0, 0.0, 0.0], sigma_y=[0.0, 0.0, 0.0])
+        TimeTrace(t=[0.0, 1.0, 2.5], y=[0.0, 0.0, 0.0])
     tr = _two_tone()
     assert tr.nyquist == pytest.approx(0.5 / tr.dt)
 

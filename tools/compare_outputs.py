@@ -5,23 +5,26 @@
 Each argument is a checkout (a directory holding ``src/spinloc``) or its
 ``src`` directory. For each tree the script copies this repository's
 ``data/`` into a fresh work directory and runs, from there and with the
-same relative paths, ``spinloc simulate``, ``calibrate``, ``dft-residuals``
-and ``localize`` on the example files: ``calibrate`` and ``dft-residuals``
-in both report formats, ``localize`` at ``--samples 4000 --seed 3`` under
-``--fix-a-iso auto``, ``0`` and ``free`` in both report formats. It also
-writes its own truth file of five nuclei under the example's three coil
-fields, three of them beyond 10 A and one near the axis, and runs
-``simulate`` on it and ``localize --samples 4000 --seed 3 --fix-a-iso
-auto`` on the result, so that one lane pool solves fixed and free a_iso
-samples together, samples at linear starts and at the point fit, once with
-the default ``--parallel`` and once with ``--parallel 3``. On the
-example truth file with every ``[noise]`` sigma 0, the one input on which
-``simulate`` writes its sigma floors, it runs ``simulate`` and ``localize
---samples 4000 --seed 3`` as well. Every file a command writes is compared
-byte for byte, and so are its exit status, standard output and standard
-error (with the source path replaced by a placeholder). Every differing file is printed, a JSON file with the
-first key path at which the two differ, and the exit status is 1 if any
-file differs, 0 if none does. Standard library only.
+same relative paths, ``spinloc simulate``, ``calibrate``,
+``dft-residuals`` and ``localize`` on the example files: ``calibrate`` and
+``dft-residuals`` in both report formats, ``localize`` at ``--samples 4000
+--seed 3`` under ``--fix-a-iso auto``, ``0`` and ``free`` in both report
+formats. With a config file that sets ``gamma_n`` and adds one frame by
+its axis, it runs ``calibrate`` (with that frame as ``--target``) and
+``localize --samples 4000 --seed 3`` once more. It also writes its own
+truth file of five nuclei under the example's three coil fields, three of
+them beyond 10 A and one near the axis, and runs ``simulate`` on it and
+``localize --samples 4000 --seed 3 --fix-a-iso auto`` on the result, so
+that one lane pool solves fixed and free a_iso samples together, samples
+at linear starts and at the point fit, once with the default
+``--parallel`` and once with ``--parallel 3``. On the example truth file
+with every ``[noise]`` sigma 0, the one input on which ``simulate`` writes
+its sigma floors, it runs ``simulate`` and ``localize --samples 4000
+--seed 3`` as well. Every file a command writes is compared byte for byte,
+and so are its exit status, standard output and standard error (with the
+source path replaced by a placeholder). Every differing file is printed, a
+JSON file with the first key path at which the two differ, and the exit
+status is 1 if any file differs, 0 if none does. Standard library only.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ MULTI_NUCLEI = (("N1", 7.5, 40, 100, 12), ("N2", 9.0, 70, 300, -6),
                 ("N3", 11.5, 35, 20, 0), ("N4", 13.0, 65, 190, 0),
                 ("N5", 11.0, 8, 300, -8))
 
+# a config with both sections: gamma_n inside its band, and one frame
+# given by its crystal axis
+CONFIG = "constants:\n  gamma_n: 10.6e6\nframes:\n  probe:\n    axis: [1, -1, -1]\n"
+
 
 def _runs():
     """(name, spinloc arguments) of every run, outputs under ``out/<name>``."""
@@ -57,7 +64,12 @@ def _runs():
                          ["localize", "data/measurements_example.txt",
                           "--samples", "4000", "--seed", "3",
                           "--fix-a-iso", fix, "--format", fmt]))
-    runs += [("simulate_multi", ["simulate", "data/truth_multi.txt"]),
+    runs += [("calibrate_config", ["calibrate", "data/odmr_example.txt",
+                                   "--config", "data/config.yaml", "--target", "probe"]),
+             ("localize_config", ["localize", "data/measurements_example.txt",
+                                  "--samples", "4000", "--seed", "3",
+                                  "--config", "data/config.yaml"]),
+             ("simulate_multi", ["simulate", "data/truth_multi.txt"]),
              ("localize_multi", ["localize", "out/simulate_multi/measurements.txt",
                                  "--samples", "4000", "--seed", "3",
                                  "--fix-a-iso", "auto"]),
@@ -106,6 +118,7 @@ def _outputs(src: Path, work: Path) -> dict[str, bytes]:
     shutil.copytree(DATA, work / "data")
     (work / "data" / "truth_multi.txt").write_text(_multi_truth())
     (work / "data" / "truth_exact.txt").write_text(_exact_truth())
+    (work / "data" / "config.yaml").write_text(CONFIG)
     env = {k: v for k, v in os.environ.items() if k != "SPINLOC_CONFIG"}
     env["PYTHONPATH"] = str(src)
     files = {}

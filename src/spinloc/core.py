@@ -223,9 +223,9 @@ def rotation_between(frame_from: Frame, frame_to: Frame) -> np.ndarray:
 
 def registry_from_mapping(mapping: dict | None) -> FrameRegistry:
     """Build a registry from a config mapping; missing entries fall back to the
-    default NV frames. Entries may give either ``axis`` (crystal-coordinate
-    integer triple) or an explicit ``rotation_to_lab`` matrix; the lab frame
-    is fixed and takes none."""
+    default NV frames. Each entry holds exactly one key: ``axis``
+    (crystal-coordinate integer triple) or an explicit ``rotation_to_lab``
+    matrix; the lab frame is fixed and takes none."""
     reg = default_registry()
     if not mapping:
         return reg
@@ -238,12 +238,13 @@ def registry_from_mapping(mapping: dict | None) -> FrameRegistry:
         spec = mapping.get(name)
         if spec is None:
             merged.register(reg.get(name))
-        elif "rotation_to_lab" in spec:
+        elif isinstance(spec, dict) and set(spec) == {"rotation_to_lab"}:
             merged.register(Frame(name, np.asarray(spec["rotation_to_lab"], dtype=float)))
-        elif "axis" in spec:
+        elif isinstance(spec, dict) and set(spec) == {"axis"}:
             merged.register(frame_from_axis(name, spec["axis"]))
         else:
-            raise ValueError(f"frame {name!r}: config needs 'axis' or 'rotation_to_lab'")
+            raise ValueError(f"frame {name!r}: config needs a mapping with exactly one "
+                             f"of 'axis' and 'rotation_to_lab', got {spec!r}")
     return merged
 
 

@@ -121,7 +121,8 @@ class XiKernel:
     predicted coil-on splitting with the model of ``precession_frequency``,
     stacked over records, with dxi/dphi and dxi/da_iso from the same pass;
     ``derivatives=False`` gives xi alone, for grid scans. Lanes whose
-    couplings do not invert, or at the level crossing, come out NaN.
+    couplings do not invert, or at the level crossing, come out NaN. The
+    lane pool of ``localize`` holds ``consts`` as one of its lane arrays.
 
     With n the unit vector to the site, b the dipolar strength and
     q = gamma_n dB, the hyperfine tensor A = 3b n n^T + (a_iso - b) I gives
@@ -135,22 +136,6 @@ class XiKernel:
 
     consts: np.ndarray  # (2 + 9 records, *lanes): see xi_kernel
     b_max: float        # Hz, the dipolar strength at MIN_RADIUS
-
-    def take(self, keep):
-        """The kernel of the lanes ``keep`` (a mask or indices) of a kernel
-        with constants per lane."""
-        return XiKernel(self.consts[:, keep], self.b_max)
-
-    @staticmethod
-    def join(parts) -> "XiKernel":
-        """One kernel with constants per lane of the lanes of every (kernel,
-        lane count) in ``parts``, side by side in that order; a kernel whose
-        lanes share their constants is widened to its count."""
-        parts = list(parts)
-        return XiKernel(np.concatenate(
-            [np.broadcast_to(k.consts.reshape(len(k.consts), -1),
-                             (len(k.consts), m)) for k, m in parts], axis=1),
-            parts[0][0].b_max)
 
     def __call__(self, phi, a_iso, derivatives=True):
         consts = self.consts

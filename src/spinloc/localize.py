@@ -280,8 +280,9 @@ _LANE_BLOCK = 4096
 
 def _join_lanes(batches):
     """Batches of solver lanes, (kernel, phi, a_iso, phi_box, iso_box), side
-    by side in order: every batch's (kernel, lane count), for
-    ``XiKernel.join``, then one array each of phi, a_iso, phi lo, phi hi,
+    by side in order: every batch's kernel constants widened to its lane
+    count (views, for the pool to join in one concatenation), the first
+    kernel's b_max, then one array each of phi, a_iso, phi lo, phi hi,
     a_iso lo and a_iso hi, whose batch values may be shared scalars."""
     sizes = [np.size(b[1]) for b in batches]
 
@@ -289,7 +290,8 @@ def _join_lanes(batches):
         return np.concatenate([np.broadcast_to(v, (m,)) for v, m in zip(values, sizes)])
 
     kernels, phi, iso, phi_box, iso_box = zip(*batches)
-    return (list(zip(kernels, sizes)), cat(phi), cat(iso),
+    return ([np.broadcast_to(k.consts.reshape(len(k.consts), -1), (len(k.consts), m))
+             for k, m in zip(kernels, sizes)], kernels[0].b_max, cat(phi), cat(iso),
             *map(cat, zip(*phi_box)), *map(cat, zip(*iso_box)))
 
 
@@ -325,7 +327,7 @@ def _lm_step(lanes, sample: bool):
     _LM_SAMPLE_XTOL_PHI and a_iso by at most _LM_SAMPLE_XTOL_ISO, and
     predicts a decrease of at most _LM_RFCTOL of the cost."""
     phi, iso, cost, lam, mult, sec, *box, res = lanes[:11]
-    a, b, c, g, h = _normal(lanes[11:], res)
+    a, b, c, g, h = _normal(lanes[11:13], res)
     a_s, b_s, c_s = a + sec[0], b + sec[1], c + sec[2]
     held = box[2] == box[3]
     s11, s12, s22 = np.where((a_s > 0.0) & (held | (a_s * c_s > b_s * b_s)), sec, 0.0)
@@ -335,9 +337,9 @@ def _lm_step(lanes, sample: bool):
     step_phi, step_iso = _newton(a * (1.0 + lam) + s11, b_s, c * (1.0 + lam) + s22,
                                  g, h, pin_phi, pin_iso)
     move = np.isfinite(step_phi) & np.isfinite(step_iso)
-    step = (np.clip(np.where(move, phi + mult * step_phi, phi), box[0], box[1]),
+    step = [np.clip(np.where(move, phi + mult * step_phi, phi), box[0], box[1]),
             np.clip(np.where(move, iso + mult * step_iso, iso), box[2], box[3]),
-            g, h, a_s, b_s, c_s)
+            g, h, a_s, b_s, c_s]
     if not sample:
         return step, False
     full_phi, full_iso = _newton(a_s, b_s, c_s, g, h, pin_phi, pin_iso)
@@ -350,6 +352,13 @@ def _lm_step(lanes, sample: bool):
                   & (-(g * full_phi + h * full_iso) <= _LM_RFCTOL * cost))
 
 
+def _compact(arrays, keep):
+    """Cuts each lane array of the list ``arrays`` to the lanes ``keep``, in
+    place: each old array is freed as its copy is made."""
+    for k in range(len(arrays)):
+        arrays[k] = arrays[k].take(keep, axis=-1)
+
+
 def _levenberg_marquardt(pieces, *, sample: bool = False) -> _LaneFit:
     """Box-bounded Levenberg-Marquardt fit of (phi, a_iso) on every lane of
     a pool.
@@ -360,8 +369,9 @@ def _levenberg_marquardt(pieces, *, sample: bool = False) -> _LaneFit:
     piece order. The pool starts with _LANE_BLOCK lanes and, whenever fewer
     than _LANE_BLOCK // 4 still run, tops up to _LANE_BLOCK with the next
     lanes, splitting a piece where the room ends, so that iterations are not
-    spent on a few slow lanes at a time; new lanes join the batch
-    (``XiKernel.join``) and start in the running lanes' next kernel call.
+    spent on a few slow lanes at a time; new lanes join the batch, their
+    kernel constants widened to one column per lane, and start in the
+    running lanes' next kernel call.
 
     Steps solve the damped normal equations of the kernel's exact Jacobian,
     plus the lane's secant term (``_lm_step``), and are clipped to the
@@ -373,11 +383,11 @@ def _levenberg_marquardt(pieces, *, sample: bool = False) -> _LaneFit:
     after _LM_MAX_ITER of its own iterations; in a ``sample`` pool a lane
     whose model says it has converged to report precision stops when its
     step is formed, before paying for a kernel call. Stopped lanes leave
-    the batch, the kernel compacted (``take``) with the other lane arrays.
+    the batch, their kernel constants with their other lane arrays.
     The arithmetic is per lane, so no lane's result depends on its batch
     or on when it joined. Lanes with no finite cost at the start come back
     unchanged. Each lane's record carries its couplings, taken from its
-    kernel when it stops.
+    kernel constants when it stops.
     """
     queue = deque((0, count, piece) for count, piece in pieces if count)
     n = sum(count for _, count, _ in queue)
@@ -399,7 +409,8 @@ def _levenberg_marquardt(pieces, *, sample: bool = False) -> _LaneFit:
     idx = np.arange(0)  # the running lanes
     # per running lane: phi, a_iso, cost, damping, step multiplier mu, the
     # secant term S (S_phiphi, S_phiiso, S_isoiso), the box (phi lo, phi hi,
-    # a_iso lo, a_iso hi), then xi and its Jacobian;
+    # a_iso lo, a_iso hi), then xi and its Jacobian, and its kernel
+    # constants (see ``dynamics.xi_kernel``);
     # and its next step: the trial phi and a_iso, the gradient / 2 (g, h) and
     # the model's Hessian / 2 (a_s, b_s, c_s)
     lanes = step = ()
@@ -408,26 +419,26 @@ def _levenberg_marquardt(pieces, *, sample: bool = False) -> _LaneFit:
         na = idx.size
         if na:
             phi, iso, cost, lam, mult, sec, *box, res = lanes[:11]
-            jac = lanes[11:]
+            *jac, consts = lanes[11:]
             phi_t, iso_t, g, h, a_s, b_s, c_s = step
             fit.iterations[idx] += 1
         else:
             phi_t, iso_t = np.empty(0), np.empty(0)
         batch = (admit(_LANE_BLOCK - na)
                  if na < _LANE_BLOCK // 4 and queue else None)
-        m = 0 if batch is None else batch[1].size
+        m = 0 if batch is None else batch[2].size
         if not (m or na):
             return fit
         if m:
-            # the new lanes' kernel constants are held once, in the joined
-            # kernel, through the call
-            kernel = XiKernel.join(([(kernel, na)] if na else []) + batch[0])
-            phi_n, iso_n, *box_n = batch[1:]
-            batch = None
+            # the new lanes' kernel constants join the running lanes' in one
+            # concatenation, and are held once, in it, through the call
+            widened, b_max, phi_n, iso_n, *box_n = batch
+            consts = np.concatenate(([consts] if na else []) + widened, axis=-1)
+            batch = widened = lanes = None
             phi_t, iso_t = np.concatenate([phi_t, phi_n]), np.concatenate([iso_t, iso_n])
         # one kernel call: the running lanes' trial points, then the new
         # lanes' start points
-        res_t, *jac_t = kernel(phi_t, iso_t)
+        res_t, *jac_t = XiKernel(consts, b_max)(phi_t, iso_t)
         cost_t = _dot(res_t, res_t)
 
         done = np.zeros(0, dtype=bool)
@@ -482,6 +493,7 @@ def _levenberg_marquardt(pieces, *, sample: bool = False) -> _LaneFit:
             idx = np.concatenate([idx, np.arange(admitted, admitted + m)])
             done = np.concatenate([done, ~np.isfinite(cost_n)])
             admitted += m
+        lanes = [*lanes, consts]
 
         # each running lane's next step, then the lanes that stopped, ran
         # out of iterations at their best point or, as samples, need no
@@ -494,7 +506,7 @@ def _levenberg_marquardt(pieces, *, sample: bool = False) -> _LaneFit:
             phi_f, iso_f, cost_f = (v[stop] for v in lanes[:3])
             box = [v[stop] for v in lanes[6:10]]
             fit.phi[fin], fit.a_iso[fin], fit.cost[fin] = phi_f, iso_f, cost_f
-            fit.a_par[fin], fit.a_perp[fin] = kernel.consts[:2, stop]
+            fit.a_par[fin], fit.a_perp[fin] = consts[:2, stop]
             fit.converged[fin] = done[stop]
             on_edge = ((phi_f == box[0]) | (phi_f == box[1])
                        | ((box[2] < box[3]) & ((iso_f == box[2]) | (iso_f == box[3]))))
@@ -503,10 +515,8 @@ def _levenberg_marquardt(pieces, *, sample: bool = False) -> _LaneFit:
             # mask copies several times slower
             keep = np.flatnonzero(~stop)
             idx = idx[keep]
-            lanes, step = (tuple(v.take(keep, axis=-1) if np.ndim(v) else v for v in t)
-                           for t in (lanes, step))
-            if idx.size:
-                kernel = kernel.take(keep)
+            _compact(step, keep)
+            _compact(lanes, keep)
 
 
 def _grid_local_minima(profile: np.ndarray) -> list[int]:

@@ -452,7 +452,6 @@ def propagate(records, coupling, mc: McConfig, fix_a_iso: float | None = None,
 class Histogram:
     edges: np.ndarray   # bins + 1 edges, in the parameter's native units
     counts: np.ndarray
-    circular: bool      # True when edges live in recentered phi coordinates
 
     def __post_init__(self):
         e = np.asarray(self.edges, dtype=float).copy()
@@ -485,6 +484,6 @@ def histogram(scatter: np.ndarray, parameter: str, bins: int) -> Histogram:
         mu = circular_mean(col)
         dev = _recenter(col, mu)
         counts, edges = np.histogram(dev, bins=bins, range=(-math.pi, math.pi))
-        return Histogram(edges=mu + edges, counts=counts, circular=True)
+        return Histogram(edges=mu + edges, counts=counts)
     counts, edges = np.histogram(col, bins=bins)
-    return Histogram(edges=edges, counts=counts, circular=False)
+    return Histogram(edges=edges, counts=counts)

@@ -175,10 +175,18 @@ def test_config_rejects_unknown_constant(tmp_path):
     ("constants:\n  D: 2.87e9\n", "malformed config: fixed constant 'D'"),
     ("constants:\n  gamma_n: 10.6e6\n  hbar: 1.054e-34\n",
      "malformed config: fixed constant 'hbar'"),
-], ids=("misspelled_section", "other_section", "fixed_D", "fixed_hbar"))
+    ("frames:\n  probe:\n    axis: [1, -1, -1]\n    rotation_to_lab: identity\n",
+     "malformed config: frame 'probe': config needs a mapping with exactly one of"),
+    ("frames:\n  nv90:\n    axis: [1, 1, 1]\n    tilt_deg: 3\n",
+     "malformed config: frame 'nv90': config needs a mapping with exactly one of"),
+    ("frames:\n  probe: 5\n",
+     "malformed config: frame 'probe': config needs a mapping with exactly one of"),
+], ids=("misspelled_section", "other_section", "fixed_D", "fixed_hbar",
+        "frame_axis_and_rotation", "frame_unread_key", "frame_not_a_mapping"))
 def test_config_rejects_other_sections_and_constants(tmp_path, text, message):
     # a config holds gamma_n and frames and nothing else: a misspelled
-    # section or a restated fixed constant is an error, not a no-op
+    # section, a restated fixed constant or a frame key that is not read
+    # is an error, not a no-op
     path = tmp_path / "config.yaml"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ParseError, match=f":1: {message}"):

@@ -30,7 +30,6 @@ from spinloc import (
     xi,
     xi_kernel,
 )
-from spinloc.dynamics import XiKernel
 
 GE = 28e9
 GN = 10.705e6
@@ -223,6 +222,8 @@ def test_xi_kernel_matches_scalar_xi_per_lane(lanes):
     ref = [_scalar_xi(rec, c, p, a)
            for rec, c, p, a in zip(recs, couplings, phi, iso)]
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-6)
+    # xi alone is the first row of xi with its derivatives
+    np.testing.assert_array_equal(kernel(phi, iso, False), kernel(phi, iso)[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,48 +246,6 @@ def test_xi_kernel_derivatives_match_central_differences(site, b0, dbs,
                - kernel(phi - dp, iso - di, derivatives=False)) / (2 * (dp + di))
         np.testing.assert_allclose(d[..., :2], ref[..., :2], rtol=1e-6,
                                    atol=floor)
-
-
-@settings(max_examples=60, deadline=None)
-@given(lanes=st.lists(st.tuples(_sites, _b0, _db, _splitting,
-                                st.floats(0.0, 2.0 * math.pi),
-                                st.floats(-3e4, 3e4)),
-                      min_size=1, max_size=6),
-       data=st.data())
-def test_xi_kernel_take_matches_kernel_of_sliced_lanes(lanes, data):
-    # the solver compacts the kernel with take as lanes stop: bit for bit the
-    # kernel of the sliced inputs, in both output forms, for a random
-    # mask and a one-lane block; and it joins kernels side by side, a kernel
-    # of (3,) fields widened to per-lane constants
-    n = len(lanes)
-    a_par, a_perp = np.array([secular_couplings(*site) for site, *_ in lanes]).T
-    B0 = np.array([lane[1] for lane in lanes]).T
-    dB = np.array([lane[2] for lane in lanes]).T
-    meas = np.array([lane[3] for lane in lanes])
-    phi, iso = np.array([lane[4:] for lane in lanes]).T
-    recs = [(meas, B0, dB), (meas[::-1], B0, dB[::-1])]
-    full = xi_kernel(recs, a_par, a_perp)
-    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    one = np.arange(n) == data.draw(st.integers(0, n - 1))
-    for keep in (mask, one):
-        sliced = xi_kernel([(m[keep], b0[:, keep], db[:, keep])
-                            for m, b0, db in recs], a_par[keep], a_perp[keep])
-        for derivatives in (True, False):
-            np.testing.assert_array_equal(
-                full.take(keep)(phi[keep], iso[keep], derivatives),
-                sliced(phi[keep], iso[keep], derivatives))
-    j = data.draw(st.integers(0, n - 1))
-    shared = xi_kernel([(m[j], b0[:, j], db[:, j]) for m, b0, db in recs],
-                       a_par[j], a_perp[j])
-    cols = np.r_[j, j, np.arange(n)]
-    joined = XiKernel.join([(shared, 2), (full, n)])
-    wide = xi_kernel([(m[cols], b0[:, cols], db[:, cols]) for m, b0, db in recs],
-                     a_par[cols], a_perp[cols])
-    for derivatives in (True, False):
-        np.testing.assert_array_equal(joined(phi[cols], iso[cols], derivatives),
-                                      wide(phi[cols], iso[cols], derivatives))
-    # xi alone is the first row of xi with its derivatives
-    np.testing.assert_array_equal(full(phi, iso, False), full(phi, iso)[0])
 
 
 def test_xi_kernel_resonant_lane_is_nan():

@@ -629,7 +629,7 @@ def test_table_writers_write_the_fmt_joined_rows(tmp_path, n_rows, n_records,
 
 def test_save_histogram_scales_edges(tmp_path):
     hist = Histogram(edges=np.array([0.0, 1e3, 2e3]),
-                     counts=np.array([4, 7]), circular=False)
+                     counts=np.array([4, 7]))
     path = tmp_path / "hist.txt"
     save_histogram(path, hist, "a_iso_kHz")
     lines = path.read_text().splitlines()

@@ -271,6 +271,29 @@ def test_levenberg_marquardt_caps_a_late_lane_after_its_own_iterations(monkeypat
         np.testing.assert_array_equal(got[4:], want)
 
 
+def test_pool_admissions_that_split_shared_constants_keep_each_solve(monkeypatch):
+    # at a lane block of 8 the single-coil polishes of three problems (28,
+    # 2 and 36 lanes, free, fixed and free a_iso, each at its own coupling)
+    # enter the pool in pieces: a problem's lanes, which share its kernel's
+    # constants, are split between admissions and joined with the running
+    # lanes of other problems. Every problem's lanes must end bit for bit
+    # as in its solve alone at the default block
+    site = SphericalPosition(7.0 * ANGSTROM, math.radians(65.0), math.radians(300.0))
+    other = SphericalPosition(10.0 * ANGSTROM, math.radians(40.0), math.radians(100.0))
+    scans = [localize._scan(_records(pos, a_iso, _COILS[:1]), _coupling(pos, a_iso),
+                            fix, localize.DEFAULT_PHI_STEP_DEG,
+                            localize.DEFAULT_A_ISO_STEP, DEFAULT_CONSTANTS)
+             for pos, a_iso, fix in ((_TRUTH, _A_ISO, None), (site, 2e3, 2e3),
+                                     (other, -5e3, None))]
+    jobs = [(1, scan.phi.size, scan.lanes) for scan in scans]
+    alone = [localize._solve([job], False)[0] for job in jobs]
+    monkeypatch.setattr(localize, "_LANE_BLOCK", 8)
+    assert [scan.phi.size for scan in scans] == [28, 2, 36]
+    for got, want in zip(localize._solve(jobs, False), alone):
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
 def _on_converged_lanes(fit, lm):
     """Whether every reported minimum of a fit ends on a converged lane."""
     for m in fit.minima:

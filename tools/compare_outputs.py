@@ -20,11 +20,15 @@ at linear starts and at the point fit, once with the default
 ``--parallel`` and once with ``--parallel 3``. On the example truth file
 with every ``[noise]`` sigma 0, the one input on which ``simulate`` writes
 its sigma floors, it runs ``simulate`` and ``localize --samples 4000
---seed 3`` as well. Every file a command writes is compared byte for byte,
-and so are its exit status, standard output and standard error (with the
-source path replaced by a placeholder). Every differing file is printed, a
-JSON file with the first key path at which the two differ, and the exit
-status is 1 if any file differs, 0 if none does. Standard library only.
+--seed 3`` as well. On the example measurements file with a copy of its
+nucleus, under a second label, that lacks the last record, it runs
+``localize --samples 4000 --seed 3`` so that one run solves two lane
+pools, one per record count. Every file a command writes is compared
+byte for byte, and so are its exit status, standard output and standard
+error (with the source path replaced by a placeholder). Every differing
+file is printed, a JSON file with the first key path at which the two
+differ, and the exit status is 1 if any file differs, 0 if none does.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -78,7 +82,9 @@ def _runs():
                "--seed", "3", "--fix-a-iso", "auto", "--parallel", "3"]),
              ("simulate_exact", ["simulate", "data/truth_exact.txt"]),
              ("localize_exact", ["localize", "out/simulate_exact/measurements.txt",
-                                 "--samples", "4000", "--seed", "3"])]
+                                 "--samples", "4000", "--seed", "3"]),
+             ("localize_two_pools", ["localize", "data/measurements_two_pools.txt",
+                                     "--samples", "4000", "--seed", "3"])]
     return runs
 
 
@@ -90,6 +96,14 @@ def _multi_truth() -> str:
                      f"phi_deg = {phi}\na_iso_kHz = {a_iso}\n\n"
                      for label, r, theta, phi, a_iso in MULTI_NUCLEI)
     return "kind = truth\nversion = 1\n\n" + nuclei + text[text.index("[fields"):]
+
+
+def _two_pool_measurements() -> str:
+    """The example measurements file with a second nucleus: C1 copied as C2
+    without its last record."""
+    text = (DATA / "measurements_example.txt").read_text()
+    body = text[text.index("[nucleus C1]"):]
+    return text + "\n" + body[:body.rindex("[record")].replace(" C1", " C2")
 
 
 def _exact_truth() -> str:
@@ -118,6 +132,7 @@ def _outputs(src: Path, work: Path) -> dict[str, bytes]:
     shutil.copytree(DATA, work / "data")
     (work / "data" / "truth_multi.txt").write_text(_multi_truth())
     (work / "data" / "truth_exact.txt").write_text(_exact_truth())
+    (work / "data" / "measurements_two_pools.txt").write_text(_two_pool_measurements())
     (work / "data" / "config.yaml").write_text(CONFIG)
     env = {k: v for k, v in os.environ.items() if k != "SPINLOC_CONFIG"}
     env["PYTHONPATH"] = str(src)
